@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet verify bench bench-json bench-health bench-streamlet bench-parallel bench-cluster bench-txn bench-failover
+.PHONY: build test race vet verify bench
 
 build:
 	$(GO) build ./...
@@ -15,123 +15,15 @@ vet:
 	$(GO) vet ./...
 
 # verify is the pre-submit gate: vet, build, and the full suite under the
-# race detector (tier-1 plus -race).
+# race detector (tier-1 plus -race), then the same for the benchmark's own
+# module, which `./...` from the root does not reach.
 verify:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
+# bench runs the end-to-end benchmark BENCHMARK.json declares; see
+# bench/README.md for workloads, metrics and flags.
 bench:
-	$(GO) test -bench=. -benchmem .
-
-# bench-json refreshes the "after" column of the data-path microbenchmark
-# ledger. Deliberately NOT part of verify: benchmark numbers are
-# machine-dependent and take minutes; run it by hand when the data path
-# changes.
-bench-json:
-	$(GO) test -run XX -bench 'BenchmarkRouteLazy|BenchmarkOutboxDrain|BenchmarkRouteCheckpoint' \
-		-benchmem -benchtime 2s ./internal/stmgr/ | \
-		$(GO) run ./cmd/benchjson -label after -out BENCH_PR3.json
-	$(GO) test -run XX -bench 'BenchmarkEncodeFast|BenchmarkPeekDestVsFullDecode' \
-		-benchmem -benchtime 2s ./internal/tuple/ | \
-		$(GO) run ./cmd/benchjson -label after -out BENCH_PR3.json
-	$(MAKE) bench-health
-
-# bench-health refreshes BENCH_PR5.json: the idle health manager's cost
-# on the routing hot path. The off/on columns must agree within noise
-# (<1% ns/op) and routing must stay at 0 allocs/op. Cheap enough that CI
-# runs it on every push.
-bench-health:
-	$(GO) test -run XX -bench 'BenchmarkRouteHealthIdle' \
-		-benchmem -benchtime 2s ./internal/stmgr/ | \
-		$(GO) run ./cmd/benchjson -label after -out BENCH_PR5.json
-
-# bench-streamlet refreshes BENCH_PR6.json: the cost of planning a
-# streamlet pipeline (BenchmarkStreamletCompile) and of routing tuples
-# through a registry-backed custom grouping strategy
-# (BenchmarkRouteCustomGrouping — must stay 0 allocs/op and match the
-# BENCH_PR2.json route baselines). Cheap enough that CI runs it on every
-# push.
-# bench-parallel refreshes BENCH_PR7.json: BenchmarkRouteParallel sweeps
-# the sharded data path at 1/2/4/8 shards (ns/op plus p50/p99/p999 route
-# latency from the HDR histogram) and BenchmarkRouteLazy re-measures the
-# single-shard hot path. benchgate then enforces the contract: 0
-# allocs/op on every arm, percentiles recorded, core-count-adaptive
-# scaling at 8 shards, and no single-shard regression against the
-# BENCH_PR2.json baselines. Cheap enough that CI runs it on every push.
-bench-parallel:
-	GOMAXPROCS=8 $(GO) test -run XX -bench 'BenchmarkRouteParallel' \
-		-benchmem -benchtime 2s ./internal/stmgr/ | \
-		$(GO) run ./cmd/benchjson -label after -out BENCH_PR7.json
-	$(GO) test -run XX -bench 'BenchmarkRouteLazy' \
-		-benchmem -benchtime 2s ./internal/stmgr/ | \
-		$(GO) run ./cmd/benchjson -label after -out BENCH_PR7.json
-	$(GO) run ./cmd/benchgate -ledger BENCH_PR7.json -baseline BENCH_PR2.json
-
-bench-streamlet:
-	$(GO) test -run XX -bench 'BenchmarkRouteCustomGrouping' \
-		-benchmem -benchtime 2s ./internal/stmgr/ | \
-		$(GO) run ./cmd/benchjson -label after -out BENCH_PR6.json
-	$(GO) test -run XX -bench 'BenchmarkStreamletCompile' \
-		-benchmem -benchtime 2s ./streamlet/ | \
-		$(GO) run ./cmd/benchjson -label after -out BENCH_PR6.json
-
-# bench-txn refreshes BENCH_PR9.json: BenchmarkRouteTxn measures the
-# routing hot path with the end-to-end transaction machinery engaged
-# (barrier markers plus MsgCommitted global-commit fan-out every 256
-# frames) against the markers-only cadence, and BenchmarkRouteParallel
-# re-measures the sharded path with the new frame kind compiled in.
-# benchgate -mode txn then enforces the contract: 0 allocs/op on every
-# transactional arm, the on/off columns within noise, and no sharded
-# regression against the BENCH_PR7.json RouteParallel baselines. Cheap
-# enough that CI runs it on every push.
-bench-txn:
-	$(GO) test -run XX -bench 'BenchmarkRouteTxn' \
-		-benchmem -benchtime 2s ./internal/stmgr/ | \
-		$(GO) run ./cmd/benchjson -label after -out BENCH_PR9.json
-	GOMAXPROCS=8 $(GO) test -run XX -bench 'BenchmarkRouteParallel' \
-		-benchmem -benchtime 2s ./internal/stmgr/ | \
-		$(GO) run ./cmd/benchjson -label after -out BENCH_PR9.json
-	$(GO) run ./cmd/benchgate -mode txn -ledger BENCH_PR9.json -baseline BENCH_PR7.json
-
-# bench-cluster refreshes BENCH_PR8.json: the Theodolite-style
-# scalability ledger of the multi-tenant substrate. heron-bench -cluster
-# sweeps offered load × tenant count, climbing the parallelism ladder per
-# point until every tenant sustains its load, and records the "resource
-# demand vs. load" curve (tuples/sec, demand-cores, demand-containers,
-# min-tenant-tps). The single- and multi-shard route benchmarks ride
-# along so benchgate -mode cluster can assert the substrate taxes
-# neither: curves present and sustained, BenchmarkRouteLazy within the
-# BENCH_PR2 baselines, BenchmarkRouteParallel within BENCH_PR7. Cheap
-# enough that CI runs it on every push.
-bench-cluster:
-	$(GO) run ./cmd/heron-bench -cluster -warmup 300ms -measure 1s | \
-		$(GO) run ./cmd/benchjson -label after -out BENCH_PR8.json
-	$(GO) test -run XX -bench 'BenchmarkRouteLazy' \
-		-benchmem -benchtime 2s ./internal/stmgr/ | \
-		$(GO) run ./cmd/benchjson -label after -out BENCH_PR8.json
-	GOMAXPROCS=8 $(GO) test -run XX -bench 'BenchmarkRouteParallel' \
-		-benchmem -benchtime 2s ./internal/stmgr/ | \
-		$(GO) run ./cmd/benchjson -label after -out BENCH_PR8.json
-	$(GO) run ./cmd/benchgate -mode cluster -ledger BENCH_PR8.json \
-		-baseline BENCH_PR2.json -parallel-baseline BENCH_PR7.json
-
-# bench-failover refreshes BENCH_PR10.json: the control-plane failover
-# ledger. heron-bench -failover runs a checkpointed WordCount with 2 and
-# 3 control replicas, hard-kills the leader three times per
-# configuration, and times each kill to the first checkpoint epoch the
-# successor commits (lease lapse + election + fencing + log replay +
-# re-registration + one checkpoint round). The single- and multi-shard
-# route benchmarks ride along so benchgate -mode failover can assert
-# replication costs the data path nothing.
-bench-failover:
-	$(GO) run ./cmd/heron-bench -failover | \
-		$(GO) run ./cmd/benchjson -label after -out BENCH_PR10.json
-	$(GO) test -run XX -bench 'BenchmarkRouteLazy' \
-		-benchmem -benchtime 2s ./internal/stmgr/ | \
-		$(GO) run ./cmd/benchjson -label after -out BENCH_PR10.json
-	GOMAXPROCS=8 $(GO) test -run XX -bench 'BenchmarkRouteParallel' \
-		-benchmem -benchtime 2s ./internal/stmgr/ | \
-		$(GO) run ./cmd/benchjson -label after -out BENCH_PR10.json
-	$(GO) run ./cmd/benchgate -mode failover -ledger BENCH_PR10.json \
-		-baseline BENCH_PR2.json -parallel-baseline BENCH_PR7.json
+	bash bench/run.sh

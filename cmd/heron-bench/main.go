@@ -144,7 +144,7 @@ func min(a, b int) int {
 // (Theodolite's scalability method): per tenant count and offered load,
 // the minimal parallelism that sustains the load, and its provisioned
 // cores/containers. Points print both as a table (stderr) and as
-// `go test -bench`-format lines (stdout) for cmd/benchjson.
+// `go test -bench`-format lines (stdout).
 func runClusterSweep(warmup, measure time.Duration) {
 	points, err := harness.ClusterDemandSweep(harness.ClusterSweepOptions{
 		Loads:   []int{2_000, 5_000, 10_000},
@@ -168,8 +168,7 @@ func runClusterSweep(warmup, measure time.Duration) {
 // runFailoverSweep measures control-plane recovery: a checkpointed
 // WordCount with ControlReplicas hot standbys absorbs repeated leader
 // kills, each timed kill→first-post-failover-commit. Points print both
-// as a table (stderr) and as `go test -bench`-format lines (stdout) for
-// cmd/benchjson.
+// as a table (stderr) and as `go test -bench`-format lines (stdout).
 func runFailoverSweep(kills int) {
 	points, err := harness.FailoverSweep(harness.FailoverOptions{
 		Replicas: []int{2, 3},

@@ -27,10 +27,10 @@ type Config struct {
 	// StmgrShards splits the Stream Manager's hot-path state (routing
 	// snapshot, tuple cache, acker trees) into N shards behind a
 	// consistent task→shard mapping, each shard served by its own
-	// goroutine with its own pooled outboxes. 0 (the default) selects
-	// min(GOMAXPROCS, 4); 1 runs the classic inline data path — exactly
-	// the pre-sharding behavior. Values above 1 require
-	// StreamManagerOptimized. Capped at MaxStmgrShards.
+	// goroutine with its own dispatch ring and pooled outboxes. It is a
+	// count, not a mode: one shard runs the same ring-and-worker path as
+	// many. 0 (the default) selects min(GOMAXPROCS, 4). Values above 1
+	// require StreamManagerOptimized. Capped at MaxStmgrShards.
 	StmgrShards int
 
 	// Packing inputs.
@@ -121,10 +121,10 @@ type Config struct {
 
 // Defaults for unset fields.
 const (
-	DefaultNumContainers       = 4
+	DefaultNumContainers = 4
 	// MaxStmgrShards bounds Config.StmgrShards: beyond this the dispatch
 	// fan-out costs more than it buys on any machine we target.
-	MaxStmgrShards = 32
+	MaxStmgrShards             = 32
 	DefaultCacheDrainFrequency = 5 * time.Millisecond
 	DefaultCacheMaxBatchTuples = 1024
 	DefaultMessageTimeout      = 30 * time.Second
@@ -235,7 +235,7 @@ func (c *Config) ResolveControlLeaseTTL() time.Duration {
 // ResolveStmgrShards turns the StmgrShards knob into an effective shard
 // count: an explicit value wins (clamped to MaxStmgrShards), 0 selects
 // min(gomaxprocs, 4), and the unoptimized Stream Manager always runs a
-// single shard — the naive ablation path is deliberately the serial one.
+// single shard — the naive ablation arm is deliberately the serial one.
 func (c *Config) ResolveStmgrShards(gomaxprocs int) int {
 	if !c.StreamManagerOptimized {
 		return 1

@@ -187,10 +187,10 @@ func runDemandTrial(tenants, load, par int, o ClusterSweepOptions) (DemandPoint,
 	return point, nil
 }
 
-// BenchLine renders the point in `go test -bench` output format so
-// cmd/benchjson can merge it into a ledger: ns/op carries the per-tuple
-// service time at the achieved rate, and the custom units carry the
-// demand curve (tuples/sec, demand-cores, demand-containers).
+// BenchLine renders the point in `go test -bench` output format: ns/op
+// carries the per-tuple service time at the achieved rate, and the custom
+// units carry the demand curve (tuples/sec, demand-cores,
+// demand-containers).
 func (p DemandPoint) BenchLine() string {
 	nsPerTuple := 0.0
 	if p.AchievedTPS > 0 {

@@ -81,9 +81,8 @@ type FailoverPoint struct {
 	FinalTerm int64
 }
 
-// BenchLine renders the point in `go test -bench` output format so
-// cmd/benchjson can merge it into a ledger: ns/op carries the mean
-// kill→first-post-failover-commit latency.
+// BenchLine renders the point in `go test -bench` output format: ns/op
+// carries the mean kill→first-post-failover-commit latency.
 func (p FailoverPoint) BenchLine() string {
 	return fmt.Sprintf(
 		"BenchmarkFailover/replicas=%d %d %.1f ns/op 0 B/op 0 allocs/op %.1f max-failover-ns %.1f election-ns %d final-term",

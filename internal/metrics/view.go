@@ -30,12 +30,11 @@ const (
 	MStmgrBPTransitions  = "stmgr.backpressure-transitions" // assert/release edges
 	MStmgrBPAssertedTime = "stmgr.backpressure-time-ns"     // total ns spent asserted
 	MStmgrBPActive       = "stmgr.backpressure-active"      // 1 while this container asserts backpressure (gauge)
-	// MStmgrRouteLatency is the sharded data path's per-frame route
-	// latency — dispatch-ring enqueue to delivery handoff, sampled 1-in-8
-	// — recorded in a lock-free HDR histogram so /metrics and the
+	// MStmgrRouteLatency is the Stream Manager's per-frame route latency
+	// — dispatch-ring enqueue to delivery handoff, sampled 1-in-8 —
+	// recorded in a lock-free HDR histogram so /metrics and the
 	// TopologyView report p50/p99/p999 tails, not just averages. Published
-	// only when StmgrShards > 1 (the inline single-shard path has no
-	// dispatch stage to time).
+	// at every shard count.
 	MStmgrRouteLatency = "stmgr.route-latency-ns"
 
 	// Checkpointing. Duration/size/restore are per-instance (tags:

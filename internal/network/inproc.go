@@ -89,7 +89,7 @@ func (c *inprocConn) Start(h Handler) {
 	})
 }
 
-// StartOwned implements OwnedStarter: received frames keep their pooled
+// StartOwned implements Conn: received frames keep their pooled
 // buffers, which pass to the handler without a copy.
 func (c *inprocConn) StartOwned(h OwnedHandler) {
 	if c.started {

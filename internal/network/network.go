@@ -72,22 +72,10 @@ type Handler func(kind MsgKind, payload []byte)
 // OwnedHandler consumes one received frame and takes ownership of its
 // pooled buffer: the handler (or whatever it hands the buffer to) must
 // eventually recycle it with wire.PutBuffer. This is the receive-side
-// mirror of SendOwned — the sharded Stream Manager uses it to move an
-// inbound frame from the transport straight into a shard's dispatch ring
-// without a copy.
+// mirror of SendOwned — the Stream Manager uses it to move an inbound
+// frame from the transport straight into a shard's dispatch ring without
+// a copy.
 type OwnedHandler func(kind MsgKind, buf *wire.Buffer)
-
-// OwnedStarter is implemented by connections that can deliver received
-// frames with ownership transfer. All built-in transports implement it;
-// callers that need it assert for the interface and fall back to Start
-// plus a copy when absent.
-type OwnedStarter interface {
-	// StartOwned begins delivering received frames to h from a dedicated
-	// goroutine, transferring buffer ownership to the handler. Like
-	// Start, it must be called exactly once (and not combined with
-	// Start).
-	StartOwned(h OwnedHandler)
-}
 
 // Conn is a bidirectional, framed message connection.
 type Conn interface {
@@ -107,8 +95,11 @@ type Conn interface {
 	// a no-op on transports that deliver immediately (inproc).
 	Flush() error
 	// Start begins delivering received frames to h from a dedicated
-	// goroutine. It must be called exactly once.
+	// goroutine. Exactly one of Start and StartOwned must be called, once.
 	Start(h Handler)
+	// StartOwned is Start with ownership transfer: each received frame's
+	// pooled buffer passes to h.
+	StartOwned(h OwnedHandler)
 	// Close tears the connection down and unblocks pending Sends.
 	Close() error
 }

@@ -43,6 +43,7 @@ type FrameRing struct {
 	closed   atomic.Bool
 	sleeping atomic.Bool
 	notify   chan struct{}
+	timer    *time.Timer // Await's; the consumer's alone
 }
 
 type frameCell struct {
@@ -150,12 +151,25 @@ func (r *FrameRing) Await(timeout time.Duration) bool {
 		r.sleeping.Store(false)
 		return r.ready()
 	}
-	t := time.NewTimer(timeout)
+	// One timer per ring, reused: a consumer of a paced stream parks
+	// thousands of times a second.
+	if r.timer == nil {
+		r.timer = time.NewTimer(timeout)
+	} else {
+		r.timer.Reset(timeout)
+	}
 	select {
 	case <-r.notify:
-	case <-t.C:
+		if !r.timer.Stop() {
+			// Fired meanwhile. Drain what is there; a tick that lands later
+			// only ends the next Await early, which callers tolerate.
+			select {
+			case <-r.timer.C:
+			default:
+			}
+		}
+	case <-r.timer.C:
 	}
-	t.Stop()
 	r.sleeping.Store(false)
 	return r.ready()
 }
@@ -268,7 +282,7 @@ func (c *ringConn) Start(h Handler) {
 // rechecking the closed flag.
 const ringPark = time.Millisecond
 
-// StartOwned implements OwnedStarter.
+// StartOwned implements Conn.
 func (c *ringConn) StartOwned(h OwnedHandler) {
 	if c.started {
 		panic("network: Start called twice")

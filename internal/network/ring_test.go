@@ -224,11 +224,7 @@ func TestRingConnSendOwned(t *testing.T) {
 	defer server.Close()
 
 	got := make(chan string, 1)
-	srv, ok := server.(OwnedStarter)
-	if !ok {
-		t.Fatal("ring conn does not implement OwnedStarter")
-	}
-	srv.StartOwned(func(kind MsgKind, buf *wire.Buffer) {
+	server.StartOwned(func(kind MsgKind, buf *wire.Buffer) {
 		got <- string(buf.B)
 		wire.PutBuffer(buf)
 	})

@@ -110,7 +110,7 @@ func (t *tcpConn) Start(h Handler) {
 	})
 }
 
-// StartOwned implements OwnedStarter: each frame is read into a fresh
+// StartOwned implements Conn: each frame is read into a fresh
 // pooled buffer whose ownership passes to the handler.
 func (t *tcpConn) StartOwned(h OwnedHandler) {
 	go func() {

@@ -197,11 +197,13 @@ func (e *Engine) launchWorker(topology string, containerID int32) (func(), error
 	if interval <= 0 {
 		interval = core.DefaultMetricsExportInterval
 	}
-	mm := metrics.NewManager(containerID, registry, interval, e.metricsSink(topology, containerID, state))
+	sink, closeSink := e.metricsSink(topology, containerID, state)
+	mm := metrics.NewManager(containerID, registry, interval, sink)
 
 	mm.Start()
 	return func() {
 		mm.Stop()
+		closeSink()
 		for _, i := range instances {
 			i.Stop()
 		}
@@ -220,11 +222,21 @@ func (e *Engine) launchWorker(topology string, containerID int32) (func(), error
 	}, nil
 }
 
-// metricsSink returns the Metrics Manager's export function: it dials the
-// TMaster lazily and pushes typed snapshots over a control connection.
-func (e *Engine) metricsSink(topology string, containerID int32, state core.StateManager) func(metrics.Snapshot) {
+// metricsSink returns the Metrics Manager's export function — it dials the
+// TMaster lazily and pushes typed snapshots over a control connection —
+// and the function that closes that connection, which container teardown
+// calls once the Metrics Manager has stopped.
+func (e *Engine) metricsSink(topology string, containerID int32, state core.StateManager) (sink func(metrics.Snapshot), closeSink func()) {
 	var mu sync.Mutex
 	var conn network.Conn
+	closeSink = func() {
+		mu.Lock()
+		defer mu.Unlock()
+		if conn != nil {
+			conn.Close()
+			conn = nil
+		}
+	}
 	return func(s metrics.Snapshot) {
 		msg, err := ctrl.Encode(&ctrl.Message{
 			Op: ctrl.OpMetrics, Topology: topology,
@@ -255,7 +267,7 @@ func (e *Engine) metricsSink(topology string, containerID int32, state core.Stat
 			conn.Close()
 			conn = nil
 		}
-	}
+	}, closeSink
 }
 
 // TMaster returns the running Topology Master, if container 0 is hosted

@@ -4,68 +4,21 @@ import (
 	"testing"
 
 	"heron/internal/network"
-	"heron/internal/tuple"
 )
 
 // TestCommittedNeverOvertakesCachedData is the ordering contract of the
-// global-commit notification on the inline path: a tuple parked in the
-// batching cache for a destination must deliver BEFORE the MsgCommitted
-// frame for the same destination, or a transactional sink could commit an
-// epoch without having staged all of that epoch's tuples.
+// global-commit notification: a tuple parked in the batching cache for a
+// destination must deliver BEFORE the MsgCommitted frame for the same
+// destination, or a transactional sink could commit an epoch without
+// having staged all of that epoch's tuples. The notification rides the
+// destination's shard ring behind the cached data, and processCommitted
+// flushes the shard's cache before handing the frame to the instance
+// outbox.
 func TestCommittedNeverOvertakesCachedData(t *testing.T) {
-	s := newBenchSM(t)
-	conn := installRecorder(t, s, 2, false)
-
-	s.routeDataLazy(benchFrame(2, 1))
-	if frames, _ := conn.snapshot(); len(frames) != 0 {
-		t.Fatalf("cached tuple delivered early: %d frames", len(frames))
-	}
-
-	s.notifyCommitted(9)
-	waitFrames(t, conn, 2)
-
-	conn.mu.Lock()
-	kinds := append([]network.MsgKind(nil), conn.kinds...)
-	conn.mu.Unlock()
-	if len(kinds) != 2 || kinds[0] != network.MsgData || kinds[1] != network.MsgCommitted {
-		t.Fatalf("frame order = %v, want [MsgData MsgCommitted]", kinds)
-	}
-	frames, _ := conn.snapshot()
-	if dest, count, _, err := tuple.FrameHeader(frames[0]); err != nil || dest != 2 || count != 1 {
-		t.Fatalf("flushed frame header = dest %d count %d err %v", dest, count, err)
-	}
-	if id, src, dest, err := tuple.DecodeMarker(frames[1]); err != nil || id != 9 || src != -1 || dest != 2 {
-		t.Fatalf("committed frame = (%d,%d,%d) err %v", id, src, dest, err)
-	}
-}
-
-// TestShardedCommittedNeverOvertakesData is the same contract with the
-// sharded data path in play (the satellite regression the acceptance
-// matrix runs end-to-end): the notification rides the destination's shard
-// ring behind the cached data, and processCommitted flushes the shard's
-// cache before handing the frame to the instance outbox.
-func TestShardedCommittedNeverOvertakesData(t *testing.T) {
-	topo, packing := twoContainerPlan()
-	s := newBenchSMShards(t, topo, packing, 4)
-	conn := installRecorder(t, s, 2, false)
-
-	// The single-tuple frame lands in shard 2's cache; the commit
-	// notification chases it through the same ring.
-	ingestOwned(s, network.MsgData, benchFrame(2, 1))
-	s.notifyCommitted(9)
-	waitFrames(t, conn, 2)
-
-	conn.mu.Lock()
-	kinds := append([]network.MsgKind(nil), conn.kinds...)
-	conn.mu.Unlock()
-	if len(kinds) != 2 || kinds[0] != network.MsgData || kinds[1] != network.MsgCommitted {
-		t.Fatalf("sharded frame order = %v, want [MsgData MsgCommitted]", kinds)
-	}
-	frames, _ := conn.snapshot()
-	if dest, count, _, err := tuple.FrameHeader(frames[0]); err != nil || dest != 2 || count != 1 {
-		t.Fatalf("flushed frame = dest %d count %d err %v", dest, count, err)
-	}
-	if id, src, dest, err := tuple.DecodeMarker(frames[1]); err != nil || id != 9 || src != -1 || dest != 2 {
-		t.Fatalf("committed frame = (%d,%d,%d) err %v", id, src, dest, err)
-	}
+	forEachShardCount(t, func(t *testing.T, s *StreamManager) {
+		conn := installRecorder(t, s, 2)
+		ingestOwned(s, network.MsgData, benchFrame(2, 1))
+		s.notifyCommitted(9)
+		assertDataThenControl(t, conn, network.MsgCommitted, 9, -1, 2)
+	})
 }

@@ -40,6 +40,12 @@ type cacheShard struct {
 type batchBuf struct {
 	buf   *wire.Buffer // nil between batches
 	count int
+	// last and prev are the lengths of the two most recently sealed
+	// frames. A batch starts with room for the longer of them: the pool
+	// hands out 512-byte buffers whenever a collection has emptied it, and
+	// one allocation at the expected size is half the bytes of the
+	// doubling chain that appending up to that size costs.
+	last, prev int
 }
 
 func newTupleCache(cfg *core.Config, flush func(dest int32, count int, buf *wire.Buffer)) *tupleCache {
@@ -60,12 +66,13 @@ func (b *batchBuf) seal(dest int32) (*wire.Buffer, int) {
 	tuple.PatchFrameHeader(b.buf.B, dest, b.count)
 	buf, count := b.buf, b.count
 	b.buf, b.count = nil, 0
+	b.last, b.prev = len(buf.B), b.last
 	return buf, count
 }
 
 // add caches one encoded tuple for dest, flushing if the batch is full.
-// The cache is sharded by destination so concurrent instance connections
-// do not serialize on one lock.
+// The locks are all but uncontended: a shard's worker is the cache's only
+// writer, and the drain loop's buffered() its only other reader.
 func (c *tupleCache) add(dest int32, tupleBytes []byte) {
 	sh := &c.shards[uint32(dest)%cacheShards]
 	sh.mu.Lock()
@@ -76,7 +83,7 @@ func (c *tupleCache) add(dest int32, tupleBytes []byte) {
 	}
 	if b.buf == nil {
 		b.buf = wire.GetBuffer()
-		b.buf.B = tuple.BeginFrame(b.buf.B)
+		b.buf.B = tuple.BeginFrame(b.buf.Sized(max(b.last, b.prev))[:0])
 	}
 	b.buf.B = tuple.AppendFrameEntry(b.buf.B, tupleBytes)
 	b.count++
@@ -142,53 +149,26 @@ func (c *tupleCache) buffered() int64 {
 // awaiting its instance registration.
 const pendingFrameCap = 8192
 
-// deliverOwned hands an owned data frame to a registered local instance
-// (the common case: one map lookup on the routing snapshot, no lock), or
-// parks it for a not-yet-registered instance. count is the frame's tuple
-// count, from its header. Returns false only when the park cap is
-// exceeded (frame dropped and recycled).
-func (s *StreamManager) deliverOwned(rt *routeTable, dest int32, count int, buf *wire.Buffer) bool {
-	if o := rt.instances[dest]; o != nil {
-		s.mTuplesFwd.Inc(int64(count))
-		o.enqueueOwned(network.MsgData, buf)
-		return true
-	}
-	return s.parkOrDeliver(dest, count, buf)
-}
-
-// deliverCopy is deliverOwned for borrowed frames (receive buffers owned
-// by the transport): the outbox copies into a pooled buffer on enqueue.
-func (s *StreamManager) deliverCopy(rt *routeTable, dest int32, count int, frame []byte) bool {
-	if o := rt.instances[dest]; o != nil {
-		s.mTuplesFwd.Inc(int64(count))
-		o.enqueue(network.MsgData, frame)
-		return true
-	}
-	buf := wire.GetBuffer()
-	buf.B = append(buf.B, frame...)
-	return s.parkOrDeliver(dest, count, buf)
-}
-
 // parkOrDeliver is the registration-race slow path, under s.mu. The
 // snapshot showed no instance for dest; re-check the master map (the
 // instance may have registered — and replayed pending — after the
-// snapshot was taken) before parking the owned frame.
-func (s *StreamManager) parkOrDeliver(dest int32, count int, buf *wire.Buffer) bool {
+// snapshot was taken) before parking the owned frame. Past the park cap
+// the frame is dropped and recycled.
+func (s *StreamManager) parkOrDeliver(dest int32, count int, buf *wire.Buffer) {
 	s.mu.Lock()
 	if o := s.instances[dest]; o != nil {
 		s.mu.Unlock()
 		s.mTuplesFwd.Inc(int64(count))
 		o.enqueueOwned(network.MsgData, buf)
-		return true
+		return
 	}
 	if len(s.pending[dest]) >= pendingFrameCap {
 		s.mu.Unlock()
 		wire.PutBuffer(buf)
-		return false
+		return
 	}
 	s.pending[dest] = append(s.pending[dest], buf)
 	s.mu.Unlock()
-	return true
 }
 
 // parkedFrame is one data frame waiting for a peer dial, tagged with its
@@ -205,187 +185,29 @@ type parkedFrame struct {
 // reached this Stream Manager yet, and dropping the frame here would lose
 // a tuple the restore checkpoint already advanced past. Re-check the
 // master map under s.mu, then park the owned frame until the dial lands.
-func (s *StreamManager) parkPeerOrDeliver(container, dest int32, buf *wire.Buffer) bool {
+func (s *StreamManager) parkPeerOrDeliver(container, dest int32, buf *wire.Buffer) {
 	s.mu.Lock()
 	if p := s.peerOutLocked(container, dest); p != nil {
 		s.mu.Unlock()
 		p.enqueueOwned(network.MsgData, buf)
-		return true
-	}
-	if s.peerPending == nil {
-		s.peerPending = map[int32][]parkedFrame{}
+		return
 	}
 	if len(s.peerPending[container]) >= pendingFrameCap {
 		s.mu.Unlock()
 		wire.PutBuffer(buf)
-		return false
+		return
 	}
 	s.peerPending[container] = append(s.peerPending[container], parkedFrame{dest, buf})
 	s.mu.Unlock()
-	return true
 }
 
 // peerOutLocked resolves the outbox that carries data for dest toward
-// container — the shard-specific one in dispatch mode; the caller holds
-// s.mu.
+// container: the one owned by dest's shard. The caller holds s.mu.
 func (s *StreamManager) peerOutLocked(container, dest int32) *outbox {
-	if s.nShards > 1 {
-		if outs := s.peerShardOut[container]; outs != nil {
-			return outs[s.shardOf(dest)]
-		}
-		return nil
+	if outs := s.peerShardOut[container]; outs != nil {
+		return outs[s.shardOf(dest)]
 	}
-	return s.peers[container]
-}
-
-// routeFrame is the Stream Manager's data path: every MsgData and MsgAck
-// frame from instances and peers lands here.
-func (s *StreamManager) routeFrame(kind network.MsgKind, payload []byte) {
-	s.mBytesRecv.Inc(int64(len(payload)))
-	switch kind {
-	case network.MsgData:
-		s.routeData(payload)
-	case network.MsgAck:
-		s.routeAck(payload)
-	case network.MsgMarker:
-		s.routeMarker(payload)
-	}
-}
-
-// routeMarker forwards a checkpoint marker toward its destination task.
-// Markers are their own frame kind so the data fast path never pays for
-// them; they are rare (one per task pair per checkpoint interval), so
-// this path may allocate freely.
-func (s *StreamManager) routeMarker(payload []byte) {
-	_, _, dest, err := tuple.DecodeMarker(payload)
-	if err != nil {
-		return
-	}
-	rt := s.routes.Load()
-	if rt == nil || rt.plan == nil {
-		return
-	}
-	// Flush any partially built batch for the destination first; the
-	// barrier invariant is per-channel FIFO between data and markers.
-	if s.cache != nil {
-		s.cache.flushDest(dest)
-	}
-	container := rt.plan.TaskContainer(dest)
-	if container < 0 {
-		return
-	}
-	if container == s.opts.Container {
-		// Dropping a marker for an unregistered instance is safe: the
-		// barrier never completes and the checkpoint is abandoned.
-		if o := rt.instances[dest]; o != nil {
-			o.enqueue(network.MsgMarker, payload)
-		}
-		return
-	}
-	if peer := rt.peers[container]; peer != nil {
-		peer.enqueue(network.MsgMarker, payload)
-	}
-}
-
-// routeData forwards a data frame toward its destination task.
-func (s *StreamManager) routeData(payload []byte) {
-	if s.optimized {
-		s.routeDataLazy(payload)
-	} else {
-		s.routeDataNaive(payload)
-	}
-}
-
-// routeDataLazy is the Section V-A fast path: only the frame header (and,
-// for mixed frames, each tuple's destination prefix) is parsed; tuple
-// payloads cross this router untouched. Routing state is one atomic
-// snapshot load — no lock, no allocation.
-func (s *StreamManager) routeDataLazy(payload []byte) {
-	dest, count, rest, err := tuple.FrameHeader(payload)
-	if err != nil {
-		return
-	}
-	rt := s.routes.Load()
-	if rt == nil || rt.plan == nil {
-		return
-	}
-	if dest == tuple.MixedFrameDest {
-		// Instance batch: split into the per-destination tuple cache. Each
-		// tuple costs one destination peek — still lazy.
-		_, _, _ = tuple.WalkFrame(payload, func(tb []byte) error {
-			if d, err := tuple.PeekDest(tb); err == nil {
-				s.mTuplesIn.Inc(1)
-				s.cache.add(d, tb)
-			}
-			return nil
-		})
-		return
-	}
-	// The tuple count comes straight from the frame header: uniform frames
-	// are routed without walking their entries.
-	s.mTuplesIn.Inc(int64(count))
-	if count == 1 {
-		// Single-tuple frames (fresh from a local instance) enter the tuple
-		// cache — the cache batches incoming and outgoing tuples alike, as
-		// the paper describes.
-		if tb, err := tuple.FrameFirstEntry(rest); err == nil {
-			s.cache.add(dest, tb)
-		}
-		return
-	}
-	// Pre-batched frames are forwarded whole: to the local instance for
-	// local destinations (true lazy forwarding: the payload is never
-	// decoded here), or re-routed to a peer if the plan moved the task.
-	container := rt.plan.TaskContainer(dest)
-	if container < 0 {
-		return // task no longer in the plan (scaled away)
-	}
-	if container == s.opts.Container {
-		s.deliverCopy(rt, dest, count, payload)
-		return
-	}
-	if peer := rt.peers[container]; peer != nil {
-		peer.enqueue(network.MsgData, payload)
-		return
-	}
-	buf := wire.GetBuffer()
-	buf.B = append(buf.B, payload...)
-	s.parkPeerOrDeliver(container, dest, buf)
-}
-
-// routeDataNaive is the "without optimizations" path of Figures 5–9:
-// every tuple is fully decoded and re-encoded at every hop, nothing is
-// pooled, and no batching happens — each tuple leaves as its own frame.
-func (s *StreamManager) routeDataNaive(payload []byte) {
-	rt := s.routes.Load()
-	if rt == nil || rt.plan == nil {
-		return
-	}
-	codec := tuple.NaiveCodec{}
-	_, _, _ = tuple.WalkFrame(payload, func(tb []byte) error {
-		var t tuple.DataTuple // fresh allocation per tuple, deliberately
-		if err := codec.DecodeData(tb, &t); err != nil {
-			return nil
-		}
-		s.mTuplesIn.Inc(1)
-		reenc := codec.EncodeData(nil, &t)
-		frame := tuple.AppendFrameHeader(nil, t.DestTask, 1)
-		frame = tuple.AppendFrameEntry(frame, reenc)
-		container := rt.plan.TaskContainer(t.DestTask)
-		if container < 0 {
-			return nil
-		}
-		if container == s.opts.Container {
-			s.deliverOwned(rt, t.DestTask, 1, &wire.Buffer{B: frame})
-			return nil
-		}
-		if peer := rt.peers[container]; peer != nil {
-			peer.enqueueOwned(network.MsgData, &wire.Buffer{B: frame})
-			return nil
-		}
-		s.parkPeerOrDeliver(container, t.DestTask, &wire.Buffer{B: frame})
-		return nil
-	})
+	return nil
 }
 
 // ackCache batches control tuples bound for peer stream managers; it is
@@ -507,29 +329,4 @@ func (s *StreamManager) handleAck(a *tuple.AckTuple) {
 	case tuple.AckFail:
 		sh.ack.Fail(a.Root)
 	}
-}
-
-// flushBatch delivers one sealed cache batch to its destination (local
-// instance or peer stream manager). Ownership of buf always transfers
-// here; every drop path recycles it.
-func (s *StreamManager) flushBatch(dest int32, count int, buf *wire.Buffer) {
-	rt := s.routes.Load()
-	if rt == nil || rt.plan == nil {
-		wire.PutBuffer(buf)
-		return
-	}
-	container := rt.plan.TaskContainer(dest)
-	if container < 0 {
-		wire.PutBuffer(buf)
-		return
-	}
-	if container == s.opts.Container {
-		s.deliverOwned(rt, dest, count, buf)
-		return
-	}
-	if peer := rt.peers[container]; peer != nil {
-		peer.enqueueOwned(network.MsgData, buf)
-		return
-	}
-	s.parkPeerOrDeliver(container, dest, buf)
 }

@@ -7,76 +7,74 @@ import (
 	"heron/internal/tuple"
 )
 
-// installRecorder swaps a counting conn in for one routing-table entry so
-// a test can observe the exact frame order an instance (or peer) would
-// receive. Returns the conn; the outbox is closed on test cleanup.
-func installRecorder(t *testing.T, s *StreamManager, task int32, peer bool) *countingConn {
+// installRecorder registers a counting conn as local task's instance so a
+// test can observe the exact frame order the instance would receive.
+// Returns the conn; the outbox is closed on test cleanup.
+func installRecorder(t *testing.T, s *StreamManager, task int32) *countingConn {
 	t.Helper()
 	conn := newCountingConn()
 	o := newOutbox(conn, nil, s.onBytesSent)
 	s.mu.Lock()
-	if peer {
-		s.peers[task] = o
-	} else {
-		s.instances[task] = o
-	}
+	s.instances[task] = o
 	s.publishRoutesLocked()
 	s.mu.Unlock()
 	t.Cleanup(o.close)
 	return conn
 }
 
-// TestMarkerNeverOvertakesCachedData is the marker-vs-data ordering
-// contract on the zero-copy outbox path: a tuple parked in the batching
-// cache for a destination must be flushed and delivered BEFORE a
-// checkpoint marker for the same destination, or the snapshot would miss
-// pre-barrier tuples.
-func TestMarkerNeverOvertakesCachedData(t *testing.T) {
-	s := newBenchSM(t)
-	conn := installRecorder(t, s, 2, false)
+// installPeerRecorder replaces container 2's connection with a counting
+// conn, through the same attachPeer a dial uses.
+func installPeerRecorder(s *StreamManager) *countingConn {
+	detachPeer(s)
+	conn := newCountingConn()
+	s.attachPeer(2, "recorder", conn)
+	return conn
+}
 
-	// A single-tuple frame enters the tuple cache (not yet delivered).
-	s.routeDataLazy(benchFrame(2, 1))
-	if frames, _ := conn.snapshot(); len(frames) != 0 {
-		t.Fatalf("cached tuple delivered early: %d frames", len(frames))
-	}
-
-	s.routeMarker(tuple.AppendMarker(nil, 1, 0, 2))
+// assertDataThenControl waits for two frames on conn and checks they are
+// one single-tuple data frame for dest followed by a marker-encoded frame
+// of the given kind (id, src, dest).
+func assertDataThenControl(t *testing.T, conn *countingConn, kind network.MsgKind, id int64, src, dest int32) {
+	t.Helper()
 	waitFrames(t, conn, 2)
-
-	conn.mu.Lock()
-	kinds := append([]network.MsgKind(nil), conn.kinds...)
-	conn.mu.Unlock()
-	if len(kinds) != 2 || kinds[0] != network.MsgData || kinds[1] != network.MsgMarker {
-		t.Fatalf("frame order = %v, want [MsgData MsgMarker]", kinds)
+	if kinds := recordedKinds(conn); len(kinds) != 2 || kinds[0] != network.MsgData || kinds[1] != kind {
+		t.Fatalf("frame order = %v, want [MsgData %v]", kinds, kind)
 	}
-
 	frames, _ := conn.snapshot()
-	if dest, count, _, err := tuple.FrameHeader(frames[0]); err != nil || dest != 2 || count != 1 {
-		t.Fatalf("flushed frame header = dest %d count %d err %v", dest, count, err)
+	if d, count, _, err := tuple.FrameHeader(frames[0]); err != nil || d != dest || count != 1 {
+		t.Fatalf("flushed frame header = dest %d count %d err %v", d, count, err)
 	}
-	if id, src, dest, err := tuple.DecodeMarker(frames[1]); err != nil || id != 1 || src != 0 || dest != 2 {
-		t.Fatalf("marker = (%d,%d,%d) err %v", id, src, dest, err)
+	if gotID, gotSrc, gotDest, err := tuple.DecodeMarker(frames[1]); err != nil || gotID != id || gotSrc != src || gotDest != dest {
+		t.Fatalf("%v frame = (%d,%d,%d) err %v, want (%d,%d,%d)", kind, gotID, gotSrc, gotDest, err, id, src, dest)
 	}
+}
+
+// TestMarkerNeverOvertakesCachedData is the barrier-alignment contract: a
+// tuple parked in a shard's batching cache for a destination must be
+// flushed and delivered BEFORE a checkpoint marker for the same
+// destination — both ride the same shard ring in arrival order — or the
+// snapshot would miss pre-barrier tuples.
+func TestMarkerNeverOvertakesCachedData(t *testing.T) {
+	forEachShardCount(t, func(t *testing.T, s *StreamManager) {
+		conn := installRecorder(t, s, 2)
+		// The single-tuple frame enters the tuple cache; the marker chases
+		// it through the same ring.
+		ingestOwned(s, network.MsgData, benchFrame(2, 1))
+		ingestOwned(s, network.MsgMarker, tuple.AppendMarker(nil, 7, 0, 2))
+		assertDataThenControl(t, conn, network.MsgMarker, 7, 0, 2)
+	})
 }
 
 // TestMarkerForwardedToPeerAfterFlush is the same contract on the
 // stmgr→stmgr hop: data batched for a remote task flushes to the peer
 // outbox before the marker frame.
 func TestMarkerForwardedToPeerAfterFlush(t *testing.T) {
-	s := newBenchSM(t)
-	conn := installRecorder(t, s, 2, true) // container 2 hosts task 3
-
-	s.routeDataLazy(benchFrame(3, 1))
-	s.routeMarker(tuple.AppendMarker(nil, 4, 2, 3))
-	waitFrames(t, conn, 2)
-
-	conn.mu.Lock()
-	kinds := append([]network.MsgKind(nil), conn.kinds...)
-	conn.mu.Unlock()
-	if len(kinds) != 2 || kinds[0] != network.MsgData || kinds[1] != network.MsgMarker {
-		t.Fatalf("peer frame order = %v, want [MsgData MsgMarker]", kinds)
-	}
+	forEachShardCount(t, func(t *testing.T, s *StreamManager) {
+		conn := installPeerRecorder(s) // container 2 hosts task 3
+		ingestOwned(s, network.MsgData, benchFrame(3, 1))
+		ingestOwned(s, network.MsgMarker, tuple.AppendMarker(nil, 4, 2, 3))
+		assertDataThenControl(t, conn, network.MsgMarker, 4, 2, 3)
+	})
 }
 
 // TestMarkerForUnregisteredInstanceDropped: dropping is the safe outcome
@@ -88,7 +86,7 @@ func TestMarkerForUnregisteredInstanceDropped(t *testing.T) {
 	delete(s.instances, 2)
 	s.publishRoutesLocked()
 	s.mu.Unlock()
-	s.routeMarker(tuple.AppendMarker(nil, 1, 0, 2))
+	processMarker(s, 2, tuple.AppendMarker(nil, 1, 0, 2))
 	s.mu.Lock()
 	parked := len(s.pending[2])
 	s.mu.Unlock()
@@ -102,8 +100,8 @@ func TestMarkerForUnregisteredInstanceDropped(t *testing.T) {
 // nothing else.
 func TestTriggerCheckpointTargetsLocalSpouts(t *testing.T) {
 	s := newBenchSM(t)
-	spoutConn := installRecorder(t, s, 0, false) // task 0: local spout
-	boltConn := installRecorder(t, s, 2, false)  // task 2: local bolt
+	spoutConn := installRecorder(t, s, 0) // task 0: local spout
+	boltConn := installRecorder(t, s, 2)  // task 2: local bolt
 
 	s.triggerCheckpoint(9)
 	waitFrames(t, spoutConn, 1)

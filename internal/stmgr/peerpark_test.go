@@ -2,69 +2,93 @@ package stmgr
 
 import (
 	"testing"
+	"time"
 
+	"heron/internal/network"
 	"heron/internal/tuple"
 )
 
-// detachPeer removes container 2's outbox from a bench Stream Manager,
+// detachPeer removes container 2's outboxes from a bench Stream Manager,
 // recreating the rescale-relaunch window: the plan still places tasks on
 // the container, but no peer connection exists yet.
 func detachPeer(s *StreamManager) {
 	s.mu.Lock()
-	old := s.peers[2]
+	old := append([]*outbox{s.peers[2]}, s.peerShardOut[2]...)
 	delete(s.peers, 2)
 	delete(s.peerConns, 2)
 	delete(s.peerAddrs, 2)
+	delete(s.peerShardOut, 2)
 	s.publishRoutesLocked()
 	s.mu.Unlock()
-	old.close()
+	for _, o := range old {
+		o.close()
+	}
+}
+
+// waitParked waits until want frames are parked for container 2.
+func waitParked(t *testing.T, s *StreamManager, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		s.mu.Lock()
+		parked := len(s.peerPending[2])
+		s.mu.Unlock()
+		if parked == want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("parked %d frames for container 2, want %d", parked, want)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // TestDataForUnconnectedPeerParksAndReplays is the loss bug behind rescale
 // convergence: a data frame routed to a container that is in the plan but
-// not yet dialed must be parked — not dropped — and replayed in order once
-// the connection lands, ahead of any traffic routed after the attach.
+// not yet dialed must be parked — not dropped — and replayed once the
+// connection lands, each frame into the outbox of the shard that owns its
+// destination, in order per destination and ahead of any traffic routed
+// after the attach.
 func TestDataForUnconnectedPeerParksAndReplays(t *testing.T) {
-	s := newBenchSM(t)
-	detachPeer(s)
+	forEachShardCount(t, func(t *testing.T, s *StreamManager) {
+		detachPeer(s)
 
-	// Three frames for task 3 (container 2), through both remote slow
-	// paths: pre-batched frames hit routeDataLazy's park directly, the
-	// single-tuple frame goes via the tuple cache and flushBatch.
-	s.routeDataLazy(benchFrame(3, 2))
-	s.routeDataLazy(benchFrame(3, 1))
-	s.cache.drainAll()
-	s.routeDataLazy(benchFrame(3, 3))
+		// Frames for tasks 1 and 3 (container 2), distinguishable by count,
+		// through both remote slow paths: pre-batched frames park straight
+		// from processData, the single-tuple frame goes via the tuple cache
+		// and flushBatch (wait for the idle drain to park it, so the
+		// frames behind it cannot pass it in the cache).
+		ingestOwned(s, network.MsgData, benchFrame(1, 2))
+		ingestOwned(s, network.MsgData, benchFrame(3, 5))
+		ingestOwned(s, network.MsgData, benchFrame(3, 1))
+		waitParked(t, s, 3)
+		ingestOwned(s, network.MsgData, benchFrame(1, 4))
+		ingestOwned(s, network.MsgData, benchFrame(3, 6))
+		waitParked(t, s, 5)
 
-	s.mu.Lock()
-	parked := len(s.peerPending[2])
-	s.mu.Unlock()
-	if parked != 3 {
-		t.Fatalf("parked %d frames for container 2, want 3", parked)
-	}
+		conn := newCountingConn()
+		s.attachPeer(2, "bench-peer", conn)
+		// Traffic routed after the attach must land behind the replay.
+		ingestOwned(s, network.MsgData, benchFrame(3, 7))
+		waitFrames(t, conn, 6)
 
-	conn := newCountingConn()
-	s.attachPeer(2, "bench-peer", conn)
-	// Traffic routed after the attach must land behind the replay.
-	s.routeDataLazy(benchFrame(3, 4))
-	waitFrames(t, conn, 4)
-
-	frames, _ := conn.snapshot()
-	wantCounts := []int{2, 1, 3, 4}
-	for i, f := range frames {
-		dest, count, _, err := tuple.FrameHeader(f)
-		if err != nil || dest != 3 || count != wantCounts[i] {
-			t.Fatalf("frame %d: dest %d count %d err %v, want dest 3 count %d",
-				i, dest, count, err, wantCounts[i])
+		frames, _ := conn.snapshot()
+		perDest := map[int32][]int{}
+		for _, f := range frames {
+			dest, count, _, err := tuple.FrameHeader(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			perDest[dest] = append(perDest[dest], count)
 		}
-	}
-
-	s.mu.Lock()
-	left := len(s.peerPending[2])
-	s.mu.Unlock()
-	if left != 0 {
-		t.Fatalf("%d frames still parked after attach", left)
-	}
+		if got := perDest[1]; len(got) != 2 || got[0] != 2 || got[1] != 4 {
+			t.Fatalf("task 1 frames = %v, want [2 4] in order", got)
+		}
+		if got := perDest[3]; len(got) != 4 || got[0] != 5 || got[1] != 1 || got[2] != 6 || got[3] != 7 {
+			t.Fatalf("task 3 frames = %v, want [5 1 6 7] in order", got)
+		}
+		waitParked(t, s, 0)
+	})
 }
 
 // TestPeerPendingCapBoundsMemory: the parked queue shares the local
@@ -76,7 +100,7 @@ func TestPeerPendingCapBoundsMemory(t *testing.T) {
 
 	frame := benchFrame(3, 2)
 	for i := 0; i < pendingFrameCap+16; i++ {
-		s.routeDataLazy(frame)
+		process(s, 3, frame)
 	}
 
 	s.mu.Lock()

@@ -12,8 +12,8 @@ import (
 	"heron/internal/tuple"
 )
 
-// The sharded data path (Config.StmgrShards > 1) splits the Stream
-// Manager's hot-path state per core: tasks map to shards by
+// The data path is sharded per core (Config.StmgrShards, one shard or
+// many — the same code): tasks map to shards by
 // shardOf(task) = task % nShards — a pure function of the task id, so
 // the mapping is stable across rescales and checkpoint/repartition logic
 // never notices sharding. Each shard owns a dispatch ring (inbox), a
@@ -21,15 +21,15 @@ import (
 // per peer container; a shard's worker goroutine is the only consumer of
 // all of them, so the caches and counters are effectively uncontended.
 //
-// Ordering contract: every data and marker frame for a destination task
-// flows through that task's shard ring in arrival order, and mixed
-// instance batches are split into per-shard sub-frames by the receive
-// goroutine *before* it dispatches anything that follows on the same
-// connection — so per-channel data-before-marker FIFO survives the
-// fan-out. Per-shard peer outboxes all write to the single shared peer
-// connection (its internal mutex serializes the writes and each drain
-// ends with one Flush), so a remote container still sees one ordered
-// connection carrying coalesced, vectored writes.
+// Ordering contract: every data, marker and committed frame for a
+// destination task flows through that task's shard ring in arrival
+// order, and mixed instance batches are split into per-shard sub-frames
+// by the receive goroutine *before* it dispatches anything that follows
+// on the same connection — so per-channel data-before-marker FIFO
+// survives the fan-out. Per-shard peer outboxes all write to the single
+// shared peer connection (its internal mutex serializes the writes and
+// each drain ends with one Flush), so a remote container still sees one
+// ordered connection carrying coalesced, vectored writes.
 const (
 	// shardRingFrames is each shard's dispatch-ring depth; a full ring
 	// blocks the receive goroutine, propagating backpressure to senders.
@@ -42,24 +42,14 @@ const (
 	shardDrainCheck = 512
 )
 
-// shardRoutes is a shard's immutable view of the routing state: the
-// shared instances snapshot plus this shard's own peer outboxes.
-type shardRoutes struct {
-	plan      *core.PhysicalPlan
-	instances map[int32]*outbox // shared with the global routeTable snapshot
-	peers     map[int32]*outbox // container id → this shard's outbox
-}
-
-// shard is one lane of the sharded data path. The acker state lives here
-// even when nShards == 1 (the inline path), so ack handling is uniform;
-// inbox, cache and worker exist only in dispatch mode.
+// shard is one lane of the data path.
 type shard struct {
 	id int
 	sm *StreamManager
 
 	inbox  *network.FrameRing
 	cache  *tupleCache
-	routes atomic.Pointer[shardRoutes]
+	routes atomic.Pointer[routeTable] // peers: this shard's own outboxes
 
 	ack *acker.Acker
 	// rootMu guards rootSpout; acker traffic for this shard's spouts
@@ -84,36 +74,26 @@ func (s *StreamManager) shardOf(task int32) int {
 	return int(task) % s.nShards
 }
 
-// initShards builds the shard set and, in dispatch mode, starts one
-// worker per shard.
+// initShards builds the shard set and starts one worker per shard.
 func (s *StreamManager) initShards() {
 	s.shards = make([]*shard, s.nShards)
 	for i := range s.shards {
 		sh := &shard{id: i, sm: s, rootSpout: map[uint64]int32{}}
 		sh.ack = acker.New(acker.DefaultBuckets, sh.onTreeDone)
+		sh.inbox = network.NewFrameRing(shardRingFrames, routeSampleEvery)
+		sh.cache = newTupleCache(s.opts.Cfg, sh.flushBatch)
 		s.shards[i] = sh
-	}
-	if s.nShards > 1 {
-		for _, sh := range s.shards {
-			sh.inbox = network.NewFrameRing(shardRingFrames, routeSampleEvery)
-			sh.cache = newTupleCache(s.opts.Cfg, sh.flushBatch)
-			s.wg.Add(1)
-			go sh.run()
-		}
+		s.wg.Add(1)
+		go sh.run()
 	}
 }
 
-// routeFrameOwned is the owned-buffer entry to the router: receive
-// goroutines hand their frames here. In dispatch mode data and markers
-// move to their destination shard's ring without a copy; acks are
-// handled inline (the acker is shard-addressed by spout task, not by the
-// receiving goroutine). At one shard it is routeFrame plus recycling.
+// routeFrameOwned is the Stream Manager's data path: receive goroutines
+// hand every data, ack and marker frame from instances and peers here,
+// with its buffer. Data and markers move to their destination shard's
+// ring without a copy; acks are handled inline (the acker is
+// shard-addressed by spout task, not by the receiving goroutine).
 func (s *StreamManager) routeFrameOwned(kind network.MsgKind, buf *wire.Buffer) {
-	if s.nShards <= 1 {
-		s.routeFrame(kind, buf.B)
-		wire.PutBuffer(buf)
-		return
-	}
 	s.mBytesRecv.Inc(int64(len(buf.B)))
 	switch kind {
 	case network.MsgData:
@@ -139,6 +119,11 @@ func (s *StreamManager) dispatchData(buf *wire.Buffer) {
 		return
 	}
 	if dest == tuple.MixedFrameDest {
+		if s.nShards == 1 {
+			// Nothing to split: the one worker walks the mixed frame itself.
+			_ = s.shards[0].inbox.Enqueue(network.MsgData, buf)
+			return
+		}
 		s.splitMixed(buf)
 		return
 	}
@@ -193,9 +178,23 @@ func (s *StreamManager) dispatchMarker(buf *wire.Buffer) {
 // run is the shard worker: drain the ring, flush the shard cache when
 // the ring idles or the drain period elapses, park when empty, exit when
 // the ring closes.
+//
+// It dequeues nothing until the first plan is published: frames from
+// peers that got their plan sooner wait in the bounded ring (a full ring
+// blocks their receive goroutine — backpressure, as at any other time)
+// instead of meeting a Stream Manager that cannot route them yet. The
+// wait cannot cycle: the plan arrives on the TMaster connection, whose
+// handler never enqueues on a shard ring before a plan exists
+// (notifyCommitted returns early without one).
 func (sh *shard) run() {
 	s := sh.sm
 	defer s.wg.Done()
+	<-s.planReady
+	if sh.routes.Load().plan == nil {
+		// Stop released the gate, after closing the ring; no plan ever came.
+		sh.inbox.Drain()
+		return
+	}
 	period := s.opts.Cfg.CacheDrainFrequency
 	if period <= 0 {
 		period = core.DefaultCacheDrainFrequency
@@ -218,7 +217,11 @@ func (sh *shard) run() {
 		}
 		switch kind {
 		case network.MsgData:
-			sh.processData(buf)
+			if s.optimized {
+				sh.processData(buf)
+			} else {
+				sh.processDataNaive(buf)
+			}
 		case network.MsgMarker:
 			sh.processMarker(buf)
 		case network.MsgCommitted:
@@ -239,8 +242,11 @@ func (sh *shard) run() {
 	}
 }
 
-// processData is routeDataLazy on shard-local state: header-only parsing,
-// one atomic snapshot load, no lock shared with any other shard.
+// processData is the Section V-A fast path on shard-local state: only the
+// frame header (and, for mixed frames, each tuple's destination prefix) is
+// parsed; tuple payloads cross this router untouched. Routing state is one
+// atomic snapshot load — no lock shared with any other shard, no
+// allocation.
 func (sh *shard) processData(buf *wire.Buffer) {
 	dest, count, rest, err := tuple.FrameHeader(buf.B)
 	if err != nil {
@@ -248,13 +254,10 @@ func (sh *shard) processData(buf *wire.Buffer) {
 		return
 	}
 	rt := sh.routes.Load()
-	if rt == nil || rt.plan == nil {
-		wire.PutBuffer(buf)
-		return
-	}
 	if dest == tuple.MixedFrameDest {
-		// A per-shard sub-frame from splitMixed: every tuple in it belongs
-		// to this shard's cache.
+		// An instance batch (whole at one shard, a per-shard sub-frame from
+		// splitMixed otherwise): every tuple in it belongs to this shard's
+		// cache. Each tuple costs one destination peek — still lazy.
 		_, _, _ = tuple.WalkFrame(buf.B, func(tb []byte) error {
 			if d, err := tuple.PeekDest(tb); err == nil {
 				sh.tuplesIn.Add(1)
@@ -265,8 +268,13 @@ func (sh *shard) processData(buf *wire.Buffer) {
 		wire.PutBuffer(buf)
 		return
 	}
+	// The tuple count comes straight from the frame header: uniform frames
+	// are routed without walking their entries.
 	sh.tuplesIn.Add(int64(count))
 	if count == 1 {
+		// Single-tuple frames (fresh from a local instance) enter the tuple
+		// cache — the cache batches incoming and outgoing tuples alike, as
+		// the paper describes.
 		if tb, err := tuple.FrameFirstEntry(rest); err == nil {
 			sh.cache.add(dest, tb)
 		}
@@ -277,7 +285,7 @@ func (sh *shard) processData(buf *wire.Buffer) {
 	// between the transport's receive buffer and the delivery outbox.
 	container := rt.plan.TaskContainer(dest)
 	if container < 0 {
-		wire.PutBuffer(buf)
+		wire.PutBuffer(buf) // task no longer in the plan (scaled away)
 		return
 	}
 	if container == sh.sm.opts.Container {
@@ -291,6 +299,27 @@ func (sh *shard) processData(buf *wire.Buffer) {
 	sh.sm.parkPeerOrDeliver(container, dest, buf)
 }
 
+// processDataNaive is the "without optimizations" arm of Figures 5–9, run
+// by the same worker when StreamManagerOptimized is off: every tuple is
+// fully decoded and re-encoded at every hop, nothing is pooled, and no
+// batching happens — each tuple leaves as its own frame.
+func (sh *shard) processDataNaive(buf *wire.Buffer) {
+	codec := tuple.NaiveCodec{}
+	_, _, _ = tuple.WalkFrame(buf.B, func(tb []byte) error {
+		var t tuple.DataTuple // fresh allocation per tuple, deliberately
+		if err := codec.DecodeData(tb, &t); err != nil {
+			return nil
+		}
+		sh.tuplesIn.Add(1)
+		reenc := codec.EncodeData(nil, &t)
+		frame := tuple.AppendFrameHeader(nil, t.DestTask, 1)
+		frame = tuple.AppendFrameEntry(frame, reenc)
+		sh.flushBatch(t.DestTask, 1, &wire.Buffer{B: frame})
+		return nil
+	})
+	wire.PutBuffer(buf)
+}
+
 // processMarker forwards one checkpoint marker after flushing the shard
 // cache for its destination, preserving data-before-marker order.
 func (sh *shard) processMarker(buf *wire.Buffer) {
@@ -300,10 +329,8 @@ func (sh *shard) processMarker(buf *wire.Buffer) {
 		return
 	}
 	rt := sh.routes.Load()
-	if rt == nil || rt.plan == nil {
-		wire.PutBuffer(buf)
-		return
-	}
+	// Flush any partially built batch for the destination first; the
+	// barrier invariant is per-channel FIFO between data and markers.
 	sh.cache.flushDest(dest)
 	container := rt.plan.TaskContainer(dest)
 	if container < 0 {
@@ -340,13 +367,8 @@ func (sh *shard) processCommitted(buf *wire.Buffer) {
 		wire.PutBuffer(buf)
 		return
 	}
-	rt := sh.routes.Load()
-	if rt == nil {
-		wire.PutBuffer(buf)
-		return
-	}
 	sh.cache.flushDest(dest)
-	if o := rt.instances[dest]; o != nil {
+	if o := sh.routes.Load().instances[dest]; o != nil {
 		o.enqueueOwned(network.MsgCommitted, buf)
 		return
 	}
@@ -356,7 +378,7 @@ func (sh *shard) processCommitted(buf *wire.Buffer) {
 // deliverOwned hands an owned frame to a local instance, counting on the
 // shard-local counter; the registration-race slow path falls back to the
 // shared park queue (which counts on the registry counter directly).
-func (sh *shard) deliverOwned(rt *shardRoutes, dest int32, count int, buf *wire.Buffer) {
+func (sh *shard) deliverOwned(rt *routeTable, dest int32, count int, buf *wire.Buffer) {
 	if o := rt.instances[dest]; o != nil {
 		sh.tuplesFwd.Add(int64(count))
 		o.enqueueOwned(network.MsgData, buf)
@@ -365,14 +387,11 @@ func (sh *shard) deliverOwned(rt *shardRoutes, dest int32, count int, buf *wire.
 	sh.sm.parkOrDeliver(dest, count, buf)
 }
 
-// flushBatch delivers one sealed shard-cache batch, mirroring the global
-// flushBatch but against this shard's routes and peer outboxes.
+// flushBatch delivers one sealed cache batch to its destination (local
+// instance or peer stream manager). Ownership of buf always transfers
+// here; every drop path recycles it.
 func (sh *shard) flushBatch(dest int32, count int, buf *wire.Buffer) {
 	rt := sh.routes.Load()
-	if rt == nil || rt.plan == nil {
-		wire.PutBuffer(buf)
-		return
-	}
 	container := rt.plan.TaskContainer(dest)
 	if container < 0 {
 		wire.PutBuffer(buf)

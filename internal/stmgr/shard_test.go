@@ -1,21 +1,45 @@
 package stmgr
 
 import (
+	"fmt"
+	"strconv"
 	"testing"
 	"time"
 
 	"heron/internal/core"
-	"heron/internal/encoding/wire"
+	"heron/internal/ctrl"
+	"heron/internal/metrics"
 	"heron/internal/network"
 	"heron/internal/tuple"
 )
 
-// ingestOwned feeds one frame through the owned-buffer receive entry, the
-// way a transport's StartOwned handler would.
+// shardCounts is the table every ordering test runs over: the shard count
+// is a count, not a code path, so each contract must hold at all of them.
+var shardCounts = []int{1, 2, 4}
+
+// forEachShardCount runs test once per shard count against container 1's
+// Stream Manager of twoContainerPlan (local tasks 0 and 2, peer container
+// 2 hosting tasks 1 and 3).
+func forEachShardCount(t *testing.T, test func(t *testing.T, s *StreamManager)) {
+	for _, shards := range shardCounts {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			topo, packing := twoContainerPlan()
+			test(t, newBenchSMShards(t, topo, packing, shards))
+		})
+	}
+}
+
+// ingestOwned feeds one frame through routeFrameOwned, the way a
+// transport's StartOwned handler does.
 func ingestOwned(s *StreamManager, kind network.MsgKind, frame []byte) {
-	buf := wire.GetBuffer()
-	buf.B = append(buf.B, frame...)
-	s.routeFrameOwned(kind, buf)
+	s.routeFrameOwned(kind, owned(frame))
+}
+
+// recordedKinds returns the frame kinds conn has seen, in order.
+func recordedKinds(conn *countingConn) []network.MsgKind {
+	conn.mu.Lock()
+	defer conn.mu.Unlock()
+	return append([]network.MsgKind(nil), conn.kinds...)
 }
 
 // TestShardMappingStableAcrossRescale pins the property checkpoint and
@@ -69,170 +93,162 @@ func TestShardMappingStableAcrossRescale(t *testing.T) {
 	}
 }
 
-// TestShardedMarkerNeverOvertakesData is the barrier-alignment contract
-// with the sharded data path in play: a single tuple parked in a shard's
-// cache must flush and deliver before a checkpoint marker for the same
-// destination, because both ride the same shard ring in arrival order.
-func TestShardedMarkerNeverOvertakesData(t *testing.T) {
-	topo, packing := twoContainerPlan()
-	s := newBenchSMShards(t, topo, packing, 4)
-	conn := installRecorder(t, s, 2, false)
+// TestAckPath: ack traffic is shard-addressed by spout task — an anchor
+// then a final ack for a tracked tree must complete it and notify the
+// spout's instance, whatever shard count is configured.
+func TestAckPath(t *testing.T) {
+	forEachShardCount(t, func(t *testing.T, s *StreamManager) {
+		conn := installRecorder(t, s, 0) // task 0: local spout
 
-	// The single-tuple frame lands in shard 2's cache; the marker chases
-	// it through the same ring.
-	ingestOwned(s, network.MsgData, benchFrame(2, 1))
-	ingestOwned(s, network.MsgMarker, tuple.AppendMarker(nil, 7, 0, 2))
-	waitFrames(t, conn, 2)
-
-	conn.mu.Lock()
-	kinds := append([]network.MsgKind(nil), conn.kinds...)
-	conn.mu.Unlock()
-	if len(kinds) != 2 || kinds[0] != network.MsgData || kinds[1] != network.MsgMarker {
-		t.Fatalf("sharded frame order = %v, want [MsgData MsgMarker]", kinds)
-	}
-	frames, _ := conn.snapshot()
-	if dest, count, _, err := tuple.FrameHeader(frames[0]); err != nil || dest != 2 || count != 1 {
-		t.Fatalf("flushed frame = dest %d count %d err %v", dest, count, err)
-	}
-	if id, src, dest, err := tuple.DecodeMarker(frames[1]); err != nil || id != 7 || src != 0 || dest != 2 {
-		t.Fatalf("marker = (%d,%d,%d) err %v", id, src, dest, err)
-	}
-}
-
-// TestShardedPeerParkReplay: with shards, frames parked for an
-// unconnected peer carry their destination so the attach can replay each
-// into the outbox of the shard that owns it — order per destination
-// preserved, nothing dropped.
-func TestShardedPeerParkReplay(t *testing.T) {
-	topo, packing := twoContainerPlan()
-	s := newBenchSMShards(t, topo, packing, 4)
-
-	// Detach container 2 (tasks 1 and 3, shards 1 and 3).
-	s.mu.Lock()
-	old := s.peers[2]
-	delete(s.peers, 2)
-	delete(s.peerConns, 2)
-	delete(s.peerAddrs, 2)
-	oldOuts := s.peerShardOut[2]
-	delete(s.peerShardOut, 2)
-	s.publishRoutesLocked()
-	s.mu.Unlock()
-	old.close()
-	for _, o := range oldOuts {
-		o.close()
-	}
-
-	// Two frames per remote task, distinguishable by count.
-	ingestOwned(s, network.MsgData, benchFrame(1, 2))
-	ingestOwned(s, network.MsgData, benchFrame(3, 5))
-	ingestOwned(s, network.MsgData, benchFrame(1, 4))
-	ingestOwned(s, network.MsgData, benchFrame(3, 6))
-
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		s.mu.Lock()
-		parked := len(s.peerPending[2])
-		s.mu.Unlock()
-		if parked == 4 {
-			break
+		ackFrame := func(kind tuple.AckKind, spout int32, root uint64, delta uint64) []byte {
+			b := tuple.AppendAckFrameHeader(nil, 1)
+			return tuple.AppendFrameEntry(b, tuple.EncodeAck(nil, &tuple.AckTuple{
+				Kind: kind, SpoutTask: spout, Root: root, Delta: delta,
+			}))
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("parked %d frames, want 4", parked)
+		ingestOwned(s, network.MsgAck, ackFrame(tuple.AckAnchor, 0, 99, 0x5a5a))
+		ingestOwned(s, network.MsgAck, ackFrame(tuple.AckAck, 0, 99, 0x5a5a))
+
+		waitFrames(t, conn, 1)
+		frames, _ := conn.snapshot()
+		if kind := recordedKinds(conn)[0]; kind != network.MsgAck {
+			t.Fatalf("notification kind = %v, want MsgAck", kind)
 		}
-		time.Sleep(time.Millisecond)
-	}
-
-	conn := newCountingConn()
-	s.attachPeer(2, "bench-peer", conn)
-	waitFrames(t, conn, 4)
-
-	frames, _ := conn.snapshot()
-	var perDest = map[int32][]int{}
-	for _, f := range frames {
-		dest, count, _, err := tuple.FrameHeader(f)
-		if err != nil {
+		var got tuple.AckTuple
+		if err := tuple.WalkAckFrame(frames[0], func(ab []byte) error {
+			return tuple.DecodeAck(ab, &got)
+		}); err != nil {
 			t.Fatal(err)
 		}
-		perDest[dest] = append(perDest[dest], count)
-	}
-	if got := perDest[1]; len(got) != 2 || got[0] != 2 || got[1] != 4 {
-		t.Fatalf("task 1 frames = %v, want [2 4] in order", got)
-	}
-	if got := perDest[3]; len(got) != 2 || got[0] != 5 || got[1] != 6 {
-		t.Fatalf("task 3 frames = %v, want [5 6] in order", got)
-	}
-
-	s.mu.Lock()
-	left := len(s.peerPending[2])
-	s.mu.Unlock()
-	if left != 0 {
-		t.Fatalf("%d frames still parked after attach", left)
-	}
-}
-
-// TestSplitMixedRoutesEveryShard: a mixed instance batch (per-tuple
-// destinations) must be split so every tuple reaches the shard owning its
-// destination, with none lost and none duplicated.
-func TestSplitMixedRoutesEveryShard(t *testing.T) {
-	s, delivered := newParallelSM(t, 4)
-
-	// One tuple for each of the 8 local bolt tasks, all in one mixed frame.
-	frame := tuple.AppendFrameHeader(nil, tuple.MixedFrameDest, 8)
-	for i := 0; i < 8; i++ {
-		enc := tuple.FastCodec{}.EncodeData(nil, &tuple.DataTuple{
-			DestTask: int32(8 + i), SrcTask: 0, StreamID: 0,
-			Values: tuple.Values{"mixed-payload"},
-		})
-		frame = tuple.AppendFrameEntry(frame, enc)
-	}
-	ingestOwned(s, network.MsgData, frame)
-
-	// Each tuple seals as its own single-destination batch once the shard
-	// rings idle; all 8 must come out the other side.
-	deadline := time.Now().Add(5 * time.Second)
-	for delivered() < 8 {
-		if time.Now().After(deadline) {
-			t.Fatalf("delivered %d frames, want 8", delivered())
+		if got.Kind != tuple.AckAck || got.SpoutTask != 0 || got.Root != 99 {
+			t.Fatalf("spout notification = %+v, want AckAck for root 99 at task 0", got)
 		}
-		time.Sleep(time.Millisecond)
-	}
-	if got := delivered(); got != 8 {
-		t.Fatalf("delivered %d frames, want exactly 8", got)
-	}
+	})
 }
 
-// TestShardedAckPath: ack traffic is shard-addressed by spout task — an
-// anchor then a final ack for a tracked tree must complete it and notify
-// the spout's instance, whatever shard count is configured.
-func TestShardedAckPath(t *testing.T) {
-	topo, packing := twoContainerPlan()
-	s := newBenchSMShards(t, topo, packing, 4)
-	conn := installRecorder(t, s, 0, false) // task 0: local spout
+// seqFrame is a pre-batched two-tuple frame for dest whose payload is seq.
+func seqFrame(dest int32, seq int) []byte {
+	enc := tuple.FastCodec{}.EncodeData(nil, &tuple.DataTuple{
+		DestTask: dest, Values: tuple.Values{strconv.Itoa(seq)},
+	})
+	frame := tuple.AppendFrameHeader(nil, dest, 2)
+	return tuple.AppendFrameEntry(tuple.AppendFrameEntry(frame, enc), enc)
+}
 
-	ackFrame := func(kind tuple.AckKind, spout int32, root uint64, delta uint64) []byte {
-		b := tuple.AppendAckFrameHeader(nil, 1)
-		return tuple.AppendFrameEntry(b, tuple.EncodeAck(nil, &tuple.AckTuple{
-			Kind: kind, SpoutTask: spout, Root: root, Delta: delta,
-		}))
-	}
-	ingestOwned(s, network.MsgAck, ackFrame(tuple.AckAnchor, 0, 99, 0x5a5a))
-	ingestOwned(s, network.MsgAck, ackFrame(tuple.AckAck, 0, 99, 0x5a5a))
-
-	waitFrames(t, conn, 1)
-	frames, _ := conn.snapshot()
-	conn.mu.Lock()
-	kind := conn.kinds[0]
-	conn.mu.Unlock()
-	if kind != network.MsgAck {
-		t.Fatalf("notification kind = %v, want MsgAck", kind)
-	}
-	var got tuple.AckTuple
-	if err := tuple.WalkAckFrame(frames[0], func(ab []byte) error {
-		return tuple.DecodeAck(ab, &got)
+// frameSeq reads back seqFrame's sequence number.
+func frameSeq(t *testing.T, frame []byte) int {
+	t.Helper()
+	seq := -1
+	if _, _, err := tuple.WalkFrame(frame, func(tb []byte) error {
+		var dt tuple.DataTuple
+		if err := (tuple.FastCodec{}).DecodeData(tb, &dt); err != nil {
+			return err
+		}
+		seq, _ = strconv.Atoi(dt.Values.String(0))
+		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if got.Kind != tuple.AckAck || got.SpoutTask != 0 || got.Root != 99 {
-		t.Fatalf("spout notification = %+v, want AckAck for root 99 at task 0", got)
+	return seq
+}
+
+// newPlanlessSM builds a Stream Manager that has heard no plan yet, with
+// local task 2 registered behind a recorder.
+func newPlanlessSM(t *testing.T, shards int) (*StreamManager, *countingConn) {
+	t.Helper()
+	cfg := core.NewConfig()
+	cfg.StreamManagerOptimized = true
+	cfg.StmgrShards = shards
+	s, err := newCore(Options{Topology: "t", Container: 1, Cfg: cfg, Registry: metrics.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Stop)
+	return s, installRecorder(t, s, 2)
+}
+
+// TestFramesBeforeFirstPlanWaitAndDeliverInOrder is the plan-before-data
+// contract: frames from a peer that got its plan sooner are neither
+// dropped nor reordered. They wait in the bounded shard ring — more of
+// them than the ring holds block the sender — and once applyPlan has
+// published the first plan every one is delivered, in order, the marker
+// behind the data.
+func TestFramesBeforeFirstPlanWaitAndDeliverInOrder(t *testing.T) {
+	for _, shards := range shardCounts {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			s, conn := newPlanlessSM(t, shards)
+			const frames = shardRingFrames + 100
+			sent := make(chan struct{})
+			go func() {
+				defer close(sent)
+				for i := 0; i < frames; i++ {
+					ingestOwned(s, network.MsgData, seqFrame(2, i))
+				}
+				ingestOwned(s, network.MsgMarker, tuple.AppendMarker(nil, 7, 0, 2))
+			}()
+			select {
+			case <-sent:
+				t.Fatalf("%d frames fit a %d-frame ring: the sender was not held back", frames, shardRingFrames)
+			case <-time.After(50 * time.Millisecond):
+			}
+			if got, _ := conn.snapshot(); len(got) != 0 {
+				t.Fatalf("%d frames delivered before any plan", len(got))
+			}
+
+			topo, packing := twoContainerPlan()
+			s.applyPlan(&ctrl.PlanPayload{Epoch: 1, Topology: topo, Packing: packing,
+				Stmgrs: map[int32]string{1: "self"}})
+			<-sent
+			waitFrames(t, conn, frames+2) // the plan for the instance, the data, the marker
+
+			got, _ := conn.snapshot()
+			kinds := recordedKinds(conn)
+			next := 0
+			for i, kind := range kinds {
+				switch kind {
+				case network.MsgData:
+					if next == frames {
+						t.Fatalf("more than %d data frames delivered", frames)
+					}
+					if seq := frameSeq(t, got[i]); seq != next {
+						t.Fatalf("data frame %d arrived where %d was due", seq, next)
+					}
+					next++
+				case network.MsgMarker:
+					if next != frames {
+						t.Fatalf("marker overtook data: only %d of %d frames ahead of it", next, frames)
+					}
+				}
+			}
+			if next != frames || kinds[len(kinds)-1] != network.MsgMarker {
+				t.Fatalf("delivered %d of %d data frames, last kind %v", next, frames, kinds[len(kinds)-1])
+			}
+		})
+	}
+}
+
+// TestStopBeforeFirstPlan: Stop releases workers still waiting for a plan
+// and senders blocked on their full rings; nothing is routed.
+func TestStopBeforeFirstPlan(t *testing.T) {
+	s, conn := newPlanlessSM(t, 2)
+	sent := make(chan struct{})
+	go func() {
+		defer close(sent)
+		for i := 0; i < shardRingFrames+1; i++ {
+			ingestOwned(s, network.MsgData, seqFrame(2, i))
+		}
+	}()
+	time.Sleep(10 * time.Millisecond) // let the ring fill; the test holds either way
+	stopped := make(chan struct{})
+	go func() { s.Stop(); close(stopped) }()
+	for _, ch := range []chan struct{}{stopped, sent} {
+		select {
+		case <-ch:
+		case <-time.After(5 * time.Second):
+			t.Fatal("Stop before the first plan hung a worker or a sender")
+		}
+	}
+	if got, _ := conn.snapshot(); len(got) != 0 {
+		t.Fatalf("%d frames routed without a plan", len(got))
 	}
 }

@@ -15,13 +15,16 @@
 //   - unoptimized: allocation per message, no batching (every tuple is
 //     its own frame), and a full decode + re-encode at every hop.
 //
-// The optimized data path is lock-free with respect to the Stream
-// Manager's own state: routing decisions read an immutable routeTable
-// snapshot through one atomic pointer load, and control-plane changes
-// (plan broadcasts, registrations, peer dials) rebuild and swap the
-// snapshot under s.mu. Tuple payloads cross the router with at most one
-// copy: they are appended once into a pooled batch frame whose ownership
-// then flows cache → outbox → Conn.SendOwned → pool.
+// There is one data path (shard.go): a receive goroutine moves each
+// frame, with its buffer, into the dispatch ring of the shard that owns
+// the destination task, and that shard's worker routes it — at one shard
+// as at many, optimized or not. The path is lock-free with respect to
+// the Stream Manager's own state: routing decisions read an immutable
+// routeTable snapshot through one atomic pointer load, and control-plane
+// changes (plan broadcasts, registrations, peer dials) rebuild and swap
+// the snapshots under s.mu. Tuple payloads cross the router with at most
+// one copy: they are appended once into a pooled batch frame whose
+// ownership then flows cache → outbox → Conn.SendOwned → pool.
 //
 // The Stream Manager also hosts the acker state for local spouts and
 // implements spout-based backpressure: when a local delivery queue grows
@@ -68,8 +71,10 @@ type Options struct {
 // routeTable is an immutable snapshot of the routing state: the physical
 // plan plus the outboxes of registered local instances and connected peer
 // Stream Managers. The data path reads it with one atomic pointer load
-// and never takes s.mu; mutators rebuild the whole table under s.mu and
-// swap it in (copy-on-write).
+// and never takes s.mu; mutators rebuild the tables under s.mu and swap
+// them in (copy-on-write). The Stream Manager holds one whose peers are
+// the control outboxes (backpressure, acks); each shard holds one whose
+// peers are that shard's own data outboxes. All share one instances map.
 type routeTable struct {
 	plan      *core.PhysicalPlan
 	instances map[int32]*outbox // local task id → delivery queue
@@ -89,11 +94,12 @@ type StreamManager struct {
 	routes atomic.Pointer[routeTable]
 
 	// mu guards the control-plane master copies below. The data path
-	// (routeDataLazy, flushBatch, deliverLocal, routeAck) never takes it.
+	// (processData, flushBatch, deliverOwned, routeAck) never takes it
+	// outside the two park slow paths.
 	mu        sync.Mutex
 	plan      *core.PhysicalPlan
 	epoch     int64
-	planTerm  int64 // fencing term of the last applied plan's TMaster
+	planTerm  int64                  // fencing term of the last applied plan's TMaster
 	instances map[int32]*outbox      // local task id → delivery queue
 	instConns map[int32]network.Conn // local task id → conn (for close)
 	// pending holds data frames for local tasks whose instance has not
@@ -111,25 +117,26 @@ type StreamManager struct {
 	// Entries carry their destination task so replay can target the
 	// outbox of the shard that owns it.
 	peerPending map[int32][]parkedFrame
-	peers     map[int32]*outbox
-	peerConns map[int32]network.Conn
-	peerAddrs map[int32]string
-	spoutsUp  map[int32]bool // local spout tasks currently registered
-	// peerShardOut exists in dispatch mode: per peer container, one
-	// outbox per shard, all writing to the shared peer connection (whose
-	// mutex serializes the writes), so shard workers never contend on a
-	// queue lock while a remote peer still sees one ordered connection.
+	peers       map[int32]*outbox // control outbox per peer container
+	peerConns   map[int32]network.Conn
+	peerAddrs   map[int32]string
+	spoutsUp    map[int32]bool // local spout tasks currently registered
+	// peerShardOut holds, per peer container, one data outbox per shard,
+	// all writing to the shared peer connection (whose mutex serializes
+	// the writes), so shard workers never contend on a queue lock while a
+	// remote peer still sees one ordered connection.
 	peerShardOut map[int32][]*outbox
 
-	// nShards and shards are fixed at construction. At nShards == 1 the
-	// classic inline path runs (cache below, routeFrame on the receive
-	// goroutine) and the single shard holds only acker state; above 1
-	// each shard runs a worker over its own ring, cache and acker.
+	// nShards and shards are fixed at construction: each shard runs a
+	// worker over its own ring, cache and acker.
 	nShards int
 	shards  []*shard
+	// planReady holds the shard workers until the first plan is published
+	// (or Stop); see shard.run.
+	planReady chan struct{}
+	planOnce  sync.Once
 
-	cache *tupleCache // inline-path tuple cache; nil in dispatch mode
-	acks  *ackCache
+	acks *ackCache
 
 	// Backpressure state machine. bpActive is read on every outbox depth
 	// observation (the data path), so it is an atomic; bpMu serializes the
@@ -156,7 +163,7 @@ type StreamManager struct {
 	mBytesSent   *metrics.Counter
 	mBytesRecv   *metrics.Counter
 	mCkptEpoch   *metrics.Gauge
-	mRouteLat    *metrics.HDRHistogram // dispatch mode only
+	mRouteLat    *metrics.HDRHistogram
 }
 
 // newCore builds a Stream Manager with its routing state, metrics, shard
@@ -179,20 +186,21 @@ func newCore(opts Options) (*StreamManager, error) {
 		opts.Registry = metrics.NewRegistry()
 	}
 	s := &StreamManager{
-		opts:        opts,
-		transport:   tr,
-		codec:       codec,
-		optimized:   opts.Cfg.StreamManagerOptimized,
-		instances:   map[int32]*outbox{},
-		instConns:   map[int32]network.Conn{},
-		pending:     map[int32][]*wire.Buffer{},
-		peerPending: map[int32][]parkedFrame{},
-		peers:       map[int32]*outbox{},
-		peerConns:   map[int32]network.Conn{},
-		peerAddrs:   map[int32]string{},
+		opts:         opts,
+		transport:    tr,
+		codec:        codec,
+		optimized:    opts.Cfg.StreamManagerOptimized,
+		instances:    map[int32]*outbox{},
+		instConns:    map[int32]network.Conn{},
+		pending:      map[int32][]*wire.Buffer{},
+		peerPending:  map[int32][]parkedFrame{},
+		peers:        map[int32]*outbox{},
+		peerConns:    map[int32]network.Conn{},
+		peerAddrs:    map[int32]string{},
 		peerShardOut: map[int32][]*outbox{},
-		spoutsUp:    map[int32]bool{},
-		stopCh:      make(chan struct{}),
+		spoutsUp:     map[int32]bool{},
+		planReady:    make(chan struct{}),
+		stopCh:       make(chan struct{}),
 	}
 	tags := metrics.Tags{Component: metrics.StmgrComponent, Task: opts.Container}
 	s.mCacheDrains = opts.Registry.Counter(metrics.MStmgrCacheDrains, tags)
@@ -206,14 +214,9 @@ func newCore(opts Options) (*StreamManager, error) {
 	s.mBytesSent = opts.Registry.Counter(metrics.MStmgrBytesSent, tags)
 	s.mBytesRecv = opts.Registry.Counter(metrics.MStmgrBytesReceived, tags)
 	s.mCkptEpoch = opts.Registry.Gauge(metrics.MCheckpointEpoch, tags)
+	s.mRouteLat = opts.Registry.HDR(metrics.MStmgrRouteLatency, tags)
 	s.nShards = opts.Cfg.ResolveStmgrShards(runtime.GOMAXPROCS(0))
-	if s.nShards > 1 {
-		s.mRouteLat = opts.Registry.HDR(metrics.MStmgrRouteLatency, tags)
-	}
 	s.acks = newAckCache()
-	if s.optimized && s.nShards == 1 {
-		s.cache = newTupleCache(opts.Cfg, s.flushBatch)
-	}
 	s.initShards()
 	s.publishRoutes()
 	return s, nil
@@ -238,12 +241,9 @@ func New(opts Options) (*StreamManager, error) {
 	}
 	s.listener = l
 
-	s.wg.Add(1)
+	s.wg.Add(2)
 	go s.acceptLoop()
-	if s.optimized {
-		s.wg.Add(1)
-		go s.drainLoop()
-	}
+	go s.drainLoop()
 	if opts.Cfg.AckingEnabled {
 		s.wg.Add(1)
 		go s.rotateLoop()
@@ -255,9 +255,10 @@ func New(opts Options) (*StreamManager, error) {
 	return s, nil
 }
 
-// publishRoutesLocked rebuilds the immutable routing snapshot from the
+// publishRoutesLocked rebuilds the immutable routing snapshots from the
 // master copies; the caller holds s.mu. Every mutation of plan,
-// instances, or peers must republish before releasing the lock.
+// instances, or peers must republish before releasing the lock. The first
+// publication that carries a plan releases the shard workers.
 func (s *StreamManager) publishRoutesLocked() {
 	rt := &routeTable{
 		plan:      s.plan,
@@ -271,19 +272,20 @@ func (s *StreamManager) publishRoutesLocked() {
 		rt.peers[c] = o
 	}
 	s.routes.Store(rt)
-	if s.nShards > 1 {
-		// Each shard gets its own snapshot: the shared instances map plus
-		// the shard's slice of the per-peer outbox fan-out.
-		for i, sh := range s.shards {
-			sr := &shardRoutes{plan: s.plan, instances: rt.instances}
-			if len(s.peerShardOut) > 0 {
-				sr.peers = make(map[int32]*outbox, len(s.peerShardOut))
-				for c, outs := range s.peerShardOut {
-					sr.peers[c] = outs[i]
-				}
+	// Each shard gets its own snapshot: the shared instances map plus the
+	// shard's slice of the per-peer outbox fan-out.
+	for i, sh := range s.shards {
+		sr := &routeTable{plan: s.plan, instances: rt.instances}
+		if len(s.peerShardOut) > 0 {
+			sr.peers = make(map[int32]*outbox, len(s.peerShardOut))
+			for c, outs := range s.peerShardOut {
+				sr.peers[c] = outs[i]
 			}
-			sh.routes.Store(sr)
 		}
+		sh.routes.Store(sr)
+	}
+	if s.plan != nil {
+		s.planOnce.Do(func() { close(s.planReady) })
 	}
 }
 
@@ -463,32 +465,24 @@ func (s *StreamManager) applyPlan(p *ctrl.PlanPayload) {
 }
 
 // attachPeer installs an established peer connection as container's
-// outbox (in dispatch mode, one control outbox plus one outbox per
-// shard, all over the same connection). Frames parked while the
-// container had no connection are replayed before the routing snapshot
-// lets new traffic reach the outboxes directly: the parked queue and
-// each outbox are FIFO, and parked frames replay into the outbox of the
-// shard that owns their destination, so tuple order per destination is
-// preserved.
+// outboxes: one for control plus one per shard for data, all over the
+// same connection. Frames parked while the container had no connection
+// are replayed before the routing snapshot lets new traffic reach the
+// outboxes directly: the parked queue and each outbox are FIFO, and
+// parked frames replay into the outbox of the shard that owns their
+// destination, so tuple order per destination is preserved.
 func (s *StreamManager) attachPeer(container int32, addr string, conn network.Conn) {
 	s.mu.Lock()
-	o := newOutbox(conn, nil, s.onBytesSent)
-	s.peers[container] = o
+	s.peers[container] = newOutbox(conn, nil, s.onBytesSent)
 	s.peerConns[container] = conn
 	s.peerAddrs[container] = addr
-	if s.nShards > 1 {
-		outs := make([]*outbox, s.nShards)
-		for i := range outs {
-			outs[i] = newOutbox(conn, nil, s.onBytesSent)
-		}
-		s.peerShardOut[container] = outs
-		for _, pf := range s.peerPending[container] {
-			outs[s.shardOf(pf.dest)].enqueueOwned(network.MsgData, pf.buf)
-		}
-	} else {
-		for _, pf := range s.peerPending[container] {
-			o.enqueueOwned(network.MsgData, pf.buf)
-		}
+	outs := make([]*outbox, s.nShards)
+	for i := range outs {
+		outs[i] = newOutbox(conn, nil, s.onBytesSent)
+	}
+	s.peerShardOut[container] = outs
+	for _, pf := range s.peerPending[container] {
+		outs[s.shardOf(pf.dest)].enqueueOwned(network.MsgData, pf.buf)
 	}
 	delete(s.peerPending, container)
 	s.publishRoutesLocked()
@@ -519,48 +513,19 @@ func (s *StreamManager) acceptLoop() {
 }
 
 // startConn begins receiving on conn. Control frames go to onControl
-// (nil for dialed peer connections, which never originate control). In
-// dispatch mode the ownership-transferring receive path is used when the
-// transport supports it, so a frame moves from the transport straight
-// into a shard ring without a copy; a transport without OwnedStarter
-// pays one copy into a pooled buffer. At one shard this is the classic
-// inline receive: route on the receive goroutine itself.
+// (nil for dialed peer connections, which never originate control);
+// every other frame moves, with its buffer, from the transport into the
+// router — no copy between the receive buffer and a shard ring.
 func (s *StreamManager) startConn(conn network.Conn, onControl func(network.Conn, []byte)) {
-	if s.nShards > 1 {
-		if os, ok := conn.(network.OwnedStarter); ok {
-			os.StartOwned(func(kind network.MsgKind, buf *wire.Buffer) {
-				if kind == network.MsgControl {
-					if onControl != nil {
-						onControl(conn, buf.B)
-					}
-					wire.PutBuffer(buf)
-					return
-				}
-				s.routeFrameOwned(kind, buf)
-			})
-			return
-		}
-		conn.Start(func(kind network.MsgKind, payload []byte) {
-			if kind == network.MsgControl {
-				if onControl != nil {
-					onControl(conn, payload)
-				}
-				return
-			}
-			buf := wire.GetBuffer()
-			buf.B = append(buf.B, payload...)
-			s.routeFrameOwned(kind, buf)
-		})
-		return
-	}
-	conn.Start(func(kind network.MsgKind, payload []byte) {
+	conn.StartOwned(func(kind network.MsgKind, buf *wire.Buffer) {
 		if kind == network.MsgControl {
 			if onControl != nil {
-				onControl(conn, payload)
+				onControl(conn, buf.B)
 			}
+			wire.PutBuffer(buf)
 			return
 		}
-		s.routeFrame(kind, payload)
+		s.routeFrameOwned(kind, buf)
 	})
 }
 
@@ -606,29 +571,21 @@ func (s *StreamManager) triggerCheckpoint(id int64) {
 // second phase of the transactional source/sink protocol. The frame must
 // not overtake data already batched for the same instance (a sink must
 // see every pre-commit tuple before it learns the epoch committed), so it
-// takes the same route its data takes: in dispatch mode through the
-// destination's shard ring (processCommitted flushes the shard cache for
-// the destination first), inline behind an explicit cache flush.
-// Committed frames are local-only — every container's Stream Manager
-// hears the broadcast itself, so nothing is forwarded to peers.
+// takes the same route its data takes: through the destination's shard
+// ring (processCommitted flushes the shard cache for the destination
+// first). Committed frames are local-only — every container's Stream
+// Manager hears the broadcast itself, so nothing is forwarded to peers.
+// Before the first plan it does nothing, which is what lets the shard
+// workers wait for that plan without a cycle (see shard.run).
 func (s *StreamManager) notifyCommitted(id int64) {
 	rt := s.routes.Load()
 	if rt == nil || rt.plan == nil {
 		return
 	}
 	for task := range rt.instances {
-		if s.nShards > 1 {
-			buf := wire.GetBuffer()
-			buf.B = tuple.AppendMarker(buf.B, id, -1, task)
-			_ = s.shards[s.shardOf(task)].inbox.Enqueue(network.MsgCommitted, buf)
-			continue
-		}
-		if s.cache != nil {
-			s.cache.flushDest(task)
-		}
-		if o := rt.instances[task]; o != nil {
-			o.enqueue(network.MsgCommitted, tuple.AppendMarker(nil, id, -1, task))
-		}
+		buf := wire.GetBuffer()
+		buf.B = tuple.AppendMarker(buf.B, id, -1, task)
+		_ = s.shards[s.shardOf(task)].inbox.Enqueue(network.MsgCommitted, buf)
 	}
 }
 
@@ -812,10 +769,10 @@ func (s *StreamManager) setSpoutPause(on bool, origin int32) {
 	}
 }
 
-// drainLoop flushes the tuple cache every cache_drain_frequency. In
-// dispatch mode the shard workers drain their own caches; this loop then
-// only aggregates the shard-local counters into the registry, drains the
-// shared ack cache and publishes the summed cache depth.
+// drainLoop ticks every cache_drain_frequency. The shard workers drain
+// their own tuple caches; this loop aggregates the shard-local counters
+// into the registry, drains the shared ack cache and publishes the summed
+// cache depth.
 func (s *StreamManager) drainLoop() {
 	defer s.wg.Done()
 	period := s.opts.Cfg.CacheDrainFrequency
@@ -827,25 +784,16 @@ func (s *StreamManager) drainLoop() {
 	for {
 		select {
 		case <-s.stopCh:
-			if s.nShards == 1 {
-				s.cache.drainAll()
-			} else {
-				s.aggregateShardCounters()
-			}
+			s.aggregateShardCounters()
 			s.drainAcks()
 			return
 		case <-t.C:
-			if s.nShards == 1 {
-				s.mCacheDepth.Set(s.cache.buffered())
-				s.cache.drainAll()
-			} else {
-				var depth int64
-				for _, sh := range s.shards {
-					depth += sh.cache.buffered()
-				}
-				s.mCacheDepth.Set(depth)
-				s.aggregateShardCounters()
+			var depth int64
+			for _, sh := range s.shards {
+				depth += sh.cache.buffered()
 			}
+			s.mCacheDepth.Set(depth)
+			s.aggregateShardCounters()
 			s.drainAcks()
 			s.mCacheDrains.Inc(1)
 		}
@@ -935,10 +883,9 @@ func (s *StreamManager) Stop() {
 			c.Close()
 		}
 		for _, sh := range s.shards {
-			if sh.inbox != nil {
-				sh.inbox.Close()
-			}
+			sh.inbox.Close()
 		}
+		s.planOnce.Do(func() { close(s.planReady) })
 		for _, o := range insts {
 			o.close()
 		}

@@ -1,6 +1,7 @@
 package stmgr
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -52,8 +53,14 @@ func twoContainerPlan() (*core.Topology, *core.PackingPlan) {
 }
 
 func newFixture(t *testing.T, optimized bool) *fixture {
+	return newFixtureShards(t, optimized, 0)
+}
+
+// newFixtureShards is newFixture with an explicit StmgrShards (0: default).
+func newFixtureShards(t *testing.T, optimized bool, shards int) *fixture {
 	t.Helper()
 	cfg := core.NewConfig()
+	cfg.StmgrShards = shards
 	cfg.StateRoot = "/stmgr-" + t.Name()
 	statemgr.ResetSharedStore(cfg.StateRoot)
 	cfg.AckingEnabled = true
@@ -104,6 +111,17 @@ func newFixture(t *testing.T, optimized bool) *fixture {
 	case <-tm.Ready():
 	case <-time.After(5 * time.Second):
 		t.Fatal("plan never broadcast")
+	}
+	// Ready means the plan was sent; wait until both Stream Managers have
+	// applied it and dialed each other, or an early ack meets no peer.
+	deadline := time.Now().Add(5 * time.Second)
+	for c, sm := range f.sms {
+		for sm.routes.Load().peers[3-c] == nil {
+			if time.Now().After(deadline) {
+				t.Fatalf("stmgr %d never connected to its peer", c)
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
 	t.Cleanup(func() { state.Close() })
 	return f
@@ -289,34 +307,67 @@ func TestAckRoutingAndCompletion(t *testing.T) {
 	}
 }
 
+// TestMixedFrameSplitsByDestination: a mixed instance batch (per-tuple
+// destinations) entering over a real connection reaches every
+// destination, local and remote, and every shard — split per shard by the
+// receive goroutine, or handed whole to the one worker — with no tuple
+// lost and none duplicated.
 func TestMixedFrameSplitsByDestination(t *testing.T) {
-	f := newFixture(t, true)
-	src := attachInstance(t, f.sms[1], 0)
-	b2 := attachInstance(t, f.sms[1], 2)
-	b3 := attachInstance(t, f.sms[2], 3)
-	src.waitPlan(t)
-	b2.waitPlan(t)
-	b3.waitPlan(t)
-
-	// One mixed frame carrying tuples for tasks 2 and 3.
-	frame := tuple.AppendFrameHeader(nil, tuple.MixedFrameDest, 2)
-	for _, dest := range []int32{2, 3} {
-		enc := tuple.FastCodec{}.EncodeData(nil, &tuple.DataTuple{
-			DestTask: dest, StreamID: 0, Values: tuple.Values{"x"}})
-		frame = tuple.AppendFrameEntry(frame, enc)
-	}
-	if err := src.conn.Send(network.MsgData, frame); err != nil {
-		t.Fatal(err)
-	}
-	for _, fi := range []*fakeInstance{b2, b3} {
-		select {
-		case fr := <-fi.frames:
-			if fr.kind != network.MsgData {
-				t.Fatalf("kind = %v", fr.kind)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("mixed frame tuple not delivered")
+	mixed := func(dests ...int32) []byte {
+		frame := tuple.AppendFrameHeader(nil, tuple.MixedFrameDest, len(dests))
+		for _, dest := range dests {
+			enc := tuple.FastCodec{}.EncodeData(nil, &tuple.DataTuple{
+				DestTask: dest, StreamID: 0, Values: tuple.Values{"x"}})
+			frame = tuple.AppendFrameEntry(frame, enc)
 		}
+		return frame
+	}
+	for _, shards := range shardCounts {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			f := newFixtureShards(t, true, shards)
+			src := attachInstance(t, f.sms[1], 0)
+			b2 := attachInstance(t, f.sms[1], 2)
+			b3 := attachInstance(t, f.sms[2], 3)
+			src.waitPlan(t)
+			b2.waitPlan(t)
+			b3.waitPlan(t)
+
+			// One mixed frame carrying tuples for tasks 2 (local) and 3
+			// (on the peer container).
+			if err := src.conn.Send(network.MsgData, mixed(2, 3)); err != nil {
+				t.Fatal(err)
+			}
+			for _, fi := range []*fakeInstance{b2, b3} {
+				deadline := time.After(5 * time.Second)
+				for got := false; !got; {
+					select {
+					case fr := <-fi.frames:
+						// A late plan rebroadcast may come first.
+						got = fr.kind == network.MsgData
+					case <-deadline:
+						t.Fatal("mixed frame tuple not delivered")
+					}
+				}
+			}
+
+			// One tuple for each of 8 local bolt tasks, which between them
+			// cover every shard. Each tuple seals as its own
+			// single-destination batch once the rings idle; exactly 8 must
+			// come out the other side.
+			s, delivered := newParallelSM(t, shards)
+			ingestOwned(s, network.MsgData, mixed(8, 9, 10, 11, 12, 13, 14, 15))
+			deadline := time.Now().Add(5 * time.Second)
+			for delivered() < 8 {
+				if time.Now().After(deadline) {
+					t.Fatalf("delivered %d frames, want 8", delivered())
+				}
+				time.Sleep(time.Millisecond)
+			}
+			time.Sleep(5 * time.Millisecond) // a duplicate would trail the eighth
+			if got := delivered(); got != 8 {
+				t.Fatalf("delivered %d frames, want exactly 8", got)
+			}
+		})
 	}
 }
 

@@ -47,6 +47,11 @@ type TMaster struct {
 	ready   chan struct{}
 	readyOK sync.Once
 
+	// conns (under mu) holds every accepted connection — Stream Manager
+	// registrations and the containers' metrics sinks alike — so Stop can
+	// close them all and end their readers.
+	conns []network.Conn
+
 	// Checkpoint coordination (nil/zero when CheckpointInterval == 0).
 	ckpt          *checkpoint.Coordinator
 	ckptBackend   checkpoint.Backend
@@ -151,6 +156,16 @@ func (tm *TMaster) acceptLoop() {
 			return
 		}
 		c := conn
+		tm.mu.Lock()
+		select {
+		case <-tm.stopCh: // Stop has already swept conns
+			tm.mu.Unlock()
+			c.Close()
+			return
+		default:
+		}
+		tm.conns = append(tm.conns, c)
+		tm.mu.Unlock()
 		c.Start(func(kind network.MsgKind, payload []byte) {
 			if kind != network.MsgControl {
 				return
@@ -530,7 +545,7 @@ func (tm *TMaster) Stmgrs() map[int32]string {
 	return out
 }
 
-// Stop closes the listener, every registration connection, and the State
+// Stop closes the listener, every accepted connection, and the State
 // Manager session (deleting the ephemeral location record — the paper's
 // TMaster-death signal).
 func (tm *TMaster) Stop() {
@@ -538,9 +553,10 @@ func (tm *TMaster) Stop() {
 		close(tm.stopCh)
 		tm.listener.Close()
 		tm.mu.Lock()
-		for _, e := range tm.stmgrs {
-			e.conn.Close()
+		for _, c := range tm.conns {
+			c.Close()
 		}
+		tm.conns = nil
 		tm.stmgrs = map[int32]*stmgrEntry{}
 		tm.mu.Unlock()
 		tm.wg.Wait()
