@@ -15,12 +15,15 @@ vet:
 	$(GO) vet ./...
 
 # verify is the pre-submit gate: vet, build, and the full suite under the
-# race detector (tier-1 plus -race), then the same for the benchmark's own
-# module, which `./...` from the root does not reach.
+# race detector (tier-1 plus -race), ten repeats of the packages whose
+# tests race the control plane and recycle received frames, then the same
+# for the benchmark's own module, which `./...` from the root does not
+# reach.
 verify:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 ./internal/tmaster ./internal/instance
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # bench runs the end-to-end benchmark BENCHMARK.json declares; see

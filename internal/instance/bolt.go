@@ -5,6 +5,8 @@ import (
 	"time"
 
 	"heron/api"
+	"heron/internal/core"
+	"heron/internal/encoding/wire"
 	"heron/internal/network"
 	"heron/internal/tuple"
 )
@@ -13,24 +15,39 @@ import (
 // the anchoring state the collector needs to compute ack deltas: the
 // tuple's own key, its roots, and the XOR of the keys of every tuple
 // emitted anchored to it.
+//
+// A tuple of up to len(inline) values is one allocation: values aliases
+// inline, and info points into the plan's stream table instead of copying
+// its names. Longer tuples spill to their own array. Nothing is pooled:
+// user code may keep a tuple after Execute returns.
 type boltTuple struct {
 	values     api.Values
-	source     string
-	stream     string
+	info       *core.StreamInfo // nil for a stream the plan does not know
 	key        uint64
 	roots      []uint64
 	emittedXor uint64
 	done       bool
+	inline     [2]any
 }
 
 // Values implements api.Tuple.
 func (t *boltTuple) Values() api.Values { return t.values }
 
 // SourceComponent implements api.Tuple.
-func (t *boltTuple) SourceComponent() string { return t.source }
+func (t *boltTuple) SourceComponent() string {
+	if t.info == nil {
+		return ""
+	}
+	return t.info.SrcComponent
+}
 
 // Stream implements api.Tuple.
-func (t *boltTuple) Stream() string { return t.stream }
+func (t *boltTuple) Stream() string {
+	if t.info == nil {
+		return ""
+	}
+	return t.info.Stream
+}
 
 // String implements api.Tuple.
 func (t *boltTuple) String(i int) string { return t.values[i].(string) }
@@ -53,6 +70,7 @@ type boltCollector struct {
 	destBuf []int32
 	encBuf  []byte
 	roots   []uint64
+	anchors []*boltTuple
 }
 
 // Emit implements api.BoltCollector.
@@ -80,15 +98,15 @@ func (c *boltCollector) Emit(stream string, anchors []api.Tuple, values ...any) 
 	// Union of the anchors' roots (duplicates are fine to skip: roots are
 	// per-spout-emission and an input is anchored to each root once).
 	c.roots = c.roots[:0]
+	c.anchors = c.anchors[:0]
 	reliable := in.opts.Cfg.AckingEnabled && len(anchors) > 0
-	var anchorTuples []*boltTuple
 	if reliable {
 		for _, a := range anchors {
 			bt, ok := a.(*boltTuple)
 			if !ok {
 				continue
 			}
-			anchorTuples = append(anchorTuples, bt)
+			c.anchors = append(c.anchors, bt)
 			for _, r := range bt.roots {
 				dup := false
 				for _, have := range c.roots {
@@ -119,7 +137,7 @@ func (c *boltCollector) Emit(stream string, anchors []api.Tuple, values ...any) 
 			t.Key = in.rng.Uint64() | 1
 			// The new key joins every anchor's pending XOR: it is folded
 			// into the anchors' ack deltas.
-			for _, bt := range anchorTuples {
+			for _, bt := range c.anchors {
 				bt.emittedXor ^= t.Key
 			}
 		}
@@ -203,14 +221,17 @@ func (in *Instance) runBolt() {
 		case f := <-in.inbox:
 			switch f.kind {
 			case network.MsgData:
-				in.boltData(f.data, &dt, col)
+				in.boltData(f.buf, &dt, col) // recycles f.buf, possibly after a barrier
 			case network.MsgMarker:
-				in.boltMarker(f.data, &dt, col)
+				in.boltMarker(f.buf.B, &dt, col)
+				wire.PutBuffer(f.buf)
 			case network.MsgCommitted:
-				if id, _, _, err := tuple.DecodeMarker(f.data); err == nil {
+				if id, _, _, err := tuple.DecodeMarker(f.buf.B); err == nil {
 					in.epochCommitted(id)
 				}
+				wire.PutBuffer(f.buf)
 			default:
+				wire.PutBuffer(f.buf)
 				continue
 			}
 			in.flushOut() // one outbound frame per processed batch
@@ -254,17 +275,13 @@ func (in *Instance) executeFrame(frame []byte, dt *tuple.DataTuple, col *boltCol
 // execDecoded executes one decoded tuple (shared by the direct path, the
 // barrier filter and held-tuple replay).
 func (in *Instance) execDecoded(dt *tuple.DataTuple, col *boltCollector) {
-	ps := in.plan.Load()
-	bt := &boltTuple{
-		values: append(api.Values(nil), dt.Values...),
-		key:    dt.Key,
-	}
+	bt := &boltTuple{key: dt.Key}
+	bt.values = append(bt.inline[:0], dt.Values...)
 	if len(dt.Roots) > 0 {
 		bt.roots = append([]uint64(nil), dt.Roots...)
 	}
-	if ps != nil && int(dt.StreamID) < len(ps.pp.Streams) {
-		si := &ps.pp.Streams[dt.StreamID]
-		bt.source, bt.stream = si.SrcComponent, si.Stream
+	if ps := in.plan.Load(); ps != nil && int(dt.StreamID) < len(ps.pp.Streams) {
+		bt.info = &ps.pp.Streams[dt.StreamID]
 	}
 	in.mExecuted.Inc(1)
 	// Clocking every execution costs two time reads per tuple on the

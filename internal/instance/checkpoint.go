@@ -9,6 +9,7 @@ import (
 	"heron/internal/checkpoint"
 	"heron/internal/core"
 	"heron/internal/ctrl"
+	"heron/internal/encoding/wire"
 	"heron/internal/network"
 	"heron/internal/tuple"
 )
@@ -25,9 +26,12 @@ import (
 type barrier struct {
 	id      int64
 	waiting map[int32]bool // upstream tasks whose marker has not arrived
-	// held are raw encoded tuples that arrived on already-marked channels;
-	// they alias owned inbox frame slices, so no copy is needed.
-	held [][]byte
+	// held are raw encoded tuples that arrived on already-marked channels.
+	// They alias the inbox frames they arrived in, so no copy is needed:
+	// each frame that contributed a held tuple stays in frames, out of the
+	// pool, and releaseHeld recycles it after its tuples have executed.
+	held   [][]byte
+	frames []*wire.Buffer
 }
 
 // component returns the user component (spout or bolt) for optional-
@@ -251,8 +255,8 @@ func (in *Instance) boltMarker(data []byte, dt *tuple.DataTuple, col *boltCollec
 	in.releaseHeld(dt, col)
 }
 
-// releaseHeld executes the tuples deferred during alignment and drops the
-// barrier.
+// releaseHeld executes the tuples deferred during alignment, recycles the
+// frames they aliased and drops the barrier.
 func (in *Instance) releaseHeld(dt *tuple.DataTuple, col *boltCollector) {
 	bar := in.bar
 	in.bar = nil
@@ -264,19 +268,26 @@ func (in *Instance) releaseHeld(dt *tuple.DataTuple, col *boltCollector) {
 			in.execDecoded(dt, col)
 		}
 	}
+	for _, buf := range bar.frames {
+		wire.PutBuffer(buf)
+	}
 }
 
 // boltData routes one data frame through the barrier filter: with no
 // barrier in progress every tuple executes; during alignment, tuples from
 // channels that already delivered their marker are post-barrier and held,
 // tuples from still-unmarked channels execute immediately. Filtering is
-// per tuple, not per frame — a frame may interleave both kinds.
-func (in *Instance) boltData(frame []byte, dt *tuple.DataTuple, col *boltCollector) {
+// per tuple, not per frame — a frame may interleave both kinds. boltData
+// owns buf: it recycles it at once, or hands it to the barrier when a
+// held tuple aliases it.
+func (in *Instance) boltData(buf *wire.Buffer, dt *tuple.DataTuple, col *boltCollector) {
 	if in.bar == nil {
-		in.executeFrame(frame, dt, col)
+		in.executeFrame(buf.B, dt, col)
+		wire.PutBuffer(buf)
 		return
 	}
-	_, _, _ = tuple.WalkFrame(frame, func(tb []byte) error {
+	held := len(in.bar.held)
+	_, _, _ = tuple.WalkFrame(buf.B, func(tb []byte) error {
 		if err := in.codec.DecodeData(tb, dt); err != nil {
 			return nil
 		}
@@ -287,4 +298,9 @@ func (in *Instance) boltData(frame []byte, dt *tuple.DataTuple, col *boltCollect
 		in.execDecoded(dt, col)
 		return nil
 	})
+	if len(in.bar.held) > held {
+		in.bar.frames = append(in.bar.frames, buf)
+		return
+	}
+	wire.PutBuffer(buf)
 }

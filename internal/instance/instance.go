@@ -49,10 +49,12 @@ type Options struct {
 	RestoreCheckpoint int64
 }
 
-// inFrame is one frame queued for the executor.
+// inFrame is one frame queued for the executor. The executor owns buf and
+// recycles it with wire.PutBuffer once it has processed the frame (or, for
+// a frame holding post-barrier tuples, once the barrier releases them).
 type inFrame struct {
 	kind network.MsgKind
-	data []byte
+	buf  *wire.Buffer
 }
 
 // Instance is one running spout or bolt task.
@@ -190,9 +192,9 @@ func New(opts Options) (*Instance, error) {
 
 		batchOut: opts.Cfg.StreamManagerOptimized && codec.Pooled(),
 
-		mEmitted:  opts.Registry.Counter(metrics.MEmitCount, tags),
-		mAcked:    opts.Registry.Counter(metrics.MAckCount, tags),
-		mFailed:   opts.Registry.Counter(metrics.MFailCount, tags),
+		mEmitted: opts.Registry.Counter(metrics.MEmitCount, tags),
+		mAcked:   opts.Registry.Counter(metrics.MAckCount, tags),
+		mFailed:  opts.Registry.Counter(metrics.MFailCount, tags),
 	}
 	switch opts.Kind {
 	case core.KindSpout:
@@ -207,7 +209,7 @@ func New(opts Options) (*Instance, error) {
 		inst.mCkptSize = opts.Registry.Histogram(metrics.MCheckpointSize, tags)
 		inst.mRestores = opts.Registry.Counter(metrics.MRestoreCount, tags)
 	}
-	conn.Start(inst.onFrame)
+	conn.StartOwned(inst.onFrame)
 	reg, err := ctrl.Encode(&ctrl.Message{Op: ctrl.OpRegisterInstance, Topology: opts.Topology, TaskID: opts.ID.TaskID})
 	if err != nil {
 		conn.Close()
@@ -231,10 +233,12 @@ func New(opts Options) (*Instance, error) {
 }
 
 // onFrame is the connection handler: control frames are applied
-// immediately, data/ack frames are queued for the executor.
-func (in *Instance) onFrame(kind network.MsgKind, payload []byte) {
+// immediately, data/ack frames are queued for the executor. Every frame
+// arrives in a buffer this instance owns, so queueing it is copy-free.
+func (in *Instance) onFrame(kind network.MsgKind, buf *wire.Buffer) {
 	if kind == network.MsgControl {
-		m, err := ctrl.Decode(payload)
+		m, err := ctrl.Decode(buf.B) // copies everything it keeps
+		wire.PutBuffer(buf)
 		if err != nil {
 			return
 		}
@@ -251,11 +255,10 @@ func (in *Instance) onFrame(kind network.MsgKind, payload []byte) {
 		}
 		return
 	}
-	data := make([]byte, len(payload))
-	copy(data, payload)
 	select {
-	case in.inbox <- inFrame{kind, data}:
+	case in.inbox <- inFrame{kind, buf}:
 	case <-in.stop:
+		wire.PutBuffer(buf)
 	}
 }
 

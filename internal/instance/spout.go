@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"heron/internal/core"
+	"heron/internal/encoding/wire"
 	"heron/internal/network"
 	"heron/internal/tuple"
 )
@@ -157,11 +158,12 @@ func (in *Instance) runSpout() {
 }
 
 // spoutFrame applies one queued frame (batched ack notifications or a
-// checkpoint trigger marker) to spout state.
+// checkpoint trigger marker) to spout state, then recycles it.
 func (in *Instance) spoutFrame(f inFrame) {
+	defer wire.PutBuffer(f.buf)
 	switch f.kind {
 	case network.MsgAck:
-		_ = tuple.WalkAckFrame(f.data, func(ab []byte) error {
+		_ = tuple.WalkAckFrame(f.buf.B, func(ab []byte) error {
 			var a tuple.AckTuple
 			if err := tuple.DecodeAck(ab, &a); err == nil {
 				in.spoutAck(&a)
@@ -169,11 +171,11 @@ func (in *Instance) spoutFrame(f inFrame) {
 			return nil
 		})
 	case network.MsgMarker:
-		if id, _, _, err := tuple.DecodeMarker(f.data); err == nil {
+		if id, _, _, err := tuple.DecodeMarker(f.buf.B); err == nil {
 			in.spoutCheckpoint(id)
 		}
 	case network.MsgCommitted:
-		if id, _, _, err := tuple.DecodeMarker(f.data); err == nil {
+		if id, _, _, err := tuple.DecodeMarker(f.buf.B); err == nil {
 			in.epochCommitted(id)
 		}
 	}

@@ -16,9 +16,13 @@
 //     itself through a bounded Vyukov queue — no channel, no syscall, no
 //     copy — so co-located containers bypass the TCP loopback entirely.
 //
-// Handlers receive payload slices that are valid only for the duration of
-// the call; receivers must copy anything they retain. This allows both
-// transports to recycle receive buffers through the wire package's pools.
+// Start handlers receive payload slices that are valid only for the
+// duration of the call; receivers must copy anything they retain. This
+// allows the transports to recycle receive buffers through the wire
+// package's pools. StartOwned receivers instead own each received
+// wire.Buffer: they may keep it past the call without copying and must
+// recycle it with wire.PutBuffer when done. The Stream Manager and the
+// instances receive this way.
 //
 // Conn carries two send disciplines. Send copies and flushes: the frame
 // departs before the call returns, which is right for control traffic and

@@ -78,6 +78,28 @@ func connectStmgr(t *testing.T, tm *TMaster, container int32, addr string) *fake
 	return f
 }
 
+// waitPlan reads f's plan broadcasts until one satisfies ok and returns
+// it, failing the test after a timeout. The plan read next is not always
+// the one a test just caused: registrations are handled on separate conn
+// goroutines, and two of them can each see the plan complete and
+// broadcast it, so a harmless duplicate may come first.
+func (f *fakeStmgr) waitPlan(t *testing.T, want string, ok func(*ctrl.PlanPayload) bool) *ctrl.PlanPayload {
+	t.Helper()
+	timeout := time.After(5 * time.Second)
+	for {
+		select {
+		case p := <-f.plans:
+			if ok(p) {
+				return p
+			}
+		case <-timeout:
+			t.Fatalf("no plan broadcast with %s", want)
+		}
+	}
+}
+
+func anyPlan(*ctrl.PlanPayload) bool { return true }
+
 func newTM(t *testing.T) (*TMaster, core.StateManager, *core.Config) {
 	t.Helper()
 	cfg := core.NewConfig()
@@ -131,9 +153,11 @@ func TestBroadcastWaitsForAllContainers(t *testing.T) {
 			t.Fatal("no broadcast after all containers registered")
 		}
 	}
+	// Ready closes after the broadcast's sends, so a Stream Manager can
+	// hold its plan a moment before Ready does.
 	select {
 	case <-tm.Ready():
-	default:
+	case <-time.After(5 * time.Second):
 		t.Error("Ready not closed")
 	}
 	if got := tm.Stmgrs(); got[1] != "addr-1" || got[2] != "addr-2" {
@@ -145,25 +169,20 @@ func TestReregistrationRebroadcastsNewAddress(t *testing.T) {
 	tm, _, _ := newTM(t)
 	s1 := connectStmgr(t, tm, 1, "addr-1")
 	connectStmgr(t, tm, 2, "addr-2")
-	<-s1.plans // initial broadcast
+	s1.waitPlan(t, "both containers", anyPlan)
 
 	// Container 2 restarts with a new address.
 	connectStmgr(t, tm, 2, "addr-2b")
-	select {
-	case p := <-s1.plans:
-		if p.Stmgrs[2] != "addr-2b" {
-			t.Errorf("directory after restart = %v", p.Stmgrs)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("no rebroadcast after re-registration")
-	}
+	s1.waitPlan(t, "container 2 at addr-2b", func(p *ctrl.PlanPayload) bool {
+		return p.Stmgrs[2] == "addr-2b"
+	})
 }
 
 func TestRefreshAfterScaling(t *testing.T) {
 	tm, seeder, _ := newTM(t)
 	s1 := connectStmgr(t, tm, 1, "addr-1")
 	connectStmgr(t, tm, 2, "addr-2")
-	p := <-s1.plans
+	p := s1.waitPlan(t, "both containers", anyPlan)
 	if len(p.Packing.Containers) != 2 {
 		t.Fatalf("containers = %d", len(p.Packing.Containers))
 	}
@@ -186,14 +205,9 @@ func TestRefreshAfterScaling(t *testing.T) {
 		t.Fatal(err)
 	}
 	tm.Refresh()
-	select {
-	case p := <-s1.plans:
-		if p.Packing.NumInstances() != 3 {
-			t.Errorf("instances after refresh = %d", p.Packing.NumInstances())
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("no broadcast after refresh")
-	}
+	s1.waitPlan(t, "3 instances after refresh", func(p *ctrl.PlanPayload) bool {
+		return p.Packing.NumInstances() == 3
+	})
 }
 
 func TestMetricsCollection(t *testing.T) {
