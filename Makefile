@@ -16,14 +16,14 @@ vet:
 
 # verify is the pre-submit gate: vet, build, and the full suite under the
 # race detector (tier-1 plus -race), ten repeats of the packages whose
-# tests race the control plane and recycle received frames, then the same
-# for the benchmark's own module, which `./...` from the root does not
-# reach.
+# tests race the control plane, recycle received frames, or carry election
+# and fencing on every State Manager backend, then the same for the
+# benchmark's own module, which `./...` from the root does not reach.
 verify:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 ./internal/tmaster ./internal/instance
+	$(GO) test -race -count=10 ./internal/tmaster ./internal/instance ./internal/statemgr ./internal/replication
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # bench runs the end-to-end benchmark BENCHMARK.json declares; see

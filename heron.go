@@ -29,10 +29,10 @@ import (
 	"heron/internal/observability"
 	"heron/internal/packing"
 	"heron/internal/runtime"
+	"heron/internal/statemgr"
 
 	// Register the built-in module implementations.
 	_ "heron/internal/scheduler"
-	_ "heron/internal/statemgr"
 )
 
 // Config re-exports the engine configuration.
@@ -50,7 +50,7 @@ type Handle struct {
 	name   string
 	cfg    *core.Config
 	spec   *api.Spec
-	state  core.StateManager
+	state  *statemgr.Manager
 	rm     core.ResourceManager
 	sched  core.Scheduler
 	engine *runtime.Engine
@@ -113,11 +113,8 @@ func submit(spec *api.Spec, cfg *Config, hooks submitHooks) (*Handle, error) {
 		return nil, err
 	}
 
-	state, err := core.NewStateManager(cfg.StateManagerName)
+	state, err := statemgr.Open(cfg)
 	if err != nil {
-		return nil, err
-	}
-	if err := state.Initialize(cfg); err != nil {
 		return nil, err
 	}
 	if names, err := state.ListTopologies(); err == nil {

@@ -138,7 +138,7 @@ func TestBackendCommitMonotonic(t *testing.T) {
 }
 
 func TestBackendRetiresSuperseded(t *testing.T) {
-	for _, name := range []string{"memory", "localfs"} {
+	for _, name := range backendNames {
 		t.Run(name, func(t *testing.T) {
 			b := newTestBackend(t, name)
 			for id := int64(1); id <= 3; id++ {

@@ -8,26 +8,27 @@ import (
 	"heron/internal/statemgr"
 )
 
-// newLedgerStateManagers builds one initialized session of each State
-// Manager implementation against an isolated store, as the name → session
-// pairs the ledger tests iterate.
-func newLedgerStateManagers(t *testing.T) map[string]core.StateManager {
+// newLedgerStateManagers opens one session on every registered State
+// Manager backend against an isolated store, as the name → session pairs
+// the ledger tests iterate.
+func newLedgerStateManagers(t *testing.T) map[string]*statemgr.Manager {
 	t.Helper()
-	memCfg := core.NewConfig()
-	memCfg.StateRoot = "/ledger-" + t.Name()
-	root := memCfg.StateRoot
+	root := "/ledger-" + t.Name()
 	t.Cleanup(func() { statemgr.ResetSharedStore(root) })
-	mem := &statemgr.Memory{}
-	if err := mem.Initialize(memCfg); err != nil {
-		t.Fatal(err)
+	out := map[string]*statemgr.Manager{}
+	for _, name := range core.StateManagerNames() {
+		cfg := core.NewConfig()
+		cfg.StateManagerName = name
+		cfg.StateRoot = root
+		cfg.Extra["localfs.root"] = t.TempDir()
+		sm, err := statemgr.Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { sm.Close() })
+		out[name] = sm
 	}
-	fsCfg := core.NewConfig()
-	fsCfg.Extra = map[string]string{"localfs.root": t.TempDir()}
-	lfs := &statemgr.LocalFS{}
-	if err := lfs.Initialize(fsCfg); err != nil {
-		t.Fatal(err)
-	}
-	return map[string]core.StateManager{"memory": mem, "localfs": lfs}
+	return out
 }
 
 // TestCoordinatorLedgerSurvivesRestart replays the latent gap this PR

@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"fmt"
 	"strconv"
+	"strings"
 	"sync"
 
 	"heron/internal/core"
@@ -106,10 +107,32 @@ func (r *redisBackend) Commit(topology string, checkpointID int64) error {
 	if err != nil {
 		return err
 	}
-	if checkpointID <= latest {
-		return nil
+	if checkpointID > latest {
+		if err := r.cl.SetBlob(latestKey(topology), []byte(strconv.FormatInt(checkpointID, 10))); err != nil {
+			return err
+		}
+		latest = checkpointID
 	}
-	return r.cl.SetBlob(latestKey(topology), []byte(strconv.FormatInt(checkpointID, 10)))
+	// Retire snapshots older than the newest commit; only the latest
+	// committed checkpoint is ever restored.
+	prefix := "ckpt/" + topology + "/"
+	keys, err := r.cl.BlobKeys(prefix)
+	if err != nil {
+		return err
+	}
+	retired := map[int64]bool{}
+	for _, k := range keys {
+		idStr, _, isSnap := strings.Cut(strings.TrimPrefix(k, prefix), "/")
+		id, err := strconv.ParseInt(idStr, 10, 64)
+		if !isSnap || err != nil || id >= latest || retired[id] {
+			continue
+		}
+		retired[id] = true
+		if err := r.cl.DeleteBlobs(prefix + idStr + "/"); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (r *redisBackend) latestLocked(topology string) (int64, error) {

@@ -88,9 +88,9 @@ type Config struct {
 	// ControlReplicas replicates the control plane: 0 or 1 (the default)
 	// runs the classic single TMaster in container 0; N ≥ 2 runs one
 	// leader plus N-1 hot standbys that tail the replicated control log
-	// and take over via leader election when the leader's lease lapses.
-	// Requires a StateManager implementing VersionedStore (both built-in
-	// managers do). Capped at MaxControlReplicas.
+	// and take over via leader election when the leader's lease lapses,
+	// through the State Manager kernel's CAS, leases and watches. Capped
+	// at MaxControlReplicas.
 	ControlReplicas int
 	// ControlLeaseTTL is the leader lease's time-to-live: a crashed
 	// leader that cannot renew is deposed after at most this long. The

@@ -5,8 +5,8 @@ import (
 	"time"
 )
 
-// ErrNotFound is returned by StateManager getters for absent keys and by
-// the registries for unknown module names.
+// ErrNotFound is wrapped by the State Manager's record getters for absent
+// records and by the registries for unknown module names.
 var ErrNotFound = errors.New("core: not found")
 
 // ErrNotLeader is wrapped by every control-plane operation that lands on
@@ -117,8 +117,9 @@ type TMasterLocation struct {
 	// Transport and Addr locate the TMaster's control listener.
 	Transport string
 	Addr      string
-	// SessionID increments on every TMaster (re)start, letting watchers
-	// discard stale locations.
+	// SessionID is the TMaster's start time in unix nanos: it tells two
+	// TMasters advertising the same address apart. It is not ordered
+	// across a wall-clock step.
 	SessionID int64
 }
 
@@ -132,76 +133,66 @@ type SchedulerLocation struct {
 	FrameworkURL string
 }
 
-// StateManager is the paper's Section IV-C module: distributed
-// coordination plus topology metadata storage on a tree-structured store.
-// Implementations: a ZooKeeper-like in-memory store for cluster mode and a
-// local-filesystem store for single-server mode.
+// StateManager is the paper's Section IV-C module reduced to the tree
+// kernel ZooKeeper provides: a session on a tree of versioned nodes with
+// ephemerals, compare-and-set, TTL leases and watches. A backend
+// implements only this; the typed topology records (topology, packing
+// plan, locations, checkpoint ledger) are written once on top of it, in
+// internal/statemgr. Paths are absolute and slash-separated ("/a/b");
+// creating a node creates its missing parents as persistent nodes at
+// version 1.
 type StateManager interface {
+	// Initialize opens the session; every other call fails before it.
 	Initialize(cfg *Config) error
-
-	// SetTMasterLocation writes an ephemeral record: it vanishes when the
-	// writing session closes, which is how Stream Managers learn of a
-	// TMaster death.
-	SetTMasterLocation(loc TMasterLocation) error
-	GetTMasterLocation(topology string) (TMasterLocation, error)
-	// WatchTMasterLocation invokes cb on every change to the topology's
-	// TMaster location, including deletion (signalled by a zero-valued
-	// location). The returned cancel function stops the watch.
-	WatchTMasterLocation(topology string, cb func(TMasterLocation)) (func(), error)
-
-	SetSchedulerLocation(loc SchedulerLocation) error
-	GetSchedulerLocation(topology string) (SchedulerLocation, error)
-
-	SetTopology(t *Topology) error
-	GetTopology(name string) (*Topology, error)
-	DeleteTopology(name string) error
-	ListTopologies() ([]string, error)
-
-	SetPackingPlan(topology string, p *PackingPlan) error
-	GetPackingPlan(topology string) (*PackingPlan, error)
-	DeletePackingPlan(topology string) error
-
-	// SetCheckpointLedger durably records the checkpoint coordinator's
-	// prepare/commit ledger; GetCheckpointLedger returns ErrNotFound when
-	// no ledger was ever written. The ledger survives TMaster restarts so
-	// a new coordinator never reuses an epoch id that was in flight (and
-	// possibly already prepared at transactional sinks) when the old one
-	// died.
-	SetCheckpointLedger(topology string, l *CheckpointLedger) error
-	GetCheckpointLedger(topology string) (*CheckpointLedger, error)
-
+	// Close ends the session: its watches stop and every node it still
+	// owns (ephemerals and leases) is deleted, firing other sessions'
+	// watches — how Stream Managers learn of a TMaster death.
 	Close() error
+	// Abandon ends the session as a hard crash would: watches stop, but
+	// owned ephemerals linger until overwritten or deleted, and leases
+	// lapse only at their TTL.
+	Abandon()
+	// Set writes data at path (last writer wins) and advances its
+	// version. An ephemeral write makes this session the node's owner,
+	// taking it over from any previous owner; a persistent one clears the
+	// owner.
+	Set(path string, data []byte, ephemeral bool) error
+	VersionedStore
 }
 
-// VersionedStore is an optional StateManager capability required by the
-// replicated control plane (internal/replication). Plain Set is
-// last-writer-wins, which cannot fence a deposed leader; SetIf is a
-// versioned compare-and-set, and AcquireLease implements the ephemeral
-// lease znode that leader election hangs off. Every node written through
-// this interface carries a monotonically increasing version, starting at
-// 1 on creation.
+// VersionedStore is the part of the kernel the replicated control plane
+// (internal/replication) needs. Plain Set is last-writer-wins, which
+// cannot fence a deposed leader; SetIf is a versioned compare-and-set,
+// and AcquireLease implements the ephemeral lease znode that leader
+// election hangs off. Every node carries a version that starts at 1 on
+// creation and advances on every write; deletion and re-creation restart
+// it.
 type VersionedStore interface {
-	// SetIf writes data iff the node's current version equals
-	// expectVersion (0 = the node must not exist; the write creates it).
-	// Returns the node's new version, or ErrVersionMismatch.
+	// SetIf writes data as a persistent node iff the node's current
+	// version equals expectVersion (0 = the node must not exist; the
+	// write creates it). Returns the node's new version, or
+	// ErrVersionMismatch.
 	SetIf(path string, data []byte, expectVersion int64) (int64, error)
 	// GetVersioned reads a node's data and version. Absent (or
-	// lease-expired) nodes report version 0 with a nil error.
-	GetVersioned(path string) ([]byte, int64, bool, error)
+	// lease-expired) nodes report ok=false and version 0 with a nil error.
+	GetVersioned(path string) (data []byte, version int64, ok bool, err error)
 	// AcquireLease creates or renews a lease node. It succeeds when the
-	// node is absent, expired, or already held by this manager's session;
-	// it fails (false, nil) while another live session holds it. The node
-	// vanishes when the holder's session closes or the TTL lapses without
-	// renewal — whichever comes first.
+	// node is absent, expired, or already owned by this session; it fails
+	// (false, nil) while any other node sits at path. A renewal with
+	// unchanged data only extends the deadline. The node vanishes when the
+	// holder's session closes or the TTL lapses without renewal —
+	// whichever comes first.
 	AcquireLease(path string, data []byte, ttl time.Duration) (bool, error)
 	// ReleaseLease deletes the lease node if this session holds it.
 	ReleaseLease(path string) error
-	// WatchNode invokes cb on every change to the node, including
-	// deletion and lease expiry (exists=false). Returns a cancel func.
+	// WatchNode invokes cb after every change to the node's (exists,
+	// version, data), including deletion and lease expiry (exists=false),
+	// until cancelled. It is armed when it returns. Returns a cancel func.
 	WatchNode(path string, cb func(data []byte, exists bool)) (func(), error)
 	// NodeChildren lists the direct children of a tree node, sorted.
 	NodeChildren(path string) ([]string, error)
-	// DeleteNode removes a node regardless of version (administrative).
+	// DeleteNode removes one node regardless of version or owner
+	// (administrative); deleting an absent node is a no-op.
 	DeleteNode(path string) error
 }
 

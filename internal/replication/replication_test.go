@@ -13,10 +13,12 @@ import (
 // testStore opens one statemgr session on a private shared tree. Multiple
 // calls with the same root model separate processes on one ZooKeeper
 // ensemble — exactly how control replicas share coordination state.
-func testStore(t *testing.T, root string) *statemgr.Memory {
+func testStore(t *testing.T, root string) *statemgr.Manager {
 	t.Helper()
-	m := &statemgr.Memory{}
-	if err := m.Initialize(&core.Config{StateRoot: root}); err != nil {
+	cfg := core.NewConfig()
+	cfg.StateRoot = root
+	m, err := statemgr.Open(cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
 	return m
@@ -301,7 +303,7 @@ func (f *fakeActive) Stop() { close(f.stopped) }
 
 // startTestReplica wires a Replica whose Promote installs a fakeActive,
 // recording the promotion term and recovered view.
-func startTestReplica(t *testing.T, root, node string, ttl, deferFirst time.Duration, promoted chan *View) (*Replica, *statemgr.Memory) {
+func startTestReplica(t *testing.T, root, node string, ttl, deferFirst time.Duration, promoted chan *View) (*Replica, *statemgr.Manager) {
 	t.Helper()
 	vs := testStore(t, root)
 	r, err := NewReplica(Options{

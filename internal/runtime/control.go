@@ -8,13 +8,12 @@
 package runtime
 
 import (
-	"fmt"
 	"strconv"
 	"sync/atomic"
 	"time"
 
-	"heron/internal/core"
 	"heron/internal/replication"
+	"heron/internal/statemgr"
 	"heron/internal/tmaster"
 )
 
@@ -22,7 +21,7 @@ import (
 // a clean stop can release the session.
 type controlReplica struct {
 	rep   *replication.Replica
-	state core.StateManager
+	state *statemgr.Manager
 }
 
 var nodeSeq atomic.Int64
@@ -65,31 +64,20 @@ func (e *Engine) launchReplicatedControl(topology string) (func(), error) {
 // newControlReplica opens a fresh statemgr session and starts one
 // replica on it.
 func (e *Engine) newControlReplica(topology string, deferFirst time.Duration) (*controlReplica, error) {
-	state, err := e.newStateSession()
+	state, err := statemgr.Open(e.cfg)
 	if err != nil {
 		return nil, err
-	}
-	vs, ok := state.(core.VersionedStore)
-	if !ok {
-		_ = state.Close()
-		return nil, fmt.Errorf("runtime: state manager %q has no versioned store (ControlReplicas needs CAS + leases)", e.cfg.StateManagerName)
 	}
 	nodeID := "replica-" + strconv.FormatInt(nodeSeq.Add(1), 10)
 	rep, err := replication.NewReplica(replication.Options{
 		Topology:     topology,
 		NodeID:       nodeID,
-		Store:        vs,
+		Store:        state,
 		TTL:          e.cfg.ResolveControlLeaseTTL(),
 		Promote:      e.promoteTMaster(topology),
 		OnTransition: e.noteControl,
-		Abandon: func() {
-			if a, ok := state.(interface{ Abandon() }); ok {
-				a.Abandon()
-			} else {
-				_ = state.Close()
-			}
-		},
-		Defer: deferFirst,
+		Abandon:      state.Abandon,
+		Defer:        deferFirst,
 	})
 	if err != nil {
 		_ = state.Close()
@@ -132,16 +120,11 @@ func (e *Engine) clearTM(tm *tmaster.TMaster) {
 // TMaster's own session.
 func (e *Engine) promoteTMaster(topology string) func(int64, *replication.View, func()) (replication.Active, error) {
 	return func(term int64, view *replication.View, depose func()) (replication.Active, error) {
-		state, err := e.newStateSession()
+		state, err := statemgr.Open(e.cfg)
 		if err != nil {
 			return nil, err
 		}
-		vs, ok := state.(core.VersionedStore)
-		if !ok {
-			_ = state.Close()
-			return nil, fmt.Errorf("runtime: state manager %q has no versioned store", e.cfg.StateManagerName)
-		}
-		lg := replication.NewLog(vs, topology)
+		lg := replication.NewLog(state, topology)
 		// Idempotent at our own term; fails only if a higher term won.
 		if err := lg.Fence(term); err != nil {
 			_ = state.Close()

@@ -18,6 +18,7 @@ import (
 	"heron/internal/metrics"
 	"heron/internal/network"
 	"heron/internal/replication"
+	"heron/internal/statemgr"
 	"heron/internal/stmgr"
 	"heron/internal/tmaster"
 )
@@ -43,19 +44,6 @@ func NewEngine(cfg *core.Config, spec *api.Spec) *Engine {
 	return &Engine{cfg: cfg, spec: spec, registries: map[int32]*metrics.Registry{}}
 }
 
-// newStateSession opens a fresh State Manager session for one container
-// process (sessions are per-process so ephemeral records behave).
-func (e *Engine) newStateSession() (core.StateManager, error) {
-	sm, err := core.NewStateManager(e.cfg.StateManagerName)
-	if err != nil {
-		return nil, err
-	}
-	if err := sm.Initialize(e.cfg); err != nil {
-		return nil, err
-	}
-	return sm, nil
-}
-
 // LaunchContainer implements core.ContainerLauncher.
 func (e *Engine) LaunchContainer(topology string, containerID int32) (func(), error) {
 	if containerID == core.TMasterContainerID {
@@ -68,7 +56,9 @@ func (e *Engine) launchTMaster(topology string) (func(), error) {
 	if e.cfg.ControlReplicas > 1 {
 		return e.launchReplicatedControl(topology)
 	}
-	state, err := e.newStateSession()
+	// Every container process opens its own State Manager session, so its
+	// ephemeral records die with it.
+	state, err := statemgr.Open(e.cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -91,7 +81,7 @@ func (e *Engine) launchTMaster(topology string) (func(), error) {
 }
 
 func (e *Engine) launchWorker(topology string, containerID int32) (func(), error) {
-	state, err := e.newStateSession()
+	state, err := statemgr.Open(e.cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -226,7 +216,7 @@ func (e *Engine) launchWorker(topology string, containerID int32) (func(), error
 // TMaster lazily and pushes typed snapshots over a control connection —
 // and the function that closes that connection, which container teardown
 // calls once the Metrics Manager has stopped.
-func (e *Engine) metricsSink(topology string, containerID int32, state core.StateManager) (sink func(metrics.Snapshot), closeSink func()) {
+func (e *Engine) metricsSink(topology string, containerID int32, state *statemgr.Manager) (sink func(metrics.Snapshot), closeSink func()) {
 	var mu sync.Mutex
 	var conn network.Conn
 	closeSink = func() {

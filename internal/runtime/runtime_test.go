@@ -64,11 +64,8 @@ func setup(t *testing.T) (*Engine, *core.Config, *atomic.Int64, *atomic.Int64) {
 	}
 
 	// Seed the state the launcher reads.
-	sm, err := core.NewStateManager("memory")
+	sm, err := statemgr.Open(cfg)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sm.Initialize(cfg); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { sm.Close() })

@@ -17,36 +17,41 @@ import (
 	"heron/internal/core"
 )
 
-// LocalFS is the single-server State Manager: the same tree persisted as
-// files under a root directory, the implementation the paper describes for
-// "running locally in a single server". Watches are poll-based; ephemeral
-// records are tracked in memory and removed when the manager closes.
-type LocalFS struct {
-	root string
-	// owner is a process-unique id identifying this manager instance as a
-	// lease holder in kv envelopes.
-	owner int64
-
-	mu sync.Mutex
-	// ephemeral maps path → the bytes this manager last wrote there. Close
-	// only removes a file whose content still matches: a new leader that
-	// re-advertised over our record must not lose it to our late cleanup.
-	ephemeral map[string][]byte
-	stop      chan struct{}
-	stopOnce  sync.Once
-	watchWG   sync.WaitGroup
+func init() {
+	core.RegisterStateManager("localfs", func() core.StateManager { return &LocalFS{} })
 }
 
-// WatchPollInterval is how often LocalFS watches re-read their file.
-const WatchPollInterval = 25 * time.Millisecond
+// LocalFS is the single-server kernel: the same tree persisted under a
+// root directory, the implementation the paper describes for "running
+// locally in a single server". Every node is one versioned envelope file,
+// root/<path>.json; its children live in the directory root/<path>/.
+// Watches are poll-based.
+type LocalFS struct {
+	root string
+	// owner is a process-unique session id, recorded in the envelopes of
+	// the ephemeral and lease nodes this session owns.
+	owner int64
+	// lock serializes every read-modify-write among the in-process
+	// sessions sharing root.
+	lock *sync.Mutex
 
-// lfsOwners hands each LocalFS instance a process-unique lease-holder id;
-// lfsLocks serializes read-modify-write cycles (SetIf, AcquireLease) among
-// the in-process managers sharing one root. Cross-process deployments
-// would need file locking here; every deployment this repo models runs
-// its containers in one process.
+	mu sync.Mutex
+	// owned lists the files this session wrote as ephemeral or lease
+	// nodes; Close deletes those it still owns.
+	owned    map[string]bool
+	stop     chan struct{}
+	stopOnce sync.Once
+	watchWG  sync.WaitGroup
+}
+
+// watchPollInterval is how often LocalFS watches re-read their node.
+const watchPollInterval = 25 * time.Millisecond
+
+// lfsNextOwner hands out session ids; lfsLocks holds one mutex per root.
+// Cross-process deployments would need file locking here; every
+// deployment this repo models runs its containers in one process.
 var (
-	lfsNextOwner int64
+	lfsNextOwner atomic.Int64
 	lfsLocksMu   sync.Mutex
 	lfsLocks     = map[string]*sync.Mutex{}
 )
@@ -62,6 +67,17 @@ func lfsLock(root string) *sync.Mutex {
 	return m
 }
 
+// envelope is one node on disk.
+type envelope struct {
+	Version int64  `json:"version"`
+	Data    []byte `json:"data"`
+	// Owner is the owning session's id for ephemeral and lease nodes (0 =
+	// persistent); Deadline, set for leases only, is the expiry in unix
+	// nanos.
+	Owner    int64 `json:"owner,omitempty"`
+	Deadline int64 `json:"deadline,omitempty"`
+}
+
 // Initialize implements core.StateManager. The directory comes from
 // Extra["localfs.root"], defaulting to a directory under os.TempDir
 // derived from StateRoot.
@@ -74,288 +90,40 @@ func (l *LocalFS) Initialize(cfg *core.Config) error {
 		return fmt.Errorf("statemgr: localfs root: %w", err)
 	}
 	l.root = root
-	l.owner = atomic.AddInt64(&lfsNextOwner, 1)
-	l.ephemeral = map[string][]byte{}
+	l.owner = lfsNextOwner.Add(1)
+	l.lock = lfsLock(root)
+	l.owned = map[string]bool{}
 	l.stop = make(chan struct{})
 	return nil
 }
 
-func (l *LocalFS) checkInit() error {
+// dir maps a tree path to its directory, failing on a bad path or a
+// session that is not open. The node's own file is dir + ".json".
+func (l *LocalFS) dir(path string) (string, error) {
 	if l.root == "" {
-		return fmt.Errorf("statemgr: localfs state manager not initialized")
+		return "", errNotInitialized
 	}
-	return nil
-}
-
-func (l *LocalFS) file(topology, kind string) string {
-	return filepath.Join(l.root, "topologies", topology, kind+".json")
-}
-
-func (l *LocalFS) write(path string, v any, ephemeral bool) error {
-	if err := l.checkInit(); err != nil {
-		return err
+	select {
+	case <-l.stop:
+		return "", ErrClosedSession
+	default:
 	}
-	b, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	if ephemeral {
-		l.mu.Lock()
-		l.ephemeral[path] = append([]byte(nil), b...)
-		l.mu.Unlock()
-	}
-	return nil
-}
-
-func (l *LocalFS) read(path string, v any) error {
-	if err := l.checkInit(); err != nil {
-		return err
-	}
-	b, err := os.ReadFile(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		return core.ErrNotFound
-	}
-	if err != nil {
-		return err
-	}
-	return json.Unmarshal(b, v)
-}
-
-// SetTMasterLocation implements core.StateManager.
-func (l *LocalFS) SetTMasterLocation(loc core.TMasterLocation) error {
-	return l.write(l.file(loc.Topology, "tmaster"), loc, true)
-}
-
-// GetTMasterLocation implements core.StateManager.
-func (l *LocalFS) GetTMasterLocation(topology string) (core.TMasterLocation, error) {
-	var loc core.TMasterLocation
-	err := l.read(l.file(topology, "tmaster"), &loc)
-	return loc, err
-}
-
-// WatchTMasterLocation implements core.StateManager with a poll loop.
-func (l *LocalFS) WatchTMasterLocation(topology string, cb func(core.TMasterLocation)) (func(), error) {
-	if err := l.checkInit(); err != nil {
-		return nil, err
-	}
-	path := l.file(topology, "tmaster")
-	done := make(chan struct{})
-	var once sync.Once
-	cancel := func() { once.Do(func() { close(done) }) }
-	l.watchWG.Add(1)
-	go func() {
-		defer l.watchWG.Done()
-		var last []byte
-		lastExists := false
-		first := true
-		t := time.NewTicker(WatchPollInterval)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-l.stop:
-				return
-			case <-t.C:
-			}
-			b, err := os.ReadFile(path)
-			exists := err == nil
-			if first {
-				// Arm with the current state without firing: watches report
-				// changes, not history.
-				last, lastExists, first = b, exists, false
-				continue
-			}
-			if exists == lastExists && bytes.Equal(b, last) {
-				continue
-			}
-			last, lastExists = b, exists
-			var loc core.TMasterLocation
-			if exists {
-				if json.Unmarshal(b, &loc) != nil {
-					continue
-				}
-			}
-			cb(loc)
-		}
-	}()
-	return cancel, nil
-}
-
-// SetSchedulerLocation implements core.StateManager.
-func (l *LocalFS) SetSchedulerLocation(loc core.SchedulerLocation) error {
-	return l.write(l.file(loc.Topology, "scheduler"), loc, false)
-}
-
-// GetSchedulerLocation implements core.StateManager.
-func (l *LocalFS) GetSchedulerLocation(topology string) (core.SchedulerLocation, error) {
-	var loc core.SchedulerLocation
-	err := l.read(l.file(topology, "scheduler"), &loc)
-	return loc, err
-}
-
-// SetTopology implements core.StateManager.
-func (l *LocalFS) SetTopology(t *core.Topology) error {
-	return l.write(l.file(t.Name, "topology"), t, false)
-}
-
-// GetTopology implements core.StateManager.
-func (l *LocalFS) GetTopology(name string) (*core.Topology, error) {
-	var t core.Topology
-	if err := l.read(l.file(name, "topology"), &t); err != nil {
-		return nil, err
-	}
-	return &t, nil
-}
-
-// DeleteTopology implements core.StateManager.
-func (l *LocalFS) DeleteTopology(name string) error {
-	if err := l.checkInit(); err != nil {
-		return err
-	}
-	return os.RemoveAll(filepath.Join(l.root, "topologies", name))
-}
-
-// ListTopologies implements core.StateManager.
-func (l *LocalFS) ListTopologies() ([]string, error) {
-	if err := l.checkInit(); err != nil {
-		return nil, err
-	}
-	entries, err := os.ReadDir(filepath.Join(l.root, "topologies"))
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var out []string
-	for _, e := range entries {
-		if e.IsDir() {
-			if _, err := os.Stat(l.file(e.Name(), "topology")); err == nil {
-				out = append(out, e.Name())
-			}
-		}
-	}
-	return out, nil
-}
-
-// SetPackingPlan implements core.StateManager.
-func (l *LocalFS) SetPackingPlan(topology string, p *core.PackingPlan) error {
-	return l.write(l.file(topology, "packingplan"), p, false)
-}
-
-// GetPackingPlan implements core.StateManager.
-func (l *LocalFS) GetPackingPlan(topology string) (*core.PackingPlan, error) {
-	var p core.PackingPlan
-	if err := l.read(l.file(topology, "packingplan"), &p); err != nil {
-		return nil, err
-	}
-	return &p, nil
-}
-
-// DeletePackingPlan implements core.StateManager.
-func (l *LocalFS) DeletePackingPlan(topology string) error {
-	if err := l.checkInit(); err != nil {
-		return err
-	}
-	err := os.Remove(l.file(topology, "packingplan"))
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil
-	}
-	return err
-}
-
-// SetCheckpointLedger implements core.StateManager.
-func (l *LocalFS) SetCheckpointLedger(topology string, led *core.CheckpointLedger) error {
-	return l.write(l.file(topology, "ckptledger"), led, false)
-}
-
-// GetCheckpointLedger implements core.StateManager.
-func (l *LocalFS) GetCheckpointLedger(topology string) (*core.CheckpointLedger, error) {
-	var led core.CheckpointLedger
-	if err := l.read(l.file(topology, "ckptledger"), &led); err != nil {
-		return nil, err
-	}
-	return &led, nil
-}
-
-// Close implements core.StateManager: watches stop and ephemeral records
-// (TMaster locations) are removed, emulating session expiry. A record is
-// only removed while its content still matches what this manager wrote —
-// if a new leader already re-advertised, the file is theirs now.
-func (l *LocalFS) Close() error {
-	if l.root == "" {
-		return nil
-	}
-	l.stopOnce.Do(func() { close(l.stop) })
-	l.watchWG.Wait()
-	l.mu.Lock()
-	mine := l.ephemeral
-	l.ephemeral = map[string][]byte{}
-	l.mu.Unlock()
-	lock := lfsLock(l.root)
-	lock.Lock()
-	defer lock.Unlock()
-	for p, want := range mine {
-		if got, err := os.ReadFile(p); err == nil && bytes.Equal(got, want) {
-			_ = os.Remove(p)
-		}
-	}
-	return nil
-}
-
-// Abandon simulates a hard crash: watches stop but ephemeral records and
-// leases are left behind, to lapse by TTL or be overwritten by a
-// successor.
-func (l *LocalFS) Abandon() {
-	if l.root == "" {
-		return
-	}
-	l.stopOnce.Do(func() { close(l.stop) })
-	l.watchWG.Wait()
-	l.mu.Lock()
-	l.ephemeral = map[string][]byte{}
-	l.mu.Unlock()
-}
-
-// --- core.VersionedStore over a kv/ file namespace ---
-//
-// Versioned nodes live under root/kv/<tree-path>.json as envelopes
-// carrying {version, data, owner, deadline}; the existing per-topology
-// layout is untouched. Read-modify-write cycles serialize on the shared
-// per-root mutex.
-
-type kvEnvelope struct {
-	Version int64  `json:"version"`
-	Data    []byte `json:"data"`
-	// Owner and Deadline are set for lease nodes only: Owner is the
-	// holder's process-unique id, Deadline the expiry in unix nanos.
-	Owner    int64 `json:"owner,omitempty"`
-	Deadline int64 `json:"deadline,omitempty"`
-}
-
-func (l *LocalFS) kvFile(path string) (string, error) {
 	path, err := cleanPath(path)
 	if err != nil {
 		return "", err
 	}
-	return filepath.Join(l.root, "kv", filepath.FromSlash(path[1:])+".json"), nil
+	return filepath.Join(l.root, filepath.FromSlash(path)), nil
 }
 
-// readEnvelopeLocked reads a kv envelope, treating lapsed leases as
-// absent (and reaping the file). Caller holds the root lock.
-func (l *LocalFS) readEnvelopeLocked(file string) (kvEnvelope, bool, error) {
-	var env kvEnvelope
+func (l *LocalFS) file(path string) (string, error) {
+	d, err := l.dir(path)
+	return d + ".json", err
+}
+
+// read returns the envelope in file; a lapsed lease reads as absent and
+// is reaped. Caller holds l.lock.
+func (l *LocalFS) read(file string) (envelope, bool, error) {
+	var env envelope
 	b, err := os.ReadFile(file)
 	if errors.Is(err, fs.ErrNotExist) {
 		return env, false, nil
@@ -364,16 +132,62 @@ func (l *LocalFS) readEnvelopeLocked(file string) (kvEnvelope, bool, error) {
 		return env, false, err
 	}
 	if err := json.Unmarshal(b, &env); err != nil {
-		return env, false, fmt.Errorf("statemgr: corrupt kv envelope %s: %w", file, err)
+		return env, false, fmt.Errorf("statemgr: corrupt envelope %s: %w", file, err)
 	}
 	if env.Deadline > 0 && time.Now().UnixNano() >= env.Deadline {
-		_ = os.Remove(file)
-		return kvEnvelope{}, false, nil
+		_ = os.Remove(file) // reaping is best effort; the next read retries
+		return envelope{}, false, nil
 	}
 	return env, true, nil
 }
 
-func (l *LocalFS) writeEnvelopeLocked(file string, env kvEnvelope) error {
+// update is the one write path: under the root lock it reads the node at
+// path, and writes the envelope next returns unless next reports write =
+// false. Creating a node first creates its missing parents as persistent
+// nodes at version 1, as the memory kernel does.
+func (l *LocalFS) update(path string, next func(cur envelope, exists bool) (envelope, bool, error)) (envelope, error) {
+	file, err := l.file(path)
+	if err != nil {
+		return envelope{}, err
+	}
+	l.lock.Lock()
+	defer l.lock.Unlock()
+	cur, ok, err := l.read(file)
+	if err != nil {
+		return envelope{}, err
+	}
+	env, write, err := next(cur, ok)
+	if err != nil || !write {
+		return env, err
+	}
+	for i := 1; i < len(path) && !ok; i++ {
+		if path[i] != '/' {
+			continue
+		}
+		parent := filepath.Join(l.root, filepath.FromSlash(path[:i])) + ".json"
+		_, err := os.Stat(parent)
+		if errors.Is(err, fs.ErrNotExist) {
+			err = writeEnvelope(parent, envelope{Version: 1})
+		}
+		if err != nil {
+			return env, err
+		}
+	}
+	if err := writeEnvelope(file, env); err != nil {
+		return env, err
+	}
+	if env.Owner == l.owner {
+		l.mu.Lock()
+		if l.owned != nil {
+			l.owned[file] = true
+		}
+		l.mu.Unlock()
+	}
+	return env, nil
+}
+
+// writeEnvelope atomically replaces file with env.
+func writeEnvelope(file string, env envelope) error {
 	b, err := json.Marshal(env)
 	if err != nil {
 		return err
@@ -381,181 +195,105 @@ func (l *LocalFS) writeEnvelopeLocked(file string, env kvEnvelope) error {
 	if err := os.MkdirAll(filepath.Dir(file), 0o755); err != nil {
 		return err
 	}
-	tmp := fmt.Sprintf("%s.%d.tmp", file, l.owner)
+	tmp := file + ".tmp"
 	if err := os.WriteFile(tmp, b, 0o644); err != nil {
 		return err
 	}
 	return os.Rename(tmp, file)
 }
 
+// Set implements core.StateManager.
+func (l *LocalFS) Set(path string, data []byte, ephemeral bool) error {
+	var owner int64
+	if ephemeral {
+		owner = l.owner
+	}
+	_, err := l.update(path, func(cur envelope, _ bool) (envelope, bool, error) {
+		return envelope{Version: cur.Version + 1, Data: data, Owner: owner}, true, nil
+	})
+	return err
+}
+
 // SetIf implements core.VersionedStore.
 func (l *LocalFS) SetIf(path string, data []byte, expectVersion int64) (int64, error) {
-	if err := l.checkInit(); err != nil {
-		return 0, err
-	}
-	file, err := l.kvFile(path)
-	if err != nil {
-		return 0, err
-	}
-	lock := lfsLock(l.root)
-	lock.Lock()
-	defer lock.Unlock()
-	env, ok, err := l.readEnvelopeLocked(file)
-	if err != nil {
-		return 0, err
-	}
-	version := int64(0)
-	if ok {
-		version = env.Version
-	}
-	if version != expectVersion {
-		return 0, fmt.Errorf("%w: %s at version %d, expected %d", core.ErrVersionMismatch, path, version, expectVersion)
-	}
-	next := kvEnvelope{Version: version + 1, Data: append([]byte(nil), data...)}
-	if err := l.writeEnvelopeLocked(file, next); err != nil {
-		return 0, err
-	}
-	return next.Version, nil
+	env, err := l.update(path, func(cur envelope, _ bool) (envelope, bool, error) {
+		if cur.Version != expectVersion {
+			return envelope{}, false, fmt.Errorf("%w: %s at version %d, expected %d", core.ErrVersionMismatch, path, cur.Version, expectVersion)
+		}
+		return envelope{Version: cur.Version + 1, Data: data}, true, nil
+	})
+	return env.Version, err
 }
 
 // GetVersioned implements core.VersionedStore.
 func (l *LocalFS) GetVersioned(path string) ([]byte, int64, bool, error) {
-	if err := l.checkInit(); err != nil {
-		return nil, 0, false, err
-	}
-	file, err := l.kvFile(path)
+	file, err := l.file(path)
 	if err != nil {
 		return nil, 0, false, err
 	}
-	lock := lfsLock(l.root)
-	lock.Lock()
-	defer lock.Unlock()
-	env, ok, err := l.readEnvelopeLocked(file)
-	if err != nil || !ok {
-		return nil, 0, false, err
-	}
-	return env.Data, env.Version, true, nil
+	l.lock.Lock()
+	defer l.lock.Unlock()
+	env, ok, err := l.read(file)
+	return env.Data, env.Version, ok, err
 }
 
 // AcquireLease implements core.VersionedStore.
 func (l *LocalFS) AcquireLease(path string, data []byte, ttl time.Duration) (bool, error) {
-	if err := l.checkInit(); err != nil {
-		return false, err
-	}
 	if ttl <= 0 {
 		return false, fmt.Errorf("statemgr: lease ttl %v <= 0", ttl)
 	}
-	file, err := l.kvFile(path)
-	if err != nil {
-		return false, err
-	}
-	lock := lfsLock(l.root)
-	lock.Lock()
-	defer lock.Unlock()
-	env, ok, err := l.readEnvelopeLocked(file)
-	if err != nil {
-		return false, err
-	}
-	if ok && env.Owner != l.owner {
-		return false, nil
-	}
-	next := kvEnvelope{
-		Version:  env.Version + 1,
-		Data:     append([]byte(nil), data...),
-		Owner:    l.owner,
-		Deadline: time.Now().Add(ttl).UnixNano(),
-	}
-	if err := l.writeEnvelopeLocked(file, next); err != nil {
-		return false, err
-	}
-	return true, nil
+	env, err := l.update(path, func(cur envelope, ok bool) (envelope, bool, error) {
+		if ok && cur.Owner != l.owner {
+			return envelope{}, false, nil
+		}
+		if !ok || !bytes.Equal(cur.Data, data) {
+			cur.Version++
+			cur.Data = data
+		}
+		cur.Owner = l.owner
+		cur.Deadline = time.Now().Add(ttl).UnixNano()
+		return cur, true, nil
+	})
+	return err == nil && env.Owner == l.owner, err
 }
 
 // ReleaseLease implements core.VersionedStore.
 func (l *LocalFS) ReleaseLease(path string) error {
-	if err := l.checkInit(); err != nil {
-		return err
-	}
-	file, err := l.kvFile(path)
+	file, err := l.file(path)
 	if err != nil {
 		return err
 	}
-	lock := lfsLock(l.root)
-	lock.Lock()
-	defer lock.Unlock()
-	env, ok, err := l.readEnvelopeLocked(file)
+	l.lock.Lock()
+	defer l.lock.Unlock()
+	env, ok, err := l.read(file)
 	if err != nil || !ok || env.Owner != l.owner {
 		return err
 	}
 	return os.Remove(file)
 }
 
-// WatchNode implements core.VersionedStore with the same poll loop the
-// TMaster-location watch uses: it arms on the first poll and fires on
-// every (exists, version) transition after that — including lease expiry,
-// which a poll observes as a deletion.
-func (l *LocalFS) WatchNode(path string, cb func(data []byte, exists bool)) (func(), error) {
-	if err := l.checkInit(); err != nil {
-		return nil, err
-	}
-	file, err := l.kvFile(path)
+// DeleteNode implements core.VersionedStore. The node's directory goes
+// too once it holds no children.
+func (l *LocalFS) DeleteNode(path string) error {
+	dir, err := l.dir(path)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	done := make(chan struct{})
-	var once sync.Once
-	cancel := func() { once.Do(func() { close(done) }) }
-	l.watchWG.Add(1)
-	go func() {
-		defer l.watchWG.Done()
-		var lastVersion int64
-		lastExists := false
-		first := true
-		t := time.NewTicker(WatchPollInterval)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-l.stop:
-				return
-			case <-t.C:
-			}
-			lock := lfsLock(l.root)
-			lock.Lock()
-			env, exists, err := l.readEnvelopeLocked(file)
-			lock.Unlock()
-			if err != nil {
-				continue
-			}
-			if first {
-				lastVersion, lastExists, first = env.Version, exists, false
-				continue
-			}
-			if exists == lastExists && env.Version == lastVersion {
-				continue
-			}
-			lastVersion, lastExists = env.Version, exists
-			if exists {
-				cb(env.Data, true)
-			} else {
-				cb(nil, false)
-			}
-		}
-	}()
-	return cancel, nil
+	l.lock.Lock()
+	defer l.lock.Unlock()
+	if err := os.Remove(dir + ".json"); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return err
+	}
+	_ = os.Remove(dir) // fails, harmlessly, while children remain
+	return nil
 }
 
 // NodeChildren implements core.VersionedStore.
 func (l *LocalFS) NodeChildren(path string) ([]string, error) {
-	if err := l.checkInit(); err != nil {
-		return nil, err
-	}
-	path, err := cleanPath(path)
+	dir, err := l.dir(path)
 	if err != nil {
 		return nil, err
 	}
-	dir := filepath.Join(l.root, "kv", filepath.FromSlash(path[1:]))
 	entries, err := os.ReadDir(dir)
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, nil
@@ -567,8 +305,8 @@ func (l *LocalFS) NodeChildren(path string) ([]string, error) {
 	for _, e := range entries {
 		name := e.Name()
 		if !e.IsDir() {
-			if !strings.HasSuffix(name, ".json") || strings.HasSuffix(name, ".tmp") {
-				continue
+			if !strings.HasSuffix(name, ".json") {
+				continue // an in-flight .tmp write
 			}
 			name = strings.TrimSuffix(name, ".json")
 		}
@@ -582,20 +320,86 @@ func (l *LocalFS) NodeChildren(path string) ([]string, error) {
 	return out, nil
 }
 
-// DeleteNode implements core.VersionedStore.
-func (l *LocalFS) DeleteNode(path string) error {
-	if err := l.checkInit(); err != nil {
-		return err
-	}
-	file, err := l.kvFile(path)
+// WatchNode implements core.VersionedStore with a poll loop. It reads the
+// node before returning and fires on every (exists, version, data) change
+// a later poll observes — including lease expiry, which a poll sees as a
+// deletion. Transitions between two polls coalesce.
+func (l *LocalFS) WatchNode(path string, cb func(data []byte, exists bool)) (func(), error) {
+	file, err := l.file(path)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	lock := lfsLock(l.root)
-	lock.Lock()
-	defer lock.Unlock()
-	if err := os.Remove(file); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return err
+	poll := func() (envelope, bool, error) {
+		l.lock.Lock()
+		defer l.lock.Unlock()
+		return l.read(file)
+	}
+	last, lastOK, err := poll()
+	if err != nil {
+		return nil, err
+	}
+	done := make(chan struct{})
+	var once sync.Once
+	cancel := func() { once.Do(func() { close(done) }) }
+	l.watchWG.Add(1)
+	go func() {
+		defer l.watchWG.Done()
+		t := time.NewTicker(watchPollInterval)
+		defer t.Stop()
+		for {
+			select {
+			case <-done:
+				return
+			case <-l.stop:
+				return
+			case <-t.C:
+			}
+			env, ok, err := poll()
+			if err != nil || (ok == lastOK && env.Version == last.Version && bytes.Equal(env.Data, last.Data)) {
+				continue
+			}
+			last, lastOK = env, ok
+			cb(env.Data, ok)
+		}
+	}()
+	return cancel, nil
+}
+
+// shutdown stops the watches and hands back the owned-file set, once.
+func (l *LocalFS) shutdown() map[string]bool {
+	if l.root == "" {
+		return nil
+	}
+	l.stopOnce.Do(func() { close(l.stop) })
+	l.watchWG.Wait()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	owned := l.owned
+	l.owned = nil
+	return owned
+}
+
+// Close implements core.StateManager: watches stop and the ephemeral and
+// lease nodes this session still owns are deleted, emulating session
+// expiry. A node another session took over since is theirs and stays.
+func (l *LocalFS) Close() error {
+	owned := l.shutdown()
+	if len(owned) == 0 {
+		return nil
+	}
+	l.lock.Lock()
+	defer l.lock.Unlock()
+	for file := range owned {
+		if env, ok, err := l.read(file); err == nil && ok && env.Owner == l.owner {
+			if err := os.Remove(file); err != nil && !errors.Is(err, fs.ErrNotExist) {
+				return err
+			}
+		}
 	}
 	return nil
 }
+
+// Abandon implements core.StateManager: watches stop but ephemeral nodes
+// and leases are left behind, to lapse by TTL or be taken over by a
+// successor.
+func (l *LocalFS) Abandon() { l.shutdown() }

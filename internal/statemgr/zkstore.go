@@ -1,18 +1,7 @@
-// Package statemgr provides the State Manager module (the paper's Section
-// IV-C): distributed coordination and topology-metadata storage on a
-// tree-structured store.
-//
-// Two implementations register with the core registry:
-//
-//   - "memory": a ZooKeeper-like in-memory store with sessions, ephemeral
-//     nodes and watches — the coordination semantics Heron uses in cluster
-//     mode (TMaster location as an ephemeral znode, so its death is
-//     observed immediately by every Stream Manager).
-//   - "localfs": the same API persisted to a local directory for
-//     single-server deployments, with poll-based watches.
 package statemgr
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"strings"
@@ -22,14 +11,52 @@ import (
 	"heron/internal/core"
 )
 
+func init() {
+	core.RegisterStateManager("memory", func() core.StateManager { return &Session{} })
+}
+
+// Shared in-process stores, keyed by Config.StateRoot: every session
+// initialized with the same root sees the same tree, the way separate
+// Heron processes share one ZooKeeper ensemble.
+var (
+	sharedMu     sync.Mutex
+	sharedStores = map[string]*Store{}
+)
+
+func sharedStore(root string) *Store {
+	sharedMu.Lock()
+	defer sharedMu.Unlock()
+	s, ok := sharedStores[root]
+	if !ok {
+		s = &Store{
+			nodes:       map[string]*znode{},
+			watches:     map[string]map[int64]*watch{},
+			leases:      map[string]time.Time{},
+			janitorKick: make(chan struct{}, 1),
+		}
+		sharedStores[root] = s
+	}
+	return s
+}
+
+// ResetSharedStore drops the store for a root; tests use it for isolation.
+func ResetSharedStore(root string) {
+	sharedMu.Lock()
+	defer sharedMu.Unlock()
+	delete(sharedStores, root)
+}
+
 // Store is a ZooKeeper-like tree of nodes. All access happens through
-// Sessions; ephemeral nodes die with the session that created them.
+// Sessions; ephemeral nodes die with the session that owns them.
 type Store struct {
 	mu       sync.Mutex
 	nodes    map[string]*znode
 	watches  map[string]map[int64]*watch
 	nextSess int64
 	nextWid  int64
+	// fired queues the watch callbacks owed by the mutations made under
+	// mu; unlock runs them once mu is released.
+	fired []event
 	// leases maps lease-node path → expiry deadline; the janitor
 	// goroutine reaps lapsed entries and fires their watches.
 	leases      map[string]time.Time
@@ -39,7 +66,8 @@ type Store struct {
 
 type znode struct {
 	data []byte
-	// owner is the session id for ephemeral nodes, 0 for persistent ones.
+	// owner is the session id for ephemeral and lease nodes, 0 for
+	// persistent ones.
 	owner int64
 	// version counts writes to this node instance, starting at 1 on
 	// creation; deletion and re-creation restart it (ZooKeeper semantics).
@@ -52,163 +80,239 @@ type watch struct {
 	cb   func(data []byte, exists bool)
 }
 
-// NewStore returns an empty tree.
-func NewStore() *Store {
-	return &Store{
-		nodes:       map[string]*znode{},
-		watches:     map[string]map[int64]*watch{},
-		leases:      map[string]time.Time{},
-		janitorKick: make(chan struct{}, 1),
-	}
+type event struct {
+	w      *watch
+	data   []byte
+	exists bool
 }
 
-// Session is one client's connection to the store. Closing it removes the
-// ephemeral nodes it created — the mechanism behind TMaster failure
-// detection.
+// Session is the "memory" kernel: one client's session on a shared Store.
+// Closing it removes the nodes it owns — the mechanism behind TMaster
+// failure detection.
 type Session struct {
+	mu     sync.Mutex
 	store  *Store
 	id     int64
-	mu     sync.Mutex
 	closed bool
 	// cancels stops this session's watches at Close.
 	cancels []func()
 }
 
-// NewSession opens a session.
-func (s *Store) NewSession() *Session {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.nextSess++
-	return &Session{store: s, id: s.nextSess}
-}
-
-func cleanPath(p string) (string, error) {
-	if !strings.HasPrefix(p, "/") || strings.Contains(p, "//") || (len(p) > 1 && strings.HasSuffix(p, "/")) {
-		return "", fmt.Errorf("statemgr: bad path %q", p)
+// Initialize implements core.StateManager: the session joins the
+// process-wide tree for cfg.StateRoot.
+func (se *Session) Initialize(cfg *core.Config) error {
+	root := cfg.StateRoot
+	if root == "" {
+		root = "/heron"
 	}
-	return p, nil
-}
-
-// ErrClosedSession reports use of a closed session.
-var ErrClosedSession = fmt.Errorf("statemgr: session closed")
-
-func (se *Session) check() error {
+	st := sharedStore(root)
+	st.mu.Lock()
+	st.nextSess++
+	id := st.nextSess
+	st.mu.Unlock()
 	se.mu.Lock()
-	defer se.mu.Unlock()
-	if se.closed {
-		return ErrClosedSession
-	}
+	se.store, se.id = st, id
+	se.mu.Unlock()
 	return nil
 }
 
-// Set writes data at path, creating the node (and persistent parents) if
-// needed. If ephemeral, the node dies with the session; overwriting an
-// existing node keeps its original ownership.
-func (se *Session) Set(path string, data []byte, ephemeral bool) error {
-	if err := se.check(); err != nil {
-		return err
+// begin validates a call: the session must be open and the path well
+// formed. It returns the store the session is bound to.
+func (se *Session) begin(path string) (*Store, error) {
+	se.mu.Lock()
+	st, closed := se.store, se.closed
+	se.mu.Unlock()
+	switch {
+	case closed:
+		return nil, ErrClosedSession
+	case st == nil:
+		return nil, errNotInitialized
 	}
-	path, err := cleanPath(path)
-	if err != nil {
-		return err
+	if _, err := cleanPath(path); err != nil {
+		return nil, err
 	}
-	st := se.store
+	return st, nil
+}
+
+// lock takes the store lock and reaps lapsed leases.
+func (st *Store) lock() {
 	st.mu.Lock()
-	reaped := st.reapLocked(time.Now())
-	st.mkParentsLocked(path)
+	st.reapLocked(time.Now())
+}
+
+// unlock releases the store lock, then fires the watches queued while it
+// was held, so callbacks may call back into the store.
+func (st *Store) unlock() {
+	fired := st.fired
+	st.fired = nil
+	st.mu.Unlock()
+	for _, e := range fired {
+		e.w.cb(e.data, e.exists)
+	}
+}
+
+// putLocked is the one write path: it stores data as the next version of
+// the node at path (creating it and its persistent parents if needed),
+// owned by owner (0 = persistent), and clears any lease deadline.
+func (st *Store) putLocked(path string, data []byte, owner int64) int64 {
 	n, ok := st.nodes[path]
 	if !ok {
+		st.mkParentsLocked(path)
 		n = &znode{}
-		if ephemeral {
-			n.owner = se.id
-		}
 		st.nodes[path] = n
 	}
 	n.data = append(n.data[:0], data...)
 	n.version++
-	fire := st.collectWatches(path)
-	data = append([]byte(nil), n.data...)
-	st.mu.Unlock()
-	for _, w := range reaped {
-		w.cb(nil, false)
-	}
-	for _, w := range fire {
-		w.cb(data, true)
-	}
-	return nil
+	n.owner = owner
+	delete(st.leases, path)
+	st.notifyLocked(path, n.data, true)
+	return n.version
 }
 
-// mkParentsLocked auto-creates persistent parents (a convenience over raw
-// ZooKeeper). Caller holds st.mu.
+func (st *Store) removeLocked(path string) {
+	if _, ok := st.nodes[path]; !ok {
+		return
+	}
+	delete(st.nodes, path)
+	delete(st.leases, path)
+	st.notifyLocked(path, nil, false)
+}
+
+// notifyLocked queues path's watches, oldest first, with a private copy
+// of the node's data.
+func (st *Store) notifyLocked(path string, data []byte, exists bool) {
+	m := st.watches[path]
+	if len(m) == 0 {
+		return
+	}
+	if exists {
+		data = append([]byte(nil), data...)
+	}
+	ws := make([]*watch, 0, len(m))
+	for _, w := range m {
+		ws = append(ws, w)
+	}
+	sort.Slice(ws, func(i, j int) bool { return ws[i].id < ws[j].id })
+	for _, w := range ws {
+		st.fired = append(st.fired, event{w, data, exists})
+	}
+}
+
+// mkParentsLocked auto-creates persistent parents at version 1 (a
+// convenience over raw ZooKeeper).
 func (st *Store) mkParentsLocked(path string) {
 	for i := 1; i < len(path); i++ {
 		if path[i] == '/' {
 			parent := path[:i]
 			if _, ok := st.nodes[parent]; !ok {
 				st.nodes[parent] = &znode{version: 1}
+				st.notifyLocked(parent, nil, true)
 			}
 		}
 	}
 }
 
-// Get returns the data at path; ok is false if the node does not exist.
-func (se *Session) Get(path string) ([]byte, bool, error) {
-	if err := se.check(); err != nil {
-		return nil, false, err
-	}
-	path, err := cleanPath(path)
+// Set implements core.StateManager.
+func (se *Session) Set(path string, data []byte, ephemeral bool) error {
+	st, err := se.begin(path)
 	if err != nil {
-		return nil, false, err
+		return err
 	}
-	st := se.store
-	st.mu.Lock()
-	reaped := st.reapLocked(time.Now())
-	n, ok := st.nodes[path]
-	var data []byte
-	if ok {
-		data = append([]byte(nil), n.data...)
+	var owner int64
+	if ephemeral {
+		owner = se.id
 	}
-	st.mu.Unlock()
-	for _, w := range reaped {
-		w.cb(nil, false)
-	}
-	if !ok {
-		return nil, false, nil
-	}
-	return data, true, nil
+	st.lock()
+	st.putLocked(path, data, owner)
+	st.unlock()
+	return nil
 }
 
-// Delete removes the node at path; deleting an absent node is a no-op.
-func (se *Session) Delete(path string) error {
-	if err := se.check(); err != nil {
-		return err
+// SetIf implements core.VersionedStore.
+func (se *Session) SetIf(path string, data []byte, expectVersion int64) (int64, error) {
+	st, err := se.begin(path)
+	if err != nil {
+		return 0, err
 	}
-	path, err := cleanPath(path)
+	st.lock()
+	defer st.unlock()
+	var version int64
+	if n, ok := st.nodes[path]; ok {
+		version = n.version
+	}
+	if version != expectVersion {
+		return 0, fmt.Errorf("%w: %s at version %d, expected %d", core.ErrVersionMismatch, path, version, expectVersion)
+	}
+	return st.putLocked(path, data, 0), nil
+}
+
+// GetVersioned implements core.VersionedStore.
+func (se *Session) GetVersioned(path string) ([]byte, int64, bool, error) {
+	st, err := se.begin(path)
+	if err != nil {
+		return nil, 0, false, err
+	}
+	st.lock()
+	defer st.unlock()
+	n, ok := st.nodes[path]
+	if !ok {
+		return nil, 0, false, nil
+	}
+	return append([]byte(nil), n.data...), n.version, true, nil
+}
+
+// AcquireLease implements core.VersionedStore.
+func (se *Session) AcquireLease(path string, data []byte, ttl time.Duration) (bool, error) {
+	st, err := se.begin(path)
+	if err != nil {
+		return false, err
+	}
+	if ttl <= 0 {
+		return false, fmt.Errorf("statemgr: lease ttl %v <= 0", ttl)
+	}
+	st.lock()
+	defer st.unlock()
+	n, ok := st.nodes[path]
+	if ok && n.owner != se.id {
+		return false, nil
+	}
+	if !ok || !bytes.Equal(n.data, data) {
+		st.putLocked(path, data, se.id)
+	}
+	st.leases[path] = time.Now().Add(ttl)
+	st.kickJanitorLocked()
+	return true, nil
+}
+
+// ReleaseLease implements core.VersionedStore.
+func (se *Session) ReleaseLease(path string) error {
+	st, err := se.begin(path)
 	if err != nil {
 		return err
 	}
-	st := se.store
-	st.mu.Lock()
-	_, existed := st.nodes[path]
-	delete(st.nodes, path)
-	delete(st.leases, path)
-	var fire []*watch
-	if existed {
-		fire = st.collectWatches(path)
-	}
-	st.mu.Unlock()
-	for _, w := range fire {
-		w.cb(nil, false)
+	st.lock()
+	defer st.unlock()
+	if n, ok := st.nodes[path]; ok && n.owner == se.id {
+		st.removeLocked(path)
 	}
 	return nil
 }
 
-// Children lists the immediate child names under path, sorted.
-func (se *Session) Children(path string) ([]string, error) {
-	if err := se.check(); err != nil {
-		return nil, err
+// DeleteNode implements core.VersionedStore.
+func (se *Session) DeleteNode(path string) error {
+	st, err := se.begin(path)
+	if err != nil {
+		return err
 	}
-	path, err := cleanPath(path)
+	st.lock()
+	st.removeLocked(path)
+	st.unlock()
+	return nil
+}
+
+// NodeChildren implements core.VersionedStore.
+func (se *Session) NodeChildren(path string) ([]string, error) {
+	st, err := se.begin(path)
 	if err != nil {
 		return nil, err
 	}
@@ -216,9 +320,7 @@ func (se *Session) Children(path string) ([]string, error) {
 	if prefix != "/" {
 		prefix += "/"
 	}
-	st := se.store
-	st.mu.Lock()
-	defer st.mu.Unlock()
+	st.lock()
 	seen := map[string]bool{}
 	for p := range st.nodes {
 		if strings.HasPrefix(p, prefix) && p != path {
@@ -229,6 +331,7 @@ func (se *Session) Children(path string) ([]string, error) {
 			seen[rest] = true
 		}
 	}
+	st.unlock()
 	out := make([]string, 0, len(seen))
 	for c := range seen {
 		out = append(out, c)
@@ -237,25 +340,16 @@ func (se *Session) Children(path string) ([]string, error) {
 	return out, nil
 }
 
-// Exists reports whether path has a node.
-func (se *Session) Exists(path string) (bool, error) {
-	_, ok, err := se.Get(path)
-	return ok, err
-}
-
-// Watch registers a continuous watch on path: cb runs after every Set or
-// Delete (exists=false), including deletions caused by session expiry.
-// Unlike raw ZooKeeper's one-shot watches, these persist until cancelled —
-// the re-arm loop every ZooKeeper client writes is folded in here.
-func (se *Session) Watch(path string, cb func(data []byte, exists bool)) (func(), error) {
-	if err := se.check(); err != nil {
-		return nil, err
-	}
-	path, err := cleanPath(path)
+// WatchNode implements core.VersionedStore. Callbacks run synchronously
+// after every write or deletion of the node, including deletions caused
+// by session expiry and lease lapse. Unlike raw ZooKeeper's one-shot
+// watches, these persist until cancelled — the re-arm loop every
+// ZooKeeper client writes is folded in here.
+func (se *Session) WatchNode(path string, cb func(data []byte, exists bool)) (func(), error) {
+	st, err := se.begin(path)
 	if err != nil {
 		return nil, err
 	}
-	st := se.store
 	st.mu.Lock()
 	st.nextWid++
 	w := &watch{id: st.nextWid, path: path, cb: cb}
@@ -283,25 +377,11 @@ func (se *Session) Watch(path string, cb func(data []byte, exists bool)) (func()
 	return cancel, nil
 }
 
-// collectWatches snapshots the watches on path; caller holds st.mu.
-func (st *Store) collectWatches(path string) []*watch {
-	m := st.watches[path]
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]*watch, 0, len(m))
-	for _, w := range m {
-		out = append(out, w)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
-	return out
-}
-
-// Close expires the session: its watches are cancelled and its ephemeral
-// nodes deleted (firing other sessions' watches).
-func (se *Session) Close() error {
+// end marks the session closed and cancels its watches; it returns the
+// store, or nil when the session was never opened or already ended.
+func (se *Session) end() *Store {
 	se.mu.Lock()
-	if se.closed {
+	if se.closed || se.store == nil {
 		se.mu.Unlock()
 		return nil
 	}
@@ -312,216 +392,43 @@ func (se *Session) Close() error {
 	for _, c := range cancels {
 		c()
 	}
-	st := se.store
-	st.mu.Lock()
-	var fire []*watch
+	return se.store
+}
+
+// Close implements core.StateManager: the session expires, deleting the
+// nodes it owns (firing other sessions' watches).
+func (se *Session) Close() error {
+	st := se.end()
+	if st == nil {
+		return nil
+	}
+	st.lock()
 	for p, n := range st.nodes {
 		if n.owner == se.id {
-			delete(st.nodes, p)
-			delete(st.leases, p)
-			fire = append(fire, st.collectWatches(p)...)
+			st.removeLocked(p)
 		}
 	}
-	st.mu.Unlock()
-	for _, w := range fire {
-		w.cb(nil, false)
-	}
+	st.unlock()
 	return nil
 }
 
-// Abandon expires the session WITHOUT deleting its ephemeral nodes — the
-// store-side view of a client that hard-crashed before its ZooKeeper
-// session timed out. Plain ephemerals linger until another session
-// overwrites or deletes them; lease nodes still lapse at their TTL, which
-// is exactly the window leader election is designed around.
-func (se *Session) Abandon() {
-	se.mu.Lock()
-	if se.closed {
-		se.mu.Unlock()
-		return
-	}
-	se.closed = true
-	cancels := se.cancels
-	se.cancels = nil
-	se.mu.Unlock()
-	for _, c := range cancels {
-		c()
-	}
-}
+// Abandon implements core.StateManager: the store-side view of a client
+// that hard-crashed before its ZooKeeper session timed out. Plain
+// ephemerals linger until another session overwrites or deletes them;
+// lease nodes still lapse at their TTL, which is exactly the window leader
+// election is designed around.
+func (se *Session) Abandon() { se.end() }
 
-// SetIf is a versioned compare-and-set: it writes data iff the node's
-// current version equals expectVersion (0 = the node must not exist; the
-// write creates it, persistent). Returns the new version, or
-// core-level ErrVersionMismatch via the manager wrappers. Versions start
-// at 1 and count every write to the node instance.
-func (se *Session) SetIf(path string, data []byte, expectVersion int64) (int64, error) {
-	if err := se.check(); err != nil {
-		return 0, err
-	}
-	path, err := cleanPath(path)
-	if err != nil {
-		return 0, err
-	}
-	st := se.store
-	st.mu.Lock()
-	reaped := st.reapLocked(time.Now())
-	n, ok := st.nodes[path]
-	var mismatch error
-	var newVersion int64
-	var fire []*watch
-	var fired []byte
-	switch {
-	case !ok && expectVersion != 0:
-		mismatch = fmt.Errorf("%w: %s absent, expected version %d", core.ErrVersionMismatch, path, expectVersion)
-	case ok && n.version != expectVersion:
-		mismatch = fmt.Errorf("%w: %s at version %d, expected %d", core.ErrVersionMismatch, path, n.version, expectVersion)
-	default:
-		if !ok {
-			st.mkParentsLocked(path)
-			n = &znode{}
-			st.nodes[path] = n
-		}
-		n.data = append(n.data[:0], data...)
-		n.version++
-		newVersion = n.version
-		fire = st.collectWatches(path)
-		fired = append([]byte(nil), n.data...)
-	}
-	st.mu.Unlock()
-	for _, w := range reaped {
-		w.cb(nil, false)
-	}
-	for _, w := range fire {
-		w.cb(fired, true)
-	}
-	return newVersion, mismatch
-}
-
-// GetVersioned returns a node's data and version (0, false for absent or
-// lease-expired nodes).
-func (se *Session) GetVersioned(path string) ([]byte, int64, bool, error) {
-	if err := se.check(); err != nil {
-		return nil, 0, false, err
-	}
-	path, err := cleanPath(path)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	st := se.store
-	st.mu.Lock()
-	reaped := st.reapLocked(time.Now())
-	n, ok := st.nodes[path]
-	var data []byte
-	var version int64
-	if ok {
-		data = append([]byte(nil), n.data...)
-		version = n.version
-	}
-	st.mu.Unlock()
-	for _, w := range reaped {
-		w.cb(nil, false)
-	}
-	return data, version, ok, nil
-}
-
-// AcquireLease creates or renews a TTL-bounded ephemeral node. It
-// succeeds when the node is absent, lapsed, or already held by this
-// session, and fails (false, nil) while another live session holds it.
-// Renewals do not fire watches; creation and expiry do.
-func (se *Session) AcquireLease(path string, data []byte, ttl time.Duration) (bool, error) {
-	if err := se.check(); err != nil {
-		return false, err
-	}
-	path, err := cleanPath(path)
-	if err != nil {
-		return false, err
-	}
-	if ttl <= 0 {
-		return false, fmt.Errorf("statemgr: lease ttl %v <= 0", ttl)
-	}
-	st := se.store
-	st.mu.Lock()
-	now := time.Now()
-	reaped := st.reapLocked(now)
-	n, ok := st.nodes[path]
-	if ok && n.owner != se.id {
-		st.mu.Unlock()
-		for _, w := range reaped {
-			w.cb(nil, false)
-		}
-		return false, nil
-	}
-	var fire []*watch
-	var fired []byte
-	if !ok {
-		st.mkParentsLocked(path)
-		n = &znode{owner: se.id}
-		st.nodes[path] = n
-		n.data = append(n.data[:0], data...)
-		n.version++
-		fire = st.collectWatches(path)
-		fired = append([]byte(nil), n.data...)
-	} else {
-		n.data = append(n.data[:0], data...)
-		n.version++
-	}
-	st.leases[path] = now.Add(ttl)
-	st.kickJanitorLocked()
-	st.mu.Unlock()
-	for _, w := range reaped {
-		w.cb(nil, false)
-	}
-	for _, w := range fire {
-		w.cb(fired, true)
-	}
-	return true, nil
-}
-
-// ReleaseLease deletes the lease node if this session holds it.
-func (se *Session) ReleaseLease(path string) error {
-	if err := se.check(); err != nil {
-		return err
-	}
-	path, err := cleanPath(path)
-	if err != nil {
-		return err
-	}
-	st := se.store
-	st.mu.Lock()
-	n, ok := st.nodes[path]
-	var fire []*watch
-	if ok && n.owner == se.id {
-		delete(st.nodes, path)
-		delete(st.leases, path)
-		fire = st.collectWatches(path)
-	}
-	st.mu.Unlock()
-	for _, w := range fire {
-		w.cb(nil, false)
-	}
-	return nil
-}
-
-// reapLocked removes lapsed lease nodes and returns their watches for the
-// caller to fire after unlocking. Caller holds st.mu.
-func (st *Store) reapLocked(now time.Time) []*watch {
-	if len(st.leases) == 0 {
-		return nil
-	}
-	var fire []*watch
+// reapLocked removes lapsed lease nodes, queueing their watches.
+func (st *Store) reapLocked(now time.Time) {
 	for p, deadline := range st.leases {
-		if now.Before(deadline) {
-			continue
+		if !now.Before(deadline) {
+			st.removeLocked(p)
 		}
-		delete(st.leases, p)
-		delete(st.nodes, p)
-		fire = append(fire, st.collectWatches(p)...)
 	}
-	return fire
 }
 
-// kickJanitorLocked (re)starts or nudges the lease janitor. Caller holds
-// st.mu.
+// kickJanitorLocked (re)starts or nudges the lease janitor.
 func (st *Store) kickJanitorLocked() {
 	if !st.janitorOn {
 		st.janitorOn = true
@@ -539,30 +446,22 @@ func (st *Store) kickJanitorLocked() {
 // carry no background goroutine.
 func (st *Store) janitorLoop() {
 	for {
-		st.mu.Lock()
+		st.lock()
 		if len(st.leases) == 0 {
 			st.janitorOn = false
-			st.mu.Unlock()
+			st.unlock()
 			return
 		}
-		now := time.Now()
-		fire := st.reapLocked(now)
 		var next time.Time
 		for _, d := range st.leases {
 			if next.IsZero() || d.Before(next) {
 				next = d
 			}
 		}
-		st.mu.Unlock()
-		for _, w := range fire {
-			w.cb(nil, false)
-		}
-		wait := 50 * time.Millisecond
-		if !next.IsZero() {
-			wait = time.Until(next) + time.Millisecond
-			if wait < time.Millisecond {
-				wait = time.Millisecond
-			}
+		st.unlock()
+		wait := time.Until(next) + time.Millisecond
+		if wait < time.Millisecond {
+			wait = time.Millisecond
 		}
 		timer := time.NewTimer(wait)
 		select {

@@ -47,6 +47,7 @@ import (
 	"heron/internal/encoding/wire"
 	"heron/internal/metrics"
 	"heron/internal/network"
+	"heron/internal/statemgr"
 	"heron/internal/tuple"
 )
 
@@ -63,7 +64,7 @@ type Options struct {
 	Cfg       *core.Config
 	// State is this container's State Manager session, used to discover
 	// the TMaster.
-	State core.StateManager
+	State *statemgr.Manager
 	// Registry receives this container's data-plane metrics.
 	Registry *metrics.Registry
 }
@@ -150,6 +151,7 @@ type StreamManager struct {
 	wg          sync.WaitGroup
 	tmasterMu   sync.Mutex
 	tmaster     network.Conn
+	tmasterLoc  core.TMasterLocation // where tmaster was dialed
 	cancelWatch func()
 
 	mCacheDrains *metrics.Counter
@@ -320,6 +322,12 @@ func (s *StreamManager) watchTMaster() error {
 	return nil
 }
 
+// connectTMaster dials the TMaster at loc and registers over the new
+// connection. The location watch and watchTMaster's initial read can both
+// deliver the same location at once; only the first connection to it is
+// kept, and the redelivery's is closed unregistered. Otherwise the two
+// registrations could race and leave the TMaster holding the connection
+// this side closed, and no plan would reach us again.
 func (s *StreamManager) connectTMaster(loc core.TMasterLocation) {
 	tr, err := network.ByName(loc.Transport)
 	if err != nil {
@@ -330,11 +338,23 @@ func (s *StreamManager) connectTMaster(loc core.TMasterLocation) {
 		return
 	}
 	s.tmasterMu.Lock()
-	if s.tmaster != nil {
-		s.tmaster.Close()
+	stopped := false
+	select {
+	case <-s.stopCh:
+		stopped = true
+	default:
 	}
-	s.tmaster = conn
+	if stopped || (s.tmaster != nil && loc == s.tmasterLoc) {
+		s.tmasterMu.Unlock()
+		conn.Close()
+		return
+	}
+	old := s.tmaster
+	s.tmaster, s.tmasterLoc = conn, loc
 	s.tmasterMu.Unlock()
+	if old != nil {
+		old.Close()
+	}
 	conn.Start(func(kind network.MsgKind, payload []byte) {
 		if kind != network.MsgControl {
 			return

@@ -24,7 +24,7 @@ type fixture struct {
 	sms   map[int32]*StreamManager
 	topo  *core.Topology
 	plan  *core.PackingPlan
-	state core.StateManager
+	state *statemgr.Manager
 }
 
 func twoContainerPlan() (*core.Topology, *core.PackingPlan) {
@@ -72,12 +72,9 @@ func newFixtureShards(t *testing.T, optimized bool, shards int) *fixture {
 	}
 
 	topo, plan := twoContainerPlan()
-	newState := func() core.StateManager {
-		sm, err := core.NewStateManager("memory")
+	newState := func() *statemgr.Manager {
+		sm, err := statemgr.Open(cfg)
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sm.Initialize(cfg); err != nil {
 			t.Fatal(err)
 		}
 		return sm
@@ -483,6 +480,44 @@ func TestEarlyFramesParkedUntilRegistration(t *testing.T) {
 			received += n
 		case <-deadline:
 			t.Fatalf("received %d of 5 early tuples", received)
+		}
+	}
+}
+
+// TestRedeliveredTMasterLocationKeepsRegistration: the location watch and
+// watchTMaster's initial read can both deliver the same location at once.
+// Acting on both must leave the TMaster holding a live connection to this
+// Stream Manager, so later plan broadcasts still arrive.
+func TestRedeliveredTMasterLocationKeepsRegistration(t *testing.T) {
+	f := newFixture(t, true)
+	sm := f.sms[1]
+	loc, err := f.state.GetTMasterLocation("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	epoch := func() int64 {
+		sm.mu.Lock()
+		defer sm.mu.Unlock()
+		return sm.epoch
+	}
+	for i := 0; i < 100; i++ {
+		var wg sync.WaitGroup
+		for j := 0; j < 2; j++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				sm.connectTMaster(loc)
+			}()
+		}
+		wg.Wait()
+		before := epoch()
+		deadline := time.Now().Add(2 * time.Second)
+		for epoch() == before {
+			f.tm.Refresh()
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: no plan reached the Stream Manager after a redelivered location", i)
+			}
+			time.Sleep(time.Millisecond)
 		}
 	}
 }

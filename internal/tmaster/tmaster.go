@@ -20,6 +20,7 @@ import (
 	"heron/internal/metrics"
 	"heron/internal/network"
 	"heron/internal/replication"
+	"heron/internal/statemgr"
 )
 
 // Options configure one Topology Master.
@@ -29,7 +30,7 @@ type Options struct {
 	// State is the TMaster's own State Manager session; closing the
 	// TMaster closes the session and thereby deletes the ephemeral
 	// location record.
-	State core.StateManager
+	State *statemgr.Manager
 	// Lead, when set, runs this TMaster as one generation of a
 	// replicated control plane (see leadership.go).
 	Lead *Leadership
@@ -566,10 +567,8 @@ func (tm *TMaster) Stop() {
 		if tm.crashed.Load() {
 			// Hard kill: leave the session hanging so ephemerals and the
 			// leader lease lapse by TTL instead of vanishing instantly.
-			if a, ok := tm.opts.State.(interface{ Abandon() }); ok {
-				a.Abandon()
-				return
-			}
+			tm.opts.State.Abandon()
+			return
 		}
 		_ = tm.opts.State.Close()
 	})

@@ -11,19 +11,16 @@ import (
 	"heron/internal/statemgr"
 )
 
-func testState(t *testing.T, cfg *core.Config) core.StateManager {
+func testState(t *testing.T, cfg *core.Config) *statemgr.Manager {
 	t.Helper()
-	sm, err := core.NewStateManager("memory")
+	sm, err := statemgr.Open(cfg)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sm.Initialize(cfg); err != nil {
 		t.Fatal(err)
 	}
 	return sm
 }
 
-func seedState(t *testing.T, sm core.StateManager, containers ...int32) {
+func seedState(t *testing.T, sm *statemgr.Manager, containers ...int32) {
 	t.Helper()
 	topo := &core.Topology{Name: "t", Components: []core.ComponentSpec{
 		{Name: "s", Kind: core.KindSpout, Parallelism: len(containers),
@@ -100,7 +97,7 @@ func (f *fakeStmgr) waitPlan(t *testing.T, want string, ok func(*ctrl.PlanPayloa
 
 func anyPlan(*ctrl.PlanPayload) bool { return true }
 
-func newTM(t *testing.T) (*TMaster, core.StateManager, *core.Config) {
+func newTM(t *testing.T) (*TMaster, *statemgr.Manager, *core.Config) {
 	t.Helper()
 	cfg := core.NewConfig()
 	cfg.StateRoot = "/tm-" + t.Name()
