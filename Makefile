@@ -14,12 +14,13 @@ race:
 vet:
 	$(GO) vet ./...
 
-# verify is the pre-submit gate: vet, build, and the full suite under the
+# verify is the pre-submit gate: gofmt, vet, build, and the full suite under the
 # race detector (tier-1 plus -race), ten repeats of the packages whose
 # tests race the control plane, recycle received frames, or carry election
 # and fencing on every State Manager backend, then the same for the
 # benchmark's own module, which `./...` from the root does not reach.
 verify:
+	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...

@@ -20,9 +20,15 @@ type Values = []any
 
 // Tuple is a received data tuple as seen by a bolt. Implementations are
 // provided by the engine; user code only reads them and passes them back
-// as anchors or to Ack/Fail.
+// as anchors or to Ack/Fail. A tuple, and every value read from it, may
+// be kept after Execute returns, and read from any goroutine.
+//
+// The typed getters read the one field they are asked for and allocate
+// nothing, except Bytes, which goes through Values.
 type Tuple interface {
-	// Values returns the tuple's fields.
+	// Values returns the tuple's fields. The engine materialises them on
+	// the first call (or the first Bytes); later calls return the same
+	// slice.
 	Values() Values
 	// SourceComponent is the name of the component that emitted the tuple.
 	SourceComponent() string

@@ -291,7 +291,7 @@ func runCheckpointRecoveryShards(t *testing.T, backendName, label string, shards
 	}
 }
 
-func TestCheckpointRecoveryMemory(t *testing.T)  { runCheckpointRecovery(t, "memory") }
+func TestCheckpointRecoveryMemory(t *testing.T) { runCheckpointRecovery(t, "memory") }
 
 // TestCheckpointRecoverySharded reruns the chaos test with the Stream
 // Manager's data path split four ways: barrier alignment (markers chasing

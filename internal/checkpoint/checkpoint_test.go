@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sort"
+	"strings"
 	"testing"
 
 	"heron/internal/core"
+	"heron/internal/encoding/wire"
 )
 
 func TestStateCodecRoundTrip(t *testing.T) {
@@ -42,6 +45,54 @@ func TestStateCodecDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(EncodeState(a), EncodeState(b)) {
 		t.Fatal("equal states encoded differently")
+	}
+}
+
+// appendStateFromNil is EncodeState as it was before it presized its
+// buffer: the reference the exact-size encoder must match byte for byte.
+func appendStateFromNil(s *MapState) []byte {
+	keys := make([]string, 0, len(s.m))
+	for k := range s.m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	b := wire.AppendUvarint(nil, uint64(len(keys)))
+	for _, k := range keys {
+		b = wire.AppendUvarint(b, uint64(len(k)))
+		b = append(b, k...)
+		b = wire.AppendUvarint(b, uint64(len(s.m[k])))
+		b = append(b, s.m[k]...)
+	}
+	return b
+}
+
+// TestEncodeStateByteIdentical: sizing the snapshot buffer up front
+// changes its allocation, never its bytes, and the size is exact.
+func TestEncodeStateByteIdentical(t *testing.T) {
+	states := map[string]*MapState{"empty": NewMapState()}
+	small := NewMapStateSize(2)
+	small.Set("a", []byte{1})
+	small.Set("", nil)
+	states["small"] = small
+	if got, want := EncodeState(small), []byte{2, 0, 0, 1, 'a', 1, 1}; !bytes.Equal(got, want) {
+		t.Errorf("small state = %x, want %x", got, want)
+	}
+	// Multi-byte lengths and counts: 200 keys, some 130 B long, values
+	// up to 300 B.
+	big := NewMapState()
+	for i := 0; i < 200; i++ {
+		k := fmt.Sprintf("key-%d-%s", i, strings.Repeat("k", i%3*65))
+		big.Set(k, bytes.Repeat([]byte{byte(i)}, i*3/2))
+	}
+	states["big"] = big
+	for name, st := range states {
+		got, want := EncodeState(st), appendStateFromNil(st)
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: EncodeState differs from the reference encoding", name)
+		}
+		if cap(got) != len(got) {
+			t.Errorf("%s: buffer cap %d for %d bytes, want exact", name, cap(got), len(got))
+		}
 	}
 }
 

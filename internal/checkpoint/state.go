@@ -18,6 +18,10 @@ type MapState struct {
 // NewMapState returns an empty state view.
 func NewMapState() *MapState { return &MapState{m: map[string][]byte{}} }
 
+// NewMapStateSize returns an empty state view with room for n keys, so a
+// snapshot about as large as the previous one never regrows its map.
+func NewMapStateSize(n int) *MapState { return &MapState{m: make(map[string][]byte, n)} }
+
 // Set implements api.State.
 func (s *MapState) Set(key string, value []byte) { s.m[key] = value }
 
@@ -44,13 +48,16 @@ func (s *MapState) Len() int { return len(s.m) }
 //	uvarint(pairs) pairs×(uvarint(len(key)) key uvarint(len(value)) value)
 //
 // Keys are written in sorted order so equal states encode identically.
+// The result is allocated at its exact size.
 func EncodeState(s *MapState) []byte {
 	keys := make([]string, 0, len(s.m))
-	for k := range s.m {
+	size := wire.UvarintLen(uint64(len(s.m)))
+	for k, v := range s.m {
 		keys = append(keys, k)
+		size += wire.UvarintLen(uint64(len(k))) + len(k) + wire.UvarintLen(uint64(len(v))) + len(v)
 	}
 	sort.Strings(keys)
-	b := wire.AppendUvarint(nil, uint64(len(keys)))
+	b := wire.AppendUvarint(make([]byte, 0, size), uint64(len(keys)))
 	for _, k := range keys {
 		b = wire.AppendUvarint(b, uint64(len(k)))
 		b = append(b, k...)

@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Type is a wire type: the low three bits of a field tag.
@@ -57,13 +58,21 @@ func AppendUvarint(b []byte, v uint64) []byte {
 	return append(b, byte(v))
 }
 
+// UvarintLen returns the number of bytes AppendUvarint writes for v.
+func UvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// Encoded is what the decoding functions read: a []byte as received, or a
+// string holding an immutable copy of one.
+type Encoded interface{ ~string | ~[]byte }
+
 // Uvarint decodes a varint from b, returning the value and the number of
 // bytes consumed. It returns ErrTruncated if b ends mid-varint and
 // ErrOverflow if the value does not fit in 64 bits.
-func Uvarint(b []byte) (uint64, int, error) {
+func Uvarint[T Encoded](b T) (uint64, int, error) {
 	var v uint64
 	var shift uint
-	for i, c := range b {
+	for i := 0; i < len(b); i++ {
+		c := b[i]
 		if i == MaxVarintLen {
 			return 0, 0, ErrOverflow
 		}
@@ -159,7 +168,7 @@ func AppendStringField(b []byte, field int, v string) []byte {
 }
 
 // Fixed64 decodes 8 little-endian bytes.
-func Fixed64(b []byte) (uint64, error) {
+func Fixed64[T Encoded](b T) (uint64, error) {
 	if len(b) < 8 {
 		return 0, ErrTruncated
 	}

@@ -32,6 +32,18 @@ func TestUvarintProperty(t *testing.T) {
 	}
 }
 
+func TestUvarintLen(t *testing.T) {
+	for _, v := range []uint64{0, 1, 127, 128, 1<<14 - 1, 1 << 14, 1 << 63, math.MaxUint64} {
+		if got, want := UvarintLen(v), len(AppendUvarint(nil, v)); got != want {
+			t.Errorf("UvarintLen(%d) = %d, want %d", v, got, want)
+		}
+	}
+	f := func(v uint64) bool { return UvarintLen(v) == len(AppendUvarint(nil, v)) }
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestUvarintTruncated(t *testing.T) {
 	b := AppendUvarint(nil, math.MaxUint64)
 	for i := 0; i < len(b); i++ {

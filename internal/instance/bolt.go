@@ -1,7 +1,9 @@
 package instance
 
 import (
+	"encoding/binary"
 	"log"
+	"sync/atomic"
 	"time"
 
 	"heron/api"
@@ -16,22 +18,65 @@ import (
 // tuple's own key, its roots, and the XOR of the keys of every tuple
 // emitted anchored to it.
 //
-// A tuple of up to len(inline) values is one allocation: values aliases
-// inline, and info points into the plan's stream table instead of copying
-// its names. Longer tuples spill to their own array. Nothing is pooled:
-// user code may keep a tuple after Execute returns.
+// raw is the tuple's own immutable copy of its roots (8 little-endian
+// bytes each) followed by its encoded values, checked at receive. The
+// typed getters read values straight from raw, so String returns a
+// substring that stays valid, and usable as a map key, after Execute
+// returns; only Bytes and Values materialise, once, into values. A tuple
+// is two allocations — itself and raw — and info points into the plan's
+// stream table instead of copying its names. Nothing is pooled: user code
+// may keep a tuple after Execute returns.
 type boltTuple struct {
-	values     api.Values
-	info       *core.StreamInfo // nil for a stream the plan does not know
+	raw        string
+	info       *core.StreamInfo           // nil for a stream the plan does not know
+	values     atomic.Pointer[api.Values] // nil until Bytes or Values is called
 	key        uint64
-	roots      []uint64
 	emittedXor uint64
+	nroots     int32
 	done       bool
-	inline     [2]any
 }
 
-// Values implements api.Tuple.
-func (t *boltTuple) Values() api.Values { return t.values }
+// newBoltTuple builds a tuple from a decoded header and its checked
+// values field, which may alias a frame: raw copies both. scratch is the
+// caller's reusable buffer for assembling raw; the grown buffer is
+// returned.
+func newBoltTuple(dt *tuple.DataTuple, vals, scratch []byte) (*boltTuple, []byte) {
+	bt := &boltTuple{key: dt.Key, nroots: int32(len(dt.Roots))}
+	if len(dt.Roots) == 0 {
+		bt.raw = string(vals)
+		return bt, scratch
+	}
+	scratch = scratch[:0]
+	for _, r := range dt.Roots {
+		scratch = binary.LittleEndian.AppendUint64(scratch, r)
+	}
+	scratch = append(scratch, vals...)
+	bt.raw = string(scratch)
+	return bt, scratch
+}
+
+// root returns the tuple's i-th root.
+func (t *boltTuple) root(i int) uint64 {
+	r, _ := wire.Fixed64(t.raw[8*i : 8*i+8])
+	return r
+}
+
+// vals returns the tuple's encoded values.
+func (t *boltTuple) vals() tuple.RawValues { return tuple.RawValues(t.raw[8*t.nroots:]) }
+
+// Values implements api.Tuple. A kept tuple may be read from several
+// goroutines, so the first materialisation to land is the one every
+// caller gets.
+func (t *boltTuple) Values() api.Values {
+	if vs := t.values.Load(); vs != nil {
+		return *vs
+	}
+	vs := api.Values(t.vals().Values())
+	if !t.values.CompareAndSwap(nil, &vs) {
+		return *t.values.Load()
+	}
+	return vs
+}
 
 // SourceComponent implements api.Tuple.
 func (t *boltTuple) SourceComponent() string {
@@ -50,19 +95,19 @@ func (t *boltTuple) Stream() string {
 }
 
 // String implements api.Tuple.
-func (t *boltTuple) String(i int) string { return t.values[i].(string) }
+func (t *boltTuple) String(i int) string { return t.vals().String(i) }
 
 // Int implements api.Tuple.
-func (t *boltTuple) Int(i int) int64 { return t.values[i].(int64) }
+func (t *boltTuple) Int(i int) int64 { return t.vals().Int(i) }
 
 // Float implements api.Tuple.
-func (t *boltTuple) Float(i int) float64 { return t.values[i].(float64) }
+func (t *boltTuple) Float(i int) float64 { return t.vals().Float(i) }
 
 // Bool implements api.Tuple.
-func (t *boltTuple) Bool(i int) bool { return t.values[i].(bool) }
+func (t *boltTuple) Bool(i int) bool { return t.vals().Bool(i) }
 
 // Bytes implements api.Tuple.
-func (t *boltTuple) Bytes(i int) []byte { return t.values[i].([]byte) }
+func (t *boltTuple) Bytes(i int) []byte { return t.Values()[i].([]byte) }
 
 // boltCollector implements api.BoltCollector; executor goroutine only.
 type boltCollector struct {
@@ -107,7 +152,8 @@ func (c *boltCollector) Emit(stream string, anchors []api.Tuple, values ...any) 
 				continue
 			}
 			c.anchors = append(c.anchors, bt)
-			for _, r := range bt.roots {
+			for i := 0; i < int(bt.nroots); i++ {
+				r := bt.root(i)
 				dup := false
 				for _, have := range c.roots {
 					if have == r {
@@ -160,11 +206,12 @@ func (c *boltCollector) Ack(t api.Tuple) {
 	}
 	bt.done = true
 	in := c.in
-	if !in.opts.Cfg.AckingEnabled || len(bt.roots) == 0 {
+	if !in.opts.Cfg.AckingEnabled || bt.nroots == 0 {
 		return
 	}
 	delta := bt.key ^ bt.emittedXor
-	for _, root := range bt.roots {
+	for i := 0; i < int(bt.nroots); i++ {
+		root := bt.root(i)
 		in.sendAck(&tuple.AckTuple{
 			Kind: tuple.AckAck, SpoutTask: RootSpout(root), Root: root, Delta: delta,
 		})
@@ -180,10 +227,11 @@ func (c *boltCollector) Fail(t api.Tuple) {
 	}
 	bt.done = true
 	in := c.in
-	if !in.opts.Cfg.AckingEnabled || len(bt.roots) == 0 {
+	if !in.opts.Cfg.AckingEnabled || bt.nroots == 0 {
 		return
 	}
-	for _, root := range bt.roots {
+	for i := 0; i < int(bt.nroots); i++ {
+		root := bt.root(i)
 		in.sendAck(&tuple.AckTuple{
 			Kind: tuple.AckFail, SpoutTask: RootSpout(root), Root: root,
 		})
@@ -261,10 +309,9 @@ func (in *Instance) tickEveryMs() int64 {
 // executeFrame decodes and executes every tuple of one data frame.
 func (in *Instance) executeFrame(frame []byte, dt *tuple.DataTuple, col *boltCollector) {
 	_, _, err := tuple.WalkFrame(frame, func(tb []byte) error {
-		if err := in.codec.DecodeData(tb, dt); err != nil {
-			return nil
+		if vals, err := tuple.DecodeHeader(tb, dt); err == nil {
+			in.execDecoded(dt, vals, col)
 		}
-		in.execDecoded(dt, col)
 		return nil
 	})
 	if err != nil {
@@ -272,13 +319,15 @@ func (in *Instance) executeFrame(frame []byte, dt *tuple.DataTuple, col *boltCol
 	}
 }
 
-// execDecoded executes one decoded tuple (shared by the direct path, the
-// barrier filter and held-tuple replay).
-func (in *Instance) execDecoded(dt *tuple.DataTuple, col *boltCollector) {
-	bt := &boltTuple{key: dt.Key}
-	bt.values = append(bt.inline[:0], dt.Values...)
-	if len(dt.Roots) > 0 {
-		bt.roots = append([]uint64(nil), dt.Roots...)
+// execDecoded executes one tuple from its decoded header and checked
+// values field (shared by the direct path, the barrier filter and
+// held-tuple replay). The unoptimised arm materialises every value here,
+// as a full decode would.
+func (in *Instance) execDecoded(dt *tuple.DataTuple, vals []byte, col *boltCollector) {
+	var bt *boltTuple
+	bt, in.rawBuf = newBoltTuple(dt, vals, in.rawBuf)
+	if !in.codec.Lazy() {
+		bt.Values()
 	}
 	if ps := in.plan.Load(); ps != nil && int(dt.StreamID) < len(ps.pp.Streams) {
 		bt.info = &ps.pp.Streams[dt.StreamID]

@@ -136,11 +136,12 @@ func (in *Instance) checkpointSave(id int64) bool {
 		return true
 	}
 	start := time.Now()
-	st := checkpoint.NewMapState()
+	st := checkpoint.NewMapStateSize(in.snapKeys)
 	if err := sc.SaveState(st); err != nil {
 		log.Printf("instance %v: save state: %v", in.opts.ID, err)
 		return false
 	}
+	in.snapKeys = st.Len()
 	data := checkpoint.EncodeState(st)
 	if err := in.opts.Checkpoint.Save(in.opts.Topology, id, in.opts.ID.TaskID, data); err != nil {
 		log.Printf("instance %v: persist checkpoint %d: %v", in.opts.ID, id, err)
@@ -264,8 +265,8 @@ func (in *Instance) releaseHeld(dt *tuple.DataTuple, col *boltCollector) {
 		return
 	}
 	for _, tb := range bar.held {
-		if err := in.codec.DecodeData(tb, dt); err == nil {
-			in.execDecoded(dt, col)
+		if vals, err := tuple.DecodeHeader(tb, dt); err == nil {
+			in.execDecoded(dt, vals, col)
 		}
 	}
 	for _, buf := range bar.frames {
@@ -288,14 +289,15 @@ func (in *Instance) boltData(buf *wire.Buffer, dt *tuple.DataTuple, col *boltCol
 	}
 	held := len(in.bar.held)
 	_, _, _ = tuple.WalkFrame(buf.B, func(tb []byte) error {
-		if err := in.codec.DecodeData(tb, dt); err != nil {
+		vals, err := tuple.DecodeHeader(tb, dt)
+		if err != nil {
 			return nil
 		}
 		if !in.bar.waiting[dt.SrcTask] {
 			in.bar.held = append(in.bar.held, tb)
 			return nil
 		}
-		in.execDecoded(dt, col)
+		in.execDecoded(dt, vals, col)
 		return nil
 	})
 	if len(in.bar.held) > held {

@@ -97,6 +97,9 @@ type Instance struct {
 	lastCkptID int64
 	bar        *barrier
 	markerBuf  []byte
+	// snapKeys is the key count of the last snapshot; the next one
+	// presizes its map to it.
+	snapKeys int
 	// lastCommitID is the newest globally committed epoch this instance
 	// has applied to its transactional source/sink; commit notifications
 	// are an idempotent high-water mark, so older ones are ignored.
@@ -106,6 +109,7 @@ type Instance struct {
 	frameBuf []byte
 	ackBuf   []byte
 	encBuf2  []byte
+	rawBuf   []byte // assembles a received tuple's roots and values
 
 	// Output batching (executor goroutine only): emitted tuples and acks
 	// accumulate directly in pooled frame buffers (header space reserved up

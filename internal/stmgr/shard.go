@@ -435,9 +435,12 @@ func (sh *shard) onTreeDone(root uint64, r acker.Result) {
 	case acker.TimedOut:
 		kind = tuple.AckExpired
 	}
+	// The ack encodes into a stack array: a per-shard scratch buffer
+	// would race, since the acker's Rotate timer also completes trees.
+	var scratch [32]byte
+	enc := tuple.EncodeAck(scratch[:0], &tuple.AckTuple{Kind: kind, SpoutTask: spout, Root: root})
 	buf := wire.GetBuffer()
 	buf.B = tuple.BeginAckFrame(buf.B)
-	enc := tuple.EncodeAck(nil, &tuple.AckTuple{Kind: kind, SpoutTask: spout, Root: root})
 	buf.B = tuple.AppendFrameEntry(buf.B, enc)
 	tuple.PatchAckFrameHeader(buf.B, 1)
 	o.enqueueOwned(network.MsgAck, buf)

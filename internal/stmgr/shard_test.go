@@ -2,10 +2,12 @@ package stmgr
 
 import (
 	"fmt"
+	"runtime"
 	"strconv"
 	"testing"
 	"time"
 
+	"heron/internal/acker"
 	"heron/internal/core"
 	"heron/internal/ctrl"
 	"heron/internal/metrics"
@@ -124,6 +126,33 @@ func TestAckPath(t *testing.T) {
 			t.Fatalf("spout notification = %+v, want AckAck for root 99 at task 0", got)
 		}
 	})
+}
+
+// TestTreeDoneZeroAlloc: notifying a spout of a finished tree costs
+// nothing beyond the pooled frame the notification rides in — the ack is
+// encoded on the stack, not appended from nil.
+func TestTreeDoneZeroAlloc(t *testing.T) {
+	s := newBenchSM(t)
+	conn := s.instances[2].conn.(*nullConn)
+	sh := s.shards[s.shardOf(2)]
+	const root = 99
+	sent := conn.sends.Load()
+	done := func() {
+		sh.rootMu.Lock()
+		sh.rootSpout[root] = 2
+		sh.rootMu.Unlock()
+		sh.onTreeDone(root, acker.Completed)
+		sent++
+		for conn.sends.Load() < sent {
+			runtime.Gosched()
+		}
+	}
+	for i := 0; i < 256; i++ {
+		done()
+	}
+	if avg := testing.AllocsPerRun(512, done); avg != 0 {
+		t.Errorf("onTreeDone allocates %.3f per completed tree, want 0", avg)
+	}
 }
 
 // seqFrame is a pre-batched two-tuple frame for dest whose payload is seq.

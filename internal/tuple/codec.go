@@ -141,63 +141,6 @@ func appendValues(dst []byte, vs Values) ([]byte, error) {
 	return dst, nil
 }
 
-func decodeValues(b []byte, into Values) (Values, error) {
-	n, sz, err := wire.Uvarint(b)
-	if err != nil {
-		return into, err
-	}
-	b = b[sz:]
-	for i := uint64(0); i < n; i++ {
-		if len(b) == 0 {
-			return into, ErrCorrupt
-		}
-		k := Kind(b[0])
-		b = b[1:]
-		switch k {
-		case KindString, KindBytes:
-			l, sz, err := wire.Uvarint(b)
-			if err != nil {
-				return into, err
-			}
-			b = b[sz:]
-			if uint64(len(b)) < l {
-				return into, ErrCorrupt
-			}
-			if k == KindString {
-				into = append(into, string(b[:l]))
-			} else {
-				cp := make([]byte, l)
-				copy(cp, b[:l])
-				into = append(into, cp)
-			}
-			b = b[l:]
-		case KindInt:
-			u, sz, err := wire.Uvarint(b)
-			if err != nil {
-				return into, err
-			}
-			into = append(into, wire.Unzigzag(u))
-			b = b[sz:]
-		case KindFloat:
-			u, err := wire.Fixed64(b)
-			if err != nil {
-				return into, err
-			}
-			into = append(into, math.Float64frombits(u))
-			b = b[8:]
-		case KindBool:
-			into = append(into, b[0] != 0)
-			b = b[1:]
-		default:
-			return into, fmt.Errorf("tuple: unknown kind %d", k)
-		}
-	}
-	if len(b) != 0 {
-		return into, ErrCorrupt
-	}
-	return into, nil
-}
-
 func encodeData(dst []byte, t *DataTuple, scratch []byte) ([]byte, []byte, error) {
 	dst = wire.AppendVarintField(dst, fieldDest, uint64(uint32(t.DestTask)))
 	dst = wire.AppendVarintField(dst, fieldSrc, uint64(uint32(t.SrcTask)))
@@ -223,8 +166,14 @@ func encodeData(dst []byte, t *DataTuple, scratch []byte) ([]byte, []byte, error
 	return dst, vb, nil
 }
 
-func decodeData(b []byte, t *DataTuple) error {
+// DecodeHeader decodes everything of an encoded data tuple but its
+// values into t, leaving t.Values empty, and returns the encoded values
+// field. It checks that field in one walk of kinds and lengths, so a
+// corrupt tuple fails here; RawValues may then read the field without
+// checks. The returned slice aliases b; nil means no values.
+func DecodeHeader(b []byte, t *DataTuple) ([]byte, error) {
 	t.Reset()
+	var vals []byte
 	var scanErr error
 	err := wire.Scan(b, func(f wire.Field) bool {
 		switch f.Num {
@@ -266,19 +215,31 @@ func decodeData(b []byte, t *DataTuple) error {
 				t.Roots = append(t.Roots, r)
 			}
 		case fieldValues:
-			vs, err := decodeValues(f.Data, t.Values[:0])
-			if err != nil {
+			if err := checkValues(f.Data); err != nil {
 				scanErr = err
 				return false
 			}
-			t.Values = vs
+			vals = f.Data
 		}
 		return true
 	})
+	if err == nil {
+		err = scanErr
+	}
+	if err != nil {
+		return nil, err
+	}
+	return vals, nil
+}
+
+// decodeData is DecodeHeader followed by materialising the values.
+func decodeData(b []byte, t *DataTuple) error {
+	vals, err := DecodeHeader(b, t)
 	if err != nil {
 		return err
 	}
-	return scanErr
+	t.Values = decodeValues(vals, t.Values)
+	return nil
 }
 
 // FastCodec is the optimized codec: pooled scratch space, lazy routing

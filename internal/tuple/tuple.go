@@ -7,7 +7,9 @@
 //   - FastCodec is the optimized path of the paper's Section V-A: buffers
 //     and tuple objects come from memory pools, and routers can read the
 //     destination of an encoded tuple with PeekDest without deserializing
-//     the payload (lazy deserialization).
+//     the payload (lazy deserialization). Instances apply the same idea
+//     on receive: DecodeHeader checks a tuple without building its values,
+//     and RawValues reads each value in place when a bolt asks for it.
 //   - NaiveCodec is the "without optimizations" arm of the evaluation's
 //     Figures 5–9: every encode allocates fresh memory, every decode
 //     materializes and copies every value, and there is no partial scan —
@@ -34,6 +36,17 @@ const (
 	KindBool
 	KindBytes
 )
+
+var kindNames = [...]string{KindString: "string", KindInt: "int64",
+	KindFloat: "float64", KindBool: "bool", KindBytes: "[]byte"}
+
+// String names the Go type a Kind decodes to.
+func (k Kind) String() string {
+	if int(k) < len(kindNames) && kindNames[k] != "" {
+		return kindNames[k]
+	}
+	return fmt.Sprintf("kind(%d)", uint8(k))
+}
 
 // Values is one tuple's payload: a positional list of fields. Allowed
 // dynamic types are string, int64, float64, bool and []byte.

@@ -93,12 +93,12 @@ func TestBuildETLSpec(t *testing.T) {
 // fakeSpoutCtx lets us drive spout/bolt components without an engine.
 type fakeCtx struct{ task, par int32 }
 
-func (f fakeCtx) TopologyName() string             { return "test" }
-func (f fakeCtx) ComponentName() string            { return "c" }
-func (f fakeCtx) ComponentIndex() int32            { return f.task }
-func (f fakeCtx) TaskID() int32                    { return f.task }
-func (f fakeCtx) ComponentParallelism(string) int  { return int(f.par) }
-func (f fakeCtx) Metrics() api.ComponentMetrics    { return nopMetrics{} }
+func (f fakeCtx) TopologyName() string            { return "test" }
+func (f fakeCtx) ComponentName() string           { return "c" }
+func (f fakeCtx) ComponentIndex() int32           { return f.task }
+func (f fakeCtx) TaskID() int32                   { return f.task }
+func (f fakeCtx) ComponentParallelism(string) int { return int(f.par) }
+func (f fakeCtx) Metrics() api.ComponentMetrics   { return nopMetrics{} }
 
 // nopMetrics satisfies api.ComponentMetrics for engine-less tests.
 type nopMetrics struct{}

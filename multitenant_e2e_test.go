@@ -187,9 +187,9 @@ func TestClusterMultitenantExampleEndToEnd(t *testing.T) {
 		}
 	}
 	var rollup struct {
-		Cluster    string         `json:"cluster"`
-		Tenants    []TenantStatus `json:"tenants"`
-		Nodes      []struct {
+		Cluster string         `json:"cluster"`
+		Tenants []TenantStatus `json:"tenants"`
+		Nodes   []struct {
 			Name string `json:"name"`
 		} `json:"nodes"`
 		Topologies []struct {
