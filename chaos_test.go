@@ -1,6 +1,7 @@
 package heron
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -244,9 +245,9 @@ func runScaleDown(t *testing.T, shards int) {
 }
 
 // ---------------------------------------------------------------------------
-// Control-plane failover chaos: Config.ControlReplicas > 1 turns the
-// TMaster into one generation of a replicated control plane. These tests
-// kill the active leader (hard crash: the lease lapses, a standby fences
+// Control-plane failover chaos: the TMaster is one generation of a
+// control-plane replica set of Config.ControlReplicas. These tests kill
+// the active leader (hard crash: the lease lapses, a standby fences
 // the dead generation, replays the control log, and takes over) at the
 // nastiest moments and verify the data plane never notices.
 
@@ -443,62 +444,71 @@ func TestControlPlaneFailoverMidRescale(t *testing.T) {
 }
 
 // TestControlPlaneSurvivesTMasterContainerKill kills container 0 — the
-// TMaster's own container — through the scheduler's failure path. With a
-// replicated control plane the pool standby takes over, the scheduler
-// re-places only container 0 (a fresh candidate joins as standby), and
-// crucially the WORKERS never quiesce: zero restores, commits continue.
+// TMaster's own container — through the scheduler's failure path, for
+// both failure-monitoring schedulers and with and without a standby. The
+// scheduler re-places only container 0; a standby, or else the
+// relaunched candidate, takes over at a higher term. Crucially the
+// WORKERS never quiesce: zero restores, commits continue, exact counts.
 func TestControlPlaneSurvivesTMasterContainerKill(t *testing.T) {
-	dict := healthDict()
-	h := &ckptHarness{spouts: map[int32]*seqSpout{}, bolts: map[int32]*ckptCountBolt{}}
-	var slow atomic.Bool
-	spec := buildHealthTopology(t, "ctrl-c0kill", h, &slow, dict, 2)
+	for _, sched := range []string{"yarn", "mesos"} {
+		for _, replicas := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/replicas=%d", sched, replicas), func(t *testing.T) {
+				name := fmt.Sprintf("ctrl-c0kill-%s-%d", sched, replicas)
+				dict := healthDict()
+				h := &ckptHarness{spouts: map[int32]*seqSpout{}, bolts: map[int32]*ckptCountBolt{}}
+				var slow atomic.Bool
+				spec := buildHealthTopology(t, name, h, &slow, dict, 2)
 
-	cfg := healthTestConfig(t, "ctrl-c0kill")
-	cfg.ControlReplicas = 2
-	cl := cluster.New("ctrl-c0kill-sim", 4, core.Resource{CPU: 32, RAMMB: 32768, DiskMB: 65536})
-	cfg.Framework = cl
+				cfg := healthTestConfig(t, name)
+				cfg.SchedulerName = sched
+				cfg.ControlReplicas = replicas
+				cl := cluster.New(name+"-sim", 4, core.Resource{CPU: 32, RAMMB: 32768, DiskMB: 65536})
+				cfg.Framework = cl
 
-	handle, err := Submit(spec, cfg)
-	if err != nil {
-		t.Fatal(err)
+				handle, err := Submit(spec, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer handle.Kill()
+				if err := handle.WaitRunning(10 * time.Second); err != nil {
+					t.Fatal(err)
+				}
+				waitFor(t, 20*time.Second, "first committed epoch", func() bool {
+					return handle.CommittedEpoch() > 0
+				})
+				old, ok := controlLeader(handle)
+				if !ok {
+					t.Fatal("no leader after first commit")
+				}
+				epochAtKill := handle.CommittedEpoch()
+
+				if err := cl.InjectFailure(handle.Name(), core.TMasterContainerID); err != nil {
+					t.Fatal(err)
+				}
+
+				succ := waitControlLeader(t, handle, old)
+				t.Logf("container-0 kill: %s/term=%d -> %s/term=%d",
+					old.NodeID, old.Term, succ.NodeID, succ.Term)
+				waitFor(t, 30*time.Second, "post-kill commit", func() bool {
+					return handle.CommittedEpoch() > epochAtKill
+				})
+				// The scheduler re-places the control container.
+				waitFor(t, 15*time.Second, "container 0 re-placed", func() bool {
+					return cl.Allocated(handle.Name(), core.TMasterContainerID)
+				})
+
+				base := h.executed.Load()
+				waitFor(t, 30*time.Second, "post-kill progress", func() bool {
+					return h.executed.Load() > base+5_000
+				})
+				// A TMaster death is NOT a data-plane event: no worker
+				// restarted, no state restore ran.
+				if n := handle.SumCounter(metrics.MRestoreCount); n != 0 {
+					t.Errorf("restore-count = %d after a control-only kill, want 0", n)
+				}
+
+				drainAndAudit(t, handle, h, dict)
+			})
+		}
 	}
-	defer handle.Kill()
-	if err := handle.WaitRunning(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 20*time.Second, "first committed epoch", func() bool {
-		return handle.CommittedEpoch() > 0
-	})
-	old, ok := controlLeader(handle)
-	if !ok {
-		t.Fatal("no leader after first commit")
-	}
-	epochAtKill := handle.CommittedEpoch()
-
-	if err := cl.InjectFailure(handle.Name(), core.TMasterContainerID); err != nil {
-		t.Fatal(err)
-	}
-
-	succ := waitControlLeader(t, handle, old)
-	t.Logf("container-0 kill: %s/term=%d -> %s/term=%d",
-		old.NodeID, old.Term, succ.NodeID, succ.Term)
-	waitFor(t, 30*time.Second, "post-kill commit", func() bool {
-		return handle.CommittedEpoch() > epochAtKill
-	})
-	// The scheduler re-places the control container.
-	waitFor(t, 15*time.Second, "container 0 re-placed", func() bool {
-		return cl.Allocated(handle.Name(), core.TMasterContainerID)
-	})
-
-	base := h.executed.Load()
-	waitFor(t, 30*time.Second, "post-kill progress", func() bool {
-		return h.executed.Load() > base+5_000
-	})
-	// The whole point of control-plane replication: a TMaster death is NOT
-	// a data-plane event. No worker restarted, no state restore ran.
-	if n := handle.SumCounter(metrics.MRestoreCount); n != 0 {
-		t.Errorf("restore-count = %d after a control-only kill, want 0", n)
-	}
-
-	drainAndAudit(t, handle, h, dict)
 }

@@ -1,9 +1,9 @@
-// Control-plane failover surface: when Config.ControlReplicas > 1 the
-// topology's TMaster is one generation of a replicated control plane
-// (internal/replication). Control operations issued while no generation
-// is active — the failover window — fail with an error matching
-// ErrNotLeader via errors.Is; RetryNotLeader wraps such calls with a
-// bounded retry.
+// Control-plane failover surface: the topology's TMaster is always one
+// generation of a control-plane replica set (internal/replication) of
+// Config.ControlReplicas replicas, one by default. Control operations
+// issued while no generation is active — the failover window — fail with
+// an error matching ErrNotLeader via errors.Is; RetryNotLeader wraps
+// such calls with a bounded retry.
 
 package heron
 
@@ -41,76 +41,49 @@ func RetryNotLeader(timeout time.Duration, fn func() error) error {
 	}
 }
 
-// ControlStatus reports every control replica's last known status,
-// leader first (empty when ControlReplicas <= 1).
+// ControlStatus reports every live control replica's last known status,
+// leader first.
 func (h *Handle) ControlStatus() []replication.Status {
 	return h.engine.ControlStatus()
 }
 
-// leaderTM returns the active TMaster, mapping its absence to
-// ErrNotLeader when the control plane is replicated (a failover is in
-// progress) and to a plain error otherwise.
+// leaderTM returns the active TMaster, mapping its absence (a failover
+// is in progress) to ErrNotLeader.
 func (h *Handle) leaderTM() (*tmaster.TMaster, error) {
 	if tm := h.engine.TMaster(); tm != nil {
 		return tm, nil
 	}
-	if h.engine.Replicated() {
-		return nil, fmt.Errorf("%w: control plane failing over", ErrNotLeader)
-	}
-	return nil, errors.New("heron: no running TMaster")
+	return nil, fmt.Errorf("%w: control plane failing over", ErrNotLeader)
 }
 
-// waitLeaderTM polls for an active TMaster through a failover window.
-func (h *Handle) waitLeaderTM(timeout time.Duration) (*tmaster.TMaster, error) {
-	deadline := time.Now().Add(timeout)
-	for {
-		tm, err := h.leaderTM()
-		if err == nil || !errors.Is(err, ErrNotLeader) {
-			return tm, err
-		}
-		if time.Now().After(deadline) {
-			return nil, err
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+// waitLeaderTM waits out a failover window for an active TMaster.
+func (h *Handle) waitLeaderTM(timeout time.Duration) (tm *tmaster.TMaster, err error) {
+	err = RetryNotLeader(timeout, func() error {
+		tm, err = h.leaderTM()
+		return err
+	})
+	return tm, err
 }
 
-// appendControlMark best-effort appends a control-log record through the
-// current leader, waiting out a failover window if one is in progress.
-// Used for rescale phase markers, whose writer (the Handle) outlives any
-// one TMaster generation.
+// appendControlMark appends a control-log record through the current
+// leader, waiting out a failover window if one is in progress. Used for
+// rescale phase markers, whose writer (the Handle) outlives any one
+// TMaster generation.
 func (h *Handle) appendControlMark(rec *replication.Record, wait time.Duration) error {
-	if !h.engine.Replicated() {
-		return nil
-	}
-	deadline := time.Now().Add(wait)
-	for {
+	return RetryNotLeader(wait, func() error {
 		tm, err := h.leaderTM()
-		if err == nil {
-			if err = tm.AppendControl(rec); err == nil {
-				return nil
-			}
-		}
-		if !errors.Is(err, ErrNotLeader) || time.Now().After(deadline) {
+		if err != nil {
 			return err
 		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// controlHealth exposes the replica statuses on /health (nil when the
-// control plane is unreplicated, keeping the payload unchanged).
-func (h *Handle) controlHealth() func() any {
-	if !h.engine.Replicated() {
-		return nil
-	}
-	return func() any { return h.engine.ControlStatus() }
+		return tm.AppendControl(rec)
+	})
 }
 
 // KillLeader hard-crashes the control-plane leader replica: the lease
 // lapses by TTL, a standby fences the dead generation and takes over,
-// and a replacement standby joins the pool. Returns false when no
-// replica currently leads (ControlReplicas <= 1, or mid-failover).
+// and a replacement standby joins the pool — at ControlReplicas 1 that
+// replacement is the successor. Returns false when no replica currently
+// leads (mid-failover).
 // This is the chaos harness's TMaster-kill primitive.
 func (h *Handle) KillLeader() (bool, error) {
 	return h.engine.CrashLeader(h.name)
@@ -157,9 +130,6 @@ func (h *Handle) addControlMetrics(v *metrics.TopologyView) {
 // healthActionLog adapts the control log for the health manager: every
 // resolver action is logged before it runs.
 func (h *Handle) healthActionLog() func(action, component, detail string) error {
-	if !h.engine.Replicated() {
-		return nil
-	}
 	return func(action, component, detail string) error {
 		tm, err := h.leaderTM()
 		if err != nil {

@@ -214,7 +214,7 @@ func submit(spec *api.Spec, cfg *Config, hooks submitHooks) (*Handle, error) {
 			View:     h.Metrics,
 			Pprof:    cfg.HTTPPprof,
 			Health:   h.healthStatus(),
-			Control:  h.controlHealth(),
+			Control:  func() any { return h.engine.ControlStatus() },
 		})
 		if err != nil {
 			_ = h.Kill()
@@ -341,7 +341,7 @@ func (h *Handle) Kill() error {
 	}
 	err := h.sched.OnKill(core.KillRequest{Topology: h.name})
 	// Stop the standby pool after the scheduler tore the containers down
-	// (replicated control plane only; no-op otherwise).
+	// (with one replica the pool is empty).
 	h.engine.StopControl()
 	_ = h.sched.Close()
 	_ = h.rm.Close()

@@ -24,9 +24,7 @@
 package checkpoint
 
 import (
-	"errors"
 	"fmt"
-	"log"
 	"sort"
 	"sync"
 
@@ -96,19 +94,29 @@ func New(name string) (Backend, error) {
 // (e.g. a container died mid-barrier) is simply abandoned when the next
 // interval begins — markers for a stale id are ignored downstream, so the
 // protocol is self-healing without timeouts.
+//
+// The epoch sequence is recorded once, in the control log: PrepareSink
+// writes each id ahead of handing it out, CommitSink each global commit
+// ahead of the backend commit, and a restarted coordinator takes its id
+// floor from the replayed log through InitFloor. The backend only knows
+// committed checkpoints, so without that floor a coordinator restarted
+// mid-epoch would hand out the in-flight id again — one that
+// transactional sinks may already hold a prepared transaction under.
 type Coordinator struct {
 	topology string
 	backend  Backend
-	// ledger, when set, durably records the epoch sequence (see
-	// UseLedger).
-	ledger LedgerStore
 
-	// CommitSink, when set, is invoked before the backend commit of a
-	// completed checkpoint; an error aborts the commit. The replicated
-	// control plane routes global commits through the control log here —
-	// a fenced append means this coordinator's TMaster was deposed and
-	// must not decide the epoch.
-	CommitSink func(id int64) error
+	// PrepareSink, when set, records the ledger transition of Begin and
+	// Reserve (next is the id after the one handed out, pending the epoch
+	// in flight) before the id leaves the coordinator; an error withholds
+	// the id. CommitSink, when set, records a completed checkpoint before
+	// the backend commit; an error aborts the commit. A fenced control-log
+	// append fails either sink: this coordinator's TMaster was deposed and
+	// must neither start nor decide an epoch. PrepareSink runs under the
+	// coordinator's lock, so ledger records land in id order; it must not
+	// call back into the coordinator.
+	PrepareSink func(next, pending int64) error
+	CommitSink  func(id int64) error
 
 	mu      sync.Mutex
 	next    int64
@@ -116,75 +124,27 @@ type Coordinator struct {
 	waiting map[int32]bool // tasks not yet saved for pending
 }
 
-// LedgerStore persists the coordinator's prepare/commit ledger. The
-// plain State Manager satisfies it; a replicated control plane wraps it
-// with an adapter that appends a log record before the durable write.
-type LedgerStore interface {
-	SetCheckpointLedger(topology string, l *core.CheckpointLedger) error
-	GetCheckpointLedger(topology string) (*core.CheckpointLedger, error)
-}
-
 // NewCoordinator creates a coordinator persisting through backend.
 func NewCoordinator(topology string, backend Backend) *Coordinator {
 	return &Coordinator{topology: topology, backend: backend, next: 1}
 }
 
-// UseLedger makes the coordinator persist a prepare/commit ledger through
-// the State Manager on every epoch transition. Without it a TMaster
-// restart mid-epoch forgets the in-flight epoch id: the backend only
-// knows *committed* checkpoints, so the new coordinator would hand out
-// latest+1 again — an id that transactional sinks may already hold a
-// prepared (undecided) transaction for, conflating two different cuts of
-// the stream under one epoch. The ledger keeps the id sequence strictly
-// monotone across restarts.
-func (c *Coordinator) UseLedger(sm LedgerStore) {
-	c.mu.Lock()
-	c.ledger = sm
-	c.mu.Unlock()
-}
-
-// InitFromBackend resumes the id sequence after a restart: past the
-// latest committed checkpoint AND past the persisted ledger's Next, so an
-// id that was in flight (possibly prepared at sinks) when the previous
-// coordinator died is never reused.
+// InitFromBackend resumes the id sequence past the latest committed
+// checkpoint. A coordinator replacing a dead one also calls InitFloor
+// with the replayed ledger, which covers the ids handed out but never
+// committed.
 func (c *Coordinator) InitFromBackend() error {
 	latest, err := c.backend.LatestCommitted(c.topology)
 	if err != nil {
 		return err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if latest >= c.next {
-		c.next = latest + 1
-	}
-	if c.ledger != nil {
-		led, err := c.ledger.GetCheckpointLedger(c.topology)
-		if err == nil && led.Next > c.next {
-			c.next = led.Next
-		} else if err != nil && !errors.Is(err, core.ErrNotFound) {
-			return err
-		}
-	}
+	c.InitFloor(latest + 1)
 	return nil
 }
 
-// persistLedgerLocked writes the current epoch sequence; caller holds
-// c.mu. Persistence is best-effort: a State Manager hiccup must not stall
-// the checkpoint pipeline, and losing one write only costs the crash
-// window it would have covered.
-func (c *Coordinator) persistLedgerLocked() {
-	if c.ledger == nil {
-		return
-	}
-	if err := c.ledger.SetCheckpointLedger(c.topology, &core.CheckpointLedger{
-		Next: c.next, Pending: c.pending,
-	}); err != nil {
-		log.Printf("checkpoint[%s]: persist ledger: %v", c.topology, err)
-	}
-}
-
 // Begin starts a new checkpoint over the given task set, abandoning any
-// incomplete pending one. ok is false when tasks is empty.
+// incomplete pending one. ok is false when tasks is empty or PrepareSink
+// failed.
 func (c *Coordinator) Begin(tasks []int32) (id int64, ok bool) {
 	if len(tasks) == 0 {
 		return 0, false
@@ -192,13 +152,15 @@ func (c *Coordinator) Begin(tasks []int32) (id int64, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	id = c.next
+	if sink := c.PrepareSink; sink != nil && sink(id+1, id) != nil {
+		return 0, false
+	}
 	c.next++
 	c.pending = id
 	c.waiting = make(map[int32]bool, len(tasks))
 	for _, t := range tasks {
 		c.waiting[t] = true
 	}
-	c.persistLedgerLocked()
 	return id, true
 }
 
@@ -215,7 +177,6 @@ func (c *Coordinator) Saved(task int32, id int64) (complete bool, err error) {
 	done := len(c.waiting) == 0
 	if done {
 		c.pending = 0
-		c.persistLedgerLocked()
 	}
 	c.mu.Unlock()
 	if !done {
@@ -236,20 +197,25 @@ func (c *Coordinator) Saved(task int32, id int64) (complete bool, err error) {
 // Runtime rescaling writes a repartitioned snapshot under a reserved id
 // and commits it directly through the backend; reserving through the
 // coordinator keeps the id sequence strictly monotone so instances never
-// confuse the repartitioned epoch with an interval checkpoint.
-func (c *Coordinator) Reserve() int64 {
+// confuse the repartitioned epoch with an interval checkpoint. An error
+// is PrepareSink's: the id was not handed out.
+func (c *Coordinator) Reserve() (int64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	id := c.next
+	if sink := c.PrepareSink; sink != nil {
+		if err := sink(id+1, c.pending); err != nil {
+			return 0, err
+		}
+	}
 	c.next++
-	c.persistLedgerLocked()
-	return id
+	return id, nil
 }
 
-// InitFloor raises the id sequence to at least next. A promoted standby
-// calls it with its replayed view's ledger floor so an epoch that was in
-// flight under the dead leader — possibly prepared at transactional
-// sinks — is abandoned, never reused for a different cut of the stream.
+// InitFloor raises the id sequence to at least next. A new TMaster calls
+// it with its replayed view's ledger floor so an epoch that was in flight
+// under the dead one — possibly prepared at transactional sinks — is
+// abandoned, never reused for a different cut of the stream.
 func (c *Coordinator) InitFloor(next int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

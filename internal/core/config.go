@@ -85,12 +85,14 @@ type Config struct {
 	// or "observe" (diagnoses only, never acts). Requires HealthInterval.
 	HealthPolicy string
 
-	// ControlReplicas replicates the control plane: 0 or 1 (the default)
-	// runs the classic single TMaster in container 0; N ≥ 2 runs one
-	// leader plus N-1 hot standbys that tail the replicated control log
-	// and take over via leader election when the leader's lease lapses,
-	// through the State Manager kernel's CAS, leases and watches. Capped
-	// at MaxControlReplicas.
+	// ControlReplicas sizes the control plane's replica set; 0 and 1 (the
+	// default) both mean one replica. Every deployment runs the same path:
+	// container 0 launches a leader candidate that is elected through the
+	// State Manager kernel's CAS, leases and watches and appends every
+	// control mutation to the control log, and N-1 hot standbys tail that
+	// log and take over when the leader's lease lapses. With one replica,
+	// the candidate container 0 relaunches takes over instead. Capped at
+	// MaxControlReplicas.
 	ControlReplicas int
 	// ControlLeaseTTL is the leader lease's time-to-live: a crashed
 	// leader that cannot renew is deposed after at most this long. The

@@ -10,9 +10,9 @@ import (
 var ErrNotFound = errors.New("core: not found")
 
 // ErrNotLeader is wrapped by every control-plane operation that lands on
-// a deposed or not-yet-elected Topology Master while the control plane is
-// replicated (Config.ControlReplicas > 1): scaling, tuning, checkpoint
-// reservations, and health-manager actions during a failover window.
+// a deposed, stopped or not-yet-elected Topology Master: scaling, tuning,
+// checkpoint reservations, and health-manager actions during a failover
+// window.
 // It is a typed transient — callers retry against the new leader (see
 // heron.RetryNotLeader) instead of treating the window as a hard failure.
 var ErrNotLeader = errors.New("core: not leader")
@@ -117,9 +117,10 @@ type TMasterLocation struct {
 	// Transport and Addr locate the TMaster's control listener.
 	Transport string
 	Addr      string
-	// SessionID is the TMaster's start time in unix nanos: it tells two
-	// TMasters advertising the same address apart. It is not ordered
-	// across a wall-clock step.
+	// SessionID is the advertising TMaster's fencing term, from the
+	// control plane's election: every generation gets a higher one, so it
+	// tells two TMasters advertising the same address apart, and orders
+	// them without reference to any clock.
 	SessionID int64
 }
 
@@ -196,11 +197,11 @@ type VersionedStore interface {
 	DeleteNode(path string) error
 }
 
-// CheckpointLedger is the checkpoint coordinator's durable control
-// record, persisted through the State Manager on every epoch transition.
-// Next is the next epoch id the coordinator may hand out; Pending is the
-// epoch in flight when the record was written (0 = none) — informational
-// for operators, the safety argument only needs Next.
+// CheckpointLedger is the checkpoint coordinator's epoch sequence, as
+// recorded in the control log ahead of every id it hands out. Next is the
+// next epoch id the coordinator may hand out; Pending is the epoch in
+// flight (0 = none) — informational for operators, the safety argument
+// only needs Next.
 type CheckpointLedger struct {
 	Next    int64 `json:"next"`
 	Pending int64 `json:"pending"`

@@ -80,12 +80,10 @@ type Message struct {
 // PlanPayload carries everything a container needs to (re)build its
 // routing state.
 type PlanPayload struct {
-	Epoch int64 `json:"epoch"` // increases with every broadcast
-	// Term is the broadcasting TMaster's fencing term (0 when the control
-	// plane is unreplicated). Epochs restart at 1 under each new leader;
-	// receivers order plans by (Term, Epoch) so a freshly promoted
-	// TMaster's first broadcast supersedes the dead leader's last.
-	Term     int64             `json:"term,omitempty"`
+	// Epoch is the control-log seq of the plan's record. It rises with
+	// every broadcast, across TMaster generations too, so receivers keep
+	// the plan with the highest epoch.
+	Epoch    int64             `json:"epoch"`
 	Topology *core.Topology    `json:"topology"`
 	Packing  *core.PackingPlan `json:"packing"`
 	// Stmgrs maps container id → stream-manager data address.

@@ -3,11 +3,12 @@ package wire
 import "sync"
 
 // Buffer is a reusable byte buffer for encoding messages. Obtain one with
-// GetBuffer and return it with PutBuffer; the pool keeps steady-state
-// encoding allocation-free, which is the paper's memory-pool optimization
-// for Protocol Buffer objects.
+// GetBuffer or from a Pool and return it with PutBuffer; the pool keeps
+// steady-state encoding allocation-free, which is the paper's memory-pool
+// optimization for Protocol Buffer objects.
 type Buffer struct {
-	B []byte
+	B    []byte
+	pool *Pool // where PutBuffer returns it; nil = the shared pool
 }
 
 // Reset truncates the buffer without releasing its capacity.
@@ -50,7 +51,37 @@ func PutBuffer(b *Buffer) {
 	if b == nil || cap(b.B) > maxPooledCap {
 		return
 	}
+	if b.pool != nil {
+		select {
+		case b.pool.free <- b:
+		default: // the free list is full: drop it
+		}
+		return
+	}
 	bufPool.Put(b)
+}
+
+// Pool is a bounded free list of buffers for one kind of frame. A buffer
+// from Get goes back to its Pool on PutBuffer, whoever recycles it, so a
+// sender of large frames gets back buffers at the sizes it built instead
+// of the small control-frame buffers that mostly fill the shared pool.
+// Unlike the shared pool, the collector does not empty it, so how often
+// such a sender allocates a frame does not depend on how often the
+// collector runs.
+type Pool struct{ free chan *Buffer }
+
+// NewPool returns a Pool that keeps up to n idle buffers.
+func NewPool(n int) *Pool { return &Pool{free: make(chan *Buffer, n)} }
+
+// Get returns an empty buffer that PutBuffer returns to p.
+func (p *Pool) Get() *Buffer {
+	select {
+	case b := <-p.free:
+		b.Reset()
+		return b
+	default:
+		return &Buffer{pool: p}
+	}
 }
 
 // slicePool pools raw byte slices used for payload copies (e.g. framed

@@ -248,6 +248,36 @@ func TestBufferPool(t *testing.T) {
 	PutBuffer(nil) // nil safe
 }
 
+// TestOwnPoolKeepsItsBuffers: a buffer from a Pool goes back to that
+// Pool, whoever recycles it, and never reaches GetBuffer's shared pool.
+func TestOwnPoolKeepsItsBuffers(t *testing.T) {
+	p := NewPool(4)
+	var kept []*Buffer
+	for range 6 {
+		b := p.Get()
+		if b.pool != p || b.Len() != 0 {
+			t.Fatalf("Pool.Get returned pool=%p len=%d, want pool=%p len=0", b.pool, b.Len(), p)
+		}
+		b.B = append(b.B, "frame"...)
+		kept = append(kept, b)
+	}
+	for _, b := range kept {
+		PutBuffer(b) // the last two find the free list full and are dropped
+	}
+	for i := range 4 {
+		if b := p.Get(); b != kept[i] || b.Len() != 0 {
+			t.Fatalf("Get %d after recycling: got %p len %d, want the recycled %p, reset", i, b, b.Len(), kept[i])
+		}
+	}
+	for range 64 {
+		b := GetBuffer()
+		if b.pool != nil {
+			t.Fatal("GetBuffer returned a buffer that belongs to a Pool")
+		}
+		defer PutBuffer(b)
+	}
+}
+
 func TestSlicePool(t *testing.T) {
 	s := GetSlice(100)
 	if len(s) != 100 {

@@ -24,14 +24,14 @@ import (
 
 // KillLeader hard-crashes the topology's leading control replica: the
 // lease lapses at its TTL and a standby takes over. False when nothing
-// leads right now (unreplicated control plane, or mid-failover).
+// leads right now (mid-failover).
 func KillLeader(h *heron.Handle) (bool, error) {
 	return h.KillLeader()
 }
 
 // KillTMaster fails the TMaster's own container through the scheduler's
-// failure path — the coarser chaos primitive: with a replicated control
-// plane only container 0 is re-placed and the workers never quiesce.
+// failure path — the coarser chaos primitive: only container 0 is
+// re-placed and the workers never quiesce.
 func KillTMaster(cl *cluster.Cluster, topology string) error {
 	return cl.InjectFailure(topology, core.TMasterContainerID)
 }

@@ -53,7 +53,7 @@ const (
 	MHealthActions         = "healthmgr.resolver-actions" // resolver actions taken
 	MHealthRescaleDuration = "healthmgr.rescale-duration" // ns per runtime rescale
 
-	// Replicated control plane (tags: component = replica node id).
+	// Control-plane replicas (tags: component = replica node id).
 	// Role is 1 for the leader and 0 for standbys; term is the replica's
 	// last observed fencing term; failover latency is the leader's
 	// loss-of-leader → promoted wall time.

@@ -61,7 +61,7 @@ func (s *Scheduler) Initialize(cfg *core.Config) error {
 				res, managed = asks[ev.ContainerID]
 			}
 			var reqs map[int32]core.Resource
-			if managed && s.cfg.CheckpointInterval > 0 {
+			if managed && s.cfg.CheckpointInterval > 0 && ev.ContainerID != core.TMasterContainerID {
 				reqs = make(map[int32]core.Resource, len(asks))
 				for id, r := range asks {
 					reqs[id] = r
@@ -74,7 +74,10 @@ func (s *Scheduler) Initialize(cfg *core.Config) error {
 			if reqs != nil {
 				// Checkpoint recovery: quiesce the whole worker set before
 				// anything restarts, then re-place every container; each
-				// relaunch restores from the last committed checkpoint.
+				// relaunch restores from the last committed checkpoint. A
+				// container-0 death is control-only: a standby or the
+				// relaunched candidate takes over, and the workers keep
+				// running.
 				for _, id := range s.quiesce(ev.Topology, ev.ContainerID) {
 					if r, ok := reqs[id]; ok {
 						_ = s.binding.Sub.allocate(ev.Topology, id, r, s.cfg.Launcher)

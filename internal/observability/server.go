@@ -34,7 +34,7 @@ type Options struct {
 	// manager's current diagnosis and action log. When nil, /health
 	// reports {"enabled": false}.
 	Health func() any
-	// Control, when non-nil, adds the replicated-control-plane status
+	// Control, when non-nil, adds the control-plane replica status
 	// (leader, terms, failover counts) to the /health payload.
 	Control func() any
 }

@@ -8,8 +8,9 @@
 //   - an ordered control log appended over the statemgr tree, to which
 //     every control-plane mutation — checkpoint-ledger transitions, global
 //     commits, health-manager actions, rescale begin/commit/rollback,
-//     plan and tune changes — is written before it takes effect (this
-//     file);
+//     plan and tune changes — is written before it takes effect, and which
+//     the appender compacts into a View snapshot every SnapshotEvery
+//     records (this file);
 //   - hot-standby replicas that tail the log into a warm View and, on
 //     winning election, fence the old leader, replay the suffix, and
 //     promote a new active TMaster (replica.go, view.go).
@@ -26,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"strings"
 	"sync"
 
 	"heron/internal/core"
@@ -65,11 +67,11 @@ type Record struct {
 	Rescale *RescaleRecord `json:"rescale,omitempty"`
 }
 
-// PlanRecord summarizes a physical-plan broadcast.
+// PlanRecord summarizes a physical-plan broadcast. The plan's epoch is
+// the record's Seq.
 type PlanRecord struct {
-	Epoch      int64 `json:"epoch"`
-	Containers int   `json:"containers"`
-	Tasks      int   `json:"tasks"`
+	Containers int `json:"containers"`
+	Tasks      int `json:"tasks"`
 }
 
 // HealthRecord is one resolver action written ahead of its effect.
@@ -99,6 +101,12 @@ type Head struct {
 	Next int64 `json:"next"`
 }
 
+// SnapshotEvery is the compaction period: after appending a record whose
+// Seq is a multiple of it, the appender snapshots its View and deletes
+// every record the snapshot covers, so the log holds at most
+// SnapshotEvery records beside its head and snapshot.
+const SnapshotEvery = 64
+
 // Log reads and (once fenced to a term) appends the replicated control
 // log of one topology.
 type Log struct {
@@ -107,6 +115,9 @@ type Log struct {
 
 	mu   sync.Mutex
 	term int64 // 0 = read-only; appends require a fenced term
+	// view folds the log through this appender's last append; the first
+	// Append after Fence loads it, and compaction snapshots it.
+	view *View
 }
 
 // NewLog returns a read-only handle; call Fence to become the appender.
@@ -116,6 +127,7 @@ func NewLog(vs core.VersionedStore, topology string) *Log {
 
 func logBase(topology string) string  { return "/topologies/" + topology + "/ctrllog" }
 func headPath(topology string) string { return logBase(topology) + "/head" }
+func snapPath(topology string) string { return logBase(topology) + "/snap" }
 func recPath(topology string, seq int64) string {
 	return logBase(topology) + "/e" + strconv.FormatInt(seq, 10)
 }
@@ -147,27 +159,46 @@ func (l *Log) Read(seq int64) (*Record, bool, error) {
 	return &r, true, nil
 }
 
-// Replay applies every committed record with seq in [from, head.Next) to
-// fn, in order.
-func (l *Log) Replay(from int64, fn func(*Record) error) error {
+// Snapshot reads the latest compaction snapshot (ok=false before the
+// first compaction): the View folded through its AppliedSeq.
+func (l *Log) Snapshot() (*View, bool, error) {
+	data, _, ok, err := l.vs.GetVersioned(snapPath(l.topology))
+	if err != nil || !ok {
+		return nil, false, err
+	}
+	var v View
+	if err := json.Unmarshal(data, &v); err != nil {
+		return nil, false, fmt.Errorf("replication: corrupt log snapshot: %w", err)
+	}
+	return &v, true, nil
+}
+
+// Replay brings v up to the log head: it folds every committed record
+// after v.AppliedSeq into v, in order. A record compaction already
+// deleted is covered by the snapshot, which then replaces v before the
+// fold continues past it. On error v keeps the records folded so far.
+func (l *Log) Replay(v *View) error {
 	head, ok, err := l.Head()
 	if err != nil || !ok {
 		return err
 	}
-	if from < 1 {
-		from = 1
-	}
-	for seq := from; seq < head.Next; seq++ {
+	for seq := v.AppliedSeq + 1; seq < head.Next; seq = v.AppliedSeq + 1 {
 		rec, ok, err := l.Read(seq)
 		if err != nil {
 			return err
 		}
-		if !ok {
-			return fmt.Errorf("replication: log gap at e%d", seq)
+		if ok {
+			v.Apply(rec)
+			continue
 		}
-		if err := fn(rec); err != nil {
+		snap, ok, err := l.Snapshot()
+		if err != nil {
 			return err
 		}
+		if !ok || snap.AppliedSeq < seq {
+			return fmt.Errorf("replication: log gap at e%d", seq)
+		}
+		*v = *snap
 	}
 	return nil
 }
@@ -213,7 +244,7 @@ func (l *Log) Fence(term int64) error {
 			}
 			return err
 		}
-		l.term = term
+		l.term, l.view = term, nil
 		return nil
 	}
 }
@@ -223,12 +254,20 @@ func (l *Log) Fence(term int64) error {
 // effect at the caller. A fenced-out appender (head term above ours) gets
 // core.ErrNotLeader and must not apply the mutation. A record placed by a
 // leader that died before advancing the head never took effect, so the
-// next leader's append may overwrite it.
+// next leader's append may overwrite it. Every SnapshotEvery records the
+// append also compacts the log (see compact).
 func (l *Log) Append(rec *Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.term <= 0 {
 		return fmt.Errorf("replication: log not fenced for append")
+	}
+	if l.view == nil {
+		v := &View{}
+		if err := l.Replay(v); err != nil {
+			return err
+		}
+		l.view = v
 	}
 	for {
 		data, headVer, ok, err := l.vs.GetVersioned(headPath(l.topology))
@@ -288,6 +327,59 @@ func (l *Log) Append(rec *Record) error {
 			}
 			return err
 		}
+		l.view.Apply(rec)
+		if rec.Seq%SnapshotEvery == 0 {
+			// Best effort: the record already took effect, and a failed
+			// compaction leaves only records the next one deletes.
+			_ = l.compact()
+		}
 		return nil
 	}
+}
+
+// compact writes the appender's View as the log snapshot, unless a newer
+// snapshot is already there (a successor compacted past a deposed
+// appender), then deletes every record at or below the snapshot's seq.
+// The snapshot is written before any record goes, so a reader that finds
+// a record missing always finds a snapshot covering it.
+func (l *Log) compact() error {
+	b, err := json.Marshal(l.view)
+	if err != nil {
+		return err
+	}
+	for {
+		cur, ver, ok, err := l.vs.GetVersioned(snapPath(l.topology))
+		if err != nil {
+			return err
+		}
+		if ok {
+			var v View
+			if json.Unmarshal(cur, &v) == nil && v.AppliedSeq >= l.view.AppliedSeq {
+				break
+			}
+		}
+		if _, err := l.vs.SetIf(snapPath(l.topology), b, ver); err != nil {
+			if errors.Is(err, core.ErrVersionMismatch) {
+				continue
+			}
+			return err
+		}
+		break
+	}
+	children, err := l.vs.NodeChildren(logBase(l.topology))
+	if err != nil {
+		return err
+	}
+	for _, c := range children {
+		name, ok := strings.CutPrefix(c, "e")
+		if !ok {
+			continue
+		}
+		if seq, err := strconv.ParseInt(name, 10, 64); err == nil && seq <= l.view.AppliedSeq {
+			if err := l.vs.DeleteNode(logBase(l.topology) + "/" + c); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }

@@ -45,8 +45,6 @@ type Options struct {
 	// returned ErrNotLeader) — the replica then tears it down and rejoins
 	// as a standby. Promote runs on the replica's goroutine.
 	Promote func(term int64, view *View, depose func()) (Active, error)
-	// OnTransition, if set, observes every status change (metrics hook).
-	OnTransition func(Status)
 	// Abandon, if set, is invoked on Crash instead of any cleanup: it
 	// must abandon the statemgr session so ephemerals linger and the
 	// lease lapses by TTL (the hard-crash failure model).
@@ -70,6 +68,11 @@ type Replica struct {
 	lossAt  time.Time // when the current leaderless window was first seen
 	sawLive bool      // a leader existed at some point (gates failover timing)
 
+	// settled closes once the first campaign is decided: this replica
+	// leads, or it saw a live leader, or it stopped.
+	settled    chan struct{}
+	settleOnce sync.Once
+
 	stop     chan struct{}
 	stopOnce sync.Once
 	crashed  bool
@@ -85,12 +88,13 @@ func NewReplica(opts Options) (*Replica, error) {
 		opts.TTL = core.DefaultControlLeaseTTL
 	}
 	r := &Replica{
-		opts:   opts,
-		log:    NewLog(opts.Store, opts.Topology),
-		el:     NewElector(opts.Store, opts.Topology, opts.NodeID, opts.TTL),
-		status: Status{NodeID: opts.NodeID, Role: RoleStandby},
-		view:   &View{},
-		stop:   make(chan struct{}),
+		opts:    opts,
+		log:     NewLog(opts.Store, opts.Topology),
+		el:      NewElector(opts.Store, opts.Topology, opts.NodeID, opts.TTL),
+		status:  Status{NodeID: opts.NodeID, Role: RoleStandby},
+		view:    &View{},
+		settled: make(chan struct{}),
+		stop:    make(chan struct{}),
 	}
 	r.wg.Add(1)
 	go r.run()
@@ -110,6 +114,12 @@ func (r *Replica) View() *View {
 	defer r.mu.Unlock()
 	return r.view.Clone()
 }
+
+// Settled is closed once the replica's first campaign is decided: it
+// promoted a TMaster, lost the election, saw a live leader, or stopped.
+func (r *Replica) Settled() <-chan struct{} { return r.settled }
+
+func (r *Replica) settle() { r.settleOnce.Do(func() { close(r.settled) }) }
 
 // IsLeader reports whether this replica currently leads.
 func (r *Replica) IsLeader() bool {
@@ -142,18 +152,14 @@ func (r *Replica) Crash() {
 func (r *Replica) transition(mut func(*Status)) {
 	r.mu.Lock()
 	mut(&r.status)
-	st := r.status
-	cb := r.opts.OnTransition
 	r.mu.Unlock()
-	if cb != nil {
-		cb(st)
-	}
 }
 
 // run is the replica's life: tail the log as a standby, campaign when
 // the lease is free, lead until deposed, repeat.
 func (r *Replica) run() {
 	defer r.wg.Done()
+	defer r.settle()
 	kick := make(chan struct{}, 1)
 	nudge := func() {
 		select {
@@ -215,7 +221,9 @@ func (r *Replica) run() {
 					continue
 				}
 			}
+			r.settle()
 		} else {
+			r.settle()
 			r.mu.Lock()
 			r.sawLive = true
 			if r.status.Term < li.Term {
@@ -232,27 +240,20 @@ func (r *Replica) run() {
 	}
 }
 
-// tail folds newly committed records into the warm view. Store reads stay
+// tail folds newly committed records into the warm view, starting from
+// the log snapshot when compaction has passed the view. Store reads stay
 // outside r.mu: a read can observe a lease lapse and synchronously fire
-// this replica's own leader watch, whose callback takes r.mu.
+// this replica's own leader watch, whose callback takes r.mu. Only the
+// run goroutine writes r.view, so folding into a copy loses nothing.
 func (r *Replica) tail() {
-	head, ok, err := r.log.Head()
-	if err != nil || !ok {
-		return
-	}
 	r.mu.Lock()
-	from := r.view.AppliedSeq + 1
+	v := r.view.Clone()
 	r.mu.Unlock()
-	for seq := from; seq < head.Next; seq++ {
-		rec, ok, err := r.log.Read(seq)
-		if err != nil || !ok {
-			return
-		}
-		r.mu.Lock()
-		r.view.Apply(rec)
-		r.status.AppliedSeq = r.view.AppliedSeq
-		r.mu.Unlock()
-	}
+	_ = r.log.Replay(v) // a failed read leaves v at its last good record
+	r.mu.Lock()
+	r.view = v
+	r.status.AppliedSeq = v.AppliedSeq
+	r.mu.Unlock()
 }
 
 // lead fences the log at term, replays the suffix, promotes an active
@@ -260,6 +261,7 @@ func (r *Replica) tail() {
 // lossAt is when the leaderless window this election closes was first
 // observed (zero for an initial, non-failover election).
 func (r *Replica) lead(term int64, lossAt time.Time) {
+	defer r.settle()
 	if err := r.log.Fence(term); err != nil {
 		// A higher term got there first; back to standby.
 		_ = r.el.Resign()
@@ -291,6 +293,7 @@ func (r *Replica) lead(term int64, lossAt time.Time) {
 			st.LastFailoverNs = time.Since(lossAt).Nanoseconds()
 		}
 	})
+	r.settle()
 
 	renew := time.NewTicker(r.opts.TTL / 3)
 	defer renew.Stop()

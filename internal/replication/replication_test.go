@@ -3,6 +3,7 @@ package replication
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -69,15 +70,23 @@ func TestLogAppendAssignsOrderedSequence(t *testing.T) {
 	if head.Next != 4 || head.Term != 1 {
 		t.Fatalf("head = %+v, want Next=4 Term=1", head)
 	}
-	var replayed []string
-	if err := l.Replay(1, func(r *Record) error {
-		replayed = append(replayed, r.Kind)
-		return nil
-	}); err != nil {
+	var read []string
+	for seq := int64(1); seq < head.Next; seq++ {
+		rec, ok, err := l.Read(seq)
+		if err != nil || !ok {
+			t.Fatalf("read e%d: ok=%v err=%v", seq, ok, err)
+		}
+		read = append(read, rec.Kind)
+	}
+	if fmt.Sprint(read) != fmt.Sprint(kinds) {
+		t.Fatalf("read %v, want %v", read, kinds)
+	}
+	var v View
+	if err := l.Replay(&v); err != nil {
 		t.Fatal(err)
 	}
-	if fmt.Sprint(replayed) != fmt.Sprint(kinds) {
-		t.Fatalf("replayed %v, want %v", replayed, kinds)
+	if v.AppliedSeq != 3 || v.Plans != 1 {
+		t.Fatalf("replayed view = %+v, want AppliedSeq 3 and one plan", v)
 	}
 }
 
@@ -167,7 +176,7 @@ func TestViewReplayPrefixes(t *testing.T) {
 	records := []*Record{
 		{Kind: KindLedger, Ledger: &core.CheckpointLedger{Next: 2, Pending: 1}},
 		{Kind: KindCommit, Value: 1},
-		{Kind: KindPlan, Plan: &PlanRecord{Epoch: 1}},
+		{Kind: KindPlan, Plan: &PlanRecord{Containers: 2, Tasks: 4}},
 		{Kind: KindLedger, Ledger: &core.CheckpointLedger{Next: 3, Pending: 2}},
 		{Kind: KindRescaleBegin, Rescale: &RescaleRecord{Component: "count", Parallelism: 6, PreCheckpoint: 2}},
 		{Kind: KindCommit, Value: 2},
@@ -247,7 +256,7 @@ func TestViewReplayFromLog(t *testing.T) {
 		}
 	}
 	var v View
-	if err := l.Replay(1, func(r *Record) error { v.Apply(r); return nil }); err != nil {
+	if err := l.Replay(&v); err != nil {
 		t.Fatal(err)
 	}
 	if v.Term != 3 || v.LastCommit != 1 || v.Ledger.Next != 2 || v.Rescale == nil {
@@ -437,4 +446,110 @@ func TestStandbyTailsWarmView(t *testing.T) {
 	if b.IsLeader() {
 		t.Fatal("deferred standby must not campaign")
 	}
+}
+
+// eachBackend runs fn once per registered State Manager backend, with an
+// opener of sessions on one tree private to the subtest.
+func eachBackend(t *testing.T, fn func(t *testing.T, open func() *statemgr.Manager)) {
+	for _, name := range core.StateManagerNames() {
+		t.Run(name, func(t *testing.T) {
+			cfg := core.NewConfig()
+			cfg.StateManagerName = name
+			cfg.StateRoot = "/rep-" + t.Name()
+			cfg.Extra["localfs.root"] = t.TempDir()
+			statemgr.ResetSharedStore(cfg.StateRoot)
+			t.Cleanup(func() { statemgr.ResetSharedStore(cfg.StateRoot) })
+			fn(t, func() *statemgr.Manager {
+				m, err := statemgr.Open(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { m.Close() })
+				return m
+			})
+		})
+	}
+}
+
+// epochRecords returns the records one checkpoint epoch appends, with a
+// rescale opened on every tenth epoch and closed on the next, so views
+// carry a non-nil Rescale across some snapshots.
+func epochRecords(epoch int64) []*Record {
+	recs := []*Record{
+		{Kind: KindLedger, Ledger: &core.CheckpointLedger{Next: epoch + 1, Pending: epoch}},
+		{Kind: KindCommit, Value: epoch},
+	}
+	switch epoch % 10 {
+	case 0:
+		recs = append(recs, &Record{Kind: KindRescaleBegin, Rescale: &RescaleRecord{Component: "count", Parallelism: int(epoch)}})
+	case 1:
+		recs = append(recs, &Record{Kind: KindRescaleCommit, Rescale: &RescaleRecord{Component: "count"}})
+	}
+	return recs
+}
+
+// TestStandbyCatchesUpPastSnapshot: compaction deletes the records a
+// lagging reader has not folded yet. A view stopped below the snapshot,
+// and a replica started after several compactions, must both reach the
+// same View as the fold of every record ever appended.
+func TestStandbyCatchesUpPastSnapshot(t *testing.T) {
+	eachBackend(t, func(t *testing.T, open func() *statemgr.Manager) {
+		vs := open()
+		el := NewElector(vs, "topo", "ext", 30*time.Second)
+		term, won, err := el.TryAcquire(0)
+		if err != nil || !won {
+			t.Fatalf("external acquire: won=%v err=%v", won, err)
+		}
+		l := NewLog(vs, "topo")
+		if err := l.Fence(term); err != nil {
+			t.Fatal(err)
+		}
+		var whole View // every appended record, folded as it is appended
+		appendEpochs := func(from, to int64) {
+			for e := from; e <= to; e++ {
+				for _, r := range epochRecords(e) {
+					if err := l.Append(r); err != nil {
+						t.Fatal(err)
+					}
+					whole.Apply(r)
+				}
+			}
+		}
+		appendEpochs(1, 5)
+		var lagging View
+		if err := NewLog(open(), "topo").Replay(&lagging); err != nil {
+			t.Fatal(err)
+		}
+		appendEpochs(6, 3*SnapshotEvery)
+		snap, ok, err := l.Snapshot()
+		if err != nil || !ok || snap.AppliedSeq <= lagging.AppliedSeq {
+			t.Fatalf("no snapshot past the lagging view at %d: %+v, %v, %v", lagging.AppliedSeq, snap, ok, err)
+		}
+		if _, ok, _ := l.Read(lagging.AppliedSeq + 1); ok {
+			t.Fatalf("record e%d survived compaction", lagging.AppliedSeq+1)
+		}
+		if err := NewLog(open(), "topo").Replay(&lagging); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(lagging, whole) {
+			t.Fatalf("lagging view caught up to\n%+v\nwant\n%+v", lagging, whole)
+		}
+
+		b, err := NewReplica(Options{
+			Topology: "topo", NodeID: "standby", Store: open(), TTL: 100 * time.Millisecond,
+			Promote: func(int64, *View, func()) (Active, error) {
+				return nil, errors.New("a standby must not be promoted here")
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer b.Stop()
+		waitUntil(t, 10*time.Second, "late standby catching up", func() bool {
+			return b.View().AppliedSeq == whole.AppliedSeq
+		})
+		if got := b.View(); !reflect.DeepEqual(*got, whole) {
+			t.Fatalf("late standby view\n%+v\nwant\n%+v", *got, whole)
+		}
+	})
 }

@@ -1,9 +1,11 @@
-// Replicated control plane: when Config.ControlReplicas > 1, container 0
-// launches a leader *candidate* instead of a bare TMaster, and the engine
-// keeps a pool of hot standbys alive for the topology's lifetime. Every
+// The control plane is a replica set of Config.ControlReplicas (0 counts
+// as 1): container 0 launches a leader *candidate*, and the engine keeps
+// ControlReplicas-1 hot standbys alive for the topology's lifetime. Every
 // replica tails the control log; whichever wins the lease election
-// promotes a real TMaster from its warm view. Killing the leader
-// (cleanly or by simulated crash) hands leadership to a standby.
+// promotes a real TMaster from its warm view, at a fencing term that also
+// identifies its advertised location. Killing the leader (cleanly or by
+// simulated crash) hands leadership to a standby, or, with no standby, to
+// the candidate container 0 relaunches.
 
 package runtime
 
@@ -26,11 +28,12 @@ type controlReplica struct {
 
 var nodeSeq atomic.Int64
 
-// launchReplicatedControl is container 0's launch path under
-// ControlReplicas > 1: a candidate that campaigns immediately plus an
-// engine-lifetime standby pool (created once) that yields the first
-// election to the candidate.
-func (e *Engine) launchReplicatedControl(topology string) (func(), error) {
+// launchControl is container 0's launch path: a candidate that campaigns
+// immediately plus an engine-lifetime standby pool (created once) that
+// yields the first election to the candidate. It returns once the
+// candidate's first campaign is decided, so a candidate that wins has
+// already installed its TMaster.
+func (e *Engine) launchControl(topology string) (func(), error) {
 	cand, err := e.newControlReplica(topology, 0)
 	if err != nil {
 		return nil, err
@@ -52,6 +55,7 @@ func (e *Engine) launchReplicatedControl(topology string) (func(), error) {
 			}
 		}
 	}
+	<-cand.rep.Settled()
 	return func() {
 		// Only this candidate dies with the container; the standby pool
 		// outlives container restarts (that is the whole point).
@@ -70,14 +74,13 @@ func (e *Engine) newControlReplica(topology string, deferFirst time.Duration) (*
 	}
 	nodeID := "replica-" + strconv.FormatInt(nodeSeq.Add(1), 10)
 	rep, err := replication.NewReplica(replication.Options{
-		Topology:     topology,
-		NodeID:       nodeID,
-		Store:        state,
-		TTL:          e.cfg.ResolveControlLeaseTTL(),
-		Promote:      e.promoteTMaster(topology),
-		OnTransition: e.noteControl,
-		Abandon:      state.Abandon,
-		Defer:        deferFirst,
+		Topology: topology,
+		NodeID:   nodeID,
+		Store:    state,
+		TTL:      e.cfg.ResolveControlLeaseTTL(),
+		Promote:  e.promoteTMaster(topology),
+		Abandon:  state.Abandon,
+		Defer:    deferFirst,
 	})
 	if err != nil {
 		_ = state.Close()
@@ -152,16 +155,6 @@ func (e *Engine) promoteTMaster(topology string) func(int64, *replication.View, 
 	}
 }
 
-// noteControl records every replica status transition for observability.
-func (e *Engine) noteControl(st replication.Status) {
-	e.mu.Lock()
-	if e.ctrlStatus == nil {
-		e.ctrlStatus = map[string]replication.Status{}
-	}
-	e.ctrlStatus[st.NodeID] = st
-	e.mu.Unlock()
-}
-
 // ControlStatus snapshots every LIVE replica's current status (leader
 // first when present) — the /health leadership block and the
 // replication.* metrics both read it. Dead replicas (crashed leaders,
@@ -181,10 +174,6 @@ func (e *Engine) ControlStatus() []replication.Status {
 	}
 	return out
 }
-
-// Replicated reports whether this engine runs a replicated control
-// plane.
-func (e *Engine) Replicated() bool { return e.cfg.ControlReplicas > 1 }
 
 // CrashLeader hard-kills the current leader replica (lease lapses by
 // TTL, session abandoned) and spins up a replacement standby so the

@@ -1,9 +1,9 @@
 // Package runtime glues the modules into a running topology: it
 // implements the ContainerLauncher the Scheduler calls, booting the
-// Topology Master for container 0 and a Stream Manager + Metrics Manager
-// + Heron Instances for every other container, each with its own State
-// Manager session — the per-container process group of the paper's
-// Section II.
+// control plane's leader candidate for container 0 (control.go) and a
+// Stream Manager + Metrics Manager + Heron Instances for every other
+// container, each with its own State Manager session — the per-container
+// process group of the paper's Section II.
 package runtime
 
 import (
@@ -17,7 +17,6 @@ import (
 	"heron/internal/instance"
 	"heron/internal/metrics"
 	"heron/internal/network"
-	"heron/internal/replication"
 	"heron/internal/statemgr"
 	"heron/internal/stmgr"
 	"heron/internal/tmaster"
@@ -33,9 +32,8 @@ type Engine struct {
 	tm         *tmaster.TMaster
 	registries map[int32]*metrics.Registry
 
-	// Replicated control plane (control.go).
+	// Control plane replicas (control.go).
 	ctrlReplicas []*controlReplica
-	ctrlStatus   map[string]replication.Status
 	poolStarted  bool
 }
 
@@ -47,37 +45,9 @@ func NewEngine(cfg *core.Config, spec *api.Spec) *Engine {
 // LaunchContainer implements core.ContainerLauncher.
 func (e *Engine) LaunchContainer(topology string, containerID int32) (func(), error) {
 	if containerID == core.TMasterContainerID {
-		return e.launchTMaster(topology)
+		return e.launchControl(topology)
 	}
 	return e.launchWorker(topology, containerID)
-}
-
-func (e *Engine) launchTMaster(topology string) (func(), error) {
-	if e.cfg.ControlReplicas > 1 {
-		return e.launchReplicatedControl(topology)
-	}
-	// Every container process opens its own State Manager session, so its
-	// ephemeral records die with it.
-	state, err := statemgr.Open(e.cfg)
-	if err != nil {
-		return nil, err
-	}
-	tm, err := tmaster.New(tmaster.Options{Topology: topology, Cfg: e.cfg, State: state})
-	if err != nil {
-		state.Close()
-		return nil, err
-	}
-	e.mu.Lock()
-	e.tm = tm
-	e.mu.Unlock()
-	return func() {
-		tm.Stop() // also closes the session, dropping the ephemeral record
-		e.mu.Lock()
-		if e.tm == tm {
-			e.tm = nil
-		}
-		e.mu.Unlock()
-	}, nil
 }
 
 func (e *Engine) launchWorker(topology string, containerID int32) (func(), error) {
@@ -260,8 +230,8 @@ func (e *Engine) metricsSink(topology string, containerID int32, state *statemgr
 	}, closeSink
 }
 
-// TMaster returns the running Topology Master, if container 0 is hosted
-// here.
+// TMaster returns the leading Topology Master, if a replica hosted here
+// leads (nil during a failover window).
 func (e *Engine) TMaster() *tmaster.TMaster {
 	e.mu.Lock()
 	defer e.mu.Unlock()

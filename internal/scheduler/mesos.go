@@ -64,7 +64,7 @@ func (m *Mesos) Initialize(cfg *core.Config) error {
 				res, managed = asks[ev.ContainerID]
 			}
 			var reqs map[int32]core.Resource
-			if managed && m.cfg.CheckpointInterval > 0 {
+			if managed && m.cfg.CheckpointInterval > 0 && ev.ContainerID != core.TMasterContainerID {
 				reqs = make(map[int32]core.Resource, len(asks))
 				for id, r := range asks {
 					reqs[id] = r
@@ -74,17 +74,12 @@ func (m *Mesos) Initialize(cfg *core.Config) error {
 			if !managed {
 				continue
 			}
-			if ev.ContainerID == core.TMasterContainerID && m.cfg.ControlReplicas > 1 {
-				// Replicated control plane: a hot standby is already taking
-				// over leadership — re-place only container 0, never quiesce
-				// the workers for a TMaster death.
-				_ = m.placeOnOffer(ev.Topology, ev.ContainerID, res)
-				continue
-			}
 			if reqs != nil {
 				// Checkpoint recovery: quiesce the whole worker set, then
 				// re-place every container on fresh offers; each relaunch
-				// restores from the last committed checkpoint.
+				// restores from the last committed checkpoint. A container-0
+				// death is control-only: a standby or the relaunched
+				// candidate takes over, and the workers keep running.
 				for _, id := range quiesceWorkers(m.cl, ev.Topology, ev.ContainerID) {
 					if r, ok := reqs[id]; ok {
 						_ = m.placeOnOffer(ev.Topology, id, r)

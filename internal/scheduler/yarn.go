@@ -54,7 +54,7 @@ func (y *YARN) Initialize(cfg *core.Config) error {
 				res, managed = asks[ev.ContainerID]
 			}
 			var reqs map[int32]core.Resource
-			if managed && y.cfg.CheckpointInterval > 0 {
+			if managed && y.cfg.CheckpointInterval > 0 && ev.ContainerID != core.TMasterContainerID {
 				reqs = make(map[int32]core.Resource, len(asks))
 				for id, r := range asks {
 					reqs[id] = r
@@ -64,17 +64,13 @@ func (y *YARN) Initialize(cfg *core.Config) error {
 			if !managed {
 				continue
 			}
-			if ev.ContainerID == core.TMasterContainerID && y.cfg.ControlReplicas > 1 {
-				// Replicated control plane: a hot standby is already taking
-				// over leadership, so the workers keep running — re-place
-				// only container 0 as a fresh leader candidate.
-				_ = y.cl.Allocate(ev.Topology, ev.ContainerID, res, y.cfg.Launcher, cluster.AllocateOptions{})
-				continue
-			}
 			if reqs != nil {
 				// Checkpoint recovery: quiesce the whole worker set before
 				// anything restarts, then re-request every container; each
-				// relaunch restores from the last committed checkpoint.
+				// relaunch restores from the last committed checkpoint. A
+				// container-0 death is control-only: a standby or the
+				// relaunched candidate takes over, and the workers keep
+				// running.
 				for _, id := range quiesceWorkers(y.cl, ev.Topology, ev.ContainerID) {
 					if r, ok := reqs[id]; ok {
 						_ = y.cl.Allocate(ev.Topology, id, r, y.cfg.Launcher, cluster.AllocateOptions{})

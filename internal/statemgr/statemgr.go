@@ -16,9 +16,9 @@
 //     watches.
 //
 // Manager is the second layer: the typed topology records of Heron's
-// znode layout (topology, packing plan, TMaster and scheduler locations,
-// checkpoint ledger), written once over whichever kernel the Config
-// names, so a new backend implements the kernel and nothing else.
+// znode layout (topology, packing plan, TMaster and scheduler locations),
+// written once over whichever kernel the Config names, so a new backend
+// implements the kernel and nothing else.
 package statemgr
 
 import (
@@ -44,8 +44,7 @@ func cleanPath(p string) (string, error) {
 
 // Manager is a State Manager session with the topology records on top of
 // its kernel. The kernel's methods are promoted, so a Manager is also the
-// core.VersionedStore the replicated control plane elects and logs
-// through, and the checkpoint.LedgerStore the coordinator persists to.
+// core.VersionedStore the control plane elects and logs through.
 type Manager struct {
 	core.StateManager
 }
@@ -70,7 +69,6 @@ const (
 	packingRecord   = "packingplan"
 	tmasterRecord   = "tmaster"
 	schedulerRecord = "scheduler"
-	ledgerRecord    = "ckptledger"
 )
 
 func topologyDir(topology string) string { return "/topologies/" + topology }
@@ -194,18 +192,4 @@ func (m *Manager) SetPackingPlan(topology string, p *core.PackingPlan) error {
 // GetPackingPlan reads the topology's active packing plan.
 func (m *Manager) GetPackingPlan(topology string) (*core.PackingPlan, error) {
 	return get[core.PackingPlan](m, topology, packingRecord)
-}
-
-// SetCheckpointLedger durably records the checkpoint coordinator's
-// prepare/commit ledger. The ledger survives TMaster restarts so a new
-// coordinator never reuses an epoch id that was in flight (and possibly
-// already prepared at transactional sinks) when the old one died.
-func (m *Manager) SetCheckpointLedger(topology string, l *core.CheckpointLedger) error {
-	return m.put(topology, ledgerRecord, l, false)
-}
-
-// GetCheckpointLedger reads the ledger; core.ErrNotFound when none was
-// ever written.
-func (m *Manager) GetCheckpointLedger(topology string) (*core.CheckpointLedger, error) {
-	return get[core.CheckpointLedger](m, topology, ledgerRecord)
 }

@@ -509,10 +509,7 @@ func TestDeleteTopologyRemovesControlPlane(t *testing.T) {
 		if err := sm.SetPackingPlan("wc", &core.PackingPlan{Topology: "wc"}); err != nil {
 			t.Fatal(err)
 		}
-		if err := sm.SetCheckpointLedger("wc", &core.CheckpointLedger{Next: 3}); err != nil {
-			t.Fatal(err)
-		}
-		for _, p := range []string{"/topologies/wc/term", "/topologies/wc/ctrllog/head", "/topologies/wc/ctrllog/e1"} {
+		for _, p := range []string{"/topologies/wc/term", "/topologies/wc/ctrllog/head", "/topologies/wc/ctrllog/snap", "/topologies/wc/ctrllog/e1"} {
 			if _, err := sm.SetIf(p, []byte("1"), 0); err != nil {
 				t.Fatal(err)
 			}
@@ -523,7 +520,7 @@ func TestDeleteTopologyRemovesControlPlane(t *testing.T) {
 		if err := sm.DeleteTopology("wc"); err != nil {
 			t.Fatal(err)
 		}
-		for _, p := range []string{"/topologies/wc/term", "/topologies/wc/ctrllog/head", "/topologies/wc/leader", "/topologies/wc/ckptledger"} {
+		for _, p := range []string{"/topologies/wc/term", "/topologies/wc/ctrllog/head", "/topologies/wc/leader", "/topologies/wc/ctrllog/snap", "/topologies/wc/ctrllog/e1"} {
 			if _, _, ok, err := sm.GetVersioned(p); err != nil || ok {
 				t.Errorf("%s survived DeleteTopology (ok=%v, err=%v)", p, ok, err)
 			}

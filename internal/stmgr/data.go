@@ -21,11 +21,18 @@ import (
 // appended once and never moved again. Sealing a batch transfers the
 // buffer's ownership to the flush callback, which hands it down the
 // outbox → Conn.SendOwned → pool chain. Neither the size-triggered nor
-// the timer-triggered flush copies or allocates a frame.
+// the timer-triggered flush copies or allocates a frame. The buffers come
+// from the cache's own wire.Pool and return to it, so a new batch starts
+// in a buffer the size of an earlier frame, not in a small one from the
+// shared pool that would have to grow.
 const cacheShards = 16
+
+// framePoolSize bounds the idle frames each cache keeps for reuse.
+const framePoolSize = 64
 
 type tupleCache struct {
 	shards    [cacheShards]cacheShard
+	frames    *wire.Pool // the data frames built here come back here
 	maxTuples int
 	flush     func(dest int32, count int, buf *wire.Buffer)
 }
@@ -41,10 +48,10 @@ type batchBuf struct {
 	buf   *wire.Buffer // nil between batches
 	count int
 	// last and prev are the lengths of the two most recently sealed
-	// frames. A batch starts with room for the longer of them: the pool
-	// hands out 512-byte buffers whenever a collection has emptied it, and
-	// one allocation at the expected size is half the bytes of the
-	// doubling chain that appending up to that size costs.
+	// frames. A batch starts with room for the longer of them: a new or
+	// recycled buffer may be smaller than the next frame, and one
+	// allocation at the expected size is half the bytes of the doubling
+	// chain that appending up to that size costs.
 	last, prev int
 }
 
@@ -53,7 +60,7 @@ func newTupleCache(cfg *core.Config, flush func(dest int32, count int, buf *wire
 	if max <= 0 {
 		max = core.DefaultCacheMaxBatchTuples
 	}
-	c := &tupleCache{maxTuples: max, flush: flush}
+	c := &tupleCache{maxTuples: max, flush: flush, frames: wire.NewPool(framePoolSize)}
 	for i := range c.shards {
 		c.shards[i].batches = map[int32]*batchBuf{}
 	}
@@ -82,7 +89,7 @@ func (c *tupleCache) add(dest int32, tupleBytes []byte) {
 		sh.batches[dest] = b
 	}
 	if b.buf == nil {
-		b.buf = wire.GetBuffer()
+		b.buf = c.frames.Get()
 		b.buf.B = tuple.BeginFrame(b.buf.Sized(max(b.last, b.prev))[:0])
 	}
 	b.buf.B = tuple.AppendFrameEntry(b.buf.B, tupleBytes)
@@ -218,9 +225,12 @@ func (s *StreamManager) peerOutLocked(container, dest int32) *outbox {
 type ackCache struct {
 	mu      sync.Mutex
 	batches map[int32]*batchBuf // peer container → pending acks
+	frames  *wire.Pool          // the ack frames built here come back here
 }
 
-func newAckCache() *ackCache { return &ackCache{batches: map[int32]*batchBuf{}} }
+func newAckCache() *ackCache {
+	return &ackCache{batches: map[int32]*batchBuf{}, frames: wire.NewPool(framePoolSize)}
+}
 
 func (c *ackCache) add(container int32, ackBytes []byte) {
 	c.mu.Lock()
@@ -230,8 +240,8 @@ func (c *ackCache) add(container int32, ackBytes []byte) {
 		c.batches[container] = b
 	}
 	if b.buf == nil {
-		b.buf = wire.GetBuffer()
-		b.buf.B = tuple.BeginAckFrame(b.buf.B)
+		b.buf = c.frames.Get()
+		b.buf.B = tuple.BeginAckFrame(b.buf.Sized(max(b.last, b.prev))[:0])
 	}
 	b.buf.B = tuple.AppendFrameEntry(b.buf.B, ackBytes)
 	b.count++
@@ -253,6 +263,7 @@ func (c *ackCache) drain() map[int32]*wire.Buffer {
 			out = map[int32]*wire.Buffer{}
 		}
 		out[container] = b.buf
+		b.last, b.prev = len(b.buf.B), b.last
 		b.buf, b.count = nil, 0
 	}
 	return out

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"heron/internal/core"
 	"heron/internal/encoding/wire"
 	"heron/internal/network"
 	"heron/internal/tuple"
@@ -271,4 +272,47 @@ func TestRouteLazyPrebatchedZeroAlloc(t *testing.T) {
 // lives on container 2).
 func TestRemoteBatchZeroAlloc(t *testing.T) {
 	assertRouteZeroAlloc(t, newBenchSM(t), 3)
+}
+
+// TestCacheFramesReturnToTheirCache: a frame the tuple or ack cache built
+// comes back to that cache when its receiver recycles it, and the next
+// batch is built in it without growing, so the caches' frame allocations
+// do not depend on what the shared pool holds.
+func TestCacheFramesReturnToTheirCache(t *testing.T) {
+	cfg := core.NewConfig()
+	cfg.CacheMaxBatchTuples = 64
+	var sealed *wire.Buffer
+	tc := newTupleCache(cfg, func(_ int32, _ int, buf *wire.Buffer) { sealed = buf })
+	entry := make([]byte, 100)
+	fill := func() *wire.Buffer {
+		for range cfg.CacheMaxBatchTuples {
+			tc.add(7, entry)
+		}
+		return sealed
+	}
+	first := fill()
+	size := cap(first.B)
+	wire.PutBuffer(first)
+	// Another sender holds the shared pool's newest buffer meanwhile.
+	held := wire.GetBuffer()
+	if again := fill(); again != first || cap(again.B) != size {
+		t.Errorf("tuple cache: next batch in %p (cap %d), want the recycled frame %p (cap %d)", again, cap(again.B), first, size)
+	}
+	wire.PutBuffer(held)
+
+	ac := newAckCache()
+	for range 64 {
+		ac.add(2, entry)
+	}
+	frame := ac.drain()[2]
+	size = cap(frame.B)
+	wire.PutBuffer(frame)
+	held = wire.GetBuffer()
+	for range 64 {
+		ac.add(2, entry)
+	}
+	if again := ac.drain()[2]; again != frame || cap(again.B) != size {
+		t.Errorf("ack cache: next batch in %p (cap %d), want the recycled frame %p (cap %d)", again, cap(again.B), frame, size)
+	}
+	wire.PutBuffer(held)
 }

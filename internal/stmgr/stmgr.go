@@ -99,8 +99,7 @@ type StreamManager struct {
 	// outside the two park slow paths.
 	mu        sync.Mutex
 	plan      *core.PhysicalPlan
-	epoch     int64
-	planTerm  int64                  // fencing term of the last applied plan's TMaster
+	epoch     int64                  // epoch of the applied plan
 	instances map[int32]*outbox      // local task id → delivery queue
 	instConns map[int32]network.Conn // local task id → conn (for close)
 	// pending holds data frames for local tasks whose instance has not
@@ -405,16 +404,13 @@ func (s *StreamManager) applyPlan(p *ctrl.PlanPayload) {
 	}
 
 	s.mu.Lock()
-	// Plans are ordered by (term, epoch): every promoted TMaster restarts
-	// its epoch counter at 1, so a plan from a lower fencing term is a
-	// deposed leader's late broadcast, and within one term a lower epoch
-	// is a stale one. Term 0 (unreplicated control plane) keeps the
-	// original epoch-only ordering.
-	if p.Term < s.planTerm || (p.Term == s.planTerm && p.Epoch < s.epoch) {
+	// A plan's epoch is the control-log seq of its plan record, which
+	// rises across TMaster generations, and a fenced-out leader cannot
+	// broadcast. So a lower epoch is a stale broadcast, whoever sent it.
+	if p.Epoch < s.epoch {
 		s.mu.Unlock()
-		return // stale broadcast
+		return
 	}
-	s.planTerm = p.Term
 	s.epoch = p.Epoch
 	s.plan = pp
 	// Reconcile peers: close connections whose address changed or whose
@@ -691,7 +687,6 @@ func (s *StreamManager) payloadLocked() *ctrl.PlanPayload {
 	stmgrs[s.opts.Container] = s.Addr()
 	return &ctrl.PlanPayload{
 		Epoch:    s.epoch,
-		Term:     s.planTerm,
 		Topology: s.plan.Topology,
 		Packing:  s.plan.Packing,
 		Stmgrs:   stmgrs,

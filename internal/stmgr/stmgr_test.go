@@ -11,6 +11,7 @@ import (
 	"heron/internal/ctrl"
 	"heron/internal/metrics"
 	"heron/internal/network"
+	"heron/internal/replication"
 	"heron/internal/statemgr"
 	"heron/internal/tmaster"
 	"heron/internal/tuple"
@@ -86,7 +87,13 @@ func newFixtureShards(t *testing.T, optimized bool, shards int) *fixture {
 	if err := state.SetPackingPlan("t", plan); err != nil {
 		t.Fatal(err)
 	}
-	tm, err := tmaster.New(tmaster.Options{Topology: "t", Cfg: cfg, State: newState()})
+	tmState := newState()
+	lg := replication.NewLog(tmState, "t")
+	if err := lg.Fence(1); err != nil {
+		t.Fatal(err)
+	}
+	tm, err := tmaster.New(tmaster.Options{Topology: "t", Cfg: cfg, State: tmState,
+		Lead: &tmaster.Leadership{Term: 1, Log: lg, Recovered: &replication.View{}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -519,5 +526,29 @@ func TestRedeliveredTMasterLocationKeepsRegistration(t *testing.T) {
 			}
 			time.Sleep(time.Millisecond)
 		}
+	}
+}
+
+// TestPlansOrderedByEpochAlone: a plan's epoch is the control-log seq of
+// its record, which rises across TMaster generations, so a Stream
+// Manager keeps the highest epoch it has seen. A late broadcast with a
+// lower epoch — say from a generation that has since been replaced — is
+// dropped, and any higher one is applied, whichever generation sent it.
+func TestPlansOrderedByEpochAlone(t *testing.T) {
+	s, _ := newPlanlessSM(t, 1)
+	topo, packing := twoContainerPlan()
+	apply := func(epoch int64) (int64, *core.PhysicalPlan) {
+		s.applyPlan(&ctrl.PlanPayload{Epoch: epoch, Topology: topo, Packing: packing,
+			Stmgrs: map[int32]string{1: "self"}})
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.epoch, s.plan
+	}
+	_, first := apply(5)
+	if got, plan := apply(3); got != 5 || plan != first {
+		t.Fatalf("a lower epoch was applied: epoch %d, plan replaced %v", got, plan != first)
+	}
+	if got, plan := apply(9); got != 9 || plan == first {
+		t.Fatalf("a higher epoch was dropped: epoch %d, plan replaced %v", got, plan != first)
 	}
 }

@@ -1,7 +1,8 @@
-// This file wires a TMaster into the replicated control plane: every
+// This file wires a TMaster into the control plane it leads: every
 // control-plane mutation is appended to the control log before it takes
 // effect, and a fenced append (core.ErrNotLeader) deposes this TMaster —
-// it stops mutating and signals its replica to tear it down.
+// it stops mutating and signals its replica to tear it down. Every
+// TMaster is one generation of a replica set, of one replica or more.
 
 package tmaster
 
@@ -13,9 +14,7 @@ import (
 	"heron/internal/replication"
 )
 
-// Leadership is the replicated-control-plane context a replica hands to
-// the TMaster it promotes. Nil Leadership (the default) runs the
-// original single-TMaster control plane: no log, term 0.
+// Leadership is the context a replica hands to the TMaster it promotes.
 type Leadership struct {
 	// Term is this TMaster generation's fencing term.
 	Term int64
@@ -30,14 +29,6 @@ type Leadership struct {
 	OnDeposed func()
 }
 
-// term returns the fencing term (0 when unreplicated).
-func (tm *TMaster) term() int64 {
-	if tm.opts.Lead == nil {
-		return 0
-	}
-	return tm.opts.Lead.Term
-}
-
 // isDeposed reports whether a fenced append has already proven a newer
 // leader exists.
 func (tm *TMaster) isDeposed() bool { return tm.deposed.Load() }
@@ -49,7 +40,7 @@ func (tm *TMaster) isDeposed() bool { return tm.deposed.Load() }
 func (tm *TMaster) depose() {
 	tm.deposeOnce.Do(func() {
 		tm.deposed.Store(true)
-		if tm.opts.Lead != nil && tm.opts.Lead.OnDeposed != nil {
+		if tm.opts.Lead.OnDeposed != nil {
 			tm.opts.Lead.OnDeposed()
 		}
 	})
@@ -58,73 +49,62 @@ func (tm *TMaster) depose() {
 // errNotLeader builds the sentinel error surfaced by control APIs after
 // this TMaster generation was fenced out.
 func (tm *TMaster) errNotLeader() error {
-	return fmt.Errorf("%w: tmaster term %d deposed", core.ErrNotLeader, tm.term())
+	return fmt.Errorf("%w: tmaster term %d deposed", core.ErrNotLeader, tm.opts.Lead.Term)
 }
 
 // AppendControl writes rec through the control log before its mutation
-// takes effect. With an unreplicated control plane it is a no-op. A
-// core.ErrNotLeader return means this TMaster was fenced out — the
-// caller must not apply the mutation.
+// takes effect; on success rec.Seq is the record's place in the log. A
+// core.ErrNotLeader return means this TMaster was fenced out or has
+// stopped — the caller must not apply the mutation, and may retry it
+// through the next leader.
 func (tm *TMaster) AppendControl(rec *replication.Record) error {
-	if tm.opts.Lead == nil {
-		return nil
-	}
 	if tm.isDeposed() {
 		return tm.errNotLeader()
 	}
 	if err := tm.opts.Lead.Log.Append(rec); err != nil {
 		if errors.Is(err, core.ErrNotLeader) {
 			tm.depose()
+			return err
+		}
+		select {
+		case <-tm.stopCh: // the session went with the TMaster
+			return fmt.Errorf("%w: tmaster term %d stopped: %v", core.ErrNotLeader, tm.opts.Lead.Term, err)
+		default:
 		}
 		return err
 	}
 	return nil
 }
 
-// logLedger routes the checkpoint coordinator's ledger writes through
-// the control log: the ledger transition is ordered and fenced before
-// the durable State Manager write, so a deposed leader cannot move the
-// epoch sequence after a successor took over.
-type logLedger struct{ tm *TMaster }
-
-func (ll logLedger) SetCheckpointLedger(topology string, l *core.CheckpointLedger) error {
-	cp := *l
-	if err := ll.tm.AppendControl(&replication.Record{
-		Kind: replication.KindLedger, Ledger: &cp,
-	}); err != nil {
-		return err
+// initCheckpoints hooks the coordinator into the log and recovers the
+// previous generation's checkpoint state from the replayed view. Called
+// from New after the coordinator exists but before any loop starts.
+func (tm *TMaster) initCheckpoints() error {
+	tm.ckpt.PrepareSink = func(next, pending int64) error {
+		return tm.AppendControl(&replication.Record{
+			Kind: replication.KindLedger, Ledger: &core.CheckpointLedger{Next: next, Pending: pending},
+		})
 	}
-	return ll.tm.opts.State.SetCheckpointLedger(topology, l)
-}
-
-func (ll logLedger) GetCheckpointLedger(topology string) (*core.CheckpointLedger, error) {
-	return ll.tm.opts.State.GetCheckpointLedger(topology)
-}
-
-// initLeadership hooks the coordinator into the log and recovers the
-// dead leader's control state from the replayed view. Called from New
-// after the coordinator exists but before any loop starts.
-func (tm *TMaster) initLeadership() error {
-	lead := tm.opts.Lead
-	if lead == nil || tm.ckpt == nil {
-		return nil
-	}
-	tm.ckpt.UseLedger(logLedger{tm})
 	tm.ckpt.CommitSink = func(id int64) error {
 		return tm.AppendControl(&replication.Record{Kind: replication.KindCommit, Value: id})
 	}
-	if v := lead.Recovered; v != nil {
-		// Never reuse an epoch id the dead leader had in flight: ids below
-		// the replayed ledger floor may be sitting prepared (undecided) at
-		// transactional sinks.
-		tm.ckpt.InitFloor(v.Ledger.Next)
-		// Re-drive a commit the log decided but the backend never heard
-		// finished (the old leader died between the log append and the
-		// backend commit). Idempotent: commit is a high-water mark.
-		if latest, err := tm.ckptBackend.LatestCommitted(tm.opts.Topology); err == nil && v.LastCommit > latest {
-			if err := tm.ckptBackend.Commit(tm.opts.Topology, v.LastCommit); err != nil {
-				return fmt.Errorf("tmaster: re-drive commit %d: %w", v.LastCommit, err)
-			}
+	if err := tm.ckpt.InitFromBackend(); err != nil {
+		return err
+	}
+	v := tm.opts.Lead.Recovered
+	if v == nil {
+		return nil
+	}
+	// Never reuse an epoch id the previous generation had in flight: ids
+	// below the replayed ledger floor may be sitting prepared (undecided)
+	// at transactional sinks.
+	tm.ckpt.InitFloor(v.Ledger.Next)
+	// Re-drive a commit the log decided but the backend never heard
+	// finished (the old leader died between the log append and the
+	// backend commit). Idempotent: commit is a high-water mark.
+	if latest, err := tm.ckptBackend.LatestCommitted(tm.opts.Topology); err == nil && v.LastCommit > latest {
+		if err := tm.ckptBackend.Commit(tm.opts.Topology, v.LastCommit); err != nil {
+			return fmt.Errorf("tmaster: re-drive commit %d: %w", v.LastCommit, err)
 		}
 	}
 	return nil

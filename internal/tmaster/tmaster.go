@@ -31,8 +31,9 @@ type Options struct {
 	// TMaster closes the session and thereby deletes the ephemeral
 	// location record.
 	State *statemgr.Manager
-	// Lead, when set, runs this TMaster as one generation of a
-	// replicated control plane (see leadership.go).
+	// Lead is the generation this TMaster runs as: its fencing term, the
+	// control log it appends through, and the view it recovers from (see
+	// leadership.go). Required.
 	Lead *Leadership
 }
 
@@ -42,7 +43,6 @@ type TMaster struct {
 	listener network.Listener
 
 	mu      sync.Mutex
-	epoch   int64
 	stmgrs  map[int32]*stmgrEntry
 	metrics map[int32]*metrics.Snapshot // latest snapshot per container
 	ready   chan struct{}
@@ -59,8 +59,8 @@ type TMaster struct {
 	ckptSuspended atomic.Bool
 	commitWaiters []chan int64 // notified (non-blocking) on every commit
 
-	// Replicated control plane (leadership.go): a fenced log append
-	// proves a newer leader exists and deposes this generation.
+	// Leadership (leadership.go): a fenced log append proves a newer
+	// generation exists and deposes this one.
 	deposed    atomic.Bool
 	deposeOnce sync.Once
 	crashed    atomic.Bool
@@ -78,8 +78,8 @@ type stmgrEntry struct {
 // New starts a Topology Master: it listens for Stream Manager
 // registrations and advertises its location.
 func New(opts Options) (*TMaster, error) {
-	if opts.Cfg == nil || opts.State == nil {
-		return nil, errors.New("tmaster: missing config or state manager")
+	if opts.Cfg == nil || opts.State == nil || opts.Lead == nil || opts.Lead.Log == nil {
+		return nil, errors.New("tmaster: missing config, state manager or leadership")
 	}
 	tr, err := network.ByName(opts.Cfg.Transport)
 	if err != nil {
@@ -109,21 +109,7 @@ func New(opts Options) (*TMaster, error) {
 		}
 		tm.ckptBackend = backend
 		tm.ckpt = checkpoint.NewCoordinator(opts.Topology, backend)
-		// Persist the prepare/commit ledger through the State Manager, and
-		// resume the id sequence past both the latest committed checkpoint
-		// and the ledger's Next: a TMaster restarted mid-epoch must not
-		// reuse the in-flight id (transactional sinks may already hold a
-		// prepared transaction under it).
-		tm.ckpt.UseLedger(opts.State)
-		if err := tm.ckpt.InitFromBackend(); err != nil {
-			l.Close()
-			backend.Close()
-			return nil, err
-		}
-		// Under a replicated control plane, reroute the ledger through the
-		// control log and recover the dead leader's state from the
-		// replayed view.
-		if err := tm.initLeadership(); err != nil {
+		if err := tm.initCheckpoints(); err != nil {
 			l.Close()
 			backend.Close()
 			return nil, err
@@ -137,7 +123,7 @@ func New(opts Options) (*TMaster, error) {
 		Topology:  opts.Topology,
 		Transport: opts.Cfg.Transport,
 		Addr:      l.Addr(),
-		SessionID: time.Now().UnixNano(),
+		SessionID: opts.Lead.Term,
 	}
 	if err := opts.State.SetTMasterLocation(loc); err != nil {
 		tm.Stop()
@@ -212,29 +198,41 @@ func (tm *TMaster) Refresh() { tm.broadcastIfComplete() }
 
 // broadcastIfComplete pushes the current plan to every registered Stream
 // Manager when all containers of the packing plan have registered.
+//
+// The plan is logged before any Stream Manager sees it, and the record's
+// Seq is the plan's epoch: a fenced-out leader's append fails before it
+// can broadcast, and Seq rises across terms, so receivers order plans by
+// epoch alone. The plan state is read after the append, so the broadcast
+// with the highest epoch carries the newest state.
 func (tm *TMaster) broadcastIfComplete() {
 	if tm.isDeposed() {
+		return
+	}
+	packing, err := tm.opts.State.GetPackingPlan(tm.opts.Topology)
+	if err != nil || !tm.allRegistered(packing) {
+		return
+	}
+	rec := &replication.Record{
+		Kind: replication.KindPlan,
+		Plan: &replication.PlanRecord{Containers: len(packing.Containers), Tasks: packing.NumInstances()},
+	}
+	if err := tm.AppendControl(rec); err != nil {
 		return
 	}
 	topo, err := tm.opts.State.GetTopology(tm.opts.Topology)
 	if err != nil {
 		return
 	}
-	packing, err := tm.opts.State.GetPackingPlan(tm.opts.Topology)
-	if err != nil {
+	if packing, err = tm.opts.State.GetPackingPlan(tm.opts.Topology); err != nil {
 		return
 	}
 	tm.mu.Lock()
-	for i := range packing.Containers {
-		if _, ok := tm.stmgrs[packing.Containers[i].ID]; !ok {
-			tm.mu.Unlock()
-			return // still waiting for a container
-		}
+	if !tm.allRegisteredLocked(packing) {
+		tm.mu.Unlock()
+		return // a container joined the plan since the check; its registration rebroadcasts
 	}
-	tm.epoch++
 	payload := &ctrl.PlanPayload{
-		Epoch:    tm.epoch,
-		Term:     tm.term(),
+		Epoch:    rec.Seq,
 		Topology: topo,
 		Packing:  packing,
 		Stmgrs:   map[int32]string{},
@@ -261,22 +259,6 @@ func (tm *TMaster) broadcastIfComplete() {
 	}
 	tm.mu.Unlock()
 
-	// Write-ahead: the plan change is logged before any Stream Manager
-	// sees it, so a fenced-out leader cannot push a broadcast a newer
-	// generation's replicas never observed.
-	nTasks := 0
-	for i := range packing.Containers {
-		nTasks += len(packing.Containers[i].Instances)
-	}
-	if err := tm.AppendControl(&replication.Record{
-		Kind: replication.KindPlan,
-		Plan: &replication.PlanRecord{
-			Epoch: payload.Epoch, Containers: len(packing.Containers), Tasks: nTasks,
-		},
-	}); err != nil {
-		return
-	}
-
 	raw, err := ctrl.Encode(&ctrl.Message{Op: ctrl.OpPlan, Topology: tm.opts.Topology, Plan: payload})
 	if err != nil {
 		return
@@ -298,6 +280,23 @@ func (tm *TMaster) broadcastIfComplete() {
 		}
 	}
 	tm.readyOK.Do(func() { close(tm.ready) })
+}
+
+// allRegistered reports whether every container of packing has a
+// registered Stream Manager.
+func (tm *TMaster) allRegistered(packing *core.PackingPlan) bool {
+	tm.mu.Lock()
+	defer tm.mu.Unlock()
+	return tm.allRegisteredLocked(packing)
+}
+
+func (tm *TMaster) allRegisteredLocked(packing *core.PackingPlan) bool {
+	for i := range packing.Containers {
+		if _, ok := tm.stmgrs[packing.Containers[i].ID]; !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // Ready is closed after the first complete plan broadcast: the topology
@@ -414,13 +413,10 @@ func (tm *TMaster) triggerCheckpoint() (int64, bool) {
 			tasks = append(tasks, inst.ID.TaskID)
 		}
 	}
+	// Begin logs the epoch ahead of handing it out; a fenced append
+	// deposes us and withholds the id, so the trigger never goes out.
 	id, ok := tm.ckpt.Begin(tasks)
 	if !ok {
-		return 0, false
-	}
-	// Begin's ledger write routes through the control log; a fenced
-	// append deposed us synchronously — never broadcast the trigger.
-	if tm.isDeposed() {
 		return 0, false
 	}
 	tm.broadcastCtrl(&ctrl.Message{
@@ -496,15 +492,9 @@ func (tm *TMaster) ReserveCheckpointID() (int64, error) {
 	if tm.isDeposed() {
 		return 0, tm.errNotLeader()
 	}
-	id := tm.ckpt.Reserve()
-	// Reserve's ledger write routes through the control log; if the
-	// append was fenced we were deposed synchronously — the id must not
-	// reach the caller (a new leader may hand it out for a different
-	// epoch).
-	if tm.isDeposed() {
-		return 0, tm.errNotLeader()
-	}
-	return id, nil
+	// Reserve logs the id ahead of handing it out: a fenced append means a
+	// new leader may hand the same id out for a different epoch.
+	return tm.ckpt.Reserve()
 }
 
 // checkpointSaved records one task's snapshot ack; when the barrier set

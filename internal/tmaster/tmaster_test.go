@@ -8,6 +8,7 @@ import (
 	"heron/internal/ctrl"
 	"heron/internal/metrics"
 	"heron/internal/network"
+	"heron/internal/replication"
 	"heron/internal/statemgr"
 )
 
@@ -97,6 +98,17 @@ func (f *fakeStmgr) waitPlan(t *testing.T, want string, ok func(*ctrl.PlanPayloa
 
 func anyPlan(*ctrl.PlanPayload) bool { return true }
 
+// testLead fences the topology's control log at term 1 on state, as a
+// replica winning the first election does before it promotes a TMaster.
+func testLead(t *testing.T, state *statemgr.Manager) *Leadership {
+	t.Helper()
+	lg := replication.NewLog(state, "t")
+	if err := lg.Fence(1); err != nil {
+		t.Fatal(err)
+	}
+	return &Leadership{Term: 1, Log: lg, Recovered: &replication.View{}}
+}
+
 func newTM(t *testing.T) (*TMaster, *statemgr.Manager, *core.Config) {
 	t.Helper()
 	cfg := core.NewConfig()
@@ -104,7 +116,8 @@ func newTM(t *testing.T) (*TMaster, *statemgr.Manager, *core.Config) {
 	statemgr.ResetSharedStore(cfg.StateRoot)
 	seeder := testState(t, cfg)
 	seedState(t, seeder, 1, 2)
-	tm, err := New(Options{Topology: "t", Cfg: cfg, State: testState(t, cfg)})
+	state := testState(t, cfg)
+	tm, err := New(Options{Topology: "t", Cfg: cfg, State: state, Lead: testLead(t, state)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,5 +253,13 @@ func TestMetricsCollection(t *testing.T) {
 func TestNewRejectsMissingDeps(t *testing.T) {
 	if _, err := New(Options{Topology: "t"}); err == nil {
 		t.Error("missing state accepted")
+	}
+	cfg := core.NewConfig()
+	cfg.StateRoot = "/tm-" + t.Name()
+	statemgr.ResetSharedStore(cfg.StateRoot)
+	state := testState(t, cfg)
+	defer state.Close()
+	if _, err := New(Options{Topology: "t", Cfg: cfg, State: state}); err == nil {
+		t.Error("missing leadership accepted")
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"heron/api"
-	"heron/internal/core"
 )
 
 // splitterSpout emits numbers on the default stream and every tenth one
@@ -203,5 +202,4 @@ func TestWaitRunningTimeout(t *testing.T) {
 		// Ready already closed: must still succeed instantly.
 		t.Errorf("WaitRunning after ready: %v", err)
 	}
-	_ = core.TMasterContainerID // keep import for clarity of intent
 }

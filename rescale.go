@@ -237,10 +237,8 @@ func (h *Handle) rollbackRescale(tm tmRefresher, qs core.QuiescingScheduler, com
 	// If the failure was a leader death, the tm we hold is deposed:
 	// re-resolve so the rollback's checkpoint reservation and rebroadcast
 	// go through the new leader.
-	if h.engine.Replicated() {
-		if cur, err := h.waitLeaderTM(rescaleCheckpointTimeout); err == nil {
-			tm = cur
-		}
+	if cur, err := h.waitLeaderTM(rescaleCheckpointTimeout); err == nil {
+		tm = cur
 	}
 	if h.admitUpdate != nil {
 		// The quota reservation moved to the proposed plan at admission;
