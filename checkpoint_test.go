@@ -1,6 +1,7 @@
 package heron
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"sync"
@@ -13,6 +14,7 @@ import (
 	"heron/internal/cluster"
 	"heron/internal/core"
 	"heron/internal/metrics"
+	"heron/internal/scheduler"
 	"heron/internal/statemgr"
 )
 
@@ -139,13 +141,26 @@ func (b *ckptCountBolt) RestoreState(s api.State) error {
 // final counts EXACTLY match the spouts' deterministic emission history —
 // no lost counts, no duplicates (checkpoint-based effectively-once).
 func runCheckpointRecovery(t *testing.T, backendName string) {
-	runCheckpointRecoveryShards(t, backendName, backendName, 0)
+	runCheckpointRecoveryShards(t, ckptRun{backend: backendName, label: backendName})
 }
 
-// runCheckpointRecoveryShards is runCheckpointRecovery with an explicit
-// Stream Manager shard count (0 = config default); label keeps the state
-// roots of variants sharing a backend apart.
-func runCheckpointRecoveryShards(t *testing.T, backendName, label string, shards int) {
+// ckptRun selects one variant of the checkpoint recovery test.
+type ckptRun struct {
+	backend string
+	// label keeps the state roots of variants sharing a backend apart.
+	label string
+	// shards is the Stream Manager shard count (0 = config default).
+	shards int
+	// scheduler defaults to "yarn"; "local" runs without a cluster.
+	scheduler string
+	// restart disturbs the topology with Handle.Restart(1) instead of a
+	// container failure injected into the cluster.
+	restart bool
+}
+
+// runCheckpointRecoveryShards is runCheckpointRecovery with the
+// scheduler, the fault and the Stream Manager shard count chosen by run.
+func runCheckpointRecoveryShards(t *testing.T, run ckptRun) {
 	const dictSize = 50
 	dict := make([]string, dictSize)
 	for i := range dict {
@@ -153,6 +168,10 @@ func runCheckpointRecoveryShards(t *testing.T, backendName, label string, shards
 	}
 	h := &ckptHarness{spouts: map[int32]*seqSpout{}, bolts: map[int32]*ckptCountBolt{}}
 
+	label, backendName := run.label, run.backend
+	if run.scheduler == "" {
+		run.scheduler = "yarn"
+	}
 	b := api.NewTopologyBuilder("ckpt-" + label)
 	b.SetSpout("word", func() api.Spout {
 		return &seqSpout{h: h, dict: dict}
@@ -171,17 +190,20 @@ func runCheckpointRecoveryShards(t *testing.T, backendName, label string, shards
 	checkpoint.ResetSharedMemory(cfg.StateRoot)
 	checkpoint.ResetSharedRedis(cfg.StateRoot)
 	cfg.NumContainers = 3
-	cfg.SchedulerName = "yarn"
+	cfg.SchedulerName = run.scheduler
 	cfg.CheckpointInterval = 200 * time.Millisecond
 	cfg.StateBackend = backendName
-	if shards > 0 {
-		cfg.StmgrShards = shards
+	if run.shards > 0 {
+		cfg.StmgrShards = run.shards
 	}
 	if backendName == "localfs" {
 		cfg.Extra = map[string]string{"checkpoint.root": t.TempDir()}
 	}
-	cl := cluster.New("ckpt-"+label+"-sim", 4, core.Resource{CPU: 32, RAMMB: 32768, DiskMB: 65536})
-	cfg.Framework = cl
+	var cl *cluster.Cluster
+	if run.scheduler != "local" {
+		cl = cluster.New("ckpt-"+label+"-sim", 4, core.Resource{CPU: 32, RAMMB: 32768, DiskMB: 65536})
+		cfg.Framework = cl
+	}
 
 	handle, err := Submit(spec, cfg)
 	if err != nil {
@@ -214,17 +236,23 @@ func runCheckpointRecoveryShards(t *testing.T, backendName, label string, shards
 	})
 	committedBefore := latest()
 
-	// Kill worker container 1. The checkpoint-aware YARN monitor must
+	// Kill or restart worker container 1. Either way the scheduler must
 	// quiesce every worker and relaunch all of them from the last
-	// committed checkpoint.
-	if err := cl.InjectFailure(handle.Name(), 1); err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range []int32{1, 2, 3} {
-		id := id
-		waitFor(t, 15*time.Second, fmt.Sprintf("container %d relaunched", id), func() bool {
-			return cl.Allocated(handle.Name(), id)
-		})
+	// committed checkpoint. A restart relaunches before it returns.
+	if run.restart {
+		if err := handle.Restart(1); err != nil {
+			t.Fatal(err)
+		}
+	} else {
+		if err := cl.InjectFailure(handle.Name(), 1); err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range []int32{1, 2, 3} {
+			id := id
+			waitFor(t, 15*time.Second, fmt.Sprintf("container %d relaunched", id), func() bool {
+				return cl.Allocated(handle.Name(), id)
+			})
+		}
 	}
 	waitFor(t, 15*time.Second, "state restored", func() bool {
 		return handle.SumCounter(metrics.MRestoreCount) > 0
@@ -298,7 +326,44 @@ func TestCheckpointRecoveryMemory(t *testing.T) { runCheckpointRecovery(t, "memo
 // their data through per-shard rings), parked-frame replay and restore
 // must all survive sharding, or the exact-count accounting fails.
 func TestCheckpointRecoverySharded(t *testing.T) {
-	runCheckpointRecoveryShards(t, "memory", "memory-sharded", 4)
+	runCheckpointRecoveryShards(t, ckptRun{backend: "memory", label: "memory-sharded", shards: 4})
+}
+
+// TestCheckpointRecoverySlurmFailure kills a worker under slurm, whose
+// relaunches stay inside the job's node allocation: every worker must
+// still roll back to the same checkpoint.
+func TestCheckpointRecoverySlurmFailure(t *testing.T) {
+	runCheckpointRecoveryShards(t, ckptRun{backend: "memory", label: "slurm-fail", scheduler: "slurm"})
+}
+
+// TestCheckpointRecoveryWorkerRestart restarts one worker through the
+// Handle: a restart is a relaunch like a failure, so it must roll every
+// worker back too, on every scheduler that accepts checkpointing.
+func TestCheckpointRecoveryWorkerRestart(t *testing.T) {
+	for _, sched := range []string{"local", "yarn", "mesos"} {
+		t.Run(sched, func(t *testing.T) {
+			runCheckpointRecoveryShards(t, ckptRun{backend: "memory", label: sched + "-restart", scheduler: sched, restart: true})
+		})
+	}
+}
+
+// TestCheckpointedSubmitRejectsStatelessScheduler: Aurora restarts a
+// failed container on its own, from whatever checkpoint it finds, while
+// the others keep running — so it refuses checkpointed topologies.
+func TestCheckpointedSubmitRejectsStatelessScheduler(t *testing.T) {
+	var f fixture
+	spec := f.buildWordCount(t, 1, 1, -1, false)
+	cfg := testConfig(t)
+	cfg.SchedulerName = "aurora"
+	cfg.CheckpointInterval = 200 * time.Millisecond
+	cfg.Framework = cluster.New("ckpt-aurora-sim", 2, core.Resource{CPU: 32, RAMMB: 32768, DiskMB: 65536})
+	h, err := Submit(spec, cfg)
+	if err == nil {
+		h.Kill()
+	}
+	if !errors.Is(err, scheduler.ErrStateless) {
+		t.Fatalf("Submit = %v, want ErrStateless", err)
+	}
 }
 func TestCheckpointRecoveryLocalFS(t *testing.T) { runCheckpointRecovery(t, "localfs") }
 func TestCheckpointRecoveryRedis(t *testing.T)   { runCheckpointRecovery(t, "redis") }

@@ -10,7 +10,7 @@
 //
 //	spec, _ := builder.Build()
 //	cfg := heron.NewConfig()
-//	cfg.SchedulerName = "yarn"          // or "local", "aurora"
+//	cfg.SchedulerName = "yarn"          // or "local", "mesos", "slurm", "aurora"
 //	cfg.PackingAlgorithm = "binpacking" // or "roundrobin"
 //	h, err := heron.Submit(spec, cfg)
 //	defer h.Kill()
@@ -319,7 +319,10 @@ func (h *Handle) Scale(changes map[string]int) error {
 	return nil
 }
 
-// Restart bounces one container (or all, with containerID -1).
+// Restart bounces one container (or all, with containerID -1). With
+// checkpointing on, restarting a worker relaunches every worker from the
+// last committed checkpoint, as a worker failure does; container 0
+// restarts alone.
 func (h *Handle) Restart(containerID int32) error {
 	if h.killed {
 		return errors.New("heron: topology killed")

@@ -13,7 +13,7 @@ import (
 type Config struct {
 	// Module selection.
 	PackingAlgorithm string // registry name: "roundrobin" (default), "binpacking"
-	SchedulerName    string // "local" (default), "yarn", "aurora"
+	SchedulerName    string // "local" (default), "yarn", "mesos", "slurm", "aurora", "multitenant"
 	StateManagerName string // "memory" (default), "localfs"
 	Transport        string // "inproc" (default), "tcp"
 	Codec            string // "fast" (default), "naive"

@@ -94,7 +94,10 @@ type Scheduler interface {
 // tuples from an already-restored spout would observe state from two
 // checkpoint generations, so relaunches may only begin once the old
 // generation is fully quiesced; each relaunched instance then restores
-// from the checkpoint committed immediately before the update.
+// from the checkpoint committed immediately before the update. The
+// stateful schedulers implement it with the same whole-topology relaunch
+// they run, under checkpointing, on a worker failure or restart; the
+// stateless aurora does not implement it, and refuses checkpointing.
 type QuiescingScheduler interface {
 	OnQuiescedUpdate(req UpdateRequest) error
 }

@@ -13,9 +13,10 @@
 //     the shared cluster.Cluster node pool, and fair placement state.
 //   - Binding: one topology's view of the substrate, injected as
 //     Config.Framework for the "multitenant" scheduler.
-//   - Scheduler (registered as "multitenant"): a stateful, quiescing
-//     scheduler that acquires containers through the substrate's placer
-//     instead of the cluster's first-fit path.
+//   - Scheduler (registered as "multitenant"): the scheduler core of
+//     internal/scheduler over a placement that acquires containers
+//     through the substrate's placer instead of the cluster's first-fit
+//     path.
 package multitenant
 
 import (
@@ -340,21 +341,16 @@ func (s *Substrate) allocate(topology string, id int32, res core.Resource, launc
 }
 
 // release returns one container to the pool and forgets its placement.
+// The scheduler also releases a container that crashed: the cluster
+// already freed it, and only the placement record is left to drop.
 func (s *Substrate) release(topology string, id int32) error {
 	err := s.cl.Release(topology, id)
-	s.forgetPlacement(topology, id)
-	return err
-}
-
-// forgetPlacement drops the node-ownership record of a container that no
-// longer runs (released or crashed).
-func (s *Substrate) forgetPlacement(topology string, id int32) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	key := allocKey{topology, id}
 	node, ok := s.nodeOfContainer[key]
 	if !ok {
-		return
+		return err
 	}
 	delete(s.nodeOfContainer, key)
 	if m, ok := s.members[topology]; ok {
@@ -364,6 +360,7 @@ func (s *Substrate) forgetPlacement(topology string, id int32) {
 			}
 		}
 	}
+	return err
 }
 
 // othersPerNodeLocked counts containers per node owned by tenants other
@@ -381,9 +378,8 @@ func (s *Substrate) othersPerNodeLocked(name string) map[string]int {
 }
 
 // Binding is one topology's handle on the substrate, injected as
-// Config.Framework so the "multitenant" scheduler can reach it. It also
-// carries the tenant identity, which the scheduler does not otherwise
-// know.
+// Config.Framework so the "multitenant" scheduler can reach it. Tenant
+// and Topology name the member the binding was made for.
 type Binding struct {
 	Sub      *Substrate
 	Tenant   string

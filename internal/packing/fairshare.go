@@ -15,12 +15,14 @@
 //     happens when capacity forces it. Remaining ties go to the lexically
 //     smallest node name, keeping placement deterministic.
 //
-// Priorities order multi-container launches: SortAsks orders pending asks
-// by tenant priority (higher first) and, within a priority band, by the
-// tenant's dominant quota share (least-served first — weighted fair
-// queueing over the dominant resource, the DRF idea specialized to one
-// decision point). There is no preemption: a lower-priority container
-// already placed is never displaced.
+// SortAsks orders pending asks across tenants by tenant priority (higher
+// first) and, within a priority band, by the tenant's dominant quota
+// share (least-served first — weighted fair queueing over the dominant
+// resource, the DRF idea specialized to one decision point). No launch
+// path calls it yet: each multitenant scheduler places one topology's
+// containers, which share a tenant, in container-id order. There is no
+// preemption: a lower-priority container already placed is never
+// displaced.
 package packing
 
 import (
@@ -132,8 +134,7 @@ type Ask struct {
 
 // SortAsks orders pending asks by the fair-queueing policy: priority
 // descending, then dominant share ascending (least-served tenant first),
-// then tag for determinism. The multitenant scheduler uses it to order
-// container launches; it is exported so tests can assert the policy.
+// then tag for determinism.
 func SortAsks(asks []Ask) {
 	sort.SliceStable(asks, func(i, j int) bool {
 		if asks[i].Priority != asks[j].Priority {

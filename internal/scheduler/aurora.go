@@ -13,12 +13,15 @@ import (
 // supervisor restarts failed containers and their tasks. Aurora can only
 // allocate homogeneous containers, so every container (including the
 // TMaster's) asks for the plan's component-wise maximum requirement.
+//
+// A supervisor that restarts one container cannot roll the others back
+// to the checkpoint it restores from, so a checkpointed topology is
+// refused (ErrStateless).
 type Aurora struct {
 	cfg *core.Config
 	cl  *cluster.Cluster
 
 	mu    sync.Mutex
-	plans map[string]*core.PackingPlan
 	sizes map[string]core.Resource // homogeneous ask per topology
 }
 
@@ -28,12 +31,14 @@ func (a *Aurora) Initialize(cfg *core.Config) error {
 	if cfg.Launcher == nil {
 		return ErrNoLauncher
 	}
-	cl, err := frameworkOf(cfg)
-	if err != nil {
-		return err
+	cl, ok := cfg.Framework.(*cluster.Cluster)
+	if !ok || cl == nil {
+		return ErrNoFramework
+	}
+	if cfg.CheckpointInterval > 0 {
+		return ErrStateless
 	}
 	a.cfg, a.cl = cfg, cl
-	a.plans = map[string]*core.PackingPlan{}
 	a.sizes = map[string]core.Resource{}
 	return nil
 }
@@ -45,6 +50,11 @@ func (a *Aurora) homogeneousAsk(p *core.PackingPlan) core.Resource {
 		ask = ask.Max(a.cfg.TMasterResources)
 	}
 	return ask
+}
+
+// allocate hands one container to the framework with auto-restart on.
+func (a *Aurora) allocate(topology string, id int32, ask core.Resource) error {
+	return a.cl.Allocate(topology, id, ask, a.cfg.Launcher, cluster.AllocateOptions{AutoRestart: true})
 }
 
 // OnSchedule implements core.Scheduler with homogeneous containers and
@@ -61,14 +71,13 @@ func (a *Aurora) OnSchedule(initial *core.PackingPlan) error {
 		return fmt.Errorf("scheduler: topology %q already scheduled", topo)
 	}
 	a.sizes[topo] = ask
-	a.plans[topo] = initial.Clone()
 	a.mu.Unlock()
-	for _, id := range containerSet(initial) {
-		if err := a.cl.Allocate(topo, id, ask, a.cfg.Launcher, cluster.AllocateOptions{AutoRestart: true}); err != nil {
+	ids := append([]int32{core.TMasterContainerID}, sortedIDs(planByID(initial))...)
+	for _, id := range ids {
+		if err := a.allocate(topo, id, ask); err != nil {
 			a.cl.ReleaseTopology(topo)
 			a.mu.Lock()
 			delete(a.sizes, topo)
-			delete(a.plans, topo)
 			a.mu.Unlock()
 			return err
 		}
@@ -81,7 +90,6 @@ func (a *Aurora) OnKill(req core.KillRequest) error {
 	a.mu.Lock()
 	_, ok := a.sizes[req.Topology]
 	delete(a.sizes, req.Topology)
-	delete(a.plans, req.Topology)
 	a.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotRunning, req.Topology)
@@ -139,7 +147,7 @@ func (a *Aurora) OnUpdate(req core.UpdateRequest) error {
 		oc, existed := curByID[id]
 		switch {
 		case !existed:
-			if err := a.cl.Allocate(req.Topology, id, ask, a.cfg.Launcher, cluster.AllocateOptions{AutoRestart: true}); err != nil {
+			if err := a.allocate(req.Topology, id, ask); err != nil {
 				return err
 			}
 		case resize:
@@ -147,7 +155,7 @@ func (a *Aurora) OnUpdate(req core.UpdateRequest) error {
 			if err := a.cl.Release(req.Topology, id); err != nil {
 				return err
 			}
-			if err := a.cl.Allocate(req.Topology, id, ask, a.cfg.Launcher, cluster.AllocateOptions{AutoRestart: true}); err != nil {
+			if err := a.allocate(req.Topology, id, ask); err != nil {
 				return err
 			}
 		case instanceFingerprint(oc) != instanceFingerprint(nc):
@@ -159,44 +167,13 @@ func (a *Aurora) OnUpdate(req core.UpdateRequest) error {
 	if resize {
 		// Container 0 as well.
 		if err := a.cl.Release(req.Topology, core.TMasterContainerID); err == nil {
-			if err := a.cl.Allocate(req.Topology, core.TMasterContainerID, ask, a.cfg.Launcher, cluster.AllocateOptions{AutoRestart: true}); err != nil {
+			if err := a.allocate(req.Topology, core.TMasterContainerID, ask); err != nil {
 				return err
 			}
 		}
 	}
 	a.mu.Lock()
 	a.sizes[req.Topology] = ask
-	a.plans[req.Topology] = req.Proposed.Clone()
-	a.mu.Unlock()
-	return nil
-}
-
-// OnQuiescedUpdate implements core.QuiescingScheduler with homogeneous
-// containers: all workers are released, then the proposed plan's
-// containers are re-requested at the (possibly resized) uniform ask.
-func (a *Aurora) OnQuiescedUpdate(req core.UpdateRequest) error {
-	a.mu.Lock()
-	oldAsk, ok := a.sizes[req.Topology]
-	a.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotRunning, req.Topology)
-	}
-	ask := oldAsk.Max(a.homogeneousAsk(req.Proposed))
-	for _, id := range a.cl.Containers(req.Topology) {
-		if id == core.TMasterContainerID {
-			continue
-		}
-		_ = a.cl.Release(req.Topology, id)
-	}
-	for i := range req.Proposed.Containers {
-		id := req.Proposed.Containers[i].ID
-		if err := a.cl.Allocate(req.Topology, id, ask, a.cfg.Launcher, cluster.AllocateOptions{AutoRestart: true}); err != nil {
-			return fmt.Errorf("scheduler: reallocating container %d: %w", id, err)
-		}
-	}
-	a.mu.Lock()
-	a.sizes[req.Topology] = ask
-	a.plans[req.Topology] = req.Proposed.Clone()
 	a.mu.Unlock()
 	return nil
 }
@@ -212,7 +189,6 @@ func (a *Aurora) Close() error {
 		topos = append(topos, t)
 	}
 	a.sizes = map[string]core.Resource{}
-	a.plans = map[string]*core.PackingPlan{}
 	a.mu.Unlock()
 	for _, t := range topos {
 		a.cl.ReleaseTopology(t)

@@ -8,18 +8,10 @@ import (
 	"heron/internal/core"
 )
 
-func newMesosFixture(t *testing.T) (*Mesos, *trackingLauncher, *cluster.Cluster) {
+func newMesosFixture(t *testing.T) (core.Scheduler, *trackingLauncher, *cluster.Cluster) {
 	t.Helper()
-	cfg := core.NewConfig()
-	l := newTrackingLauncher()
 	cl := cluster.New("mesossim", 4, core.Resource{CPU: 8, RAMMB: 8192, DiskMB: 16384})
-	cfg.Launcher = l
-	cfg.Framework = cl
-	s := &Mesos{}
-	if err := s.Initialize(cfg); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
+	s, l := newScheduler(t, "mesos", cl)
 	return s, l, cl
 }
 

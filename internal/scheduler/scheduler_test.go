@@ -60,61 +60,37 @@ func plan(topology string, containers ...int32) *core.PackingPlan {
 	return p
 }
 
+// newScheduler initializes the scheduler registered under name with a
+// tracking launcher and, unless cl is nil, the simulated cluster.
+func newScheduler(t *testing.T, name string, cl *cluster.Cluster) (core.Scheduler, *trackingLauncher) {
+	t.Helper()
+	cfg := core.NewConfig()
+	l := newTrackingLauncher()
+	cfg.Launcher = l
+	if cl != nil {
+		cfg.Framework = cl
+	}
+	s, err := core.NewScheduler(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Initialize(cfg); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return s, l
+}
+
 func TestRegistryHasAllSchedulers(t *testing.T) {
-	for _, name := range []string{"local", "yarn", "aurora"} {
+	for _, name := range []string{"local", "yarn", "aurora", "mesos", "slurm"} {
 		if _, err := core.NewScheduler(name); err != nil {
 			t.Errorf("NewScheduler(%q): %v", name, err)
 		}
 	}
 }
 
-func TestLocalScheduleKill(t *testing.T) {
-	cfg := core.NewConfig()
-	l := newTrackingLauncher()
-	cfg.Launcher = l
-	s := &Local{}
-	if err := s.Initialize(cfg); err != nil {
-		t.Fatal(err)
-	}
-	p := plan("t", 1, 2)
-	if err := s.OnSchedule(p); err != nil {
-		t.Fatal(err)
-	}
-	launches, _ := l.snapshot()
-	// Containers 0 (TMaster), 1 and 2.
-	for _, id := range []int32{0, 1, 2} {
-		if launches[id] != 1 {
-			t.Errorf("container %d launches = %d", id, launches[id])
-		}
-	}
-	if got := len(s.Running("t")); got != 3 {
-		t.Errorf("running = %d", got)
-	}
-	if err := s.OnSchedule(p); err == nil {
-		t.Error("double schedule should fail")
-	}
-	if err := s.OnKill(core.KillRequest{Topology: "t"}); err != nil {
-		t.Fatal(err)
-	}
-	_, stops := l.snapshot()
-	for _, id := range []int32{0, 1, 2} {
-		if stops[id] != 1 {
-			t.Errorf("container %d stops = %d", id, stops[id])
-		}
-	}
-	if err := s.OnKill(core.KillRequest{Topology: "t"}); err == nil {
-		t.Error("double kill should fail")
-	}
-}
-
 func TestLocalRestart(t *testing.T) {
-	cfg := core.NewConfig()
-	l := newTrackingLauncher()
-	cfg.Launcher = l
-	s := &Local{}
-	if err := s.Initialize(cfg); err != nil {
-		t.Fatal(err)
-	}
+	s, l := newScheduler(t, "local", nil)
 	if err := s.OnSchedule(plan("t", 1, 2)); err != nil {
 		t.Fatal(err)
 	}
@@ -143,13 +119,7 @@ func TestLocalRestart(t *testing.T) {
 }
 
 func TestLocalUpdateMinimalDisruption(t *testing.T) {
-	cfg := core.NewConfig()
-	l := newTrackingLauncher()
-	cfg.Launcher = l
-	s := &Local{}
-	if err := s.Initialize(cfg); err != nil {
-		t.Fatal(err)
-	}
+	s, l := newScheduler(t, "local", nil)
 	cur := plan("t", 1, 2)
 	if err := s.OnSchedule(cur); err != nil {
 		t.Fatal(err)
@@ -184,18 +154,10 @@ func TestLocalUpdateMinimalDisruption(t *testing.T) {
 	s.Close()
 }
 
-func newYARNFixture(t *testing.T) (*YARN, *trackingLauncher, *cluster.Cluster) {
+func newYARNFixture(t *testing.T) (core.Scheduler, *trackingLauncher, *cluster.Cluster) {
 	t.Helper()
-	cfg := core.NewConfig()
-	l := newTrackingLauncher()
 	cl := cluster.New("yarnsim", 4, core.Resource{CPU: 16, RAMMB: 16384, DiskMB: 32768})
-	cfg.Launcher = l
-	cfg.Framework = cl
-	s := &YARN{}
-	if err := s.Initialize(cfg); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
+	s, l := newScheduler(t, "yarn", cl)
 	return s, l, cl
 }
 
@@ -288,18 +250,10 @@ func TestYARNUpdateAddsAndRemovesContainers(t *testing.T) {
 	}
 }
 
-func newAuroraFixture(t *testing.T) (*Aurora, *trackingLauncher, *cluster.Cluster) {
+func newAuroraFixture(t *testing.T) (core.Scheduler, *trackingLauncher, *cluster.Cluster) {
 	t.Helper()
-	cfg := core.NewConfig()
-	l := newTrackingLauncher()
 	cl := cluster.New("aurorasim", 4, core.Resource{CPU: 16, RAMMB: 16384, DiskMB: 32768})
-	cfg.Launcher = l
-	cfg.Framework = cl
-	s := &Aurora{}
-	if err := s.Initialize(cfg); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
+	s, l := newScheduler(t, "aurora", cl)
 	return s, l, cl
 }
 
@@ -365,31 +319,21 @@ func TestAuroraRestartAndUpdate(t *testing.T) {
 }
 
 func TestSchedulersRejectMissingDeps(t *testing.T) {
-	cfg := core.NewConfig() // no launcher, no framework
-	if err := (&Local{}).Initialize(cfg); err != ErrNoLauncher {
-		t.Errorf("local: %v", err)
-	}
-	cfg2 := core.NewConfig()
-	cfg2.Launcher = newTrackingLauncher()
-	if err := (&YARN{}).Initialize(cfg2); err != ErrNoFramework {
-		t.Errorf("yarn: %v", err)
-	}
-	if err := (&Aurora{}).Initialize(cfg2); err != ErrNoFramework {
-		t.Errorf("aurora: %v", err)
-	}
-}
-
-func TestUnknownTopologyOperations(t *testing.T) {
-	cfg := core.NewConfig()
-	cfg.Launcher = newTrackingLauncher()
-	s := &Local{}
-	if err := s.Initialize(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.OnKill(core.KillRequest{Topology: "ghost"}); err == nil {
-		t.Error("kill: want error")
-	}
-	if err := s.OnUpdate(core.UpdateRequest{Topology: "ghost"}); err == nil {
-		t.Error("update: want error")
+	for _, name := range []string{"local", "yarn", "mesos", "slurm", "aurora"} {
+		s, err := core.NewScheduler(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Initialize(core.NewConfig()); err != ErrNoLauncher {
+			t.Errorf("%s without launcher: %v", name, err)
+		}
+		if name == "local" {
+			continue
+		}
+		cfg := core.NewConfig()
+		cfg.Launcher = newTrackingLauncher()
+		if err := s.Initialize(cfg); err != ErrNoFramework {
+			t.Errorf("%s without framework: %v", name, err)
+		}
 	}
 }

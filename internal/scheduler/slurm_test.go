@@ -8,19 +8,22 @@ import (
 	"heron/internal/core"
 )
 
-func newSlurmFixture(t *testing.T, nodes int, perNode core.Resource) (*Slurm, *trackingLauncher, *cluster.Cluster) {
+func newSlurmFixture(t *testing.T, nodes int, perNode core.Resource) (*Core, *trackingLauncher, *cluster.Cluster) {
 	t.Helper()
-	cfg := core.NewConfig()
-	l := newTrackingLauncher()
 	cl := cluster.New("slurmsim", nodes, perNode)
-	cfg.Launcher = l
-	cfg.Framework = cl
-	s := &Slurm{}
-	if err := s.Initialize(cfg); err != nil {
-		t.Fatal(err)
+	s, l := newScheduler(t, "slurm", cl)
+	return s.(*Core), l, cl
+}
+
+// allocatedNodes reports the node set a slurm scheduler holds for a topology.
+func allocatedNodes(c *Core, topology string) []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var out []string
+	for n := range c.Placement.(*slurm).jobs[topology] {
+		out = append(out, n)
 	}
-	t.Cleanup(func() { s.Close() })
-	return s, l, cl
+	return out
 }
 
 func TestSlurmRegistered(t *testing.T) {
@@ -43,7 +46,7 @@ func TestSlurmStaticAllocationPlacesAll(t *testing.T) {
 	if launches[0] != 1 || launches[1] != 1 || launches[2] != 1 {
 		t.Errorf("launches = %v", launches)
 	}
-	if len(s.Allocation("t")) == 0 {
+	if len(allocatedNodes(s, "t")) == 0 {
 		t.Error("no node allocation recorded")
 	}
 }
@@ -54,7 +57,7 @@ func TestSlurmFailureRestartsInsideAllocation(t *testing.T) {
 		t.Fatal(err)
 	}
 	allocation := map[string]bool{}
-	for _, n := range s.Allocation("t") {
+	for _, n := range allocatedNodes(s, "t") {
 		allocation[n] = true
 	}
 	if err := cl.InjectFailure("t", 1); err != nil {
