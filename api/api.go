@@ -78,7 +78,9 @@ type ComponentMetrics interface {
 	Counter(name string) MetricCounter
 	// Gauge returns a set-to-latest gauge.
 	Gauge(name string) MetricGauge
-	// Histogram returns a sampling histogram (for latencies, sizes, ...).
+	// Histogram returns a histogram (for latencies, sizes, ...) whose
+	// quantiles are exact to within about 3% and merge exactly across
+	// tasks.
 	Histogram(name string) MetricHistogram
 }
 

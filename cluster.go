@@ -86,13 +86,18 @@ func NewCluster(cc ClusterConfig) (*Cluster, error) {
 		handles:   map[string]*Handle{},
 	}
 	if cc.HTTPAddr != "" {
-		obs, err := observability.StartCluster(observability.ClusterOptions{
+		obs, err := observability.Start(observability.Options{
 			Addr:    cc.HTTPAddr,
 			Cluster: cc.Name,
 			Views:   c.views,
-			Rollup:  c.rollup,
-			Health:  c.healthOf,
-			Pprof:   cc.HTTPPprof,
+			Health: func(name string) (any, bool) {
+				if h, ok := c.Handle(name); ok {
+					return h.healthReport(), true
+				}
+				return nil, false
+			},
+			Rollup: c.rollup,
+			Pprof:  cc.HTTPPprof,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("heron: cluster observability server: %w", err)
@@ -273,15 +278,4 @@ func (c *Cluster) rollup() any {
 		Nodes      []clusterNode     `json:"nodes"`
 		Topologies []clusterTopology `json:"topologies"`
 	}{c.name, c.sub.Tenants(), nodes, topos}
-}
-
-// healthOf resolves one topology's health status for /health.
-func (c *Cluster) healthOf(topology string) (any, bool) {
-	c.mu.Lock()
-	h, ok := c.handles[topology]
-	c.mu.Unlock()
-	if !ok || h.health == nil {
-		return nil, false
-	}
-	return h.health.Status(), true
 }

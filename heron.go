@@ -28,6 +28,7 @@ import (
 	"heron/internal/metrics"
 	"heron/internal/observability"
 	"heron/internal/packing"
+	"heron/internal/replication"
 	"heron/internal/runtime"
 	"heron/internal/statemgr"
 
@@ -211,10 +212,11 @@ func submit(spec *api.Spec, cfg *Config, hooks submitHooks) (*Handle, error) {
 		obs, err := observability.Start(observability.Options{
 			Addr:     cfg.HTTPAddr,
 			Topology: h.name,
-			View:     h.Metrics,
-			Pprof:    cfg.HTTPPprof,
-			Health:   h.healthStatus(),
-			Control:  func() any { return h.engine.ControlStatus() },
+			Views: func() map[string]*metrics.TopologyView {
+				return map[string]*metrics.TopologyView{h.name: h.Metrics()}
+			},
+			Health: func(name string) (any, bool) { return h.healthReport(), name == h.name },
+			Pprof:  cfg.HTTPPprof,
 		})
 		if err != nil {
 			_ = h.Kill()
@@ -225,13 +227,21 @@ func submit(spec *api.Spec, cfg *Config, hooks submitHooks) (*Handle, error) {
 	return h, nil
 }
 
-// healthStatus adapts the health manager's status for the /health
-// endpoint (nil when the manager is disabled).
-func (h *Handle) healthStatus() func() any {
-	if h.health == nil {
-		return nil
+// healthReport is the topology's /health payload, on its own server and
+// on a cluster's alike: the health manager's status (when enabled) and
+// the control-plane replica status, leader first.
+func (h *Handle) healthReport() any {
+	r := struct {
+		Topology string               `json:"topology"`
+		Enabled  bool                 `json:"enabled"`
+		Status   *healthmgr.Status    `json:"status,omitempty"`
+		Control  []replication.Status `json:"control,omitempty"`
+	}{Topology: h.name, Control: h.ControlStatus()}
+	if h.health != nil {
+		st := h.health.Status()
+		r.Enabled, r.Status = true, &st
 	}
-	return func() any { return h.health.Status() }
+	return r
 }
 
 // HealthStatus returns the health manager's current status (zero value

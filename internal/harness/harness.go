@@ -109,31 +109,15 @@ func mtpm(tuples int64, window time.Duration) float64 {
 	return perMin / 1e6
 }
 
+// latencyMs merges every task's latency snapshot into one histogram and
+// reads the mean, p50 and p99 (in ms) from it, so the figures are the
+// topology's own quantiles.
 func latencyMs(snaps []metrics.HistogramSnapshot) (mean, p50, p99 float64) {
-	var count, sum int64
-	var all []metrics.HistogramSnapshot
+	var all metrics.HistogramSnapshot
 	for _, s := range snaps {
-		count += s.Count
-		sum += s.Sum
-		all = append(all, s)
+		all.Merge(s)
 	}
-	if count == 0 {
-		return 0, 0, 0
-	}
-	mean = float64(sum) / float64(count) / 1e6
-	// Approximate percentiles by averaging per-instance percentiles,
-	// weighted by sample count.
-	var w50, w99, wsum float64
-	for _, s := range all {
-		if s.Count == 0 {
-			continue
-		}
-		w := float64(s.Count)
-		w50 += float64(s.Quantile(0.5)) * w
-		w99 += float64(s.Quantile(0.99)) * w
-		wsum += w
-	}
-	return mean, w50 / wsum / 1e6, w99 / wsum / 1e6
+	return all.Mean() / 1e6, float64(all.Quantile(0.5)) / 1e6, float64(all.Quantile(0.99)) / 1e6
 }
 
 var runSeq int

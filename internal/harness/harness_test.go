@@ -41,8 +41,8 @@ func TestHeronAckedRunProducesLatency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.LatencyMeanMs <= 0 || r.LatencyP99Ms < r.LatencyP50Ms {
-		t.Errorf("latency stats: %+v", r)
+	if r.LatencyMeanMs <= 0 || r.LatencyP50Ms <= 0 || r.LatencyP99Ms < r.LatencyP50Ms {
+		t.Errorf("latency stats: %+v, want mean > 0 and 0 < p50 ≤ p99", r)
 	}
 }
 

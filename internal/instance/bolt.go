@@ -335,7 +335,7 @@ func (in *Instance) execDecoded(dt *tuple.DataTuple, vals []byte, col *boltColle
 	in.mExecuted.Inc(1)
 	// Clocking every execution costs two time reads per tuple on the
 	// hottest path in the engine; 1-in-execLatSampleEvery is plenty
-	// for the reservoir quantiles while mExecuted stays exact.
+	// for the latency quantiles while mExecuted stays exact.
 	sampled := in.execSeq&(execLatSampleEvery-1) == 0
 	in.execSeq++
 	var start time.Time

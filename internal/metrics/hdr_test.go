@@ -36,7 +36,7 @@ func TestHDRIndexValueRoundtrip(t *testing.T) {
 }
 
 func TestHDRQuantileAccuracy(t *testing.T) {
-	h := NewHDRHistogram()
+	h := NewHistogram()
 	const n = 100_000
 	for i := int64(1); i <= n; i++ {
 		h.Observe(i)
@@ -63,7 +63,7 @@ func TestHDRQuantileAccuracy(t *testing.T) {
 }
 
 func TestHDRSnapshotEmpty(t *testing.T) {
-	h := NewHDRHistogram()
+	h := NewHistogram()
 	s := h.Snapshot()
 	if s.Count != 0 || len(s.Buckets) != 0 || s.Min != 0 || s.Max != 0 {
 		t.Fatalf("empty snapshot not zero: %+v", s)
@@ -77,7 +77,7 @@ func TestHDRMergeAcrossSnapshots(t *testing.T) {
 	// Two containers observe disjoint latency populations; the Topology
 	// Master's merge must reproduce the combined distribution exactly
 	// (bucket counts add by index).
-	a, b := NewHDRHistogram(), NewHDRHistogram()
+	a, b := NewHistogram(), NewHistogram()
 	for i := int64(1); i <= 10_000; i++ {
 		a.Observe(i) // fast container
 	}
@@ -85,7 +85,7 @@ func TestHDRMergeAcrossSnapshots(t *testing.T) {
 		b.Observe(i) // slow container
 	}
 	sa, sb := a.Snapshot(), b.Snapshot()
-	sa.merge(sb)
+	sa.Merge(sb)
 	if sa.Count != 20_000 {
 		t.Fatalf("merged count %d", sa.Count)
 	}
@@ -102,7 +102,7 @@ func TestHDRMergeAcrossSnapshots(t *testing.T) {
 	}
 
 	// Merging must equal observing everything into one histogram.
-	both := NewHDRHistogram()
+	both := NewHistogram()
 	for i := int64(1); i <= 10_000; i++ {
 		both.Observe(i)
 	}
@@ -121,7 +121,7 @@ func TestHDRMergeAcrossSnapshots(t *testing.T) {
 }
 
 func TestHDRConcurrentObserve(t *testing.T) {
-	h := NewHDRHistogram()
+	h := NewHistogram()
 	const goroutines, per = 8, 10_000
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {

@@ -11,7 +11,6 @@
 package metrics
 
 import (
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -64,188 +63,6 @@ func (g *Gauge) Set(v int64) { g.v.Store(v) }
 // Value returns the last recorded value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// Histogram records a stream of values (latencies in nanoseconds, queue
-// depths, ...) in a fixed-size sampling reservoir plus exact count, sum,
-// min and max. Quantiles come from the reservoir.
-type Histogram struct {
-	mu   sync.Mutex
-	rsv  []int64
-	seen int64
-	sum  int64
-	min  int64
-	max  int64
-	rngS uint64
-	cap  int
-}
-
-// NewHistogram creates a histogram with the given reservoir capacity
-// (1024 if n <= 0).
-func NewHistogram(n int) *Histogram {
-	if n <= 0 {
-		n = 1024
-	}
-	return &Histogram{cap: n, min: math.MaxInt64, max: math.MinInt64, rngS: 0x9e3779b97f4a7c15}
-}
-
-func (h *Histogram) rand() uint64 {
-	// xorshift64*: cheap, good enough for reservoir sampling.
-	h.rngS ^= h.rngS >> 12
-	h.rngS ^= h.rngS << 25
-	h.rngS ^= h.rngS >> 27
-	return h.rngS * 0x2545f4914f6cdd1d
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v int64) {
-	h.mu.Lock()
-	h.seen++
-	h.sum += v
-	if v < h.min {
-		h.min = v
-	}
-	if v > h.max {
-		h.max = v
-	}
-	if len(h.rsv) < h.cap {
-		h.rsv = append(h.rsv, v)
-	} else if idx := h.rand() % uint64(h.seen); idx < uint64(h.cap) {
-		h.rsv[idx] = v
-	}
-	h.mu.Unlock()
-}
-
-// HDRBucket is one non-empty bucket of an HDRHistogram snapshot: a
-// log-linear bucket index (see hdrIndex) and its count. Snapshots carry
-// the sparse set so the wire format stays small.
-type HDRBucket struct {
-	Idx int32 `json:"i"`
-	N   int64 `json:"n"`
-}
-
-// HistogramSnapshot is a point-in-time summary. Sample is the sorted
-// reservoir; it is exported so snapshots survive the control-plane wire
-// format and the Topology Master can merge quantiles across containers.
-// Snapshots of HDR histograms carry Buckets instead of Sample; Quantile
-// prefers the buckets when present (they are exact up to bucket width,
-// where the reservoir is probabilistic).
-type HistogramSnapshot struct {
-	Count int64 `json:"count"`
-	Sum   int64 `json:"sum"`
-	Min   int64 `json:"min"`
-	Max   int64 `json:"max"`
-	// Sample is the sorted reservoir used for quantiles.
-	Sample []int64 `json:"sample,omitempty"`
-	// Buckets is the sparse HDR bucket set (sorted by Idx), set only on
-	// snapshots taken from an HDRHistogram.
-	Buckets []HDRBucket `json:"buckets,omitempty"`
-}
-
-// Mean returns the exact mean of all observed values.
-func (s HistogramSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
-}
-
-// Quantile returns the approximate p-quantile (0 ≤ p ≤ 1). HDR bucket
-// sets, when present, take precedence over the sampling reservoir.
-func (s HistogramSnapshot) Quantile(p float64) int64 {
-	if len(s.Buckets) > 0 {
-		var total int64
-		for _, b := range s.Buckets {
-			total += b.N
-		}
-		rank := int64(p * float64(total-1))
-		if rank < 0 {
-			rank = 0
-		}
-		var seen int64
-		for _, b := range s.Buckets {
-			seen += b.N
-			if seen > rank {
-				return hdrValue(int(b.Idx))
-			}
-		}
-		return hdrValue(int(s.Buckets[len(s.Buckets)-1].Idx))
-	}
-	if len(s.Sample) == 0 {
-		return 0
-	}
-	idx := int(p * float64(len(s.Sample)-1))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(s.Sample) {
-		idx = len(s.Sample) - 1
-	}
-	return s.Sample[idx]
-}
-
-// merge folds another snapshot of the same metric into s (counts and sums
-// add, samples concatenate, HDR bucket counts add by index; caller
-// re-sorts samples).
-func (s *HistogramSnapshot) merge(o HistogramSnapshot) {
-	if o.Count == 0 {
-		return
-	}
-	if s.Count == 0 {
-		s.Min, s.Max = o.Min, o.Max
-	} else {
-		if o.Min < s.Min {
-			s.Min = o.Min
-		}
-		if o.Max > s.Max {
-			s.Max = o.Max
-		}
-	}
-	s.Count += o.Count
-	s.Sum += o.Sum
-	s.Sample = append(s.Sample, o.Sample...)
-	s.Buckets = mergeBuckets(s.Buckets, o.Buckets)
-}
-
-// mergeBuckets adds two sorted sparse bucket sets index-by-index.
-func mergeBuckets(a, b []HDRBucket) []HDRBucket {
-	if len(b) == 0 {
-		return a
-	}
-	if len(a) == 0 {
-		return append([]HDRBucket(nil), b...)
-	}
-	out := make([]HDRBucket, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i].Idx < b[j].Idx:
-			out = append(out, a[i])
-			i++
-		case a[i].Idx > b[j].Idx:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, HDRBucket{Idx: a[i].Idx, N: a[i].N + b[j].N})
-			i, j = i+1, j+1
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
-}
-
-// Snapshot summarizes the histogram.
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	s := HistogramSnapshot{Count: h.seen, Sum: h.sum, Min: h.min, Max: h.max,
-		Sample: append([]int64(nil), h.rsv...)}
-	if s.Count == 0 {
-		s.Min, s.Max = 0, 0
-	}
-	sort.Slice(s.Sample, func(i, j int) bool { return s.Sample[i] < s.Sample[j] })
-	return s
-}
-
 // Registry is one container's metric namespace. Components create metrics
 // lazily by (name, tags); the Metrics Manager snapshots the whole
 // registry.
@@ -254,7 +71,6 @@ type Registry struct {
 	counters map[ID]*Counter
 	gauges   map[ID]*Gauge
 	histos   map[ID]*Histogram
-	hdrs     map[ID]*HDRHistogram
 }
 
 // NewRegistry creates an empty registry.
@@ -263,7 +79,6 @@ func NewRegistry() *Registry {
 		counters: map[ID]*Counter{},
 		gauges:   map[ID]*Gauge{},
 		histos:   map[ID]*Histogram{},
-		hdrs:     map[ID]*HDRHistogram{},
 	}
 }
 
@@ -300,27 +115,16 @@ func (r *Registry) Histogram(name string, tags Tags) *Histogram {
 	defer r.mu.Unlock()
 	h, ok := r.histos[id]
 	if !ok {
-		h = NewHistogram(0)
+		h = NewHistogram()
 		r.histos[id] = h
 	}
 	return h
 }
 
-// HDR returns (creating if needed) the named, tagged HDR histogram — the
-// lock-free log-linear variant data-path goroutines observe into
-// directly. HDR histograms export through the same HistogramPoint stream
-// as reservoir histograms, carrying buckets instead of a sample.
-func (r *Registry) HDR(name string, tags Tags) *HDRHistogram {
-	id := ID{Name: name, Tags: tags}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hdrs[id]
-	if !ok {
-		h = NewHDRHistogram()
-		r.hdrs[id] = h
-	}
-	return h
-}
+// HDR forwards to Histogram. Its only caller is bench/drives.go, which
+// is frozen outside benchmark changes; the ROADMAP item 2 benchmark PR
+// removes it.
+func (r *Registry) HDR(name string, tags Tags) *Histogram { return r.Histogram(name, tags) }
 
 // CounterPoint is one counter's identity and value in a snapshot.
 type CounterPoint struct {
@@ -381,31 +185,10 @@ func (r *Registry) Snapshot(container int32) Snapshot {
 	for id, g := range r.gauges {
 		s.Gauges = append(s.Gauges, GaugePoint{ID: id, Value: g.Value()})
 	}
-	type hpair struct {
-		id ID
-		h  *Histogram
-	}
-	hs := make([]hpair, 0, len(r.histos))
 	for id, h := range r.histos {
-		hs = append(hs, hpair{id, h})
-	}
-	type hdrpair struct {
-		id ID
-		h  *HDRHistogram
-	}
-	hdrs := make([]hdrpair, 0, len(r.hdrs))
-	for id, h := range r.hdrs {
-		hdrs = append(hdrs, hdrpair{id, h})
+		s.Histograms = append(s.Histograms, HistogramPoint{ID: id, HistogramSnapshot: h.Snapshot()})
 	}
 	r.mu.Unlock()
-	// Histogram snapshots take per-histogram locks; do it outside the
-	// registry lock so Observe never contends with a whole-registry export.
-	for _, p := range hs {
-		s.Histograms = append(s.Histograms, HistogramPoint{ID: p.id, HistogramSnapshot: p.h.Snapshot()})
-	}
-	for _, p := range hdrs {
-		s.Histograms = append(s.Histograms, HistogramPoint{ID: p.id, HistogramSnapshot: p.h.Snapshot()})
-	}
 	sort.Slice(s.Counters, func(i, j int) bool { return s.Counters[i].ID.less(s.Counters[j].ID) })
 	sort.Slice(s.Gauges, func(i, j int) bool { return s.Gauges[i].ID.less(s.Gauges[j].ID) })
 	sort.Slice(s.Histograms, func(i, j int) bool { return s.Histograms[i].ID.less(s.Histograms[j].ID) })

@@ -31,7 +31,7 @@ func TestCounterAndGauge(t *testing.T) {
 }
 
 func TestHistogramExactStats(t *testing.T) {
-	h := NewHistogram(16)
+	h := NewHistogram()
 	for _, v := range []int64{5, 1, 9, 3} {
 		h.Observe(v)
 	}
@@ -51,73 +51,77 @@ func TestHistogramExactStats(t *testing.T) {
 }
 
 func TestHistogramEmpty(t *testing.T) {
-	s := NewHistogram(8).Snapshot()
+	s := NewHistogram().Snapshot()
 	if s.Count != 0 || s.Min != 0 || s.Max != 0 || s.Mean() != 0 || s.Quantile(0.5) != 0 {
 		t.Errorf("empty snapshot = %+v", s)
 	}
 }
 
+// TestHistogramReservoirBounded keeps its name from the sampling
+// reservoir the bucket histogram replaced: ten thousand distinct values
+// keep an exact count and a bounded bucket set, and the median stays
+// within one bucket's relative error.
 func TestHistogramReservoirBounded(t *testing.T) {
-	h := NewHistogram(32)
+	h := NewHistogram()
 	for i := int64(0); i < 10000; i++ {
 		h.Observe(i)
 	}
 	s := h.Snapshot()
-	if s.Count != 10000 || len(s.Sample) != 32 {
-		t.Errorf("count=%d sample=%d", s.Count, len(s.Sample))
+	if s.Count != 10000 || s.Sum != 9999*10000/2 {
+		t.Errorf("count=%d sum=%d", s.Count, s.Sum)
+	}
+	// 0..63 get one bucket each, then 32 per power of two up to 2^13.
+	if n := len(s.Buckets); n > 64+8*hdrSubCount {
+		t.Errorf("buckets = %d, want ≤ %d", n, 64+8*hdrSubCount)
 	}
 	if s.Min != 0 || s.Max != 9999 {
 		t.Errorf("min/max = %d/%d", s.Min, s.Max)
 	}
-	// Median of 0..9999 should be roughly in the middle; reservoir
-	// sampling keeps it within a loose band.
-	if q := s.Quantile(0.5); q < 1000 || q > 9000 {
-		t.Errorf("median = %d, way off", q)
+	if q := s.Quantile(0.5); q < 5000*31/32 || q > 5000*33/32 {
+		t.Errorf("median = %d, want 5000 within 1/32", q)
 	}
 }
 
-// TestHistogramReservoirAtCapacityBoundary pins the reservoir behaviour at
-// exactly the capacity boundary: with exactly cap observations the sample
-// is the complete, exact data set; one more observation must keep the
-// sample at cap while count/sum stay exact.
+// TestHistogramReservoirAtCapacityBoundary keeps its name from the
+// sampling reservoir and now pins the bucket layout's exactness
+// boundary: every value below 64 gets a bucket of its own, and the first
+// two values past it share one, while count and sum stay exact.
 func TestHistogramReservoirAtCapacityBoundary(t *testing.T) {
-	const capacity = 64
-	h := NewHistogram(capacity)
-	for i := int64(1); i <= capacity; i++ {
+	const exact = 2 * hdrSubCount
+	h := NewHistogram()
+	for i := int64(0); i < exact; i++ {
 		h.Observe(i)
 	}
 	s := h.Snapshot()
-	if s.Count != capacity || len(s.Sample) != capacity {
-		t.Fatalf("at capacity: count=%d sample=%d", s.Count, len(s.Sample))
+	if s.Count != exact || len(s.Buckets) != exact {
+		t.Fatalf("below the boundary: count=%d buckets=%d", s.Count, len(s.Buckets))
 	}
-	// Exactly at capacity the sample is exact and sorted: 1..cap.
-	for i, v := range s.Sample {
-		if v != int64(i+1) {
-			t.Fatalf("sample[%d] = %d, want %d (exact below capacity)", i, v, i+1)
+	for i, b := range s.Buckets {
+		if b.N != 1 || hdrValue(int(b.Idx)) != int64(i) {
+			t.Fatalf("bucket %d = %+v (value %d), want one exact observation", i, b, hdrValue(int(b.Idx)))
 		}
 	}
-	if q := s.Quantile(1); q != capacity {
-		t.Errorf("q1 = %d, want %d", q, capacity)
-	}
 
-	h.Observe(capacity + 1)
+	h.Observe(exact)
+	h.Observe(exact + 1)
 	s = h.Snapshot()
-	if s.Count != capacity+1 || len(s.Sample) != capacity {
-		t.Errorf("past capacity: count=%d sample=%d", s.Count, len(s.Sample))
+	if s.Count != exact+2 || len(s.Buckets) != exact+1 {
+		t.Errorf("past the boundary: count=%d buckets=%d", s.Count, len(s.Buckets))
 	}
-	if want := int64(capacity+1) * (capacity + 2) / 2; s.Sum != want {
-		t.Errorf("sum = %d, want %d (sum stays exact past capacity)", s.Sum, want)
+	if want := int64(exact+1) * (exact + 2) / 2; s.Sum != want {
+		t.Errorf("sum = %d, want %d", s.Sum, want)
 	}
-	if s.Max != capacity+1 {
-		t.Errorf("max = %d, want %d", s.Max, capacity+1)
+	if s.Max != exact+1 {
+		t.Errorf("max = %d, want %d", s.Max, exact+1)
 	}
 }
 
 // TestHistogramConcurrentObserveQuantile hammers Observe from several
 // goroutines while others continuously snapshot and read quantiles; run
-// with -race this doubles as the data-race check for the reservoir.
+// with -race this doubles as the data-race check for the lock-free
+// Observe against Snapshot.
 func TestHistogramConcurrentObserveQuantile(t *testing.T) {
-	h := NewHistogram(64)
+	h := NewHistogram()
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -145,8 +149,8 @@ func TestHistogramConcurrentObserveQuantile(t *testing.T) {
 					t.Error("negative quantile")
 					return
 				}
-				if int64(len(s.Sample)) > s.Count {
-					t.Errorf("sample %d > count %d", len(s.Sample), s.Count)
+				if q := s.Quantile(0.5); s.Count > 0 && (q < s.Min || q > s.Max) {
+					t.Errorf("median %d outside [%d, %d]", q, s.Min, s.Max)
 					return
 				}
 			}
@@ -211,7 +215,7 @@ func TestViewMergesAcrossContainers(t *testing.T) {
 	if hs.Count != 200 || hs.Min != 1 || hs.Max != 1100 {
 		t.Errorf("merged histogram = %+v", hs)
 	}
-	// Quantiles span both containers' reservoirs.
+	// Quantiles span both containers' buckets.
 	if q := hs.Quantile(0.99); q < 1000 {
 		t.Errorf("p99 = %d, should land in the slow container's range", q)
 	}
@@ -236,21 +240,58 @@ func TestWritePrometheus(t *testing.T) {
 	v := MergeSnapshots(&s)
 
 	var b strings.Builder
-	v.WritePrometheus(&b, "heron")
+	WritePrometheus(&b, "heron", map[string]*TopologyView{"wc": v})
 	out := b.String()
 	for _, want := range []string{
 		"# TYPE heron_instance_execute_count counter",
-		`heron_instance_execute_count{component="count",task="3"} 9`,
+		`heron_instance_execute_count{topology="wc",component="count",task="3"} 9`,
 		"# TYPE heron_spout_pending gauge",
-		`heron_spout_pending{component="word",task="1"} 4`,
+		`heron_spout_pending{topology="wc",component="word",task="1"} 4`,
 		"# TYPE heron_instance_execute_latency summary",
-		`heron_instance_execute_latency{component="count",task="3",quantile="0.99"} 100`,
-		`heron_instance_execute_latency_count{component="count",task="3"} 1`,
-		`heron_instance_execute_latency_sum{component="count",task="3"} 100`,
+		`heron_instance_execute_latency{topology="wc",component="count",task="3",quantile="0.99"} 100`,
+		`heron_instance_execute_latency_count{topology="wc",component="count",task="3"} 1`,
+		`heron_instance_execute_latency_sum{topology="wc",component="count",task="3"} 100`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("prometheus output missing %q:\n%s", want, out)
 		}
+	}
+	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
+		if !strings.HasPrefix(line, "#") && !strings.Contains(line, `{topology="wc",`) {
+			t.Errorf("series without topology label: %q", line)
+		}
+	}
+}
+
+// TestViewHistogramMergeWeightsByCount merges a busy task and an idle one:
+// each task weighs in by its count, so the topology p99 is the busy
+// task's 1 ms, not the idle task's 50 ms.
+func TestViewHistogramMergeWeightsByCount(t *testing.T) {
+	const ms = int64(time.Millisecond)
+	busy, idle := NewRegistry(), NewRegistry()
+	for i := 0; i < 100_000; i++ {
+		busy.Histogram(MCompleteLatency, Tags{Component: "word", Task: 0}).Observe(ms)
+	}
+	for i := 0; i < 100; i++ {
+		idle.Histogram(MCompleteLatency, Tags{Component: "word", Task: 1}).Observe(50 * ms)
+	}
+	s1, s2 := busy.Snapshot(1), idle.Snapshot(2)
+	hs := MergeSnapshots(&s1, &s2).Histogram(MCompleteLatency, "")
+	if hs.Count != 100_100 {
+		t.Fatalf("merged count = %d", hs.Count)
+	}
+	if p99 := hs.Quantile(0.99); p99 < ms*97/100 || p99 > ms*103/100 {
+		t.Errorf("topology p99 = %d ns, want 1 ms within 3%%", p99)
+	}
+
+	// Clamp: above the exact buckets, the end ranks are Min and Max
+	// exactly, not their buckets' midpoints.
+	h := NewHistogram()
+	for _, v := range []int64{1000, 1003, 5000, 77_777} {
+		h.Observe(v)
+	}
+	if s := h.Snapshot(); s.Quantile(0) != 1000 || s.Quantile(1) != 77_777 {
+		t.Errorf("q0/q1 = %d/%d, want 1000/77777", s.Quantile(0), s.Quantile(1))
 	}
 }
 

@@ -7,48 +7,66 @@ import (
 	"strings"
 )
 
-// WritePrometheus renders the view in the Prometheus text exposition
-// format (version 0.0.4). Metric names are sanitized into the Prometheus
-// alphabet and prefixed with namespace (e.g. "heron"); tags become the
-// component/task/stream labels. Counters and gauges map directly;
-// histograms are rendered as summaries with 0.5/0.9/0.99/1.0 quantiles
-// plus _sum and _count series.
-func (v *TopologyView) WritePrometheus(w io.Writer, namespace string) {
+// WritePrometheus renders topologies' views, keyed by topology name, on
+// one page in the Prometheus text exposition format (version 0.0.4).
+// Metric names are sanitized into the Prometheus alphabet and prefixed
+// with namespace (e.g. "heron"); every series carries a topology label
+// plus its component/task/stream tags. Series of one family are grouped
+// across topologies under a single # TYPE line, sorted by family, then
+// topology, then tags. Counters and gauges map directly; histograms are
+// rendered as summaries with 0.5/0.9/0.99/1.0 quantiles plus _sum and
+// _count series.
+func WritePrometheus(w io.Writer, namespace string, views map[string]*TopologyView) {
 	type series struct {
-		id   ID
-		kind string // "counter" | "gauge" | "summary"
+		family string
+		topo   string
+		kind   string // "counter" | "gauge" | "summary"
+		id     ID
 	}
-	all := make([]series, 0, len(v.Counters)+len(v.Gauges)+len(v.Histograms))
-	for id := range v.Counters {
-		all = append(all, series{id, "counter"})
+	var all []series
+	for topo, v := range views {
+		if v == nil {
+			continue
+		}
+		for id := range v.Counters {
+			all = append(all, series{promName(namespace, id.Name), topo, "counter", id})
+		}
+		for id := range v.Gauges {
+			all = append(all, series{promName(namespace, id.Name), topo, "gauge", id})
+		}
+		for id := range v.Histograms {
+			all = append(all, series{promName(namespace, id.Name), topo, "summary", id})
+		}
 	}
-	for id := range v.Gauges {
-		all = append(all, series{id, "gauge"})
-	}
-	for id := range v.Histograms {
-		all = append(all, series{id, "summary"})
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].id.less(all[j].id) })
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].family != all[j].family {
+			return all[i].family < all[j].family
+		}
+		if all[i].topo != all[j].topo {
+			return all[i].topo < all[j].topo
+		}
+		return all[i].id.less(all[j].id)
+	})
 
 	lastTyped := ""
 	for _, s := range all {
-		name := promName(namespace, s.id.Name)
-		if name != lastTyped {
-			fmt.Fprintf(w, "# TYPE %s %s\n", name, s.kind)
-			lastTyped = name
+		if s.family != lastTyped {
+			fmt.Fprintf(w, "# TYPE %s %s\n", s.family, s.kind)
+			lastTyped = s.family
 		}
+		v, labels := views[s.topo], promLabels(s.topo, s.id.Tags, "", 0)
 		switch s.kind {
 		case "counter":
-			fmt.Fprintf(w, "%s%s %d\n", name, promLabels(s.id.Tags, "", 0), v.Counters[s.id])
+			fmt.Fprintf(w, "%s%s %d\n", s.family, labels, v.Counters[s.id])
 		case "gauge":
-			fmt.Fprintf(w, "%s%s %d\n", name, promLabels(s.id.Tags, "", 0), v.Gauges[s.id])
+			fmt.Fprintf(w, "%s%s %d\n", s.family, labels, v.Gauges[s.id])
 		case "summary":
 			hs := v.Histograms[s.id]
 			for _, q := range []float64{0.5, 0.9, 0.99, 1} {
-				fmt.Fprintf(w, "%s%s %d\n", name, promLabels(s.id.Tags, "quantile", q), hs.Quantile(q))
+				fmt.Fprintf(w, "%s%s %d\n", s.family, promLabels(s.topo, s.id.Tags, "quantile", q), hs.Quantile(q))
 			}
-			fmt.Fprintf(w, "%s_sum%s %d\n", name, promLabels(s.id.Tags, "", 0), hs.Sum)
-			fmt.Fprintf(w, "%s_count%s %d\n", name, promLabels(s.id.Tags, "", 0), hs.Count)
+			fmt.Fprintf(w, "%s_sum%s %d\n", s.family, labels, hs.Sum)
+			fmt.Fprintf(w, "%s_count%s %d\n", s.family, labels, hs.Count)
 		}
 	}
 }
@@ -78,36 +96,21 @@ func promName(namespace, name string) string {
 	return b.String()
 }
 
-// promLabels renders the label set for one series; extraKey (when
-// non-empty) appends a float label such as quantile="0.99".
-func promLabels(t Tags, extraKey string, extraVal float64) string {
-	return promLabelsTopo("", t, extraKey, extraVal)
-}
-
-// promLabelsTopo is promLabels plus a leading topology label, used by the
-// cluster-wide exposition where series from many topologies share one
-// page and must stay distinguishable.
-func promLabelsTopo(topology string, t Tags, extraKey string, extraVal float64) string {
-	var parts []string
-	if topology != "" {
-		parts = append(parts, fmt.Sprintf("topology=%q", topology))
-	}
-	if t.Component != "" {
-		parts = append(parts, fmt.Sprintf("component=%q", t.Component))
-	}
+// promLabels renders the label set for one series: the topology, then
+// the tags; extraKey (when non-empty) appends a float label such as
+// quantile="0.99".
+func promLabels(topology string, t Tags, extraKey string, extraVal float64) string {
+	parts := []string{fmt.Sprintf("topology=%q", topology)}
 	// Task 0 is a valid task id; emit the label whenever the metric is
 	// component-scoped so per-task series stay distinguishable.
 	if t.Component != "" {
-		parts = append(parts, fmt.Sprintf("task=\"%d\"", t.Task))
+		parts = append(parts, fmt.Sprintf("component=%q", t.Component), fmt.Sprintf("task=\"%d\"", t.Task))
 	}
 	if t.Stream != "" {
 		parts = append(parts, fmt.Sprintf("stream=%q", t.Stream))
 	}
 	if extraKey != "" {
 		parts = append(parts, fmt.Sprintf("%s=\"%g\"", extraKey, extraVal))
-	}
-	if len(parts) == 0 {
-		return ""
 	}
 	return "{" + strings.Join(parts, ",") + "}"
 }

@@ -31,10 +31,9 @@ const (
 	MStmgrBPAssertedTime = "stmgr.backpressure-time-ns"     // total ns spent asserted
 	MStmgrBPActive       = "stmgr.backpressure-active"      // 1 while this container asserts backpressure (gauge)
 	// MStmgrRouteLatency is the Stream Manager's per-frame route latency
-	// — dispatch-ring enqueue to delivery handoff, sampled 1-in-8 —
-	// recorded in a lock-free HDR histogram so /metrics and the
-	// TopologyView report p50/p99/p999 tails, not just averages. Published
-	// at every shard count.
+	// — dispatch-ring enqueue to delivery handoff, sampled 1-in-8 — so
+	// /metrics and the TopologyView report p50/p99/p999 tails, not just
+	// averages. Published at every shard count.
 	MStmgrRouteLatency = "stmgr.route-latency-ns"
 
 	// Checkpointing. Duration/size/restore are per-instance (tags:
@@ -147,17 +146,16 @@ func (v *TopologyView) Gauge(name, component string) int64 {
 }
 
 // Histogram merges the named histogram across every task of component
-// (component "" merges the whole topology): counts and sums add, and the
-// quantile reservoirs concatenate, giving topology-wide quantile
-// summaries.
+// (component "" merges the whole topology): counts, sums and bucket
+// counts add, so each task weighs in by its count and the quantiles are
+// the topology's own.
 func (v *TopologyView) Histogram(name, component string) HistogramSnapshot {
 	var out HistogramSnapshot
 	for id, hs := range v.Histograms {
 		if match(id, name, component) {
-			out.merge(hs)
+			out.Merge(hs)
 		}
 	}
-	sort.Slice(out.Sample, func(i, j int) bool { return out.Sample[i] < out.Sample[j] })
 	return out
 }
 

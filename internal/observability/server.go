@@ -1,8 +1,11 @@
-// Package observability serves the topology's merged metrics view over
-// plain net/http: /metrics in Prometheus text exposition format for
-// scrapers, /topology as structured JSON for dashboards and debugging,
-// and optionally the net/http/pprof profiling handlers. The server reads
-// through a view function so every request sees the Topology Master's
+// Package observability serves merged metrics views over plain net/http:
+// /metrics in Prometheus text exposition format for scrapers, /topology
+// as structured JSON for dashboards and debugging, /health with each
+// topology's health-manager and control-plane status, and optionally a
+// cluster rollup at /cluster and the net/http/pprof profiling handlers.
+// One server shape serves both a multi-tenant cluster and a single
+// topology, which is a cluster of one. The server reads through its
+// sources on every request, so each response sees the Topology Masters'
 // latest aggregation.
 package observability
 
@@ -11,6 +14,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"sort"
 	"sync"
 
 	"heron/internal/metrics"
@@ -23,20 +27,24 @@ const Namespace = "heron"
 type Options struct {
 	// Addr is the listen address ("127.0.0.1:0" picks a free port).
 	Addr string
-	// Topology is the topology name, echoed in the /topology payload.
+	// Cluster is the cluster name echoed in /topology payloads; a single
+	// topology's server leaves it empty and the payloads omit it.
+	Cluster string
+	// Topology is the topology a request without ?name= answers for — a
+	// single topology's own name. A cluster's server leaves it empty:
+	// /topology then lists every topology and /health requires a name.
 	Topology string
-	// View returns the current merged metrics view; it must never return
-	// nil and must be safe for concurrent use.
-	View func() *metrics.TopologyView
+	// Views returns the current merged metrics view of every topology,
+	// keyed by name. It must never return nil and must be safe for
+	// concurrent use.
+	Views func() map[string]*metrics.TopologyView
+	// Health returns one topology's /health payload, or false when no
+	// such topology runs.
+	Health func(topology string) (any, bool)
+	// Rollup, when non-nil, is served as JSON at /cluster.
+	Rollup func() any
 	// Pprof mounts net/http/pprof under /debug/pprof/ when true.
 	Pprof bool
-	// Health, when non-nil, is served as JSON at /health — the health
-	// manager's current diagnosis and action log. When nil, /health
-	// reports {"enabled": false}.
-	Health func() any
-	// Control, when non-nil, adds the control-plane replica status
-	// (leader, terms, failover counts) to the /health payload.
-	Control func() any
 }
 
 // Server is a running observability endpoint.
@@ -47,8 +55,15 @@ type Server struct {
 	done     chan struct{}
 }
 
-// Start binds the listener and begins serving. It returns once the
-// listener is bound, so Addr() is immediately valid.
+// Start binds the listener and begins serving:
+//
+//	/metrics            every topology's series, topology-labelled
+//	/topology?name=X    one topology's metrics dump
+//	/health?name=X      one topology's health and control-plane status
+//	/cluster            the rollup, when Options.Rollup is set
+//
+// An unknown name is a 404 on both /topology and /health. It returns
+// once the listener is bound, so Addr() is immediately valid.
 func Start(opts Options) (*Server, error) {
 	l, err := net.Listen("tcp", opts.Addr)
 	if err != nil {
@@ -57,38 +72,55 @@ func Start(opts Options) (*Server, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		opts.View().WritePrometheus(w, Namespace)
+		metrics.WritePrometheus(w, Namespace, opts.Views())
 	})
 	mux.HandleFunc("/topology", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(struct {
-			Topology string           `json:"topology"`
-			Metrics  metrics.ViewDump `json:"metrics"`
-		}{opts.Topology, opts.View().Dump()})
-	})
-	mux.HandleFunc("/health", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		var control any
-		if opts.Control != nil {
-			control = opts.Control()
-		}
-		if opts.Health == nil {
-			_ = enc.Encode(struct {
-				Enabled bool `json:"enabled"`
-				Control any  `json:"control,omitempty"`
-			}{false, control})
+		views := opts.Views()
+		name := queryName(r, opts.Topology)
+		if name == "" {
+			names := make([]string, 0, len(views))
+			dumps := make(map[string]metrics.ViewDump, len(views))
+			for n, v := range views {
+				names = append(names, n)
+				dumps[n] = v.Dump()
+			}
+			sort.Strings(names)
+			writeJSON(w, struct {
+				Cluster    string                      `json:"cluster"`
+				Topologies []string                    `json:"topologies"`
+				Metrics    map[string]metrics.ViewDump `json:"metrics"`
+			}{opts.Cluster, names, dumps})
 			return
 		}
-		_ = enc.Encode(struct {
-			Enabled bool `json:"enabled"`
-			Status  any  `json:"status"`
-			Control any  `json:"control,omitempty"`
-		}{true, opts.Health(), control})
+		v, ok := views[name]
+		if !ok {
+			http.Error(w, "unknown topology "+name, http.StatusNotFound)
+			return
+		}
+		writeJSON(w, struct {
+			Cluster  string           `json:"cluster,omitempty"`
+			Topology string           `json:"topology"`
+			Metrics  metrics.ViewDump `json:"metrics"`
+		}{opts.Cluster, name, v.Dump()})
 	})
+	mux.HandleFunc("/health", func(w http.ResponseWriter, r *http.Request) {
+		name := queryName(r, opts.Topology)
+		if name == "" {
+			http.Error(w, "usage: /health?name=<topology>", http.StatusBadRequest)
+			return
+		}
+		payload, ok := opts.Health(name)
+		if !ok {
+			http.Error(w, "unknown topology "+name, http.StatusNotFound)
+			return
+		}
+		writeJSON(w, payload)
+	})
+	if opts.Rollup != nil {
+		mux.HandleFunc("/cluster", func(w http.ResponseWriter, r *http.Request) {
+			writeJSON(w, opts.Rollup())
+		})
+	}
 	if opts.Pprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -106,6 +138,22 @@ func Start(opts Options) (*Server, error) {
 		_ = s.srv.Serve(l)
 	}()
 	return s, nil
+}
+
+// queryName is the request's ?name=, or def when it names none.
+func queryName(r *http.Request, def string) string {
+	if name := r.URL.Query().Get("name"); name != "" {
+		return name
+	}
+	return def
+}
+
+// writeJSON serves v as indented JSON.
+func writeJSON(w http.ResponseWriter, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(v)
 }
 
 // Addr returns the bound listen address (host:port).

@@ -164,7 +164,7 @@ type StreamManager struct {
 	mBytesSent   *metrics.Counter
 	mBytesRecv   *metrics.Counter
 	mCkptEpoch   *metrics.Gauge
-	mRouteLat    *metrics.HDRHistogram
+	mRouteLat    *metrics.Histogram
 }
 
 // newCore builds a Stream Manager with its routing state, metrics, shard
@@ -215,7 +215,7 @@ func newCore(opts Options) (*StreamManager, error) {
 	s.mBytesSent = opts.Registry.Counter(metrics.MStmgrBytesSent, tags)
 	s.mBytesRecv = opts.Registry.Counter(metrics.MStmgrBytesReceived, tags)
 	s.mCkptEpoch = opts.Registry.Gauge(metrics.MCheckpointEpoch, tags)
-	s.mRouteLat = opts.Registry.HDR(metrics.MStmgrRouteLatency, tags)
+	s.mRouteLat = opts.Registry.Histogram(metrics.MStmgrRouteLatency, tags)
 	s.nShards = opts.Cfg.ResolveStmgrShards(runtime.GOMAXPROCS(0))
 	s.acks = newAckCache()
 	s.initShards()

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"regexp"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -205,9 +206,10 @@ func TestObservabilityHTTP(t *testing.T) {
 		return resp.StatusCode, string(body)
 	}
 
-	// /metrics: per-task execute-count series with component/task labels
-	// must sum to the processed total once the exporters catch up.
-	series := regexp.MustCompile(`(?m)^heron_instance_execute_count\{component="count",task="(\d+)"\} (\d+)$`)
+	// /metrics: per-task execute-count series with topology/component/task
+	// labels must sum to the processed total once the exporters catch up.
+	topo := `topology="` + spec.Topology.Name + `",`
+	series := regexp.MustCompile(`(?m)^heron_instance_execute_count\{` + regexp.QuoteMeta(topo) + `component="count",task="(\d+)"\} (\d+)$`)
 	var body string
 	waitFor(t, 10*time.Second, "prometheus counters to converge", func() bool {
 		var code int
@@ -225,8 +227,8 @@ func TestObservabilityHTTP(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE heron_instance_execute_count counter",
 		"# TYPE heron_instance_execute_latency summary",
-		`heron_user_words_counted{component="count"`,
-		`heron_stmgr_tuples_in{component="__stmgr__"`,
+		`heron_user_words_counted{` + topo + `component="count"`,
+		`heron_stmgr_tuples_in{` + topo + `component="__stmgr__"`,
 		`quantile="0.99"`,
 	} {
 		if !regexp.MustCompile(regexp.QuoteMeta(want)).MatchString(body) {
@@ -263,6 +265,18 @@ func TestObservabilityHTTP(t *testing.T) {
 	}
 	if jsonSum != processed {
 		t.Errorf("/topology execute-count = %d, want %d", jsonSum, processed)
+	}
+
+	// /health: the topology's own payload with the control-plane block;
+	// an unknown name is a 404, as on /topology.
+	code, healthBody := get("/health")
+	if code != http.StatusOK || !strings.Contains(healthBody, `"enabled": false`) || !strings.Contains(healthBody, `"control": [`) {
+		t.Errorf("/health = %d %s", code, healthBody)
+	}
+	for _, path := range []string{"/health?name=nope", "/topology?name=nope"} {
+		if code, _ := get(path); code != http.StatusNotFound {
+			t.Errorf("%s status = %d, want 404", path, code)
+		}
 	}
 
 	// pprof mounted when enabled.
