@@ -18,8 +18,9 @@ vet:
 # race detector (tier-1 plus -race), ten repeats of the packages whose
 # tests race the control plane, launch it, recycle received frames,
 # carry election and fencing on every State Manager backend, share one
-# scheduler core's monitor and lock across five schedulers, or race the
-# lock-free histogram's Observe against Snapshot and serve it, then the same
+# scheduler core's monitor and lock across five schedulers, race the
+# lock-free histogram's Observe against Snapshot and serve it, or ack tuple
+# trees from every receive goroutine and the rotation timer at once, then the same
 # for the benchmark's own module, which `./...` from the root does not
 # reach.
 verify:
@@ -27,7 +28,7 @@ verify:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 ./internal/tmaster ./internal/runtime ./internal/instance ./internal/statemgr ./internal/replication ./internal/scheduler ./internal/multitenant ./internal/metrics ./internal/observability
+	$(GO) test -race -count=10 ./internal/tmaster ./internal/runtime ./internal/instance ./internal/statemgr ./internal/replication ./internal/scheduler ./internal/multitenant ./internal/metrics ./internal/observability ./internal/stmgr ./internal/acker
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # bench runs the end-to-end benchmark BENCHMARK.json declares; see

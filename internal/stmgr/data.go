@@ -226,6 +226,7 @@ type ackCache struct {
 	mu      sync.Mutex
 	batches map[int32]*batchBuf // peer container → pending acks
 	frames  *wire.Pool          // the ack frames built here come back here
+	out     []*wire.Buffer      // drain's result, reused across drains
 }
 
 func newAckCache() *ackCache {
@@ -248,36 +249,41 @@ func (c *ackCache) add(container int32, ackBytes []byte) {
 	c.mu.Unlock()
 }
 
-// drain returns one owned frame per destination container and resets the
-// cache.
-func (c *ackCache) drain() map[int32]*wire.Buffer {
+// drain seals one owned frame per destination container and resets the
+// cache. The frames come back in a slice indexed by container id that the
+// cache reuses, so a drain tick allocates nothing; it stays valid until
+// the next drain, and only the drain loop drains.
+func (c *ackCache) drain() []*wire.Buffer {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var out map[int32]*wire.Buffer
+	clear(c.out)
 	for container, b := range c.batches {
 		if b.count == 0 {
 			continue
 		}
 		tuple.PatchAckFrameHeader(b.buf.B, b.count)
-		if out == nil {
-			out = map[int32]*wire.Buffer{}
+		if n := int(container) + 1; n > len(c.out) {
+			c.out = append(c.out, make([]*wire.Buffer, n-len(c.out))...)
 		}
-		out[container] = b.buf
+		c.out[container] = b.buf
 		b.last, b.prev = len(b.buf.B), b.last
 		b.buf, b.count = nil, 0
 	}
-	return out
+	return c.out
 }
 
 // routeAck moves a frame of ack/fail/anchor control tuples toward the
 // ackers of the stream managers hosting the originating spouts, handling
 // local ones directly. In optimized mode remote acks are re-batched per
 // peer; in naive mode each is forwarded as its own frame immediately.
+// Trees the frame finishes reach each local spout as one frame, sent
+// before routeAck returns.
 func (s *StreamManager) routeAck(payload []byte) {
 	rt := s.routes.Load()
 	if rt == nil || rt.plan == nil {
 		return
 	}
+	var touched uint32 // shards whose ackers this frame reached
 	_ = tuple.WalkAckFrame(payload, func(ab []byte) error {
 		var a tuple.AckTuple
 		if err := tuple.DecodeAck(ab, &a); err != nil {
@@ -288,7 +294,7 @@ func (s *StreamManager) routeAck(payload []byte) {
 			return nil
 		}
 		if container == s.opts.Container {
-			s.handleAck(&a)
+			touched |= 1 << s.handleAck(&a)
 			return nil
 		}
 		s.mAcksRouted.Inc(1)
@@ -303,41 +309,47 @@ func (s *StreamManager) routeAck(payload []byte) {
 		}
 		return nil
 	})
+	for i := 0; touched != 0; i, touched = i+1, touched>>1 {
+		if touched&1 != 0 {
+			s.shards[i].flushDone()
+		}
+	}
 }
 
 // drainAcks flushes the ack cache to peers (optimized mode only).
 func (s *StreamManager) drainAcks() {
-	drained := s.acks.drain()
-	if drained == nil {
-		return
+	var peers map[int32]*outbox
+	if rt := s.routes.Load(); rt != nil {
+		peers = rt.peers
 	}
-	rt := s.routes.Load()
-	for container, buf := range drained {
-		if rt != nil {
-			if peer := rt.peers[container]; peer != nil {
-				peer.enqueueOwned(network.MsgAck, buf)
-				continue
-			}
+	for container, buf := range s.acks.drain() {
+		if buf == nil {
+			continue
 		}
-		wire.PutBuffer(buf)
+		if peer := peers[int32(container)]; peer != nil {
+			peer.enqueueOwned(network.MsgAck, buf)
+		} else {
+			wire.PutBuffer(buf)
+		}
 	}
 }
 
 // handleAck applies one control tuple to the acker of the shard owning
-// the originating spout task. Every tuple of a tree carries the same
-// spout task, so a tree's whole life — anchor, acks, completion — stays
-// inside one shard's acker and root map (shard-local root ownership).
-func (s *StreamManager) handleAck(a *tuple.AckTuple) {
-	sh := s.shards[s.shardOf(a.SpoutTask)]
+// the originating spout task and returns that shard. Every tuple of a
+// tree carries the same spout task, so a tree's whole life — anchor,
+// acks, completion — stays inside one shard's acker (shard-local root
+// ownership). A finished tree waits in the shard's completion batch for
+// the caller's flush.
+func (s *StreamManager) handleAck(a *tuple.AckTuple) int {
+	i := s.shardOf(a.SpoutTask)
+	sh := s.shards[i]
 	switch a.Kind {
 	case tuple.AckAnchor:
-		sh.rootMu.Lock()
-		sh.rootSpout[a.Root] = a.SpoutTask
-		sh.rootMu.Unlock()
 		sh.ack.Anchor(a.Root, a.Delta)
 	case tuple.AckAck:
 		sh.ack.Ack(a.Root, a.Delta)
 	case tuple.AckFail:
 		sh.ack.Fail(a.Root)
 	}
+	return i
 }

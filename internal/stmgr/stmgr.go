@@ -847,10 +847,17 @@ func (s *StreamManager) rotateLoop() {
 		case <-s.stopCh:
 			return
 		case <-t.C:
-			for _, sh := range s.shards {
-				sh.ack.Rotate()
-			}
+			s.rotateAckers()
 		}
+	}
+}
+
+// rotateAckers rotates every shard's acker once. Each rotation answers a
+// spout with at most one frame of expirations.
+func (s *StreamManager) rotateAckers() {
+	for _, sh := range s.shards {
+		sh.ack.Rotate()
+		sh.flushDone()
 	}
 }
 
