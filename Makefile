@@ -20,15 +20,18 @@ vet:
 # carry election and fencing on every State Manager backend, share one
 # scheduler core's monitor and lock across five schedulers, race the
 # lock-free histogram's Observe against Snapshot and serve it, or ack tuple
-# trees from every receive goroutine and the rotation timer at once, then the same
-# for the benchmark's own module, which `./...` from the root does not
-# reach.
+# trees from every receive goroutine and the rotation timer at once, then a
+# 10 s fuzz smoke of each decoder that reads tuple bytes off the wire, then
+# the same for the benchmark's own module, which `./...` from the root does
+# not reach.
 verify:
 	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 ./internal/tmaster ./internal/runtime ./internal/instance ./internal/statemgr ./internal/replication ./internal/scheduler ./internal/multitenant ./internal/metrics ./internal/observability ./internal/stmgr ./internal/acker
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeAck -fuzztime=10s ./internal/tuple
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeHeader -fuzztime=10s ./internal/tuple
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # bench runs the end-to-end benchmark BENCHMARK.json declares; see

@@ -23,6 +23,7 @@ const (
 	MStmgrTuplesIn       = "stmgr.tuples-in"
 	MStmgrTuplesFwd      = "stmgr.tuples-forwarded"
 	MStmgrAcksRouted     = "stmgr.acks-routed"
+	MStmgrAcksDropped    = "stmgr.acks-dropped"             // remote acks with no peer outbox, and undecodable ack entries
 	MStmgrCacheDrains    = "stmgr.cache-drain-count"        // drain-timer flushes
 	MStmgrCacheDepth     = "stmgr.cache-depth"              // tuples buffered in the cache (gauge)
 	MStmgrBytesSent      = "stmgr.bytes-sent"               // bytes written to instances and peers

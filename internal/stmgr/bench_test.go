@@ -63,13 +63,17 @@ func newBenchSMPlan(tb testing.TB, topo *core.Topology, packing *core.PackingPla
 
 // newBenchSMShards builds a Stream Manager through the same core
 // constructor New uses, with routing state installed directly (no
-// TMaster, no listener) and an explicit shard count. Local task 2 and the
-// peer container sit behind null conns.
-func newBenchSMShards(tb testing.TB, topo *core.Topology, packing *core.PackingPlan, shards int) *StreamManager {
+// TMaster, no listener) and an explicit shard count; each tune edits the
+// configuration first. Local task 2 and the peer container sit behind
+// null conns.
+func newBenchSMShards(tb testing.TB, topo *core.Topology, packing *core.PackingPlan, shards int, tune ...func(*core.Config)) *StreamManager {
 	tb.Helper()
 	cfg := core.NewConfig()
 	cfg.StreamManagerOptimized = true
 	cfg.StmgrShards = shards
+	for _, f := range tune {
+		f(cfg)
+	}
 	pp, err := core.NewPhysicalPlan(topo, packing)
 	if err != nil {
 		tb.Fatal(err)

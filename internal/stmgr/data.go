@@ -5,6 +5,7 @@ import (
 
 	"heron/internal/core"
 	"heron/internal/encoding/wire"
+	"heron/internal/metrics"
 	"heron/internal/network"
 	"heron/internal/tuple"
 )
@@ -217,76 +218,118 @@ func (s *StreamManager) peerOutLocked(container, dest int32) *outbox {
 	return nil
 }
 
-// ackCache batches control tuples bound for peer stream managers; it is
-// drained on the same cycle as the tuple cache, so ack traffic shares the
-// batching optimization (as in Heron, where acks travel the same streams).
-// Like the tuple cache, batches build in pooled buffers with a reserved
-// header and transfer ownership on drain.
-type ackCache struct {
-	mu      sync.Mutex
-	batches map[int32]*batchBuf // peer container → pending acks
-	frames  *wire.Pool          // the ack frames built here come back here
-	out     []*wire.Buffer      // drain's result, reused across drains
+// ackBatcher batches ack frames per destination id: the remote acks bound
+// for each peer container, and each shard's finished trees bound for each
+// local spout task. Its callers are receive goroutines and the rotate
+// timer, so the batches sit under a lock, and whoever fills a batch
+// flushes it before returning: no ack waits for a timer or for another
+// frame. A batch that reaches maxAckEntries is sent at once, so even a
+// rotation that expires a whole backlog sends frames far below
+// network.MaxFrameSize. Frames enqueue under the lock, as the tuple
+// cache's do: the outbox never blocks, and a destination's frames keep
+// their order.
+type ackBatcher struct {
+	mu     sync.Mutex
+	open   []ackBatch // destinations with entries pending, in fill order
+	frames *wire.Pool // the frames built here come back here
+	// outboxes maps destination ids to outboxes on the current routes.
+	outboxes func() map[int32]*outbox
+	// dropped, when set, counts the entries of frames whose destination
+	// has no outbox.
+	dropped *metrics.Counter
 }
 
-func newAckCache() *ackCache {
-	return &ackCache{batches: map[int32]*batchBuf{}, frames: wire.NewPool(framePoolSize)}
+// maxAckEntries caps one ack frame: at 22 B an entry, about 88 KiB.
+const maxAckEntries = 4096
+
+// ackBatch is one destination's ack frame under construction.
+type ackBatch struct {
+	dest  int32
+	count int
+	buf   *wire.Buffer
 }
 
-func (c *ackCache) add(container int32, ackBytes []byte) {
+func newAckBatcher(outboxes func() map[int32]*outbox, dropped *metrics.Counter) *ackBatcher {
+	return &ackBatcher{frames: wire.NewPool(framePoolSize), outboxes: outboxes, dropped: dropped}
+}
+
+// add appends one encoded ack to dest's batch, sending the batch if it is
+// full.
+func (c *ackBatcher) add(dest int32, enc []byte) {
 	c.mu.Lock()
-	b := c.batches[container]
-	if b == nil {
-		b = &batchBuf{}
-		c.batches[container] = b
+	i := 0
+	for i < len(c.open) && c.open[i].dest != dest {
+		i++
 	}
-	if b.buf == nil {
-		b.buf = c.frames.Get()
-		b.buf.B = tuple.BeginAckFrame(b.buf.Sized(max(b.last, b.prev))[:0])
+	if i == len(c.open) {
+		buf := c.frames.Get()
+		buf.B = tuple.BeginAckFrame(buf.B)
+		c.open = append(c.open, ackBatch{dest: dest, buf: buf})
 	}
-	b.buf.B = tuple.AppendFrameEntry(b.buf.B, ackBytes)
-	b.count++
+	b := &c.open[i]
+	b.buf.B = tuple.AppendFrameEntry(b.buf.B, enc)
+	if b.count++; b.count >= maxAckEntries {
+		c.send(*b, c.outboxes())
+		last := len(c.open) - 1
+		c.open[i], c.open[last] = c.open[last], ackBatch{}
+		c.open = c.open[:last]
+	}
 	c.mu.Unlock()
 }
 
-// drain seals one owned frame per destination container and resets the
-// cache. The frames come back in a slice indexed by container id that the
-// cache reuses, so a drain tick allocates nothing; it stays valid until
-// the next drain, and only the drain loop drains.
-func (c *ackCache) drain() []*wire.Buffer {
+// flush sends every open batch to its destination as one frame.
+func (c *ackBatcher) flush() {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	clear(c.out)
-	for container, b := range c.batches {
-		if b.count == 0 {
-			continue
+	if len(c.open) > 0 {
+		outboxes := c.outboxes()
+		for i, b := range c.open {
+			c.send(b, outboxes)
+			c.open[i] = ackBatch{}
 		}
-		tuple.PatchAckFrameHeader(b.buf.B, b.count)
-		if n := int(container) + 1; n > len(c.out) {
-			c.out = append(c.out, make([]*wire.Buffer, n-len(c.out))...)
-		}
-		c.out[container] = b.buf
-		b.last, b.prev = len(b.buf.B), b.last
-		b.buf, b.count = nil, 0
+		c.open = c.open[:0]
 	}
-	return c.out
+	c.mu.Unlock()
 }
+
+// send seals b and enqueues it on its destination's outbox. A destination
+// with no outbox (a spout that moved or never registered, a peer not yet
+// dialed) has its frame dropped and recycled. Caller holds mu.
+func (c *ackBatcher) send(b ackBatch, outboxes map[int32]*outbox) {
+	tuple.PatchAckFrameHeader(b.buf.B, b.count)
+	if out := outboxes[b.dest]; out != nil {
+		out.enqueueOwned(network.MsgAck, b.buf)
+		return
+	}
+	if c.dropped != nil {
+		c.dropped.Inc(int64(b.count))
+	}
+	wire.PutBuffer(b.buf)
+}
+
+// peerOutboxes and instanceOutboxes are the ack batchers' destinations:
+// peer Stream Managers by container, local instances by task.
+func (s *StreamManager) peerOutboxes() map[int32]*outbox { return s.routes.Load().peers }
+
+func (s *StreamManager) instanceOutboxes() map[int32]*outbox { return s.routes.Load().instances }
 
 // routeAck moves a frame of ack/fail/anchor control tuples toward the
 // ackers of the stream managers hosting the originating spouts, handling
 // local ones directly. In optimized mode remote acks are re-batched per
-// peer; in naive mode each is forwarded as its own frame immediately.
-// Trees the frame finishes reach each local spout as one frame, sent
-// before routeAck returns.
+// peer, like tuples; in naive mode each is forwarded as its own frame.
+// Before routeAck returns, every batch the frame touched is sent: each
+// peer gets at most one frame of this frame's remote acks, and each local
+// spout one frame of the trees it finished.
 func (s *StreamManager) routeAck(payload []byte) {
 	rt := s.routes.Load()
 	if rt == nil || rt.plan == nil {
 		return
 	}
 	var touched uint32 // shards whose ackers this frame reached
+	remote := false
 	_ = tuple.WalkAckFrame(payload, func(ab []byte) error {
 		var a tuple.AckTuple
 		if err := tuple.DecodeAck(ab, &a); err != nil {
+			s.mAcksDropped.Inc(1)
 			return nil
 		}
 		container := rt.plan.TaskContainer(a.SpoutTask)
@@ -300,36 +343,24 @@ func (s *StreamManager) routeAck(payload []byte) {
 		s.mAcksRouted.Inc(1)
 		if s.optimized {
 			s.acks.add(container, ab)
+			remote = true
 			return nil
 		}
 		if peer := rt.peers[container]; peer != nil {
 			frame := tuple.AppendAckFrameHeader(nil, 1)
 			frame = tuple.AppendFrameEntry(frame, ab)
 			peer.enqueueOwned(network.MsgAck, &wire.Buffer{B: frame})
+		} else {
+			s.mAcksDropped.Inc(1)
 		}
 		return nil
 	})
+	if remote {
+		s.acks.flush()
+	}
 	for i := 0; touched != 0; i, touched = i+1, touched>>1 {
 		if touched&1 != 0 {
 			s.shards[i].flushDone()
-		}
-	}
-}
-
-// drainAcks flushes the ack cache to peers (optimized mode only).
-func (s *StreamManager) drainAcks() {
-	var peers map[int32]*outbox
-	if rt := s.routes.Load(); rt != nil {
-		peers = rt.peers
-	}
-	for container, buf := range s.acks.drain() {
-		if buf == nil {
-			continue
-		}
-		if peer := peers[int32(container)]; peer != nil {
-			peer.enqueueOwned(network.MsgAck, buf)
-		} else {
-			wire.PutBuffer(buf)
 		}
 	}
 }

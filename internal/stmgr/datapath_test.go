@@ -274,10 +274,10 @@ func TestRemoteBatchZeroAlloc(t *testing.T) {
 	assertRouteZeroAlloc(t, newBenchSM(t), 3)
 }
 
-// TestCacheFramesReturnToTheirCache: a frame the tuple or ack cache built
-// comes back to that cache when its receiver recycles it, and the next
-// batch is built in it without growing, so the caches' frame allocations
-// do not depend on what the shared pool holds.
+// TestCacheFramesReturnToTheirCache: a frame the tuple cache or the
+// remote-ack batcher built comes back to it when its receiver recycles
+// it, and the next batch is built in it without growing, so their frame
+// allocations do not depend on what the shared pool holds.
 func TestCacheFramesReturnToTheirCache(t *testing.T) {
 	cfg := core.NewConfig()
 	cfg.CacheMaxBatchTuples = 64
@@ -300,19 +300,23 @@ func TestCacheFramesReturnToTheirCache(t *testing.T) {
 	}
 	wire.PutBuffer(held)
 
-	ac := newAckCache()
-	for range 64 {
-		ac.add(2, entry)
+	s := newBenchSM(t)
+	peer := stallPeer(s, 2)
+	acks := ackFrameOf(remoteAcks(1, 64)) // spout 1 lives on container 2
+	route := func() *wire.Buffer {
+		s.routeAck(acks)
+		q := queued(peer)
+		if len(q) != 1 {
+			t.Fatalf("%d ack frames for the peer, want 1", len(q))
+		}
+		return q[0].buf
 	}
-	frame := ac.drain()[2]
+	frame := route()
 	size = cap(frame.B)
 	wire.PutBuffer(frame)
 	held = wire.GetBuffer()
-	for range 64 {
-		ac.add(2, entry)
-	}
-	if again := ac.drain()[2]; again != frame || cap(again.B) != size {
-		t.Errorf("ack cache: next batch in %p (cap %d), want the recycled frame %p (cap %d)", again, cap(again.B), frame, size)
+	if again := route(); again != frame || cap(again.B) != size {
+		t.Errorf("ack batcher: next batch in %p (cap %d), want the recycled frame %p (cap %d)", again, cap(again.B), frame, size)
 	}
 	wire.PutBuffer(held)
 }

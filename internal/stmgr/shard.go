@@ -1,7 +1,6 @@
 package stmgr
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -52,7 +51,7 @@ type shard struct {
 	routes atomic.Pointer[routeTable] // peers: this shard's own outboxes
 
 	ack  *acker.Acker
-	done completions // finished trees awaiting their spout's frame
+	done *ackBatcher // finished trees awaiting their spout's frame
 
 	// Single-writer data-plane counters, aggregated into the registry
 	// counters by the central drain loop. last* belong to that loop.
@@ -76,8 +75,7 @@ func (s *StreamManager) initShards() {
 	s.shards = make([]*shard, s.nShards)
 	for i := range s.shards {
 		sh := &shard{id: i, sm: s}
-		sh.done.frames = wire.NewPool(framePoolSize)
-		sh.done.routes = &s.routes
+		sh.done = newAckBatcher(s.instanceOutboxes, nil)
 		sh.ack = acker.New(acker.DefaultBuckets, sh.onTreeDone)
 		sh.inbox = network.NewFrameRing(shardRingFrames, routeSampleEvery)
 		sh.cache = newTupleCache(s.opts.Cfg, sh.flushBatch)
@@ -407,35 +405,10 @@ func (sh *shard) flushBatch(dest int32, count int, buf *wire.Buffer) {
 	sh.sm.parkPeerOrDeliver(container, dest, buf)
 }
 
-// completions batches the finished trees of one shard's acker per local
-// spout task: each ack frame the Stream Manager receives (and each
-// rotation) answers a spout with at most one frame of notifications, not
-// one frame per tree. The acker calls in from every receive goroutine and
-// from the rotate timer, so the batches sit under their own lock; whoever
-// filled a batch flushes it before returning, so no notification waits
-// for a timer or for another frame. A batch that reaches maxCompletions is
-// sent at once, so a rotation that expires a whole backlog still sends
-// frames far below network.MaxFrameSize.
-type completions struct {
-	mu     sync.Mutex
-	open   []spoutBatch                // spouts with notifications pending, in fill order
-	frames *wire.Pool                  // the notification frames built here come back here
-	routes *atomic.Pointer[routeTable] // the Stream Manager's: spout outboxes
-}
-
-// maxCompletions caps one completion frame: at about 23 B a notification,
-// about 94 KiB.
-const maxCompletions = 4096
-
-// spoutBatch is one spout's notification frame under construction.
-type spoutBatch struct {
-	spout int32
-	count int
-	buf   *wire.Buffer
-}
-
 // onTreeDone adds a finished tree of this shard's acker to its spout's
-// batch. The spout is the one the root id encodes.
+// batch. The spout is the one the root id encodes. Each ack frame the
+// Stream Manager receives, and each rotation, answers a spout with at
+// most one frame of these notifications, not one frame per tree.
 func (sh *shard) onTreeDone(root uint64, r acker.Result) {
 	kind := tuple.AckAck
 	switch r {
@@ -446,69 +419,9 @@ func (sh *shard) onTreeDone(root uint64, r acker.Result) {
 	}
 	spout := core.RootSpout(root)
 	// The ack encodes into a stack array, outside the batch lock.
-	var scratch [32]byte
+	var scratch [tuple.AckSize]byte
 	enc := tuple.EncodeAck(scratch[:0], &tuple.AckTuple{Kind: kind, SpoutTask: spout, Root: root})
 	sh.done.add(spout, enc)
-}
-
-// add appends one encoded notification to spout's batch, sending the
-// batch if it is full.
-func (c *completions) add(spout int32, enc []byte) {
-	c.mu.Lock()
-	i := 0
-	for i < len(c.open) && c.open[i].spout != spout {
-		i++
-	}
-	if i == len(c.open) {
-		buf := c.frames.Get()
-		buf.B = tuple.BeginAckFrame(buf.B)
-		c.open = append(c.open, spoutBatch{spout: spout, buf: buf})
-	}
-	b := &c.open[i]
-	b.buf.B = tuple.AppendFrameEntry(b.buf.B, enc)
-	if b.count++; b.count >= maxCompletions {
-		c.send(*b, c.instances())
-		last := len(c.open) - 1
-		c.open[i], c.open[last] = c.open[last], spoutBatch{}
-		c.open = c.open[:last]
-	}
-	c.mu.Unlock()
-}
-
-// flush hands every open batch to its spout's outbox as one frame.
-// Frames enqueue under the lock, as the tuple cache's do: the outbox
-// never blocks, and a spout's frames keep their order.
-func (c *completions) flush() {
-	c.mu.Lock()
-	if len(c.open) > 0 {
-		instances := c.instances()
-		for i, b := range c.open {
-			c.send(b, instances)
-			c.open[i] = spoutBatch{}
-		}
-		c.open = c.open[:0]
-	}
-	c.mu.Unlock()
-}
-
-// send seals b and enqueues it on its spout's outbox. A spout with no
-// local instance (it moved or never registered) has its frame dropped
-// and recycled. Caller holds mu.
-func (c *completions) send(b spoutBatch, instances map[int32]*outbox) {
-	tuple.PatchAckFrameHeader(b.buf.B, b.count)
-	if out := instances[b.spout]; out != nil {
-		out.enqueueOwned(network.MsgAck, b.buf)
-		return
-	}
-	wire.PutBuffer(b.buf)
-}
-
-// instances returns the local instances' outboxes of the current routes.
-func (c *completions) instances() map[int32]*outbox {
-	if rt := c.routes.Load(); rt != nil {
-		return rt.instances
-	}
-	return nil
 }
 
 // flushDone sends this shard's pending completion frames.

@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"runtime"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
 	"heron/internal/acker"
 	"heron/internal/core"
 	"heron/internal/ctrl"
+	"heron/internal/encoding/wire"
 	"heron/internal/metrics"
 	"heron/internal/network"
 	"heron/internal/tuple"
@@ -21,12 +23,13 @@ var shardCounts = []int{1, 2, 4}
 
 // forEachShardCount runs test once per shard count against container 1's
 // Stream Manager of twoContainerPlan (local tasks 0 and 2, peer container
-// 2 hosting tasks 1 and 3).
-func forEachShardCount(t *testing.T, test func(t *testing.T, s *StreamManager)) {
+// 2 hosting tasks 1 and 3). Each tune, if any, edits the configuration
+// first.
+func forEachShardCount(t *testing.T, test func(t *testing.T, s *StreamManager), tune ...func(*core.Config)) {
 	for _, shards := range shardCounts {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			topo, packing := twoContainerPlan()
-			test(t, newBenchSMShards(t, topo, packing, shards))
+			test(t, newBenchSMShards(t, topo, packing, shards, tune...))
 		})
 	}
 }
@@ -268,10 +271,10 @@ func TestExpiredTreeReachesSpout(t *testing.T) {
 
 // TestExpiryBacklogSplitsIntoCappedFrames: a rotation that expires more
 // of one spout's trees than one completion frame holds sends them in
-// frames of at most maxCompletions entries, and every root reaches the
+// frames of at most maxAckEntries entries, and every root reaches the
 // spout as exactly one AckExpired.
 func TestExpiryBacklogSplitsIntoCappedFrames(t *testing.T) {
-	const trees = 2*maxCompletions + 5
+	const trees = 2*maxAckEntries + 5
 	forEachShardCount(t, func(t *testing.T, s *StreamManager) {
 		conn := installRecorder(t, s, 0)
 		anchors := make([]tuple.AckTuple, trees)
@@ -282,7 +285,7 @@ func TestExpiryBacklogSplitsIntoCappedFrames(t *testing.T) {
 		for i := 0; i < acker.DefaultBuckets; i++ {
 			s.rotateAckers()
 		}
-		const frames = (trees + maxCompletions - 1) / maxCompletions
+		const frames = (trees + maxAckEntries - 1) / maxAckEntries
 		waitFrames(t, conn, frames)
 		got, _ := conn.snapshot()
 		if len(got) != frames {
@@ -291,8 +294,8 @@ func TestExpiryBacklogSplitsIntoCappedFrames(t *testing.T) {
 		seen := map[uint64]int{}
 		for _, f := range got {
 			acks := decodeAckFrame(t, f)
-			if len(acks) > maxCompletions {
-				t.Fatalf("a frame of %d notifications, cap %d", len(acks), maxCompletions)
+			if len(acks) > maxAckEntries {
+				t.Fatalf("a frame of %d notifications, cap %d", len(acks), maxAckEntries)
 			}
 			for _, a := range acks {
 				if a.Kind != tuple.AckExpired || a.SpoutTask != 0 {
@@ -329,30 +332,151 @@ func TestCompletionForUnregisteredSpoutDropped(t *testing.T) {
 	})
 }
 
-// TestDrainAcksZeroAlloc: a drain tick that carries acks for one peer
-// hands the sealed frame to the peer's outbox without allocating.
+// TestDrainAcksZeroAlloc: an ack frame whose acks all belong to one
+// peer's spout leaves as one sealed frame on the peer's outbox, and
+// routing it allocates nothing.
 func TestDrainAcksZeroAlloc(t *testing.T) {
 	s := newBenchSM(t)
 	detachPeer(s)
 	conn := &nullConn{}
 	s.attachPeer(2, "null-peer", conn)
-	ack := tuple.EncodeAck(nil, &tuple.AckTuple{Kind: tuple.AckAck, SpoutTask: 1, Root: core.MakeRoot(1, 3), Delta: 5})
+	frame := ackFrameOf(remoteAcks(1, 8))
 	sent := conn.sends.Load()
-	tick := func() {
-		for range 8 {
-			s.acks.add(2, ack)
-		}
-		s.drainAcks()
+	route := func() {
+		s.routeAck(frame)
 		sent++
 		for conn.sends.Load() < sent {
 			runtime.Gosched()
 		}
 	}
 	for i := 0; i < 256; i++ {
-		tick()
+		route()
 	}
-	if avg := testing.AllocsPerRun(512, tick); avg != 0 {
-		t.Errorf("draining acks for one peer allocates %.3f per tick, want 0", avg)
+	if avg := testing.AllocsPerRun(512, route); avg != 0 {
+		t.Errorf("routing a frame of acks for one peer allocates %.3f per frame, want 0", avg)
+	}
+}
+
+// remoteAcks returns n acks for distinct trees of spout.
+func remoteAcks(spout int32, n int) []tuple.AckTuple {
+	acks := make([]tuple.AckTuple, n)
+	for i := range acks {
+		acks[i] = tuple.AckTuple{Kind: tuple.AckAck, SpoutTask: spout, Root: core.MakeRoot(spout, uint64(i+1)), Delta: uint64(i) + 5}
+	}
+	return acks
+}
+
+// stallPeer makes container's control outbox, the one remote acks take,
+// an outbox without a sender: every frame enqueued on it stays in its
+// queue, where queued reads it.
+func stallPeer(s *StreamManager, container int32) *outbox {
+	o := &outbox{}
+	o.cond = sync.NewCond(&o.mu)
+	s.mu.Lock()
+	old := s.peers[container]
+	s.peers[container] = o
+	s.publishRoutesLocked()
+	s.mu.Unlock()
+	if old != nil {
+		old.close()
+	}
+	return o
+}
+
+// queued takes the frames waiting in a stalled outbox.
+func queued(o *outbox) []frame {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	q := o.queue
+	o.queue = nil
+	return q
+}
+
+// threeContainerPlan places spout task c-1 and bolt task c+2 on each
+// container c of 1, 2 and 3.
+func threeContainerPlan() (*core.Topology, *core.PackingPlan) {
+	topo, packing := twoContainerPlan()
+	for i := range topo.Components {
+		topo.Components[i].Parallelism = 3
+	}
+	req := core.Resource{CPU: 1, RAMMB: 128, DiskMB: 128}
+	packing.Containers = nil
+	for c := int32(1); c <= 3; c++ {
+		packing.Containers = append(packing.Containers, core.ContainerPlan{
+			ID: c, Required: core.Resource{CPU: 4, RAMMB: 4096, DiskMB: 4096},
+			Instances: []core.InstancePlacement{
+				{ID: core.InstanceID{Component: "s", ComponentIndex: c - 1, TaskID: c - 1}, Resources: req},
+				{ID: core.InstanceID{Component: "b", ComponentIndex: c - 1, TaskID: c + 2}, Resources: req},
+			}})
+	}
+	return topo, packing
+}
+
+// TestRemoteAcksLeaveWithTheirFrame: the acks one inbound frame carries
+// for spouts on two peer containers leave as exactly one frame per peer,
+// every entry in it once, enqueued before routeAck returns — with the
+// drain period at an hour, no timer can have sent them.
+func TestRemoteAcksLeaveWithTheirFrame(t *testing.T) {
+	forEachShardCount(t, func(t *testing.T, s *StreamManager) {
+		pp, err := core.NewPhysicalPlan(threeContainerPlan())
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.mu.Lock()
+		s.plan = pp
+		s.publishRoutesLocked()
+		s.mu.Unlock()
+		peers := map[int32]*outbox{2: stallPeer(s, 2), 3: stallPeer(s, 3)}
+		want := map[int32]map[tuple.AckTuple]bool{2: {}, 3: {}}
+		var acks []tuple.AckTuple
+		for i := 0; i < 8; i++ {
+			for c := range want {
+				a := tuple.AckTuple{Kind: tuple.AckAck, SpoutTask: c - 1, Root: core.MakeRoot(c-1, uint64(i+1)), Delta: uint64(i)}
+				want[c][a] = true
+				acks = append(acks, a)
+			}
+		}
+		ingestOwned(s, network.MsgAck, ackFrameOf(acks))
+
+		for c, o := range peers {
+			frames := queued(o)
+			if len(frames) != 1 || frames[0].kind != network.MsgAck {
+				t.Fatalf("peer %d: %d frames queued when routeAck returned, want 1 MsgAck", c, len(frames))
+			}
+			got := decodeAckFrame(t, frames[0].buf.B)
+			wire.PutBuffer(frames[0].buf)
+			for _, a := range got {
+				if !want[c][a] {
+					t.Fatalf("peer %d: unexpected or repeated ack %+v", c, a)
+				}
+				delete(want[c], a)
+			}
+			if len(want[c]) != 0 {
+				t.Fatalf("peer %d: %d acks missing from its frame", c, len(want[c]))
+			}
+		}
+	}, func(cfg *core.Config) { cfg.CacheDrainFrequency = time.Hour })
+}
+
+// TestDroppedAcksAreCounted: remote acks for a container with no peer
+// outbox (a dial race) and entries DecodeAck rejects each raise
+// stmgr.acks-dropped, and the dropped frame goes back to the batcher's
+// pool: dropping again allocates nothing.
+func TestDroppedAcksAreCounted(t *testing.T) {
+	s := newBenchSM(t)
+	detachPeer(s)
+	acks := remoteAcks(1, 3) // spout 1 lives on container 2
+	frame := tuple.AppendAckFrameHeader(nil, len(acks)+1)
+	for i := range acks {
+		frame = tuple.AppendFrameEntry(frame, tuple.EncodeAck(nil, &acks[i]))
+	}
+	frame = tuple.AppendFrameEntry(frame, make([]byte, tuple.AckSize-1))
+	s.routeAck(frame)
+	if got := s.mAcksDropped.Value(); got != 4 {
+		t.Fatalf("stmgr.acks-dropped = %d, want 4 (3 unroutable, 1 corrupt)", got)
+	}
+	if avg := testing.AllocsPerRun(256, func() { s.routeAck(frame) }); avg != 0 {
+		t.Errorf("dropping a frame of acks allocates %.3f, want 0: its frame is not recycled", avg)
 	}
 }
 

@@ -136,7 +136,7 @@ type StreamManager struct {
 	planReady chan struct{}
 	planOnce  sync.Once
 
-	acks *ackCache
+	acks *ackBatcher // remote acks, batched per peer container
 
 	// Backpressure state machine. bpActive is read on every outbox depth
 	// observation (the data path), so it is an atomic; bpMu serializes the
@@ -158,6 +158,7 @@ type StreamManager struct {
 	mTuplesIn    *metrics.Counter
 	mTuplesFwd   *metrics.Counter
 	mAcksRouted  *metrics.Counter
+	mAcksDropped *metrics.Counter
 	mBPTransit   *metrics.Counter
 	mBPTime      *metrics.Counter
 	mBPActive    *metrics.Gauge
@@ -209,6 +210,7 @@ func newCore(opts Options) (*StreamManager, error) {
 	s.mTuplesIn = opts.Registry.Counter(metrics.MStmgrTuplesIn, tags)
 	s.mTuplesFwd = opts.Registry.Counter(metrics.MStmgrTuplesFwd, tags)
 	s.mAcksRouted = opts.Registry.Counter(metrics.MStmgrAcksRouted, tags)
+	s.mAcksDropped = opts.Registry.Counter(metrics.MStmgrAcksDropped, tags)
 	s.mBPTransit = opts.Registry.Counter(metrics.MStmgrBPTransitions, tags)
 	s.mBPTime = opts.Registry.Counter(metrics.MStmgrBPAssertedTime, tags)
 	s.mBPActive = opts.Registry.Gauge(metrics.MStmgrBPActive, tags)
@@ -217,7 +219,7 @@ func newCore(opts Options) (*StreamManager, error) {
 	s.mCkptEpoch = opts.Registry.Gauge(metrics.MCheckpointEpoch, tags)
 	s.mRouteLat = opts.Registry.Histogram(metrics.MStmgrRouteLatency, tags)
 	s.nShards = opts.Cfg.ResolveStmgrShards(runtime.GOMAXPROCS(0))
-	s.acks = newAckCache()
+	s.acks = newAckBatcher(s.peerOutboxes, s.mAcksDropped)
 	s.initShards()
 	s.publishRoutes()
 	return s, nil
@@ -786,8 +788,8 @@ func (s *StreamManager) setSpoutPause(on bool, origin int32) {
 
 // drainLoop ticks every cache_drain_frequency. The shard workers drain
 // their own tuple caches; this loop aggregates the shard-local counters
-// into the registry, drains the shared ack cache and publishes the summed
-// cache depth.
+// into the registry and publishes the summed cache depth. Acks never wait
+// for it: routeAck sends the batches it fills.
 func (s *StreamManager) drainLoop() {
 	defer s.wg.Done()
 	period := s.opts.Cfg.CacheDrainFrequency
@@ -800,7 +802,6 @@ func (s *StreamManager) drainLoop() {
 		select {
 		case <-s.stopCh:
 			s.aggregateShardCounters()
-			s.drainAcks()
 			return
 		case <-t.C:
 			var depth int64
@@ -809,7 +810,6 @@ func (s *StreamManager) drainLoop() {
 			}
 			s.mCacheDepth.Set(depth)
 			s.aggregateShardCounters()
-			s.drainAcks()
 			s.mCacheDrains.Inc(1)
 		}
 	}

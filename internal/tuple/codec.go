@@ -1,6 +1,7 @@
 package tuple
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -17,14 +18,6 @@ const (
 	fieldKey    = 4
 	fieldRoots  = 5
 	fieldValues = 6
-)
-
-// Wire field numbers for AckTuple.
-const (
-	ackFieldKind  = 1
-	ackFieldSpout = 2
-	ackFieldRoot  = 3
-	ackFieldDelta = 4
 )
 
 // ErrCorrupt reports an undecodable tuple payload.
@@ -301,56 +294,31 @@ func (NaiveCodec) EncodeData(dst []byte, t *DataTuple) []byte {
 // copies every value, which is exactly the naive cost model.
 func (NaiveCodec) DecodeData(b []byte, t *DataTuple) error { return decodeData(b, t) }
 
+// AckSize is the length of an encoded AckTuple. Acks have a fixed
+// layout, little-endian, so a decoder reads every field at a known offset:
+//
+//	kind u8 | spout u32 | root u64 | delta u64
+const AckSize = 21
+
 // EncodeAck appends an encoded AckTuple to dst.
 func EncodeAck(dst []byte, a *AckTuple) []byte {
-	dst = wire.AppendVarintField(dst, ackFieldKind, uint64(a.Kind))
-	dst = wire.AppendVarintField(dst, ackFieldSpout, uint64(uint32(a.SpoutTask)))
-	dst = wire.AppendFixed64Field(dst, ackFieldRoot, a.Root)
-	dst = wire.AppendFixed64Field(dst, ackFieldDelta, a.Delta)
-	return dst
+	dst = append(dst, byte(a.Kind))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(a.SpoutTask))
+	dst = binary.LittleEndian.AppendUint64(dst, a.Root)
+	return binary.LittleEndian.AppendUint64(dst, a.Delta)
 }
 
-// DecodeAck decodes b into a.
+// DecodeAck decodes b into a. Any b whose length is not AckSize is
+// ErrCorrupt.
 func DecodeAck(b []byte, a *AckTuple) error {
-	*a = AckTuple{}
-	var scanErr error
-	err := wire.Scan(b, func(f wire.Field) bool {
-		switch f.Num {
-		case ackFieldKind:
-			v, err := f.Varint()
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			a.Kind = AckKind(v)
-		case ackFieldSpout:
-			v, err := f.Varint()
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			a.SpoutTask = int32(v)
-		case ackFieldRoot:
-			v, err := wire.Fixed64(f.Data)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			a.Root = v
-		case ackFieldDelta:
-			v, err := wire.Fixed64(f.Data)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			a.Delta = v
-		}
-		return true
-	})
-	if err != nil {
-		return err
+	if len(b) != AckSize {
+		return ErrCorrupt
 	}
-	return scanErr
+	a.Kind = AckKind(b[0])
+	a.SpoutTask = int32(binary.LittleEndian.Uint32(b[1:5]))
+	a.Root = binary.LittleEndian.Uint64(b[5:13])
+	a.Delta = binary.LittleEndian.Uint64(b[13:AckSize])
+	return nil
 }
 
 // ByName returns the codec registered under name ("fast" or "naive").

@@ -130,8 +130,10 @@ func WalkFrame(b []byte, visit func(tupleBytes []byte) error) (dest int32, count
 }
 
 // Ack frames batch control tuples: uvarint(count) then count
-// length-prefixed encoded AckTuples. Batching acks through the same
-// drain cycle as data is part of the optimized Stream Manager.
+// length-prefixed encoded AckTuples. Every entry is AckSize bytes, but
+// keeps its length prefix, so ack and data frames share AppendFrameEntry
+// and the walk. Batching acks like data is part of the optimized Stream
+// Manager.
 
 // AppendAckFrameHeader starts an ack frame with count entries.
 func AppendAckFrameHeader(dst []byte, count int) []byte {

@@ -2,6 +2,7 @@ package tuple
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -185,6 +186,66 @@ func TestAckRoundTrip(t *testing.T) {
 	if out != *in {
 		t.Errorf("ack round trip: got %+v want %+v", out, *in)
 	}
+}
+
+// TestAckLayout pins the fixed ack entry: kind u8 | spout u32 | root u64
+// | delta u64, little-endian, AckSize bytes in all.
+func TestAckLayout(t *testing.T) {
+	got := EncodeAck(nil, &AckTuple{Kind: AckAnchor, SpoutTask: 0x01020304,
+		Root: 0x1112131415161718, Delta: 0x2122232425262728})
+	want := []byte{
+		0x03,
+		0x04, 0x03, 0x02, 0x01,
+		0x18, 0x17, 0x16, 0x15, 0x14, 0x13, 0x12, 0x11,
+		0x28, 0x27, 0x26, 0x25, 0x24, 0x23, 0x22, 0x21,
+	}
+	if len(want) != AckSize || !bytes.Equal(got, want) {
+		t.Fatalf("encoded ack = % x, want % x (%d bytes)", got, want, AckSize)
+	}
+}
+
+// TestAckRoundTripEveryKind: every kind round-trips with the spout task at
+// zero and at both ends of int32's sign.
+func TestAckRoundTripEveryKind(t *testing.T) {
+	for _, kind := range []AckKind{AckAck, AckFail, AckAnchor, AckExpired} {
+		for _, spout := range []int32{0, math.MaxInt32, -1} {
+			in := AckTuple{Kind: kind, SpoutTask: spout, Root: math.MaxUint64 - uint64(kind), Delta: 1 << 63}
+			enc := EncodeAck(nil, &in)
+			var out AckTuple
+			if err := DecodeAck(enc, &out); err != nil || len(enc) != AckSize || out != in {
+				t.Errorf("%+v: %d bytes decode to %+v, %v", in, len(enc), out, err)
+			}
+		}
+	}
+}
+
+// TestDecodeAckRejectsOtherLengths: an entry one byte short or long, or
+// empty, is ErrCorrupt.
+func TestDecodeAckRejectsOtherLengths(t *testing.T) {
+	for _, n := range []int{0, AckSize - 1, AckSize + 1} {
+		if err := DecodeAck(make([]byte, n), &AckTuple{}); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("a %d-byte entry: err %v, want ErrCorrupt", n, err)
+		}
+	}
+}
+
+// FuzzDecodeAck: no input panics, and an input DecodeAck accepts
+// re-encodes to itself.
+func FuzzDecodeAck(f *testing.F) {
+	f.Add(EncodeAck(nil, &AckTuple{Kind: AckAck, SpoutTask: 3, Root: 0xabc, Delta: 0x123456789}))
+	f.Add(EncodeAck(nil, &AckTuple{Kind: AckExpired, SpoutTask: -1, Root: math.MaxUint64}))
+	f.Add([]byte{})
+	f.Add(make([]byte, AckSize-1))
+	f.Add(make([]byte, AckSize+1))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var a AckTuple
+		if DecodeAck(b, &a) != nil {
+			return
+		}
+		if enc := EncodeAck(nil, &a); !bytes.Equal(enc, b) {
+			t.Fatalf("% x decodes to %+v, which encodes to % x", b, a, enc)
+		}
+	})
 }
 
 func TestAckRoundTripProperty(t *testing.T) {
