@@ -21,9 +21,9 @@ vet:
 # scheduler core's monitor and lock across five schedulers, race the
 # lock-free histogram's Observe against Snapshot and serve it, or ack tuple
 # trees from every receive goroutine and the rotation timer at once, then a
-# 10 s fuzz smoke of each decoder that reads tuple bytes off the wire, then
-# the same for the benchmark's own module, which `./...` from the root does
-# not reach.
+# 10 s fuzz smoke of each decoder that reads tuple bytes off the wire, one
+# run of every codec and hash benchmark, then vet and tests of the
+# benchmark's own module, which `./...` from the root does not reach.
 verify:
 	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
@@ -32,6 +32,7 @@ verify:
 	$(GO) test -race -count=10 ./internal/tmaster ./internal/runtime ./internal/instance ./internal/statemgr ./internal/replication ./internal/scheduler ./internal/multitenant ./internal/metrics ./internal/observability ./internal/stmgr ./internal/acker
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeAck -fuzztime=10s ./internal/tuple
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeHeader -fuzztime=10s ./internal/tuple
+	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/tuple ./internal/encoding/wire ./internal/core
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # bench runs the end-to-end benchmark BENCHMARK.json declares; see

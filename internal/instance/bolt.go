@@ -1,7 +1,6 @@
 package instance
 
 import (
-	"encoding/binary"
 	"log"
 	"sync/atomic"
 	"time"
@@ -36,23 +35,11 @@ type boltTuple struct {
 	done       bool
 }
 
-// newBoltTuple builds a tuple from a decoded header and its checked
-// values field, which may alias a frame: raw copies both. scratch is the
-// caller's reusable buffer for assembling raw; the grown buffer is
-// returned.
-func newBoltTuple(dt *tuple.DataTuple, vals, scratch []byte) (*boltTuple, []byte) {
-	bt := &boltTuple{key: dt.Key, nroots: int32(len(dt.Roots))}
-	if len(dt.Roots) == 0 {
-		bt.raw = string(vals)
-		return bt, scratch
-	}
-	scratch = scratch[:0]
-	for _, r := range dt.Roots {
-		scratch = binary.LittleEndian.AppendUint64(scratch, r)
-	}
-	scratch = append(scratch, vals...)
-	bt.raw = string(scratch)
-	return bt, scratch
+// newBoltTuple builds a tuple from a decoded header and the body
+// DecodeHeader returned (roots, then checked values), which may alias a
+// frame: raw copies it.
+func newBoltTuple(dt *tuple.DataTuple, body []byte) *boltTuple {
+	return &boltTuple{raw: string(body), key: dt.Key, nroots: int32(len(dt.Roots))}
 }
 
 // root returns the tuple's i-th root.
@@ -309,8 +296,8 @@ func (in *Instance) tickEveryMs() int64 {
 // executeFrame decodes and executes every tuple of one data frame.
 func (in *Instance) executeFrame(frame []byte, dt *tuple.DataTuple, col *boltCollector) {
 	_, _, err := tuple.WalkFrame(frame, func(tb []byte) error {
-		if vals, err := tuple.DecodeHeader(tb, dt); err == nil {
-			in.execDecoded(dt, vals, col)
+		if body, err := tuple.DecodeHeader(tb, dt); err == nil {
+			in.execDecoded(dt, body, col)
 		}
 		return nil
 	})
@@ -319,17 +306,15 @@ func (in *Instance) executeFrame(frame []byte, dt *tuple.DataTuple, col *boltCol
 	}
 }
 
-// execDecoded executes one tuple from its decoded header and checked
-// values field (shared by the direct path, the barrier filter and
-// held-tuple replay). The unoptimised arm materialises every value here,
-// as a full decode would.
-func (in *Instance) execDecoded(dt *tuple.DataTuple, vals []byte, col *boltCollector) {
-	var bt *boltTuple
-	bt, in.rawBuf = newBoltTuple(dt, vals, in.rawBuf)
+// execDecoded executes one tuple from its decoded header and body (shared
+// by the direct path, the barrier filter and held-tuple replay). The
+// unoptimised arm materialises every value here, as a full decode would.
+func (in *Instance) execDecoded(dt *tuple.DataTuple, body []byte, col *boltCollector) {
+	bt := newBoltTuple(dt, body)
 	if !in.codec.Lazy() {
 		bt.Values()
 	}
-	if ps := in.plan.Load(); ps != nil && int(dt.StreamID) < len(ps.pp.Streams) {
+	if ps := in.plan.Load(); ps != nil && dt.StreamID >= 0 && int(dt.StreamID) < len(ps.pp.Streams) {
 		bt.info = &ps.pp.Streams[dt.StreamID]
 	}
 	in.mExecuted.Inc(1)

@@ -265,8 +265,8 @@ func (in *Instance) releaseHeld(dt *tuple.DataTuple, col *boltCollector) {
 		return
 	}
 	for _, tb := range bar.held {
-		if vals, err := tuple.DecodeHeader(tb, dt); err == nil {
-			in.execDecoded(dt, vals, col)
+		if body, err := tuple.DecodeHeader(tb, dt); err == nil {
+			in.execDecoded(dt, body, col)
 		}
 	}
 	for _, buf := range bar.frames {
@@ -289,7 +289,7 @@ func (in *Instance) boltData(buf *wire.Buffer, dt *tuple.DataTuple, col *boltCol
 	}
 	held := len(in.bar.held)
 	_, _, _ = tuple.WalkFrame(buf.B, func(tb []byte) error {
-		vals, err := tuple.DecodeHeader(tb, dt)
+		body, err := tuple.DecodeHeader(tb, dt)
 		if err != nil {
 			return nil
 		}
@@ -297,7 +297,7 @@ func (in *Instance) boltData(buf *wire.Buffer, dt *tuple.DataTuple, col *boltCol
 			in.bar.held = append(in.bar.held, tb)
 			return nil
 		}
-		in.execDecoded(dt, vals, col)
+		in.execDecoded(dt, body, col)
 		return nil
 	})
 	if len(in.bar.held) > held {

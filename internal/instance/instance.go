@@ -109,7 +109,6 @@ type Instance struct {
 	frameBuf []byte
 	ackBuf   []byte
 	encBuf2  []byte
-	rawBuf   []byte // assembles a received tuple's roots and values
 
 	// Output batching (executor goroutine only): emitted tuples and acks
 	// accumulate directly in pooled frame buffers (header space reserved up

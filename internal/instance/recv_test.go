@@ -227,11 +227,11 @@ func TestBoltTupleReadsItsCopy(t *testing.T) {
 	vs := tuple.Values{"w", int64(-7), 2.5, true, []byte{1, 2}}
 	enc := tuple.FastCodec{}.EncodeData(nil, &tuple.DataTuple{DestTask: 1, Key: 9, Roots: roots, Values: vs})
 	var dt tuple.DataTuple
-	vals, err := tuple.DecodeHeader(enc, &dt)
+	body, err := tuple.DecodeHeader(enc, &dt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bt, _ := newBoltTuple(&dt, vals, nil)
+	bt := newBoltTuple(&dt, body)
 	for i, r := range roots {
 		if got := bt.root(i); got != r {
 			t.Errorf("root %d = %#x, want %#x", i, got, r)
@@ -267,11 +267,11 @@ func TestBoltTupleReadsItsCopy(t *testing.T) {
 func TestBoltTupleConcurrentValues(t *testing.T) {
 	enc := tuple.FastCodec{}.EncodeData(nil, &tuple.DataTuple{Values: tuple.Values{"w", []byte{1}}})
 	var dt tuple.DataTuple
-	vals, err := tuple.DecodeHeader(enc, &dt)
+	body, err := tuple.DecodeHeader(enc, &dt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bt, _ := newBoltTuple(&dt, vals, nil)
+	bt := newBoltTuple(&dt, body)
 	got := make([]*any, 8)
 	var wg sync.WaitGroup
 	for i := range got {
@@ -309,6 +309,26 @@ func TestNaiveArmMaterialisesAtReceive(t *testing.T) {
 				t.Fatalf("executed %d tuples, want 4", executed)
 			}
 		})
+	}
+}
+
+// TestStreamIDOutsideThePlan: a tuple whose stream id is negative or past
+// the plan's stream table executes with no stream info instead of
+// indexing the table out of range.
+func TestStreamIDOutsideThePlan(t *testing.T) {
+	var streams []string
+	in, col := newExecutor(t, &captureBolt{fn: func(bt *boltTuple) {
+		streams = append(streams, bt.SourceComponent()+"/"+bt.Stream())
+	}})
+	frame := tuple.AppendFrameHeader(nil, 1, 2)
+	for _, sid := range []int32{-1, 1 << 20} {
+		frame = tuple.AppendFrameEntry(frame, tuple.FastCodec{}.EncodeData(nil,
+			&tuple.DataTuple{DestTask: 1, StreamID: sid, Values: tuple.Values{"w", int64(1)}}))
+	}
+	var dt tuple.DataTuple
+	in.executeFrame(frame, &dt, col)
+	if len(streams) != 2 || streams[0] != "/" || streams[1] != "/" {
+		t.Fatalf("executed with streams %q, want two without stream info", streams)
 	}
 }
 

@@ -9,16 +9,19 @@ import (
 	"heron/internal/encoding/wire"
 )
 
-// Wire field numbers for DataTuple. DestTask must stay field 1: routers
-// depend on finding it in the message prefix.
-const (
-	fieldDest   = 1
-	fieldSrc    = 2
-	fieldStream = 3
-	fieldKey    = 4
-	fieldRoots  = 5
-	fieldValues = 6
-)
+// A data tuple has a fixed-offset header. Fixed-width fields are
+// little-endian:
+//
+//	dest u32 | src uvarint | stream uvarint | n uvarint | key u64 (iff n&1) | roots (n>>1)×u64 | values
+//
+// n is len(roots)<<1 | (key != 0). The destination is the first four
+// bytes, so a router reads it with one load (PeekDest). Task and stream
+// ids travel as uint32(x), so -1 takes five bytes, not ten. values is the
+// values field (values.go); it runs to the end of the entry, so it needs
+// no tag or length, and it is absent when the tuple has no values. The
+// roots sit right before the values: roots‖values is one contiguous
+// slice of the entry, the body DecodeHeader returns and a bolt tuple
+// copies once.
 
 // ErrCorrupt reports an undecodable tuple payload.
 var ErrCorrupt = errors.New("tuple: corrupt encoding")
@@ -40,203 +43,126 @@ type Codec interface {
 	Pooled() bool
 }
 
-// PeekDest returns the destination task of an encoded data tuple by
-// scanning only the message prefix. It never copies or decodes the
-// payload; this is the Stream Manager's lazy-deserialization fast path.
+// PeekDest returns the destination task of an encoded data tuple: its
+// first four bytes. It never copies or decodes the rest; this is the
+// Stream Manager's lazy-deserialization fast path.
 func PeekDest(b []byte) (int32, error) {
-	f, ok, err := wire.FindField(b, fieldDest)
-	if err != nil {
-		return 0, err
-	}
-	if !ok {
+	if len(b) < 4 {
 		return 0, ErrCorrupt
 	}
-	v, err := f.Varint()
-	if err != nil {
-		return 0, err
-	}
-	return int32(v), nil
-}
-
-// RewriteDest updates the destination field of an encoded tuple in place
-// when the new value encodes to the same varint width, and falls back to
-// re-encoding the header otherwise. In-place update of Protocol Buffer
-// objects is one of the Section V-A optimizations; routers use it when
-// translating a logical destination into a physical task.
-func RewriteDest(b []byte, dest int32) ([]byte, error) {
-	f, ok, err := wire.FindField(b, fieldDest)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, ErrCorrupt
-	}
-	nv := wire.AppendUvarint(nil, uint64(uint32(dest)))
-	if len(nv) == len(f.Data) {
-		copy(f.Data, nv) // aliases b: true in-place update
-		return b, nil
-	}
-	// Width changed: rebuild. Rare (task ids are stable-width in practice).
-	out := make([]byte, 0, len(b)+2)
-	out = wire.AppendVarintField(out, fieldDest, uint64(uint32(dest)))
-	err = wire.Scan(b, func(fd wire.Field) bool {
-		if fd.Num == fieldDest {
-			return true
-		}
-		switch fd.Type {
-		case wire.TypeVarint:
-			out = wire.AppendTag(out, fd.Num, fd.Type)
-			out = append(out, fd.Data...)
-		case wire.TypeBytes:
-			out = wire.AppendBytesField(out, fd.Num, fd.Data)
-		default:
-			out = wire.AppendTag(out, fd.Num, fd.Type)
-			out = append(out, fd.Data...)
-		}
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return int32(binary.LittleEndian.Uint32(b)), nil
 }
 
 func appendValues(dst []byte, vs Values) ([]byte, error) {
 	dst = wire.AppendUvarint(dst, uint64(len(vs)))
 	for _, x := range vs {
-		k, err := KindOf(x)
-		if err != nil {
-			return nil, err
-		}
-		dst = append(dst, byte(k))
 		switch v := x.(type) {
 		case string:
+			dst = append(dst, byte(KindString))
 			dst = wire.AppendUvarint(dst, uint64(len(v)))
 			dst = append(dst, v...)
 		case int64:
+			dst = append(dst, byte(KindInt))
 			dst = wire.AppendUvarint(dst, wire.Zigzag(v))
 		case float64:
-			u := math.Float64bits(v)
-			dst = append(dst,
-				byte(u), byte(u>>8), byte(u>>16), byte(u>>24),
-				byte(u>>32), byte(u>>40), byte(u>>48), byte(u>>56))
+			dst = append(dst, byte(KindFloat))
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 		case bool:
+			var b byte
 			if v {
-				dst = append(dst, 1)
-			} else {
-				dst = append(dst, 0)
+				b = 1
 			}
+			dst = append(dst, byte(KindBool), b)
 		case []byte:
+			dst = append(dst, byte(KindBytes))
 			dst = wire.AppendUvarint(dst, uint64(len(v)))
 			dst = append(dst, v...)
+		default:
+			_, err := KindOf(x)
+			return nil, err
 		}
 	}
 	return dst, nil
 }
 
-func encodeData(dst []byte, t *DataTuple, scratch []byte) ([]byte, []byte, error) {
-	dst = wire.AppendVarintField(dst, fieldDest, uint64(uint32(t.DestTask)))
-	dst = wire.AppendVarintField(dst, fieldSrc, uint64(uint32(t.SrcTask)))
-	dst = wire.AppendVarintField(dst, fieldStream, uint64(uint32(t.StreamID)))
+func encodeData(dst []byte, t *DataTuple) ([]byte, error) {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(t.DestTask))
+	dst = wire.AppendUvarint(dst, uint64(uint32(t.SrcTask)))
+	dst = wire.AppendUvarint(dst, uint64(uint32(t.StreamID)))
+	n := uint64(len(t.Roots)) << 1
 	if t.Key != 0 {
-		dst = wire.AppendFixed64Field(dst, fieldKey, t.Key)
+		n |= 1
 	}
-	if len(t.Roots) > 0 {
-		scratch = scratch[:0]
-		for _, r := range t.Roots {
-			scratch = append(scratch,
-				byte(r), byte(r>>8), byte(r>>16), byte(r>>24),
-				byte(r>>32), byte(r>>40), byte(r>>48), byte(r>>56))
-		}
-		dst = wire.AppendBytesField(dst, fieldRoots, scratch)
+	dst = wire.AppendUvarint(dst, n)
+	if t.Key != 0 {
+		dst = binary.LittleEndian.AppendUint64(dst, t.Key)
 	}
-	scratch = scratch[:0]
-	vb, err := appendValues(scratch, t.Values)
-	if err != nil {
-		return nil, scratch, err
+	for _, r := range t.Roots {
+		dst = binary.LittleEndian.AppendUint64(dst, r)
 	}
-	dst = wire.AppendBytesField(dst, fieldValues, vb)
-	return dst, vb, nil
+	if len(t.Values) == 0 {
+		return dst, nil
+	}
+	return appendValues(dst, t.Values)
 }
 
 // DecodeHeader decodes everything of an encoded data tuple but its
-// values into t, leaving t.Values empty, and returns the encoded values
-// field. It checks that field in one walk of kinds and lengths, so a
-// corrupt tuple fails here; RawValues may then read the field without
-// checks. The returned slice aliases b; nil means no values.
+// values into t, leaving t.Values empty, and returns the tuple's body:
+// its roots, 8 little-endian bytes each, then its values field, which
+// starts at 8*len(t.Roots). It checks the values field in one walk of
+// kinds and lengths, so a corrupt tuple fails here; RawValues may then
+// read the field without checks. The body aliases b.
 func DecodeHeader(b []byte, t *DataTuple) ([]byte, error) {
 	t.Reset()
-	var vals []byte
-	var scanErr error
-	err := wire.Scan(b, func(f wire.Field) bool {
-		switch f.Num {
-		case fieldDest:
-			v, err := f.Varint()
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			t.DestTask = int32(v)
-		case fieldSrc:
-			v, err := f.Varint()
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			t.SrcTask = int32(v)
-		case fieldStream:
-			v, err := f.Varint()
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			t.StreamID = int32(v)
-		case fieldKey:
-			v, err := wire.Fixed64(f.Data)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			t.Key = v
-		case fieldRoots:
-			if len(f.Data)%8 != 0 {
-				scanErr = ErrCorrupt
-				return false
-			}
-			for i := 0; i < len(f.Data); i += 8 {
-				r, _ := wire.Fixed64(f.Data[i:])
-				t.Roots = append(t.Roots, r)
-			}
-		case fieldValues:
-			if err := checkValues(f.Data); err != nil {
-				scanErr = err
-				return false
-			}
-			vals = f.Data
+	if len(b) < 4 {
+		return nil, ErrCorrupt
+	}
+	t.DestTask = int32(binary.LittleEndian.Uint32(b))
+	b = b[4:]
+	var h [3]uint64 // src, stream, n
+	for i := range h {
+		v, sz, err := wire.Uvarint(b)
+		if err != nil {
+			return nil, ErrCorrupt
 		}
-		return true
-	})
-	if err == nil {
-		err = scanErr
+		h[i], b = v, b[sz:]
 	}
-	if err != nil {
-		return nil, err
+	t.SrcTask, t.StreamID = int32(h[0]), int32(h[1])
+	n := h[2]
+	if n&1 != 0 {
+		if len(b) < 8 {
+			return nil, ErrCorrupt
+		}
+		t.Key, b = binary.LittleEndian.Uint64(b), b[8:]
 	}
-	return vals, nil
+	nroots := n >> 1
+	if uint64(len(b))/8 < nroots {
+		return nil, ErrCorrupt
+	}
+	for i := 0; i < int(nroots); i++ {
+		t.Roots = append(t.Roots, binary.LittleEndian.Uint64(b[8*i:]))
+	}
+	if vals := b[8*nroots:]; len(vals) > 0 {
+		if err := checkValues(vals); err != nil {
+			return nil, err
+		}
+	}
+	return b, nil
 }
 
 // decodeData is DecodeHeader followed by materialising the values.
 func decodeData(b []byte, t *DataTuple) error {
-	vals, err := DecodeHeader(b, t)
+	body, err := DecodeHeader(b, t)
 	if err != nil {
 		return err
 	}
-	t.Values = decodeValues(vals, t.Values)
+	t.Values = decodeValues(body[8*len(t.Roots):], t.Values)
 	return nil
 }
 
-// FastCodec is the optimized codec: pooled scratch space, lazy routing
-// support, zero steady-state allocation on encode.
+// FastCodec is the optimized codec: it encodes straight into the
+// caller's buffer, with zero steady-state allocation, and supports lazy
+// routing.
 type FastCodec struct{}
 
 // Name implements Codec.
@@ -248,12 +174,9 @@ func (FastCodec) Lazy() bool { return true }
 // Pooled implements Codec.
 func (FastCodec) Pooled() bool { return true }
 
-// EncodeData implements Codec using a pooled scratch buffer.
+// EncodeData implements Codec, appending straight into dst.
 func (FastCodec) EncodeData(dst []byte, t *DataTuple) []byte {
-	sb := wire.GetBuffer()
-	out, scratch, err := encodeData(dst, t, sb.B)
-	sb.B = scratch[:0] // keep any growth so the pool stays allocation-free
-	wire.PutBuffer(sb)
+	out, err := encodeData(dst, t)
 	if err != nil {
 		// Unsupported value types are a programming error in the topology;
 		// surface it loudly rather than silently dropping data.
@@ -279,11 +202,12 @@ func (NaiveCodec) Lazy() bool { return false }
 // Pooled implements Codec: callers allocate per message.
 func (NaiveCodec) Pooled() bool { return false }
 
-// EncodeData implements Codec with deliberately allocation-heavy behaviour:
-// a fresh scratch buffer and a fresh copy of the result, emulating the
-// new/delete-per-message cost the paper's memory pools remove.
+// EncodeData implements Codec with deliberately allocation-heavy
+// behaviour: a buffer grown fresh from nil and a fresh copy of the
+// result, emulating the new/delete-per-message cost the paper's memory
+// pools remove.
 func (NaiveCodec) EncodeData(dst []byte, t *DataTuple) []byte {
-	out, _, err := encodeData(nil, t, make([]byte, 0, 64))
+	out, err := encodeData(nil, t)
 	if err != nil {
 		panic(err)
 	}

@@ -2,20 +2,26 @@
 // and the serialization codecs used to move tuples across process
 // boundaries.
 //
+// Every message has a fixed layout, with no field tags. A data tuple is a
+// fixed-offset header — its destination is the first four bytes — then
+// its roots and its values (codec.go); an ack entry is 21 bytes at fixed
+// offsets; frames batch either kind behind a count (frame.go).
+//
 // Two codecs are provided:
 //
-//   - FastCodec is the optimized path of the paper's Section V-A: buffers
-//     and tuple objects come from memory pools, and routers can read the
-//     destination of an encoded tuple with PeekDest without deserializing
-//     the payload (lazy deserialization). Instances apply the same idea
-//     on receive: DecodeHeader checks a tuple without building its values,
+//   - FastCodec is the optimized path of the paper's Section V-A: it
+//     encodes straight into the caller's (pooled) buffer, and routers
+//     read the destination of an encoded tuple with PeekDest, one 4-byte
+//     load, without deserializing the payload (lazy deserialization).
+//     Instances apply the same idea on receive: DecodeHeader reads the
+//     header in one pass and checks the values without building them,
 //     and RawValues reads each value in place when a bolt asks for it.
 //   - NaiveCodec is the "without optimizations" arm of the evaluation's
 //     Figures 5–9: every encode allocates fresh memory, every decode
-//     materializes and copies every value, and there is no partial scan —
+//     materializes and copies every value, and there is no partial read —
 //     a router must fully decode and re-encode each tuple it forwards.
 //
-// Both codecs produce the same logical content, a property the tests check
+// Both codecs produce identical bytes, a property the tests check
 // exhaustively, so switching them changes cost, never semantics.
 package tuple
 
@@ -88,8 +94,8 @@ func KindOf(x any) (Kind, error) {
 }
 
 // DataTuple is one data tuple as it crosses the Stream Manager. DestTask
-// is deliberately the first wire field so a router can locate it by
-// scanning only the message prefix.
+// is the first four bytes on the wire, so a router reads it with one
+// load.
 type DataTuple struct {
 	DestTask int32  // receiving task id
 	SrcTask  int32  // emitting task id

@@ -125,54 +125,55 @@ func TestPeekDestCorrupt(t *testing.T) {
 	}
 }
 
-func TestRewriteDestSameWidth(t *testing.T) {
-	in := sampleTuple()
-	in.DestTask = 100 // one-byte varint
-	enc := FastCodec{}.EncodeData(nil, in)
-	orig := append([]byte(nil), enc...)
-	out, err := RewriteDest(enc, 101) // also one byte: in-place path
-	if err != nil {
-		t.Fatal(err)
+// TestDataLayout pins the data tuple: dest u32 | src uvarint | stream
+// uvarint | n uvarint | key u64 (iff n&1) | roots (n>>1)×u64 | values,
+// fixed-width fields little-endian, the same bytes from both codecs.
+func TestDataLayout(t *testing.T) {
+	cases := []struct {
+		name string
+		in   DataTuple
+		want []byte
+	}{
+		{"key and root", DataTuple{DestTask: 0x01020304, SrcTask: 7, StreamID: -1,
+			Key: 0x1112131415161718, Roots: []uint64{0x2122232425262728}, Values: Values{"ab", int64(-2)}},
+			[]byte{
+				0x04, 0x03, 0x02, 0x01, // dest
+				0x07,                         // src
+				0xff, 0xff, 0xff, 0xff, 0x0f, // stream: uint32(-1)
+				0x03,                                           // n: one root, a key
+				0x18, 0x17, 0x16, 0x15, 0x14, 0x13, 0x12, 0x11, // key
+				0x28, 0x27, 0x26, 0x25, 0x24, 0x23, 0x22, 0x21, // root
+				0x02, 0x01, 0x02, 'a', 'b', 0x02, 0x03, // values: 2, string "ab", int -2
+			}},
+		{"roots, no key", DataTuple{DestTask: 5, SrcTask: 1, Roots: []uint64{1, 2}, Values: Values{true}},
+			[]byte{
+				0x05, 0x00, 0x00, 0x00, 0x01, 0x00,
+				0x04, // n: two roots, no key
+				0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+				0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+				0x01, 0x04, 0x01, // values: 1, bool true
+			}},
+		{"key, no roots", DataTuple{Key: 1, Values: Values{1.5}},
+			[]byte{
+				0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+				0x01, // n: no roots, a key
+				0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+				0x01, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf8, 0x3f, // values: 1, float 1.5
+			}},
+		{"no values", DataTuple{DestTask: 9, SrcTask: 2, StreamID: 3},
+			[]byte{0x09, 0x00, 0x00, 0x00, 0x02, 0x03, 0x00}},
 	}
-	if &out[0] != &enc[0] {
-		t.Error("same-width rewrite should be in place")
-	}
-	got, _ := PeekDest(out)
-	if got != 101 {
-		t.Errorf("dest after rewrite = %d", got)
-	}
-	// Rest of the message must be untouched.
-	var a, b DataTuple
-	if err := (FastCodec{}).DecodeData(orig, &a); err != nil {
-		t.Fatal(err)
-	}
-	if err := (FastCodec{}).DecodeData(out, &b); err != nil {
-		t.Fatal(err)
-	}
-	a.DestTask, b.DestTask = 0, 0
-	if !tuplesEqual(&a, &b) {
-		t.Error("rewrite disturbed other fields")
-	}
-}
-
-func TestRewriteDestWidthChange(t *testing.T) {
-	in := sampleTuple()
-	in.DestTask = 5 // one byte
-	enc := FastCodec{}.EncodeData(nil, in)
-	out, err := RewriteDest(enc, 1<<20) // needs more bytes: rebuild path
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got DataTuple
-	if err := (FastCodec{}).DecodeData(out, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.DestTask != 1<<20 {
-		t.Errorf("dest = %d", got.DestTask)
-	}
-	in.DestTask = got.DestTask
-	if !tuplesEqual(in, &got) {
-		t.Error("rebuild disturbed other fields")
+	for _, tc := range cases {
+		for _, c := range codecs {
+			got := c.EncodeData(nil, &tc.in)
+			if !bytes.Equal(got, tc.want) {
+				t.Errorf("%s, %s: encoded\n% x, want\n% x", tc.name, c.Name(), got, tc.want)
+			}
+			var out DataTuple
+			if err := c.DecodeData(tc.want, &out); err != nil || !tuplesEqual(&tc.in, &out) {
+				t.Errorf("%s, %s: decoded %+v, %v", tc.name, c.Name(), out, err)
+			}
+		}
 	}
 }
 
@@ -266,14 +267,29 @@ func TestDecodeCorrupt(t *testing.T) {
 	in := sampleTuple()
 	enc := FastCodec{}.EncodeData(nil, in)
 	var out DataTuple
-	for i := 1; i < len(enc); i++ {
-		// Truncations must error, not panic or silently succeed with the
-		// values field intact. (Some prefixes are themselves valid messages
-		// with fewer fields; only reject ones that fail to decode.)
-		_ = FastCodec{}.DecodeData(enc[:i], &out)
+	body, err := DecodeHeader(enc, &out)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// A roots field with non-multiple-of-8 length is corrupt.
-	bad := []byte{byte(fieldRoots<<3 | 2), 3, 1, 2, 3}
+	valuesAt := len(enc) - len(body) + 8*len(in.Roots)
+	for i := 0; i < len(enc); i++ {
+		// A truncation that stops before the values is corrupt, whether
+		// it is shorter than the destination (which PeekDest refuses too)
+		// or cuts the roots its count announces. A longer one must not
+		// panic; the header alone is a tuple without values.
+		err := FastCodec{}.DecodeData(enc[:i], &out)
+		if i < valuesAt && !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%d of %d header bytes: err %v, want ErrCorrupt", i, valuesAt, err)
+		}
+		if i == valuesAt && (err != nil || out.DestTask != in.DestTask || len(out.Values) != 0) {
+			t.Errorf("header alone: %+v, %v", out, err)
+		}
+		if _, err := PeekDest(enc[:i]); (err != nil) != (i < 4) {
+			t.Errorf("PeekDest of %d bytes: err %v", i, err)
+		}
+	}
+	// A roots count that runs past the end of the entry is corrupt.
+	bad := []byte{0, 0, 0, 0, 0, 0, 2 << 1, 1, 2, 3, 4, 5, 6, 7, 8, 1, 2, 3}
 	if err := (FastCodec{}).DecodeData(bad, &out); err == nil {
 		t.Error("want error for bad roots length")
 	}

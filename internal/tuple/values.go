@@ -7,7 +7,7 @@ import (
 	"heron/internal/encoding/wire"
 )
 
-// The values field of a data tuple is
+// The values field of a data tuple runs to the end of the entry:
 //
 //	uvarint(count) count×(kind payload)
 //
@@ -54,8 +54,8 @@ func nextValue[T wire.Encoded](b T) (k Kind, payload, rest T, ok bool) {
 }
 
 // checkValues validates a present values field without building any
-// value. (An absent field is a tuple with no values; a present one
-// carries at least its count.)
+// value. (An absent field, an empty tail, is a tuple with no values; a
+// present one carries at least its count.)
 func checkValues(b []byte) error {
 	n, sz, err := wire.Uvarint(b)
 	if err != nil {

@@ -63,14 +63,14 @@ func checkGetters(t testing.TB, r RawValues, want Values) {
 func rawOf(t testing.TB, vs Values) RawValues {
 	t.Helper()
 	var dt DataTuple
-	vals, err := DecodeHeader(FastCodec{}.EncodeData(nil, &DataTuple{Values: vs}), &dt)
+	body, err := DecodeHeader(FastCodec{}.EncodeData(nil, &DataTuple{Values: vs}), &dt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(dt.Values) != 0 {
 		t.Fatalf("DecodeHeader built %d values", len(dt.Values))
 	}
-	return RawValues(vals)
+	return RawValues(body)
 }
 
 var edgeValues = Values{
@@ -105,14 +105,14 @@ func TestRawValuesMatchDecodeData(t *testing.T) {
 // no values, lazily as well as decoded.
 func TestRawValuesAbsentField(t *testing.T) {
 	var dt DataTuple
-	vals, err := DecodeHeader([]byte{fieldDest << 3, 9}, &dt)
-	if err != nil || vals != nil || dt.DestTask != 9 {
+	vals, err := DecodeHeader([]byte{9, 0, 0, 0, 0, 0, 0}, &dt)
+	if err != nil || len(vals) != 0 || dt.DestTask != 9 {
 		t.Fatalf("DecodeHeader = %v, %v, dest %d", vals, err, dt.DestTask)
 	}
 	checkGetters(t, RawValues(vals), nil)
-	// A present but empty values field lacks its count: corrupt.
-	if _, err := DecodeHeader([]byte{fieldValues<<3 | 2, 0}, &dt); err == nil {
-		t.Fatal("want error for an empty values field")
+	// A present values field cut inside its count is corrupt.
+	if _, err := DecodeHeader([]byte{9, 0, 0, 0, 0, 0, 0, 0x80}, &dt); err == nil {
+		t.Fatal("want error for a values field without its count")
 	}
 }
 
@@ -151,9 +151,11 @@ func TestDecodeHeaderRejectsCorruptValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < len(f); i++ {
-		// Every truncation of the values field is corrupt.
-		bad := append(append([]byte{fieldValues<<3 | 2}, byte(i)), f[:i]...)
+	hdr := enc[:len(enc)-len(f)]
+	// Every truncation of the values field is corrupt. (An empty one is
+	// no values field at all.)
+	for i := 1; i < len(f); i++ {
+		bad := append(append([]byte(nil), hdr...), f[:i]...)
 		if _, err := DecodeHeader(bad, &dt); err == nil {
 			t.Errorf("truncated to %d bytes: accepted", i)
 		}
@@ -165,7 +167,7 @@ func TestDecodeHeaderRejectsCorruptValues(t *testing.T) {
 		{1, 4, 1, 0xff}, // trailing byte
 		{1, 2, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, // varint overflow
 	} {
-		msg := append([]byte{fieldValues<<3 | 2, byte(len(bad))}, bad...)
+		msg := append(append([]byte(nil), hdr...), bad...)
 		if _, err := DecodeHeader(msg, &dt); err == nil {
 			t.Errorf("values field %x accepted", bad)
 		}
@@ -173,17 +175,20 @@ func TestDecodeHeaderRejectsCorruptValues(t *testing.T) {
 }
 
 // FuzzDecodeHeader: any input either fails the header decode (and then
-// DecodeData too), or decodes to getters that agree with DecodeData. No
-// input panics.
+// DecodeData too), or decodes to getters that agree with DecodeData, a
+// destination PeekDest agrees with, and a tuple that re-encodes and
+// decodes to itself. No input panics.
 func FuzzDecodeHeader(f *testing.F) {
 	f.Add(FastCodec{}.EncodeData(nil, sampleTuple()))
 	f.Add(FastCodec{}.EncodeData(nil, &DataTuple{Values: edgeValues}))
 	f.Add(FastCodec{}.EncodeData(nil, &DataTuple{}))
-	f.Add([]byte{fieldValues<<3 | 2, 3, 1, 1, 0})
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 1, 1, 0})
 	f.Add([]byte{})
+	f.Add([]byte{1, 2, 3})                              // shorter than the destination
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 2 << 1, 1, 2, 3, 4}) // two roots, four bytes
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var hdr, full DataTuple
-		vals, herr := DecodeHeader(b, &hdr)
+		body, herr := DecodeHeader(b, &hdr)
 		ferr := FastCodec{}.DecodeData(b, &full)
 		if (herr == nil) != (ferr == nil) {
 			t.Fatalf("DecodeHeader err %v, DecodeData err %v", herr, ferr)
@@ -195,6 +200,32 @@ func FuzzDecodeHeader(f *testing.F) {
 			hdr.StreamID != full.StreamID || hdr.Key != full.Key || len(hdr.Roots) != len(full.Roots) {
 			t.Fatalf("header %+v, DecodeData %+v", hdr, full)
 		}
-		checkGetters(t, RawValues(vals), full.Values)
+		if d, err := PeekDest(b); err != nil || d != hdr.DestTask {
+			t.Fatalf("PeekDest = %d, %v; DecodeHeader dest %d", d, err, hdr.DestTask)
+		}
+		checkGetters(t, RawValues(body[8*len(hdr.Roots):]), full.Values)
+		var again DataTuple
+		if err := (FastCodec{}).DecodeData(FastCodec{}.EncodeData(nil, &full), &again); err != nil {
+			t.Fatalf("re-encoded %+v: %v", full, err)
+		}
+		if !sameTuple(&full, &again) {
+			t.Fatalf("%+v re-encodes to %+v", full, again)
+		}
 	})
+}
+
+// sameTuple is tuplesEqual with values compared by sameValue, so NaN
+// equals NaN.
+func sameTuple(a, b *DataTuple) bool {
+	x, y := *a, *b
+	x.Values, y.Values = nil, nil
+	if !tuplesEqual(&x, &y) || len(a.Values) != len(b.Values) {
+		return false
+	}
+	for i := range a.Values {
+		if !sameValue(a.Values[i], b.Values[i]) {
+			return false
+		}
+	}
+	return true
 }
