@@ -173,22 +173,10 @@ func TestAtLeastOnceUnderChaos(t *testing.T) {
 
 // TestScaleDownEndToEnd shrinks the bolt parallelism mid-run and verifies
 // the survivors keep all the traffic and the removed tasks go quiet.
-func TestScaleDownEndToEnd(t *testing.T) { runScaleDown(t, 0) }
-
-// TestScaleDownShardedStmgr is the same rescale with the Stream Manager
-// hot path split four ways: the task→shard mapping is a pure function of
-// the task id, so repartitioning must survive sharding untouched — and
-// parked frames for relaunching peers must replay through the right
-// shard's outbox.
-func TestScaleDownShardedStmgr(t *testing.T) { runScaleDown(t, 4) }
-
-func runScaleDown(t *testing.T, shards int) {
+func TestScaleDownEndToEnd(t *testing.T) {
 	var f fixture
 	spec := f.buildWordCount(t, 2, 6, -1, false)
 	cfg := testConfig(t)
-	if shards > 0 {
-		cfg.StmgrShards = shards
-	}
 
 	h, err := Submit(spec, cfg)
 	if err != nil {

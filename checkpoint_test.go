@@ -141,7 +141,7 @@ func (b *ckptCountBolt) RestoreState(s api.State) error {
 // final counts EXACTLY match the spouts' deterministic emission history —
 // no lost counts, no duplicates (checkpoint-based effectively-once).
 func runCheckpointRecovery(t *testing.T, backendName string) {
-	runCheckpointRecoveryShards(t, ckptRun{backend: backendName, label: backendName})
+	runCheckpointRecoveryWith(t, ckptRun{backend: backendName, label: backendName})
 }
 
 // ckptRun selects one variant of the checkpoint recovery test.
@@ -149,8 +149,6 @@ type ckptRun struct {
 	backend string
 	// label keeps the state roots of variants sharing a backend apart.
 	label string
-	// shards is the Stream Manager shard count (0 = config default).
-	shards int
 	// scheduler defaults to "yarn"; "local" runs without a cluster.
 	scheduler string
 	// restart disturbs the topology with Handle.Restart(1) instead of a
@@ -158,9 +156,9 @@ type ckptRun struct {
 	restart bool
 }
 
-// runCheckpointRecoveryShards is runCheckpointRecovery with the
-// scheduler, the fault and the Stream Manager shard count chosen by run.
-func runCheckpointRecoveryShards(t *testing.T, run ckptRun) {
+// runCheckpointRecoveryWith is runCheckpointRecovery with the scheduler
+// and the fault chosen by run.
+func runCheckpointRecoveryWith(t *testing.T, run ckptRun) {
 	const dictSize = 50
 	dict := make([]string, dictSize)
 	for i := range dict {
@@ -193,9 +191,6 @@ func runCheckpointRecoveryShards(t *testing.T, run ckptRun) {
 	cfg.SchedulerName = run.scheduler
 	cfg.CheckpointInterval = 200 * time.Millisecond
 	cfg.StateBackend = backendName
-	if run.shards > 0 {
-		cfg.StmgrShards = run.shards
-	}
 	if backendName == "localfs" {
 		cfg.Extra = map[string]string{"checkpoint.root": t.TempDir()}
 	}
@@ -321,19 +316,11 @@ func runCheckpointRecoveryShards(t *testing.T, run ckptRun) {
 
 func TestCheckpointRecoveryMemory(t *testing.T) { runCheckpointRecovery(t, "memory") }
 
-// TestCheckpointRecoverySharded reruns the chaos test with the Stream
-// Manager's data path split four ways: barrier alignment (markers chasing
-// their data through per-shard rings), parked-frame replay and restore
-// must all survive sharding, or the exact-count accounting fails.
-func TestCheckpointRecoverySharded(t *testing.T) {
-	runCheckpointRecoveryShards(t, ckptRun{backend: "memory", label: "memory-sharded", shards: 4})
-}
-
 // TestCheckpointRecoverySlurmFailure kills a worker under slurm, whose
 // relaunches stay inside the job's node allocation: every worker must
 // still roll back to the same checkpoint.
 func TestCheckpointRecoverySlurmFailure(t *testing.T) {
-	runCheckpointRecoveryShards(t, ckptRun{backend: "memory", label: "slurm-fail", scheduler: "slurm"})
+	runCheckpointRecoveryWith(t, ckptRun{backend: "memory", label: "slurm-fail", scheduler: "slurm"})
 }
 
 // TestCheckpointRecoveryWorkerRestart restarts one worker through the
@@ -342,7 +329,7 @@ func TestCheckpointRecoverySlurmFailure(t *testing.T) {
 func TestCheckpointRecoveryWorkerRestart(t *testing.T) {
 	for _, sched := range []string{"local", "yarn", "mesos"} {
 		t.Run(sched, func(t *testing.T) {
-			runCheckpointRecoveryShards(t, ckptRun{backend: "memory", label: sched + "-restart", scheduler: sched, restart: true})
+			runCheckpointRecoveryWith(t, ckptRun{backend: "memory", label: sched + "-restart", scheduler: sched, restart: true})
 		})
 	}
 }

@@ -15,7 +15,7 @@ type Config struct {
 	PackingAlgorithm string // registry name: "roundrobin" (default), "binpacking"
 	SchedulerName    string // "local" (default), "yarn", "mesos", "slurm", "aurora", "multitenant"
 	StateManagerName string // "memory" (default), "localfs"
-	Transport        string // "inproc" (default), "tcp"
+	Transport        string // "inproc" (default), "tcp", "ring"
 	Codec            string // "fast" (default), "naive"
 
 	// StreamManagerOptimized gates the Section V-A fast paths: memory
@@ -23,15 +23,6 @@ type Config struct {
 	// Codec "naive") reproduces the "without optimizations" arm of the
 	// evaluation.
 	StreamManagerOptimized bool
-
-	// StmgrShards splits the Stream Manager's hot-path state (routing
-	// snapshot, tuple cache, acker trees) into N shards behind a
-	// consistent task→shard mapping, each shard served by its own
-	// goroutine with its own dispatch ring and pooled outboxes. It is a
-	// count, not a mode: one shard runs the same ring-and-worker path as
-	// many. 0 (the default) selects min(GOMAXPROCS, 4). Values above 1
-	// require StreamManagerOptimized. Capped at MaxStmgrShards.
-	StmgrShards int
 
 	// Packing inputs.
 	NumContainers     int      // round-robin container count hint (default 4)
@@ -123,10 +114,7 @@ type Config struct {
 
 // Defaults for unset fields.
 const (
-	DefaultNumContainers = 4
-	// MaxStmgrShards bounds Config.StmgrShards: beyond this the dispatch
-	// fan-out costs more than it buys on any machine we target.
-	MaxStmgrShards             = 32
+	DefaultNumContainers       = 4
 	DefaultCacheDrainFrequency = 5 * time.Millisecond
 	DefaultCacheMaxBatchTuples = 1024
 	DefaultMessageTimeout      = 30 * time.Second
@@ -211,12 +199,6 @@ func (c *Config) Validate() error {
 	if c.HealthPolicy != "" && c.HealthInterval == 0 {
 		return fmt.Errorf("core: HealthPolicy %q requires HealthInterval > 0", c.HealthPolicy)
 	}
-	if c.StmgrShards < 0 || c.StmgrShards > MaxStmgrShards {
-		return fmt.Errorf("core: StmgrShards %d outside [0, %d]", c.StmgrShards, MaxStmgrShards)
-	}
-	if c.StmgrShards > 1 && !c.StreamManagerOptimized {
-		return fmt.Errorf("core: StmgrShards %d > 1 requires StreamManagerOptimized", c.StmgrShards)
-	}
 	if c.ControlReplicas < 0 || c.ControlReplicas > MaxControlReplicas {
 		return fmt.Errorf("core: ControlReplicas %d outside [0, %d]", c.ControlReplicas, MaxControlReplicas)
 	}
@@ -232,28 +214,4 @@ func (c *Config) ResolveControlLeaseTTL() time.Duration {
 		return c.ControlLeaseTTL
 	}
 	return DefaultControlLeaseTTL
-}
-
-// ResolveStmgrShards turns the StmgrShards knob into an effective shard
-// count: an explicit value wins (clamped to MaxStmgrShards), 0 selects
-// min(gomaxprocs, 4), and the unoptimized Stream Manager always runs a
-// single shard — the naive ablation arm is deliberately the serial one.
-func (c *Config) ResolveStmgrShards(gomaxprocs int) int {
-	if !c.StreamManagerOptimized {
-		return 1
-	}
-	n := c.StmgrShards
-	if n == 0 {
-		n = gomaxprocs
-		if n > 4 {
-			n = 4
-		}
-	}
-	if n < 1 {
-		n = 1
-	}
-	if n > MaxStmgrShards {
-		n = MaxStmgrShards
-	}
-	return n
 }

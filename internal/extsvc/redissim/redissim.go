@@ -40,7 +40,7 @@ func NewServer(n int) *Server {
 	return s
 }
 
-func (s *Server) shardOf(key string) *shard {
+func (s *Server) shardFor(key string) *shard {
 	h := fnv.New32a()
 	_, _ = h.Write([]byte(key))
 	return s.shards[h.Sum32()%uint32(len(s.shards))]
@@ -48,7 +48,7 @@ func (s *Server) shardOf(key string) *shard {
 
 // Get returns a key's value.
 func (s *Server) Get(key string) (int64, bool) {
-	sh := s.shardOf(key)
+	sh := s.shardFor(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	v, ok := sh.data[key]
@@ -85,7 +85,7 @@ func (s *Server) execRESP(cmd []byte) error {
 		if err != nil {
 			return err
 		}
-		sh := s.shardOf(args[1])
+		sh := s.shardFor(args[1])
 		sh.mu.Lock()
 		sh.data[args[1]] += delta
 		sh.mu.Unlock()
@@ -97,7 +97,7 @@ func (s *Server) execRESP(cmd []byte) error {
 		if err != nil {
 			return err
 		}
-		sh := s.shardOf(args[1])
+		sh := s.shardFor(args[1])
 		sh.mu.Lock()
 		sh.data[args[1]] = v
 		sh.mu.Unlock()
@@ -123,7 +123,7 @@ func (s *Server) execRESPReply(cmd []byte) ([]byte, error) {
 		if len(args) != 3 {
 			return nil, fmt.Errorf("redissim: BSET arity")
 		}
-		sh := s.shardOf(args[1])
+		sh := s.shardFor(args[1])
 		sh.mu.Lock()
 		sh.blobs[args[1]] = []byte(args[2])
 		sh.mu.Unlock()
@@ -132,7 +132,7 @@ func (s *Server) execRESPReply(cmd []byte) ([]byte, error) {
 		if len(args) != 2 {
 			return nil, fmt.Errorf("redissim: BGET arity")
 		}
-		sh := s.shardOf(args[1])
+		sh := s.shardFor(args[1])
 		sh.mu.Lock()
 		v, ok := sh.blobs[args[1]]
 		if ok {

@@ -34,7 +34,7 @@ const (
 	// MStmgrRouteLatency is the Stream Manager's per-frame route latency
 	// — dispatch-ring enqueue to delivery handoff, sampled 1-in-8 — so
 	// /metrics and the TopologyView report p50/p99/p999 tails, not just
-	// averages. Published at every shard count.
+	// averages.
 	MStmgrRouteLatency = "stmgr.route-latency-ns"
 
 	// Checkpointing. Duration/size/restore are per-instance (tags:

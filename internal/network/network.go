@@ -77,8 +77,8 @@ type Handler func(kind MsgKind, payload []byte)
 // pooled buffer: the handler (or whatever it hands the buffer to) must
 // eventually recycle it with wire.PutBuffer. This is the receive-side
 // mirror of SendOwned — the Stream Manager uses it to move an inbound
-// frame from the transport straight into a shard's dispatch ring without
-// a copy.
+// frame from the transport straight into its dispatch ring without a
+// copy.
 type OwnedHandler func(kind MsgKind, buf *wire.Buffer)
 
 // Conn is a bidirectional, framed message connection.

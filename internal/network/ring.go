@@ -13,7 +13,7 @@ import (
 
 // FrameRing is a bounded lock-free ring of owned frames (kind + pooled
 // wire.Buffer), the shared-memory primitive behind both the "ring"
-// transport and the sharded Stream Manager's per-shard dispatch inboxes.
+// transport and the Stream Manager's dispatch ring.
 //
 // The implementation is Vyukov's bounded MPMC queue, so any number of
 // producers may Enqueue concurrently; the consumer side is used

@@ -14,20 +14,10 @@
 //     containers of *other* tenants, so co-location across tenants only
 //     happens when capacity forces it. Remaining ties go to the lexically
 //     smallest node name, keeping placement deterministic.
-//
-// SortAsks orders pending asks across tenants by tenant priority (higher
-// first) and, within a priority band, by the tenant's dominant quota
-// share (least-served first — weighted fair queueing over the dominant
-// resource, the DRF idea specialized to one decision point). No launch
-// path calls it yet: each multitenant scheduler places one topology's
-// containers, which share a tenant, in container-id order. There is no
-// preemption: a lower-priority container already placed is never
-// displaced.
 package packing
 
 import (
 	"fmt"
-	"sort"
 
 	"heron/internal/core"
 )
@@ -118,31 +108,4 @@ func (FairPlacer) Place(offers []NodeOffer, req core.Resource, ctx PlaceContext)
 		return "", fmt.Errorf("%w: need %v", ErrNoFeasibleNode, req)
 	}
 	return offers[best].Node, nil
-}
-
-// Ask is one pending container placement of a multi-topology launch.
-type Ask struct {
-	Tenant   string
-	Priority int
-	// Share is the tenant's dominant quota share at enqueue time (see
-	// DominantShare); lower shares are served first within a priority band.
-	Share float64
-	Req   core.Resource
-	// Tag identifies the ask to the caller (e.g. "topology/containerID").
-	Tag string
-}
-
-// SortAsks orders pending asks by the fair-queueing policy: priority
-// descending, then dominant share ascending (least-served tenant first),
-// then tag for determinism.
-func SortAsks(asks []Ask) {
-	sort.SliceStable(asks, func(i, j int) bool {
-		if asks[i].Priority != asks[j].Priority {
-			return asks[i].Priority > asks[j].Priority
-		}
-		if asks[i].Share != asks[j].Share {
-			return asks[i].Share < asks[j].Share
-		}
-		return asks[i].Tag < asks[j].Tag
-	})
 }

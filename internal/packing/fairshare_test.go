@@ -112,20 +112,3 @@ func TestFairPlacerNoFeasibleNode(t *testing.T) {
 		t.Fatalf("err = %v, want ErrNoFeasibleNode", err)
 	}
 }
-
-func TestSortAsksPriorityThenShare(t *testing.T) {
-	asks := []Ask{
-		{Tenant: "c", Priority: 0, Share: 0.1, Tag: "c/1"},
-		{Tenant: "a", Priority: 1, Share: 0.9, Tag: "a/1"},
-		{Tenant: "b", Priority: 1, Share: 0.2, Tag: "b/1"},
-		{Tenant: "b", Priority: 1, Share: 0.2, Tag: "b/0"},
-	}
-	SortAsks(asks)
-	got := []string{asks[0].Tag, asks[1].Tag, asks[2].Tag, asks[3].Tag}
-	want := []string{"b/0", "b/1", "a/1", "c/1"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("order = %v, want %v", got, want)
-		}
-	}
-}

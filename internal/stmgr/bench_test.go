@@ -1,7 +1,6 @@
 package stmgr
 
 import (
-	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -53,24 +52,17 @@ func newBenchSM(tb testing.TB) *StreamManager {
 	return newBenchSMPlan(tb, topo, packing)
 }
 
-// newBenchSMPlan is newBenchSM with an explicit topology and packing plan
-// (same two-container layout), so benchmarks can vary the groupings. The
-// shard count is pinned to 1 so the numbers do not depend on the host's
-// core count.
-func newBenchSMPlan(tb testing.TB, topo *core.Topology, packing *core.PackingPlan) *StreamManager {
-	return newBenchSMShards(tb, topo, packing, 1)
-}
-
-// newBenchSMShards builds a Stream Manager through the same core
+// newBenchSMPlan builds a Stream Manager for an explicit topology and
+// packing plan (same two-container layout) through the same core
 // constructor New uses, with routing state installed directly (no
-// TMaster, no listener) and an explicit shard count; each tune edits the
+// TMaster, no listener) and its worker not started: the test's goroutine
+// may call the worker's frame function itself. Each tune edits the
 // configuration first. Local task 2 and the peer container sit behind
 // null conns.
-func newBenchSMShards(tb testing.TB, topo *core.Topology, packing *core.PackingPlan, shards int, tune ...func(*core.Config)) *StreamManager {
+func newBenchSMPlan(tb testing.TB, topo *core.Topology, packing *core.PackingPlan, tune ...func(*core.Config)) *StreamManager {
 	tb.Helper()
 	cfg := core.NewConfig()
 	cfg.StreamManagerOptimized = true
-	cfg.StmgrShards = shards
 	for _, f := range tune {
 		f(cfg)
 	}
@@ -92,6 +84,16 @@ func newBenchSMShards(tb testing.TB, topo *core.Topology, packing *core.PackingP
 	return s
 }
 
+// newWorkerSM is newBenchSM with its worker running: frames ingested with
+// routeFrameOwned travel the ring, as they do from a transport.
+func newWorkerSM(tb testing.TB, tune ...func(*core.Config)) *StreamManager {
+	tb.Helper()
+	topo, packing := twoContainerPlan()
+	s := newBenchSMPlan(tb, topo, packing, tune...)
+	s.startWorker()
+	return s
+}
+
 // owned copies frame into a pooled buffer, as a transport's receive does.
 func owned(frame []byte) *wire.Buffer {
 	buf := wire.GetBuffer()
@@ -99,16 +101,24 @@ func owned(frame []byte) *wire.Buffer {
 	return buf
 }
 
-// process runs one data frame through processData — the worker's
-// per-frame function — on the shard that owns dest, from the calling
-// goroutine: the route cost without the ring hop.
-func process(s *StreamManager, dest int32, frame []byte) {
-	s.shards[s.shardOf(dest)].processData(owned(frame))
+// process runs one frame through processFrame — the worker's per-frame
+// function — from the calling goroutine: the route cost without the ring
+// hop. The Stream Manager's worker must not be running.
+func process(s *StreamManager, kind network.MsgKind, frame []byte) {
+	s.processFrame(kind, owned(frame))
 }
 
-// processMarker is process for a checkpoint marker bound for dest.
-func processMarker(s *StreamManager, dest int32, marker []byte) {
-	s.shards[s.shardOf(dest)].processMarker(owned(marker))
+// runQueued processes every frame waiting in the ring on the calling
+// goroutine, standing in for the worker of a Stream Manager built without
+// one.
+func runQueued(s *StreamManager) {
+	for {
+		kind, _, buf, ok := s.inbox.TryDequeue()
+		if !ok {
+			return
+		}
+		s.processFrame(kind, buf)
+	}
 }
 
 // benchFrame builds a pre-batched data frame of n tuples for dest.
@@ -139,7 +149,7 @@ func BenchmarkRouteLazy(b *testing.B) {
 		b.SetBytes(int64(len(frame)))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			process(s, 2, frame)
+			process(s, network.MsgData, frame)
 		}
 	})
 	b.Run("prebatched-remote", func(b *testing.B) {
@@ -148,7 +158,7 @@ func BenchmarkRouteLazy(b *testing.B) {
 		b.SetBytes(int64(len(frame)))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			process(s, 3, frame)
+			process(s, network.MsgData, frame)
 		}
 	})
 	b.Run("single-into-cache", func(b *testing.B) {
@@ -157,7 +167,7 @@ func BenchmarkRouteLazy(b *testing.B) {
 		b.SetBytes(int64(len(frame)))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			process(s, 2, frame)
+			process(s, network.MsgData, frame)
 		}
 	})
 }
@@ -207,7 +217,7 @@ func BenchmarkRouteCustomGrouping(b *testing.B) {
 		b.SetBytes(int64(len(frame)))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			process(s, 2, frame)
+			process(s, network.MsgData, frame)
 		}
 	})
 	b.Run("prebatched-remote", func(b *testing.B) {
@@ -217,7 +227,7 @@ func BenchmarkRouteCustomGrouping(b *testing.B) {
 		b.SetBytes(int64(len(frame)))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			process(s, 3, frame)
+			process(s, network.MsgData, frame)
 		}
 	})
 }
@@ -245,7 +255,7 @@ func BenchmarkRouteCheckpoint(b *testing.B) {
 		b.SetBytes(int64(len(frame)))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			process(s, 2, frame)
+			process(s, network.MsgData, frame)
 		}
 	})
 	b.Run("on", func(b *testing.B) {
@@ -255,9 +265,9 @@ func BenchmarkRouteCheckpoint(b *testing.B) {
 		b.SetBytes(int64(len(frame)))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			process(s, 2, frame)
+			process(s, network.MsgData, frame)
 			if i%256 == 255 {
-				processMarker(s, 2, marker)
+				process(s, network.MsgMarker, marker)
 			}
 		}
 	})
@@ -278,9 +288,9 @@ func BenchmarkRouteTxn(b *testing.B) {
 		b.SetBytes(int64(len(frame)))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			process(s, 2, frame)
+			process(s, network.MsgData, frame)
 			if i%256 == 255 {
-				processMarker(s, 2, marker)
+				process(s, network.MsgMarker, marker)
 			}
 		}
 	})
@@ -292,11 +302,12 @@ func BenchmarkRouteTxn(b *testing.B) {
 		b.ResetTimer()
 		epoch := int64(0)
 		for i := 0; i < b.N; i++ {
-			process(s, 2, frame)
+			process(s, network.MsgData, frame)
 			if i%256 == 255 {
-				processMarker(s, 2, marker)
+				process(s, network.MsgMarker, marker)
 				epoch++
 				s.notifyCommitted(epoch)
+				runQueued(s)
 			}
 		}
 	})
@@ -345,7 +356,7 @@ func BenchmarkRouteHealthIdle(b *testing.B) {
 		b.SetBytes(int64(len(frame)))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			process(s, 2, frame)
+			process(s, network.MsgData, frame)
 		}
 	})
 	b.Run("on", func(b *testing.B) {
@@ -363,15 +374,14 @@ func BenchmarkRouteHealthIdle(b *testing.B) {
 		b.SetBytes(int64(len(frame)))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			process(s, 2, frame)
+			process(s, network.MsgData, frame)
 		}
 	})
 }
 
 // parallelPlan places 8 spouts on container 2 (tasks 0–7) and 8 bolts on
 // container 1 (tasks 8–15): every frame ingested by container 1's Stream
-// Manager has a local destination, and the 8 bolt task ids cover every
-// shard at 1, 2, 4 and 8 shards (task % nShards).
+// Manager has a local destination.
 func parallelPlan() (*core.Topology, *core.PackingPlan) {
 	topo := &core.Topology{
 		Name: "par",
@@ -399,15 +409,14 @@ func parallelPlan() (*core.Topology, *core.PackingPlan) {
 	return topo, plan
 }
 
-// newParallelSM builds container 1's Stream Manager for parallelPlan with
-// an explicit shard count, every bolt task registered behind its own null
-// conn. The returned delivered func counts frames handed to the conns.
-func newParallelSM(tb testing.TB, shards int) (*StreamManager, func() int64) {
+// newParallelSM builds container 1's Stream Manager for parallelPlan, its
+// worker running and every bolt task registered behind its own null conn.
+// The returned delivered func counts frames handed to the conns.
+func newParallelSM(tb testing.TB) (*StreamManager, func() int64) {
 	tb.Helper()
 	topo, packing := parallelPlan()
 	cfg := core.NewConfig()
 	cfg.StreamManagerOptimized = true
-	cfg.StmgrShards = shards
 	pp, err := core.NewPhysicalPlan(topo, packing)
 	if err != nil {
 		tb.Fatal(err)
@@ -427,6 +436,7 @@ func newParallelSM(tb testing.TB, shards int) (*StreamManager, func() int64) {
 	s.publishRoutesLocked()
 	s.mu.Unlock()
 	tb.Cleanup(s.Stop)
+	s.startWorker()
 	delivered := func() int64 {
 		var n int64
 		for _, c := range conns {
@@ -438,41 +448,36 @@ func newParallelSM(tb testing.TB, shards int) (*StreamManager, func() int64) {
 }
 
 // BenchmarkRouteParallel measures aggregate route throughput of the
-// owned-frame ingest path at 1, 2, 4 and 8 shards, with concurrent
-// producers (RunParallel) feeding pre-batched local frames round-robin
-// across the 8 bolt tasks. Both arms pay the same ingest copy into a
-// pooled buffer, so the delta is purely dispatch + sharding; ns/op
-// includes delivery (the loop waits until every frame reached a conn).
-// Every arm also reports p50/p99/p999 route latency from the HDR
-// histogram (enqueue→delivery handoff, sampled 1-in-8). Run with
-// GOMAXPROCS ≥ 8 to observe scaling.
+// owned-frame ingest path with concurrent producers (RunParallel) feeding
+// pre-batched local frames round-robin across the 8 bolt tasks into the
+// one ring and worker: the receive goroutines' contention on the ring
+// plus the worker's routing. Every frame pays the ingest copy into a
+// pooled buffer; ns/op includes delivery (the loop waits until every
+// frame reached a conn). It also reports p50/p99/p999 route latency from
+// the histogram (enqueue→delivery handoff, sampled 1-in-8).
 func BenchmarkRouteParallel(b *testing.B) {
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			s, delivered := newParallelSM(b, shards)
-			var frames [8][]byte
-			for i := range frames {
-				frames[i] = benchFrame(int32(8+i), 8)
-			}
-			b.SetBytes(int64(len(frames[0])))
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					s.routeFrameOwned(network.MsgData, owned(frames[i&7]))
-					i++
-				}
-			})
-			for delivered() < int64(b.N) {
-				runtime.Gosched()
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(s.mRouteLat.Quantile(0.50)), "p50-ns")
-			b.ReportMetric(float64(s.mRouteLat.Quantile(0.99)), "p99-ns")
-			b.ReportMetric(float64(s.mRouteLat.Quantile(0.999)), "p999-ns")
-		})
+	s, delivered := newParallelSM(b)
+	var frames [8][]byte
+	for i := range frames {
+		frames[i] = benchFrame(int32(8+i), 8)
 	}
+	b.SetBytes(int64(len(frames[0])))
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := 0
+		for pb.Next() {
+			s.routeFrameOwned(network.MsgData, owned(frames[i&7]))
+			i++
+		}
+	})
+	for delivered() < int64(b.N) {
+		runtime.Gosched()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(s.mRouteLat.Quantile(0.50)), "p50-ns")
+	b.ReportMetric(float64(s.mRouteLat.Quantile(0.99)), "p99-ns")
+	b.ReportMetric(float64(s.mRouteLat.Quantile(0.999)), "p999-ns")
 }
 
 // BenchmarkOutboxDrain measures the outbox enqueue→drain pipeline against

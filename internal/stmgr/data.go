@@ -26,22 +26,19 @@ import (
 // from the cache's own wire.Pool and return to it, so a new batch starts
 // in a buffer the size of an earlier frame, not in a small one from the
 // shared pool that would have to grow.
-const cacheShards = 16
-
-// framePoolSize bounds the idle frames each cache keeps for reuse.
-const framePoolSize = 64
-
+//
+// The cache belongs to the worker: every add, flushDest and drainAll runs
+// on it, so nothing here is locked.
 type tupleCache struct {
-	shards    [cacheShards]cacheShard
+	batches   map[int32]*batchBuf
+	buffered  int        // tuples in unsealed batches
 	frames    *wire.Pool // the data frames built here come back here
 	maxTuples int
 	flush     func(dest int32, count int, buf *wire.Buffer)
 }
 
-type cacheShard struct {
-	mu      sync.Mutex
-	batches map[int32]*batchBuf
-}
+// framePoolSize bounds the idle frames each cache keeps for reuse.
+const framePoolSize = 64
 
 // batchBuf is a frame under construction: a pooled buffer whose first
 // bytes are a reserved header, patched when the batch seals.
@@ -61,33 +58,31 @@ func newTupleCache(cfg *core.Config, flush func(dest int32, count int, buf *wire
 	if max <= 0 {
 		max = core.DefaultCacheMaxBatchTuples
 	}
-	c := &tupleCache{maxTuples: max, flush: flush, frames: wire.NewPool(framePoolSize)}
-	for i := range c.shards {
-		c.shards[i].batches = map[int32]*batchBuf{}
+	return &tupleCache{
+		batches:   map[int32]*batchBuf{},
+		maxTuples: max,
+		flush:     flush,
+		frames:    wire.NewPool(framePoolSize),
 	}
-	return c
 }
 
-// seal patches the reserved header and releases the finished frame,
-// leaving the batchBuf empty for the next tuple.
-func (b *batchBuf) seal(dest int32) (*wire.Buffer, int) {
+// seal patches b's reserved header and hands the finished frame to the
+// flush callback, leaving b empty for the next tuple.
+func (c *tupleCache) seal(dest int32, b *batchBuf) {
 	tuple.PatchFrameHeader(b.buf.B, dest, b.count)
 	buf, count := b.buf, b.count
 	b.buf, b.count = nil, 0
 	b.last, b.prev = len(buf.B), b.last
-	return buf, count
+	c.buffered -= count
+	c.flush(dest, count, buf)
 }
 
 // add caches one encoded tuple for dest, flushing if the batch is full.
-// The locks are all but uncontended: a shard's worker is the cache's only
-// writer, and the drain loop's buffered() its only other reader.
 func (c *tupleCache) add(dest int32, tupleBytes []byte) {
-	sh := &c.shards[uint32(dest)%cacheShards]
-	sh.mu.Lock()
-	b := sh.batches[dest]
+	b := c.batches[dest]
 	if b == nil {
 		b = &batchBuf{}
-		sh.batches[dest] = b
+		c.batches[dest] = b
 	}
 	if b.buf == nil {
 		b.buf = c.frames.Get()
@@ -95,14 +90,10 @@ func (c *tupleCache) add(dest int32, tupleBytes []byte) {
 	}
 	b.buf.B = tuple.AppendFrameEntry(b.buf.B, tupleBytes)
 	b.count++
+	c.buffered++
 	if b.count >= c.maxTuples {
-		buf, count := b.seal(dest)
-		// Flush under the shard lock: ownership has already transferred and
-		// the receiving outbox enqueues without blocking, so holding the
-		// lock is cheap and keeps per-destination frame order.
-		c.flush(dest, count, buf)
+		c.seal(dest, b)
 	}
-	sh.mu.Unlock()
 }
 
 // flushDest seals and flushes the partial batch for one destination, if
@@ -110,47 +101,23 @@ func (c *tupleCache) add(dest int32, tupleBytes []byte) {
 // tuples parked in the cache for the same task: the flushed frame and the
 // marker join the same FIFO outbox in order.
 func (c *tupleCache) flushDest(dest int32) {
-	sh := &c.shards[uint32(dest)%cacheShards]
-	sh.mu.Lock()
-	if b := sh.batches[dest]; b != nil && b.count > 0 {
-		buf, count := b.seal(dest)
-		c.flush(dest, count, buf)
+	if b := c.batches[dest]; b != nil && b.count > 0 {
+		c.seal(dest, b)
 	}
-	sh.mu.Unlock()
 }
 
 // drainAll flushes every non-empty batch (the timer path), reusing the
 // same seal-and-hand-off as the size trigger: no per-destination frame is
 // allocated or copied here.
 func (c *tupleCache) drainAll() {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		for dest, b := range sh.batches {
-			if b.count == 0 {
-				continue
-			}
-			buf, count := b.seal(dest)
-			c.flush(dest, count, buf)
-		}
-		sh.mu.Unlock()
+	if c.buffered == 0 {
+		return
 	}
-}
-
-// buffered counts the tuples currently parked in the cache by walking
-// the shards. It is called once per drain tick (not per tuple), so the
-// hot add path carries no shared depth counter.
-func (c *tupleCache) buffered() int64 {
-	var n int64
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		for _, b := range sh.batches {
-			n += int64(b.count)
+	for dest, b := range c.batches {
+		if b.count > 0 {
+			c.seal(dest, b)
 		}
-		sh.mu.Unlock()
 	}
-	return n
 }
 
 // pendingFrameCap bounds how many early frames are parked per local task
@@ -179,23 +146,17 @@ func (s *StreamManager) parkOrDeliver(dest int32, count int, buf *wire.Buffer) {
 	s.mu.Unlock()
 }
 
-// parkedFrame is one data frame waiting for a peer dial, tagged with its
-// destination task so replay lands in the owning shard's outbox.
-type parkedFrame struct {
-	dest int32
-	buf  *wire.Buffer
-}
-
 // parkPeerOrDeliver is parkOrDeliver's twin for remote destinations: the
-// snapshot had no outbox for a container the plan places dest on. That is
-// a dial race, not a routing error — during a rescale relaunch, restored
-// spouts replay while a late-registering container's address has not
-// reached this Stream Manager yet, and dropping the frame here would lose
-// a tuple the restore checkpoint already advanced past. Re-check the
-// master map under s.mu, then park the owned frame until the dial lands.
-func (s *StreamManager) parkPeerOrDeliver(container, dest int32, buf *wire.Buffer) {
+// snapshot had no data outbox for a container the plan places the frame's
+// destination on. That is a dial race, not a routing error — during a
+// rescale relaunch, restored spouts replay while a late-registering
+// container's address has not reached this Stream Manager yet, and
+// dropping the frame here would lose a tuple the restore checkpoint
+// already advanced past. Re-check the master map under s.mu, then park the
+// owned frame until the dial lands.
+func (s *StreamManager) parkPeerOrDeliver(container int32, buf *wire.Buffer) {
 	s.mu.Lock()
-	if p := s.peerOutLocked(container, dest); p != nil {
+	if p := s.peerData[container]; p != nil {
 		s.mu.Unlock()
 		p.enqueueOwned(network.MsgData, buf)
 		return
@@ -205,29 +166,19 @@ func (s *StreamManager) parkPeerOrDeliver(container, dest int32, buf *wire.Buffe
 		wire.PutBuffer(buf)
 		return
 	}
-	s.peerPending[container] = append(s.peerPending[container], parkedFrame{dest, buf})
+	s.peerPending[container] = append(s.peerPending[container], buf)
 	s.mu.Unlock()
 }
 
-// peerOutLocked resolves the outbox that carries data for dest toward
-// container: the one owned by dest's shard. The caller holds s.mu.
-func (s *StreamManager) peerOutLocked(container, dest int32) *outbox {
-	if outs := s.peerShardOut[container]; outs != nil {
-		return outs[s.shardOf(dest)]
-	}
-	return nil
-}
-
 // ackBatcher batches ack frames per destination id: the remote acks bound
-// for each peer container, and each shard's finished trees bound for each
-// local spout task. Its callers are receive goroutines and the rotate
-// timer, so the batches sit under a lock, and whoever fills a batch
-// flushes it before returning: no ack waits for a timer or for another
-// frame. A batch that reaches maxAckEntries is sent at once, so even a
-// rotation that expires a whole backlog sends frames far below
-// network.MaxFrameSize. Frames enqueue under the lock, as the tuple
-// cache's do: the outbox never blocks, and a destination's frames keep
-// their order.
+// for each peer container, and the finished trees bound for each local
+// spout task. Its callers are receive goroutines and the rotate timer, so
+// the batches sit under a lock, and whoever fills a batch flushes it
+// before returning: no ack waits for a timer or for another frame. A
+// batch that reaches maxAckEntries is sent at once, so even a rotation
+// that expires a whole backlog sends frames far below
+// network.MaxFrameSize. Frames enqueue under the lock: the outbox never
+// blocks, and a destination's frames keep their order.
 type ackBatcher struct {
 	mu     sync.Mutex
 	open   []ackBatch // destinations with entries pending, in fill order
@@ -324,8 +275,7 @@ func (s *StreamManager) routeAck(payload []byte) {
 	if rt == nil || rt.plan == nil {
 		return
 	}
-	var touched uint32 // shards whose ackers this frame reached
-	remote := false
+	local, remote := false, false
 	_ = tuple.WalkAckFrame(payload, func(ab []byte) error {
 		var a tuple.AckTuple
 		if err := tuple.DecodeAck(ab, &a); err != nil {
@@ -337,7 +287,8 @@ func (s *StreamManager) routeAck(payload []byte) {
 			return nil
 		}
 		if container == s.opts.Container {
-			touched |= 1 << s.handleAck(&a)
+			s.handleAck(&a)
+			local = true
 			return nil
 		}
 		s.mAcksRouted.Inc(1)
@@ -358,29 +309,20 @@ func (s *StreamManager) routeAck(payload []byte) {
 	if remote {
 		s.acks.flush()
 	}
-	for i := 0; touched != 0; i, touched = i+1, touched>>1 {
-		if touched&1 != 0 {
-			s.shards[i].flushDone()
-		}
+	if local {
+		s.done.flush()
 	}
 }
 
-// handleAck applies one control tuple to the acker of the shard owning
-// the originating spout task and returns that shard. Every tuple of a
-// tree carries the same spout task, so a tree's whole life — anchor,
-// acks, completion — stays inside one shard's acker (shard-local root
-// ownership). A finished tree waits in the shard's completion batch for
-// the caller's flush.
-func (s *StreamManager) handleAck(a *tuple.AckTuple) int {
-	i := s.shardOf(a.SpoutTask)
-	sh := s.shards[i]
+// handleAck applies one control tuple to the acker. A finished tree waits
+// in its spout's completion batch for the caller's flush.
+func (s *StreamManager) handleAck(a *tuple.AckTuple) {
 	switch a.Kind {
 	case tuple.AckAnchor:
-		sh.ack.Anchor(a.Root, a.Delta)
+		s.ack.Anchor(a.Root, a.Delta)
 	case tuple.AckAck:
-		sh.ack.Ack(a.Root, a.Delta)
+		s.ack.Ack(a.Root, a.Delta)
 	case tuple.AckFail:
-		sh.ack.Fail(a.Root)
+		s.ack.Fail(a.Root)
 	}
-	return i
 }

@@ -15,14 +15,13 @@
 //   - unoptimized: allocation per message, no batching (every tuple is
 //     its own frame), and a full decode + re-encode at every hop.
 //
-// There is one data path (shard.go): a receive goroutine moves each
-// frame, with its buffer, into the dispatch ring of the shard that owns
-// the destination task, and that shard's worker routes it — at one shard
-// as at many, optimized or not. The path is lock-free with respect to
-// the Stream Manager's own state: routing decisions read an immutable
-// routeTable snapshot through one atomic pointer load, and control-plane
-// changes (plan broadcasts, registrations, peer dials) rebuild and swap
-// the snapshots under s.mu. Tuple payloads cross the router with at most
+// There is one data path (worker.go): a receive goroutine moves each
+// frame, with its buffer, into the dispatch ring, and one worker routes
+// it, optimized or not. The path is lock-free with respect to the Stream
+// Manager's own state: routing decisions read an immutable routeTable
+// snapshot through one atomic pointer load, and control-plane changes
+// (plan broadcasts, registrations, peer dials) rebuild and swap the
+// snapshot under s.mu. Tuple payloads cross the router with at most
 // one copy: they are appended once into a pooled batch frame whose
 // ownership then flows cache → outbox → Conn.SendOwned → pool.
 //
@@ -36,7 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"runtime"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -72,14 +71,15 @@ type Options struct {
 // routeTable is an immutable snapshot of the routing state: the physical
 // plan plus the outboxes of registered local instances and connected peer
 // Stream Managers. The data path reads it with one atomic pointer load
-// and never takes s.mu; mutators rebuild the tables under s.mu and swap
-// them in (copy-on-write). The Stream Manager holds one whose peers are
-// the control outboxes (backpressure, acks); each shard holds one whose
-// peers are that shard's own data outboxes. All share one instances map.
+// and never takes s.mu; mutators rebuild the table under s.mu and swap
+// it in (copy-on-write). Each peer Stream Manager has two outboxes on its
+// one connection: peers carries control (backpressure, acks) and
+// peerData carries tuples and markers.
 type routeTable struct {
 	plan      *core.PhysicalPlan
 	instances map[int32]*outbox // local task id → delivery queue
-	peers     map[int32]*outbox // container id → peer stream manager
+	peers     map[int32]*outbox // container id → peer control outbox
+	peerData  map[int32]*outbox // container id → peer data outbox
 }
 
 // StreamManager routes every tuple of one container.
@@ -95,8 +95,8 @@ type StreamManager struct {
 	routes atomic.Pointer[routeTable]
 
 	// mu guards the control-plane master copies below. The data path
-	// (processData, flushBatch, deliverOwned, routeAck) never takes it
-	// outside the two park slow paths.
+	// (processData, flushBatch, routeAck) never takes it outside the two
+	// park slow paths.
 	mu        sync.Mutex
 	plan      *core.PhysicalPlan
 	epoch     int64                  // epoch of the applied plan
@@ -114,28 +114,24 @@ type StreamManager struct {
 	// address (a brand-new container from a scale-up registers last), and a
 	// dropped frame there is a lost tuple the checkpoint already passed.
 	// Flushed in order when the peer dial lands; capped per container.
-	// Entries carry their destination task so replay can target the
-	// outbox of the shard that owns it.
-	peerPending map[int32][]parkedFrame
+	peerPending map[int32][]*wire.Buffer
 	peers       map[int32]*outbox // control outbox per peer container
+	peerData    map[int32]*outbox // data outbox per peer container
 	peerConns   map[int32]network.Conn
 	peerAddrs   map[int32]string
 	spoutsUp    map[int32]bool // local spout tasks currently registered
-	// peerShardOut holds, per peer container, one data outbox per shard,
-	// all writing to the shared peer connection (whose mutex serializes
-	// the writes), so shard workers never contend on a queue lock while a
-	// remote peer still sees one ordered connection.
-	peerShardOut map[int32][]*outbox
 
-	// nShards and shards are fixed at construction: each shard runs a
-	// worker over its own ring, cache and acker.
-	nShards int
-	shards  []*shard
-	// planReady holds the shard workers until the first plan is published
-	// (or Stop); see shard.run.
+	// inbox is the dispatch ring receive goroutines feed; the worker
+	// (worker.go) is its only consumer and the only user of cache.
+	inbox *network.FrameRing
+	cache *tupleCache
+	// planReady holds the worker until the first plan is published (or
+	// Stop); see run.
 	planReady chan struct{}
 	planOnce  sync.Once
 
+	ack  *acker.Acker
+	done *ackBatcher // finished trees, batched per local spout task
 	acks *ackBatcher // remote acks, batched per peer container
 
 	// Backpressure state machine. bpActive is read on every outbox depth
@@ -168,10 +164,10 @@ type StreamManager struct {
 	mRouteLat    *metrics.Histogram
 }
 
-// newCore builds a Stream Manager with its routing state, metrics, shard
-// set and caches wired, but no listener and no control loops — the shared
-// substrate of New and the in-package test/bench constructors, so the two
-// can never drift.
+// newCore builds a Stream Manager with its routing state, metrics, ring,
+// cache and acker wired, but no listener, no worker and no control loops
+// — the shared substrate of New and the in-package test/bench
+// constructors, so the two can never drift.
 func newCore(opts Options) (*StreamManager, error) {
 	if opts.Cfg == nil {
 		return nil, errors.New("stmgr: missing config")
@@ -188,21 +184,22 @@ func newCore(opts Options) (*StreamManager, error) {
 		opts.Registry = metrics.NewRegistry()
 	}
 	s := &StreamManager{
-		opts:         opts,
-		transport:    tr,
-		codec:        codec,
-		optimized:    opts.Cfg.StreamManagerOptimized,
-		instances:    map[int32]*outbox{},
-		instConns:    map[int32]network.Conn{},
-		pending:      map[int32][]*wire.Buffer{},
-		peerPending:  map[int32][]parkedFrame{},
-		peers:        map[int32]*outbox{},
-		peerConns:    map[int32]network.Conn{},
-		peerAddrs:    map[int32]string{},
-		peerShardOut: map[int32][]*outbox{},
-		spoutsUp:     map[int32]bool{},
-		planReady:    make(chan struct{}),
-		stopCh:       make(chan struct{}),
+		opts:        opts,
+		transport:   tr,
+		codec:       codec,
+		optimized:   opts.Cfg.StreamManagerOptimized,
+		instances:   map[int32]*outbox{},
+		instConns:   map[int32]network.Conn{},
+		pending:     map[int32][]*wire.Buffer{},
+		peerPending: map[int32][]*wire.Buffer{},
+		peers:       map[int32]*outbox{},
+		peerData:    map[int32]*outbox{},
+		peerConns:   map[int32]network.Conn{},
+		peerAddrs:   map[int32]string{},
+		spoutsUp:    map[int32]bool{},
+		inbox:       network.NewFrameRing(ringFrames, routeSampleEvery),
+		planReady:   make(chan struct{}),
+		stopCh:      make(chan struct{}),
 	}
 	tags := metrics.Tags{Component: metrics.StmgrComponent, Task: opts.Container}
 	s.mCacheDrains = opts.Registry.Counter(metrics.MStmgrCacheDrains, tags)
@@ -218,9 +215,10 @@ func newCore(opts Options) (*StreamManager, error) {
 	s.mBytesRecv = opts.Registry.Counter(metrics.MStmgrBytesReceived, tags)
 	s.mCkptEpoch = opts.Registry.Gauge(metrics.MCheckpointEpoch, tags)
 	s.mRouteLat = opts.Registry.Histogram(metrics.MStmgrRouteLatency, tags)
-	s.nShards = opts.Cfg.ResolveStmgrShards(runtime.GOMAXPROCS(0))
+	s.cache = newTupleCache(opts.Cfg, s.flushBatch)
+	s.ack = acker.New(acker.DefaultBuckets, s.onTreeDone)
+	s.done = newAckBatcher(s.instanceOutboxes, nil)
 	s.acks = newAckBatcher(s.peerOutboxes, s.mAcksDropped)
-	s.initShards()
 	s.publishRoutes()
 	return s, nil
 }
@@ -244,6 +242,7 @@ func New(opts Options) (*StreamManager, error) {
 	}
 	s.listener = l
 
+	s.startWorker()
 	s.wg.Add(2)
 	go s.acceptLoop()
 	go s.drainLoop()
@@ -258,35 +257,17 @@ func New(opts Options) (*StreamManager, error) {
 	return s, nil
 }
 
-// publishRoutesLocked rebuilds the immutable routing snapshots from the
+// publishRoutesLocked rebuilds the immutable routing snapshot from the
 // master copies; the caller holds s.mu. Every mutation of plan,
 // instances, or peers must republish before releasing the lock. The first
-// publication that carries a plan releases the shard workers.
+// publication that carries a plan releases the worker.
 func (s *StreamManager) publishRoutesLocked() {
-	rt := &routeTable{
+	s.routes.Store(&routeTable{
 		plan:      s.plan,
-		instances: make(map[int32]*outbox, len(s.instances)),
-		peers:     make(map[int32]*outbox, len(s.peers)),
-	}
-	for task, o := range s.instances {
-		rt.instances[task] = o
-	}
-	for c, o := range s.peers {
-		rt.peers[c] = o
-	}
-	s.routes.Store(rt)
-	// Each shard gets its own snapshot: the shared instances map plus the
-	// shard's slice of the per-peer outbox fan-out.
-	for i, sh := range s.shards {
-		sr := &routeTable{plan: s.plan, instances: rt.instances}
-		if len(s.peerShardOut) > 0 {
-			sr.peers = make(map[int32]*outbox, len(s.peerShardOut))
-			for c, outs := range s.peerShardOut {
-				sr.peers[c] = outs[i]
-			}
-		}
-		sh.routes.Store(sr)
-	}
+		instances: maps.Clone(s.instances),
+		peers:     maps.Clone(s.peers),
+		peerData:  maps.Clone(s.peerData),
+	})
 	if s.plan != nil {
 		s.planOnce.Do(func() { close(s.planReady) })
 	}
@@ -427,23 +408,15 @@ func (s *StreamManager) applyPlan(p *ctrl.PlanPayload) {
 			continue
 		}
 		if s.peerAddrs[c] != addr {
-			if old := s.peers[c]; old != nil {
-				old.close()
-				s.closePeerShardOutLocked(c)
-				s.peerConns[c].Close()
-				delete(s.peers, c)
-				delete(s.peerConns, c)
+			if s.peers[c] != nil {
+				s.closePeerLocked(c)
 			}
 			dials = append(dials, dial{c, addr})
 		}
 	}
 	for c := range s.peers {
 		if _, ok := p.Stmgrs[c]; !ok {
-			s.peers[c].close()
-			s.closePeerShardOutLocked(c)
-			s.peerConns[c].Close()
-			delete(s.peers, c)
-			delete(s.peerConns, c)
+			s.closePeerLocked(c)
 			delete(s.peerAddrs, c)
 		}
 	}
@@ -451,8 +424,8 @@ func (s *StreamManager) applyPlan(p *ctrl.PlanPayload) {
 	// for tasks that were scaled away; recycle them.
 	for c, parked := range s.peerPending {
 		if len(pp.ContainerTasks(c)) == 0 {
-			for _, pf := range parked {
-				wire.PutBuffer(pf.buf)
+			for _, buf := range parked {
+				wire.PutBuffer(buf)
 			}
 			delete(s.peerPending, c)
 		}
@@ -483,37 +456,35 @@ func (s *StreamManager) applyPlan(p *ctrl.PlanPayload) {
 }
 
 // attachPeer installs an established peer connection as container's
-// outboxes: one for control plus one per shard for data, all over the
-// same connection. Frames parked while the container had no connection
-// are replayed before the routing snapshot lets new traffic reach the
-// outboxes directly: the parked queue and each outbox are FIFO, and
-// parked frames replay into the outbox of the shard that owns their
-// destination, so tuple order per destination is preserved.
+// control and data outboxes, both over the same connection. Frames parked
+// while the container had no connection are replayed into the data outbox
+// before the routing snapshot lets new traffic reach it directly: the
+// parked queue and the outbox are FIFO, so tuple order per destination is
+// preserved.
 func (s *StreamManager) attachPeer(container int32, addr string, conn network.Conn) {
 	s.mu.Lock()
+	data := newOutbox(conn, nil, s.onBytesSent)
 	s.peers[container] = newOutbox(conn, nil, s.onBytesSent)
+	s.peerData[container] = data
 	s.peerConns[container] = conn
 	s.peerAddrs[container] = addr
-	outs := make([]*outbox, s.nShards)
-	for i := range outs {
-		outs[i] = newOutbox(conn, nil, s.onBytesSent)
-	}
-	s.peerShardOut[container] = outs
-	for _, pf := range s.peerPending[container] {
-		outs[s.shardOf(pf.dest)].enqueueOwned(network.MsgData, pf.buf)
+	for _, buf := range s.peerPending[container] {
+		data.enqueueOwned(network.MsgData, buf)
 	}
 	delete(s.peerPending, container)
 	s.publishRoutesLocked()
 	s.mu.Unlock()
 }
 
-// closePeerShardOutLocked closes and removes container's per-shard
-// outboxes; the caller holds s.mu.
-func (s *StreamManager) closePeerShardOutLocked(container int32) {
-	for _, o := range s.peerShardOut[container] {
-		o.close()
-	}
-	delete(s.peerShardOut, container)
+// closePeerLocked closes container's outboxes and connection and forgets
+// them; the caller holds s.mu.
+func (s *StreamManager) closePeerLocked(container int32) {
+	s.peers[container].close()
+	s.peerData[container].close()
+	s.peerConns[container].Close()
+	delete(s.peers, container)
+	delete(s.peerData, container)
+	delete(s.peerConns, container)
 }
 
 // acceptLoop admits connections from local instances and peer stream
@@ -533,7 +504,7 @@ func (s *StreamManager) acceptLoop() {
 // startConn begins receiving on conn. Control frames go to onControl
 // (nil for dialed peer connections, which never originate control);
 // every other frame moves, with its buffer, from the transport into the
-// router — no copy between the receive buffer and a shard ring.
+// router — no copy between the receive buffer and the dispatch ring.
 func (s *StreamManager) startConn(conn network.Conn, onControl func(network.Conn, []byte)) {
 	conn.StartOwned(func(kind network.MsgKind, buf *wire.Buffer) {
 		if kind == network.MsgControl {
@@ -589,12 +560,12 @@ func (s *StreamManager) triggerCheckpoint(id int64) {
 // second phase of the transactional source/sink protocol. The frame must
 // not overtake data already batched for the same instance (a sink must
 // see every pre-commit tuple before it learns the epoch committed), so it
-// takes the same route its data takes: through the destination's shard
-// ring (processCommitted flushes the shard cache for the destination
-// first). Committed frames are local-only — every container's Stream
-// Manager hears the broadcast itself, so nothing is forwarded to peers.
-// Before the first plan it does nothing, which is what lets the shard
-// workers wait for that plan without a cycle (see shard.run).
+// takes the same route its data takes: through the dispatch ring
+// (processCommitted flushes the cache for the destination first).
+// Committed frames are local-only — every container's Stream Manager
+// hears the broadcast itself, so nothing is forwarded to peers. Before
+// the first plan it does nothing, which is what lets the worker wait for
+// that plan without a cycle (see run).
 func (s *StreamManager) notifyCommitted(id int64) {
 	rt := s.routes.Load()
 	if rt == nil || rt.plan == nil {
@@ -603,7 +574,7 @@ func (s *StreamManager) notifyCommitted(id int64) {
 	for task := range rt.instances {
 		buf := wire.GetBuffer()
 		buf.B = tuple.AppendMarker(buf.B, id, -1, task)
-		_ = s.shards[s.shardOf(task)].inbox.Enqueue(network.MsgCommitted, buf)
+		_ = s.inbox.Enqueue(network.MsgCommitted, buf)
 	}
 }
 
@@ -786,10 +757,10 @@ func (s *StreamManager) setSpoutPause(on bool, origin int32) {
 	}
 }
 
-// drainLoop ticks every cache_drain_frequency. The shard workers drain
-// their own tuple caches; this loop aggregates the shard-local counters
-// into the registry and publishes the summed cache depth. Acks never wait
-// for it: routeAck sends the batches it fills.
+// drainLoop counts cache_drain_frequency ticks on
+// stmgr.cache-drain-count. The worker drains the tuple cache itself and
+// publishes its depth; acks never wait for a tick either: routeAck sends
+// the batches it fills.
 func (s *StreamManager) drainLoop() {
 	defer s.wg.Done()
 	period := s.opts.Cfg.CacheDrainFrequency
@@ -801,32 +772,9 @@ func (s *StreamManager) drainLoop() {
 	for {
 		select {
 		case <-s.stopCh:
-			s.aggregateShardCounters()
 			return
 		case <-t.C:
-			var depth int64
-			for _, sh := range s.shards {
-				depth += sh.cache.buffered()
-			}
-			s.mCacheDepth.Set(depth)
-			s.aggregateShardCounters()
 			s.mCacheDrains.Inc(1)
-		}
-	}
-}
-
-// aggregateShardCounters folds the shards' single-writer tuple counters
-// into the registry counters as deltas, so the hot path never touches a
-// shared counter while the metrics plane still sees the usual series.
-func (s *StreamManager) aggregateShardCounters() {
-	for _, sh := range s.shards {
-		if d := sh.tuplesIn.Load() - sh.lastIn; d != 0 {
-			s.mTuplesIn.Inc(d)
-			sh.lastIn += d
-		}
-		if d := sh.tuplesFwd.Load() - sh.lastFwd; d != 0 {
-			s.mTuplesFwd.Inc(d)
-			sh.lastFwd += d
 		}
 	}
 }
@@ -852,13 +800,11 @@ func (s *StreamManager) rotateLoop() {
 	}
 }
 
-// rotateAckers rotates every shard's acker once. Each rotation answers a
-// spout with at most one frame of expirations.
+// rotateAckers rotates the acker once. Each rotation answers a spout with
+// at most one frame of expirations.
 func (s *StreamManager) rotateAckers() {
-	for _, sh := range s.shards {
-		sh.ack.Rotate()
-		sh.flushDone()
-	}
+	s.ack.Rotate()
+	s.done.flush()
 }
 
 // Stop tears the Stream Manager down.
@@ -880,33 +826,31 @@ func (s *StreamManager) Stop() {
 		insts := s.instances
 		instConns := s.instConns
 		peers := s.peers
+		peerData := s.peerData
 		peerConns := s.peerConns
-		peerShardOuts := s.peerShardOut
 		s.instances = map[int32]*outbox{}
 		s.instConns = map[int32]network.Conn{}
 		s.peers = map[int32]*outbox{}
+		s.peerData = map[int32]*outbox{}
 		s.peerConns = map[int32]network.Conn{}
-		s.peerShardOut = map[int32][]*outbox{}
 		for _, parked := range s.peerPending {
-			for _, pf := range parked {
-				wire.PutBuffer(pf.buf)
+			for _, buf := range parked {
+				wire.PutBuffer(buf)
 			}
 		}
-		s.peerPending = map[int32][]parkedFrame{}
+		s.peerPending = map[int32][]*wire.Buffer{}
 		s.publishRoutesLocked()
 		s.mu.Unlock()
 		// Order matters: close connections first (stops the dispatch
-		// producers), then the shard rings (workers drain leftovers and
-		// exit), then the outboxes, then wait for every goroutine.
+		// producers), then the ring (the worker drains leftovers and
+		// exits), then the outboxes, then wait for every goroutine.
 		for _, c := range instConns {
 			c.Close()
 		}
 		for _, c := range peerConns {
 			c.Close()
 		}
-		for _, sh := range s.shards {
-			sh.inbox.Close()
-		}
+		s.inbox.Close()
 		s.planOnce.Do(func() { close(s.planReady) })
 		for _, o := range insts {
 			o.close()
@@ -914,10 +858,8 @@ func (s *StreamManager) Stop() {
 		for _, o := range peers {
 			o.close()
 		}
-		for _, outs := range peerShardOuts {
-			for _, o := range outs {
-				o.close()
-			}
+		for _, o := range peerData {
+			o.close()
 		}
 		s.wg.Wait()
 	})

@@ -1,7 +1,6 @@
 package heron
 
 import (
-	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -9,19 +8,17 @@ import (
 	"heron/internal/metrics"
 )
 
-// TestWordCountShardedOverRing runs the full engine with both PR-7 data
-// paths engaged at once: stream managers shard their hot path four ways
-// and every container hop crosses the shared-memory ring transport, so
-// frames travel receive-ring → shard ring → outbox entirely as owned
-// pooled buffers. Correctness bar: reliable WordCount with acking, every
-// word owned by exactly one task, and the sharded route-latency histogram
-// published through the metrics pipeline with live percentiles.
+// TestWordCountShardedOverRing runs the full engine with every container
+// hop crossing the shared-memory ring transport, so frames travel
+// receive-ring → dispatch ring → outbox entirely as owned pooled
+// buffers. Correctness bar: reliable WordCount with acking, every word
+// owned by exactly one task, and the route-latency histogram published
+// through the metrics pipeline with live percentiles.
 func TestWordCountShardedOverRing(t *testing.T) {
 	var f fixture
 	spec := f.buildWordCount(t, 2, 2, 300, true)
 	cfg := testConfig(t)
 	cfg.Transport = "ring"
-	cfg.StmgrShards = 4
 	cfg.AckingEnabled = true
 	cfg.MaxSpoutPending = 50
 	cfg.MessageTimeout = 10 * time.Second
@@ -35,7 +32,7 @@ func TestWordCountShardedOverRing(t *testing.T) {
 	if err := h.WaitRunning(15 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 120*time.Second, "all tuples acked over sharded ring", func() bool {
+	waitFor(t, 120*time.Second, "all tuples acked over the ring", func() bool {
 		return f.acked.Load() >= 2*300
 	})
 	f.table.mu.Lock()
@@ -46,8 +43,8 @@ func TestWordCountShardedOverRing(t *testing.T) {
 	}
 	f.table.mu.Unlock()
 
-	// The sharded data path publishes route latency as an HDR histogram;
-	// it must surface in the aggregated TopologyView with usable tails.
+	// The data path publishes route latency as a histogram; it must
+	// surface in the aggregated TopologyView with usable tails.
 	waitFor(t, 15*time.Second, "route-latency histogram in view", func() bool {
 		return h.Metrics().Histogram(metrics.MStmgrRouteLatency, metrics.StmgrComponent).Count > 0
 	})
@@ -59,21 +56,18 @@ func TestWordCountShardedOverRing(t *testing.T) {
 }
 
 // TestWordCountExactAtEveryShardCount is the one-data-path certificate:
-// the shard count is a count, not a code path, so a bounded WordCount
-// must land every word exactly once — nothing dropped before the first
-// plan, nothing duplicated — at one shard as at several, over inproc and
+// a bounded WordCount must land every word exactly once — nothing
+// dropped before the first plan, nothing duplicated — over inproc and
 // over tcp, and on the unoptimized arm the same worker runs.
 func TestWordCountExactAtEveryShardCount(t *testing.T) {
 	type arm struct {
 		name, transport string
-		shards          int
 		naive           bool
 	}
-	arms := []arm{{name: "naive", transport: "inproc", naive: true}}
-	for _, tr := range []string{"inproc", "tcp"} {
-		for _, shards := range []int{1, 2, 4} {
-			arms = append(arms, arm{name: fmt.Sprintf("%s/shards=%d", tr, shards), transport: tr, shards: shards})
-		}
+	arms := []arm{
+		{name: "naive", transport: "inproc", naive: true},
+		{name: "inproc", transport: "inproc"},
+		{name: "tcp", transport: "tcp"},
 	}
 	const spouts, bolts, perSpout = 2, 2, 1000
 	want := map[string]int64{}
@@ -86,7 +80,6 @@ func TestWordCountExactAtEveryShardCount(t *testing.T) {
 			spec := f.buildWordCount(t, spouts, bolts, perSpout, false)
 			cfg := testConfig(t)
 			cfg.Transport = a.transport
-			cfg.StmgrShards = a.shards
 			if a.naive {
 				cfg.Codec = "naive"
 				cfg.StreamManagerOptimized = false
@@ -128,7 +121,7 @@ func TestWordCountExactAtEveryShardCount(t *testing.T) {
 
 // TestKillLeavesNoGoroutines: Submit → WaitRunning → Kill returns the
 // process to the goroutine count it started from — no transport reader,
-// outbox sender or shard worker outlives its topology.
+// outbox sender or Stream Manager worker outlives its topology.
 func TestKillLeavesNoGoroutines(t *testing.T) {
 	var f fixture
 	spec := f.buildWordCount(t, 2, 2, 200, false)

@@ -53,7 +53,7 @@ const (
 	trapRecover
 )
 
-func runTxnExactlyOnce(t *testing.T, backendName, label string, shards int, ring bool, window txnWindow) {
+func runTxnExactlyOnce(t *testing.T, backendName, label string, ring bool, window txnWindow) {
 	nPer := 256
 	if audit.RaceEnabled() {
 		nPer = 96 // small-N variant: same windows, less data under -race
@@ -120,9 +120,6 @@ func runTxnExactlyOnce(t *testing.T, backendName, label string, shards int, ring
 	cfg.SchedulerName = "yarn"
 	cfg.CheckpointInterval = 200 * time.Millisecond
 	cfg.StateBackend = backendName
-	if shards > 0 {
-		cfg.StmgrShards = shards
-	}
 	if ring {
 		cfg.Transport = "ring"
 	}
@@ -270,7 +267,7 @@ func forEachBackend(t *testing.T, f func(t *testing.T, backend string)) {
 // barriers, on every checkpoint backend.
 func TestTxnExactlyOnceMidEpoch(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, backend string) {
-		runTxnExactlyOnce(t, backend, "mid-"+backend, 0, false, windowMidEpoch)
+		runTxnExactlyOnce(t, backend, "mid-"+backend, false, windowMidEpoch)
 	})
 }
 
@@ -280,17 +277,17 @@ func TestTxnExactlyOnceMidEpoch(t *testing.T) {
 // records under a later epoch, on every checkpoint backend.
 func TestTxnExactlyOncePrepareWindow(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, backend string) {
-		runTxnExactlyOnce(t, backend, "prep-"+backend, 0, false, windowPrepare)
+		runTxnExactlyOnce(t, backend, "prep-"+backend, false, windowPrepare)
 	})
 }
 
 // TestTxnExactlyOncePrepareWindowSharded is the acceptance matrix's other
-// half: the same prepare-window kill with four-way sharded Stream
-// Managers (the memory variant additionally crosses the shared-memory
-// ring transport, exercising MsgCommitted through shard rings).
+// half: the same prepare-window kill, the memory variant crossing the
+// shared-memory ring transport, so MsgCommitted frames arrive over a
+// transport ring and then take the Stream Manager's dispatch ring.
 func TestTxnExactlyOncePrepareWindowSharded(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, backend string) {
-		runTxnExactlyOnce(t, backend, "prep4-"+backend, 4, backend == "memory", windowPrepare)
+		runTxnExactlyOnce(t, backend, "prep-ring-"+backend, backend == "memory", windowPrepare)
 	})
 }
 
@@ -298,14 +295,14 @@ func TestTxnExactlyOncePrepareWindowSharded(t *testing.T) {
 // commits in the backend but before the sink hears about it: recovery
 // must COMMIT the pending transaction (the epoch won), not abort it.
 func TestTxnExactlyOnceCommitWindow(t *testing.T) {
-	runTxnExactlyOnce(t, "memory", "commit-memory", 0, false, windowCommit)
+	runTxnExactlyOnce(t, "memory", "commit-memory", false, windowCommit)
 }
 
 // TestTxnExactlyOnceKillDuringRestore kills the cluster a second time
 // while the first recovery is still resolving pending transactions —
 // recovery itself must be idempotent.
 func TestTxnExactlyOnceKillDuringRestore(t *testing.T) {
-	runTxnExactlyOnce(t, "memory", "restore-memory", 0, false, windowRestore)
+	runTxnExactlyOnce(t, "memory", "restore-memory", false, windowRestore)
 }
 
 // ---------------------------------------------------------------------------
@@ -317,7 +314,7 @@ func TestTxnExactlyOnceKillDuringRestore(t *testing.T) {
 // finish with zero loss and zero duplicates — the sink never hears a
 // commit decision twice and never misses one.
 
-func runTxnLeaderKill(t *testing.T, backendName, label string, shards int, ring bool, midRescale bool) {
+func runTxnLeaderKill(t *testing.T, backendName, label string, ring bool, midRescale bool) {
 	nPer := 256
 	if audit.RaceEnabled() {
 		nPer = 96
@@ -351,9 +348,6 @@ func runTxnLeaderKill(t *testing.T, backendName, label string, shards int, ring 
 	cfg.CheckpointInterval = 200 * time.Millisecond
 	cfg.StateBackend = backendName
 	cfg.ControlReplicas = 2
-	if shards > 0 {
-		cfg.StmgrShards = shards
-	}
 	if ring {
 		cfg.Transport = "ring"
 	}
@@ -473,18 +467,16 @@ func runTxnLeaderKill(t *testing.T, backendName, label string, shards int, ring 
 // between barriers, on every checkpoint backend.
 func TestTxnFailoverMidEpoch(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, backend string) {
-		runTxnLeaderKill(t, backend, "ha-mid-"+backend, 0, false, false)
+		runTxnLeaderKill(t, backend, "ha-mid-"+backend, false, false)
 	})
 }
 
-// TestTxnFailoverMidEpochSharded repeats the leader kill with four-way
-// sharded Stream Managers (the memory variant additionally crosses the
-// shared-memory ring transport): the successor must re-register with
-// every shard and its re-broadcast commit must reach sinks through shard
-// rings.
+// TestTxnFailoverMidEpochSharded repeats the leader kill, the memory
+// variant crossing the shared-memory ring transport: the successor's
+// re-broadcast commit must reach the sinks over it.
 func TestTxnFailoverMidEpochSharded(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, backend string) {
-		runTxnLeaderKill(t, backend, "ha-mid4-"+backend, 4, backend == "memory", false)
+		runTxnLeaderKill(t, backend, "ha-mid-ring-"+backend, backend == "memory", false)
 	})
 }
 
@@ -494,6 +486,6 @@ func TestTxnFailoverMidEpochSharded(t *testing.T) {
 // still holds.
 func TestTxnFailoverMidRescale(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, backend string) {
-		runTxnLeaderKill(t, backend, "ha-resc-"+backend, 0, false, true)
+		runTxnLeaderKill(t, backend, "ha-resc-"+backend, false, true)
 	})
 }
