@@ -19,8 +19,9 @@ vet:
 # tests race the control plane, launch it, recycle received frames,
 # carry election and fencing on every State Manager backend, share one
 # scheduler core's monitor and lock across five schedulers, race the
-# lock-free histogram's Observe against Snapshot and serve it, or ack tuple
-# trees from every receive goroutine and the rotation timer at once, then a
+# lock-free histogram's Observe against Snapshot and serve it, or hand acks
+# from many goroutines to the one goroutine that owns an acker (the Stream
+# Manager's worker, the Storm baseline's acker executors), then a
 # 10 s fuzz smoke of each decoder that reads tuple bytes off the wire, one
 # run of every codec, hash and Stream Manager route benchmark (so the route
 # benchmarks keep compiling and running), then vet and tests of the
@@ -30,7 +31,7 @@ verify:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 ./internal/tmaster ./internal/runtime ./internal/instance ./internal/statemgr ./internal/replication ./internal/scheduler ./internal/multitenant ./internal/metrics ./internal/observability ./internal/stmgr ./internal/acker
+	$(GO) test -race -count=10 ./internal/tmaster ./internal/runtime ./internal/instance ./internal/statemgr ./internal/replication ./internal/scheduler ./internal/multitenant ./internal/metrics ./internal/observability ./internal/stmgr ./internal/acker ./internal/storm
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeAck -fuzztime=10s ./internal/tuple
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeHeader -fuzztime=10s ./internal/tuple
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/tuple ./internal/encoding/wire ./internal/core ./internal/stmgr

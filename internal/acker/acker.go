@@ -10,9 +10,11 @@
 // created and acked — regardless of arrival order. Timeouts are tracked
 // by bucket rotation: entries live in the newest bucket and expire when
 // their bucket falls off the end.
+//
+// An Acker is owned by one goroutine (the Stream Manager's worker, or an
+// acker executor in the Storm baseline): every Anchor, Ack, Fail, Rotate
+// and Pending call comes from it, and onDone runs on it.
 package acker
-
-import "sync"
 
 // Result describes a completed tuple tree.
 type Result uint8
@@ -43,11 +45,10 @@ func (r Result) String() string {
 
 // Acker tracks the tuple trees rooted at one set of spout tasks (in Heron,
 // the acker state lives in the Stream Manager of the container hosting
-// the spout). It is safe for concurrent use.
+// the spout). It takes no lock.
 type Acker struct {
-	mu      sync.Mutex
 	buckets []map[uint64]uint64 // buckets[0] is newest
-	// onDone is called outside the lock with each tree's outcome.
+	// onDone is called with each finished tree's outcome.
 	onDone func(root uint64, r Result)
 }
 
@@ -68,7 +69,7 @@ func New(n int, onDone func(root uint64, r Result)) *Acker {
 	return a
 }
 
-// find locates root's bucket index, or -1. Caller holds mu.
+// find locates root's bucket index, or -1.
 func (a *Acker) find(root uint64) int {
 	for i, b := range a.buckets {
 		if _, ok := b[root]; ok {
@@ -92,47 +93,37 @@ func (a *Acker) Ack(root uint64, delta uint64) {
 }
 
 func (a *Acker) xor(root uint64, delta uint64) {
-	a.mu.Lock()
-	cur := uint64(0)
+	cur := delta
 	if i := a.find(root); i >= 0 {
-		cur = a.buckets[i][root]
+		cur ^= a.buckets[i][root]
 		delete(a.buckets[i], root)
 	}
-	cur ^= delta
-	if cur == 0 {
-		a.mu.Unlock()
-		if a.onDone != nil {
-			a.onDone(root, Completed)
-		}
-		return
+	if cur != 0 {
+		a.buckets[0][root] = cur
+	} else if a.onDone != nil {
+		a.onDone(root, Completed)
 	}
-	a.buckets[0][root] = cur
-	a.mu.Unlock()
 }
 
 // Fail terminates root's tree immediately with a Failed outcome. Unknown
 // roots are ignored (the tree may have completed or timed out already).
 func (a *Acker) Fail(root uint64) {
-	a.mu.Lock()
 	i := a.find(root)
-	if i >= 0 {
-		delete(a.buckets[i], root)
+	if i < 0 {
+		return
 	}
-	a.mu.Unlock()
-	if i >= 0 && a.onDone != nil {
+	delete(a.buckets[i], root)
+	if a.onDone != nil {
 		a.onDone(root, Failed)
 	}
 }
 
 // Rotate expires the oldest bucket: every tree still in it times out.
-// Callers drive rotation from a timer whose period is
-// messageTimeout / (buckets - 1).
+// Callers rotate once every messageTimeout / (buckets - 1).
 func (a *Acker) Rotate() {
-	a.mu.Lock()
 	oldest := a.buckets[len(a.buckets)-1]
 	copy(a.buckets[1:], a.buckets[:len(a.buckets)-1])
 	a.buckets[0] = map[uint64]uint64{}
-	a.mu.Unlock()
 	if a.onDone != nil {
 		for root := range oldest {
 			a.onDone(root, TimedOut)
@@ -142,8 +133,6 @@ func (a *Acker) Rotate() {
 
 // Pending returns the number of in-flight trees (test/metrics helper).
 func (a *Acker) Pending() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	n := 0
 	for _, b := range a.buckets {
 		n += len(b)

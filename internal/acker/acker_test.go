@@ -179,22 +179,44 @@ func TestMinimumBuckets(t *testing.T) {
 	a.Rotate() // must not panic with clamped bucket count
 }
 
+// TestConcurrentAcks: 64 goroutines produce the deltas of 64 trees at
+// once and hand them over a channel to the one goroutine that owns the
+// acker, as receive goroutines hand frames to the Stream Manager's worker.
+// Every tree completes.
 func TestConcurrentAcks(t *testing.T) {
 	c := newCollector()
 	a := New(4, c.cb)
 	const trees = 64
+	type delta struct {
+		root, delta uint64
+		anchor      bool
+	}
+	deltas := make(chan delta)
+	owned := make(chan struct{})
+	go func() {
+		defer close(owned)
+		for d := range deltas {
+			if d.anchor {
+				a.Anchor(d.root, d.delta)
+			} else {
+				a.Ack(d.root, d.delta)
+			}
+		}
+	}()
 	var wg sync.WaitGroup
 	for root := uint64(1); root <= trees; root++ {
 		wg.Add(1)
 		go func(root uint64) {
 			defer wg.Done()
 			k1, k2 := root*10+1, root*10+2
-			a.Anchor(root, k1)
-			a.Ack(root, k1^k2)
-			a.Ack(root, k2)
+			deltas <- delta{root: root, delta: k1, anchor: true}
+			deltas <- delta{root: root, delta: k1 ^ k2}
+			deltas <- delta{root: root, delta: k2}
 		}(root)
 	}
 	wg.Wait()
+	close(deltas)
+	<-owned
 	for root := uint64(1); root <= trees; root++ {
 		if r, ok := c.get(root); !ok || r != Completed {
 			t.Errorf("tree %d = %v, %v", root, r, ok)

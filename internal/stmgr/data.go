@@ -1,8 +1,6 @@
 package stmgr
 
 import (
-	"sync"
-
 	"heron/internal/core"
 	"heron/internal/encoding/wire"
 	"heron/internal/metrics"
@@ -172,15 +170,13 @@ func (s *StreamManager) parkPeerOrDeliver(container int32, buf *wire.Buffer) {
 
 // ackBatcher batches ack frames per destination id: the remote acks bound
 // for each peer container, and the finished trees bound for each local
-// spout task. Its callers are receive goroutines and the rotate timer, so
-// the batches sit under a lock, and whoever fills a batch flushes it
-// before returning: no ack waits for a timer or for another frame. A
-// batch that reaches maxAckEntries is sent at once, so even a rotation
-// that expires a whole backlog sends frames far below
-// network.MaxFrameSize. Frames enqueue under the lock: the outbox never
-// blocks, and a destination's frames keep their order.
+// spout task. Like the tuple cache it belongs to the worker, so nothing
+// here is locked. Whoever fills a batch flushes it before returning —
+// routeAck at the end of each ack frame, rotateAckers after each
+// rotation — so no ack waits for a timer or for another frame. A batch
+// that reaches maxAckEntries is sent at once, so even a rotation that
+// expires a whole backlog sends frames far below network.MaxFrameSize.
 type ackBatcher struct {
-	mu     sync.Mutex
 	open   []ackBatch // destinations with entries pending, in fill order
 	frames *wire.Pool // the frames built here come back here
 	// outboxes maps destination ids to outboxes on the current routes.
@@ -207,7 +203,6 @@ func newAckBatcher(outboxes func() map[int32]*outbox, dropped *metrics.Counter) 
 // add appends one encoded ack to dest's batch, sending the batch if it is
 // full.
 func (c *ackBatcher) add(dest int32, enc []byte) {
-	c.mu.Lock()
 	i := 0
 	for i < len(c.open) && c.open[i].dest != dest {
 		i++
@@ -225,26 +220,24 @@ func (c *ackBatcher) add(dest int32, enc []byte) {
 		c.open[i], c.open[last] = c.open[last], ackBatch{}
 		c.open = c.open[:last]
 	}
-	c.mu.Unlock()
 }
 
 // flush sends every open batch to its destination as one frame.
 func (c *ackBatcher) flush() {
-	c.mu.Lock()
-	if len(c.open) > 0 {
-		outboxes := c.outboxes()
-		for i, b := range c.open {
-			c.send(b, outboxes)
-			c.open[i] = ackBatch{}
-		}
-		c.open = c.open[:0]
+	if len(c.open) == 0 {
+		return
 	}
-	c.mu.Unlock()
+	outboxes := c.outboxes()
+	for i, b := range c.open {
+		c.send(b, outboxes)
+		c.open[i] = ackBatch{}
+	}
+	c.open = c.open[:0]
 }
 
 // send seals b and enqueues it on its destination's outbox. A destination
 // with no outbox (a spout that moved or never registered, a peer not yet
-// dialed) has its frame dropped and recycled. Caller holds mu.
+// dialed) has its frame dropped and recycled.
 func (c *ackBatcher) send(b ackBatch, outboxes map[int32]*outbox) {
 	tuple.PatchAckFrameHeader(b.buf.B, b.count)
 	if out := outboxes[b.dest]; out != nil {
@@ -269,12 +262,10 @@ func (s *StreamManager) instanceOutboxes() map[int32]*outbox { return s.routes.L
 // peer, like tuples; in naive mode each is forwarded as its own frame.
 // Before routeAck returns, every batch the frame touched is sent: each
 // peer gets at most one frame of this frame's remote acks, and each local
-// spout one frame of the trees it finished.
+// spout one frame of the trees it finished. It runs on the worker, which
+// dequeues nothing before the first plan, so a plan is always there.
 func (s *StreamManager) routeAck(payload []byte) {
 	rt := s.routes.Load()
-	if rt == nil || rt.plan == nil {
-		return
-	}
 	local, remote := false, false
 	_ = tuple.WalkAckFrame(payload, func(ab []byte) error {
 		var a tuple.AckTuple

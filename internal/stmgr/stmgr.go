@@ -86,7 +86,6 @@ type routeTable struct {
 type StreamManager struct {
 	opts      Options
 	transport network.Transport
-	codec     tuple.Codec
 	optimized bool
 
 	listener network.Listener
@@ -94,7 +93,7 @@ type StreamManager struct {
 	// routes is the data path's view of the world; see routeTable.
 	routes atomic.Pointer[routeTable]
 
-	// mu guards the control-plane master copies below. The data path
+	// mu guards the control-plane master copies below. The worker
 	// (processData, flushBatch, routeAck) never takes it outside the two
 	// park slow paths.
 	mu        sync.Mutex
@@ -122,7 +121,8 @@ type StreamManager struct {
 	spoutsUp    map[int32]bool // local spout tasks currently registered
 
 	// inbox is the dispatch ring receive goroutines feed; the worker
-	// (worker.go) is its only consumer and the only user of cache.
+	// (worker.go) is its only consumer and the only user of cache, ack,
+	// done and acks.
 	inbox *network.FrameRing
 	cache *tupleCache
 	// planReady holds the worker until the first plan is published (or
@@ -176,17 +176,12 @@ func newCore(opts Options) (*StreamManager, error) {
 	if err != nil {
 		return nil, err
 	}
-	codec, err := tuple.ByName(opts.Cfg.Codec)
-	if err != nil {
-		return nil, err
-	}
 	if opts.Registry == nil {
 		opts.Registry = metrics.NewRegistry()
 	}
 	s := &StreamManager{
 		opts:        opts,
 		transport:   tr,
-		codec:       codec,
 		optimized:   opts.Cfg.StreamManagerOptimized,
 		instances:   map[int32]*outbox{},
 		instConns:   map[int32]network.Conn{},
@@ -246,10 +241,6 @@ func New(opts Options) (*StreamManager, error) {
 	s.wg.Add(2)
 	go s.acceptLoop()
 	go s.drainLoop()
-	if opts.Cfg.AckingEnabled {
-		s.wg.Add(1)
-		go s.rotateLoop()
-	}
 	if err := s.watchTMaster(); err != nil {
 		s.Stop()
 		return nil, err
@@ -779,29 +770,9 @@ func (s *StreamManager) drainLoop() {
 	}
 }
 
-// rotateLoop expires ack trees: messageTimeout spread over the rotation
-// buckets.
-func (s *StreamManager) rotateLoop() {
-	defer s.wg.Done()
-	timeout := s.opts.Cfg.MessageTimeout
-	if timeout <= 0 {
-		timeout = core.DefaultMessageTimeout
-	}
-	period := timeout / time.Duration(acker.DefaultBuckets-1)
-	t := time.NewTicker(period)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stopCh:
-			return
-		case <-t.C:
-			s.rotateAckers()
-		}
-	}
-}
-
-// rotateAckers rotates the acker once. Each rotation answers a spout with
-// at most one frame of expirations.
+// rotateAckers rotates the acker once; the worker calls it every
+// messageTimeout / (acker.DefaultBuckets-1). Each rotation answers a
+// spout with at most one frame of expirations.
 func (s *StreamManager) rotateAckers() {
 	s.ack.Rotate()
 	s.done.flush()

@@ -10,12 +10,13 @@ import (
 	"heron/internal/tuple"
 )
 
-// The data path has one lane: receive goroutines move every data, marker
-// and committed frame, with its buffer, into the dispatch ring (inbox),
-// and one worker goroutine routes them. The worker is the ring's only
-// consumer and the tuple cache's only user, so the cache takes no lock.
-// A container's data path scales by adding containers, each with its own
-// Stream Manager, as in the paper.
+// The data path has one lane: receive goroutines move every data, marker,
+// ack and committed frame, with its buffer, into the dispatch ring
+// (inbox), and one worker goroutine routes them. The worker is the ring's
+// only consumer and the only user of the tuple cache, the acker and both
+// ack batchers, and it rotates the acker itself, so none of them takes a
+// lock. A container's data path scales by adding containers, each with
+// its own Stream Manager, as in the paper.
 //
 // Ordering contract: every data, marker and committed frame for a
 // destination task flows through the one ring in arrival order, and
@@ -34,7 +35,8 @@ const (
 	// route-latency histogram.
 	routeSampleEvery = 8
 	// drainCheck is how many processed frames pass between clock checks
-	// for the cache-drain timer while the ring stays busy.
+	// for the cache drain and the acker rotation while the ring stays
+	// busy.
 	drainCheck = 512
 )
 
@@ -46,29 +48,25 @@ func (s *StreamManager) startWorker() {
 
 // routeFrameOwned is the Stream Manager's data path: receive goroutines
 // hand every data, ack and marker frame from instances and peers here,
-// with its buffer. Data and markers move to the ring without a copy;
-// acks are handled inline.
+// with its buffer, and each moves to the ring without a copy.
 func (s *StreamManager) routeFrameOwned(kind network.MsgKind, buf *wire.Buffer) {
 	s.mBytesRecv.Inc(int64(len(buf.B)))
 	switch kind {
-	case network.MsgData, network.MsgMarker:
-		// Uniform frames, mixed instance batches and markers alike go
+	case network.MsgData, network.MsgMarker, network.MsgAck:
+		// Uniform frames, mixed instance batches, markers and acks alike go
 		// whole — the zero-copy leg: transport receive buffer → ring →
 		// outbox → pool. A marker takes the ring its data takes, which is
 		// what keeps the barrier aligned per channel. The worker drops what
 		// it cannot parse.
 		_ = s.inbox.Enqueue(kind, buf)
-	case network.MsgAck:
-		s.routeAck(buf.B)
-		wire.PutBuffer(buf)
 	default:
 		wire.PutBuffer(buf)
 	}
 }
 
 // run is the worker: drain the ring, flush the tuple cache when the ring
-// idles or the drain period elapses, park when empty, exit when the ring
-// closes.
+// idles or the drain period elapses, rotate the acker every rotation
+// period when acking is on, park when empty, exit when the ring closes.
 //
 // It dequeues nothing until the first plan is published: frames from
 // peers that got their plan sooner wait in the bounded ring (a full ring
@@ -89,7 +87,26 @@ func (s *StreamManager) run() {
 	if period <= 0 {
 		period = core.DefaultCacheDrainFrequency
 	}
+	park := period
+	var rotation time.Duration // 0: acking off, no rotation
+	if s.opts.Cfg.AckingEnabled {
+		timeout := s.opts.Cfg.MessageTimeout
+		if timeout <= 0 {
+			timeout = core.DefaultMessageTimeout
+		}
+		rotation = timeout / time.Duration(acker.DefaultBuckets-1)
+		// An idle worker wakes at least once a rotation period, so trees
+		// whose acks were lost still expire.
+		park = min(park, rotation)
+	}
 	lastDrain := time.Now()
+	lastRotate := lastDrain
+	rotate := func(now time.Time) {
+		if rotation > 0 && now.Sub(lastRotate) >= rotation {
+			s.rotateAckers()
+			lastRotate = now
+		}
+	}
 	frames := 0
 	for {
 		kind, stamp, buf, ok := s.inbox.TryDequeue()
@@ -98,11 +115,12 @@ func (s *StreamManager) run() {
 			// tuples past one park interval.
 			s.drainCache()
 			lastDrain = time.Now()
+			rotate(lastDrain)
 			if s.inbox.Closed() {
 				s.inbox.Drain()
 				return
 			}
-			s.inbox.Await(period)
+			s.inbox.Await(park)
 			continue
 		}
 		s.processFrame(kind, buf)
@@ -111,10 +129,12 @@ func (s *StreamManager) run() {
 			s.mRouteLat.Observe(network.NowNanos() - stamp)
 		}
 		if frames++; frames&(drainCheck-1) == 0 {
-			if now := time.Now(); now.Sub(lastDrain) >= period {
+			now := time.Now()
+			if now.Sub(lastDrain) >= period {
 				s.drainCache()
 				lastDrain = now
 			}
+			rotate(now)
 		}
 	}
 }
@@ -133,6 +153,9 @@ func (s *StreamManager) processFrame(kind network.MsgKind, buf *wire.Buffer) {
 		s.processMarker(buf)
 	case network.MsgCommitted:
 		s.processCommitted(buf)
+	case network.MsgAck:
+		s.routeAck(buf.B)
+		wire.PutBuffer(buf)
 	default:
 		wire.PutBuffer(buf)
 	}
@@ -313,7 +336,7 @@ func (s *StreamManager) onTreeDone(root uint64, r acker.Result) {
 		kind = tuple.AckExpired
 	}
 	spout := core.RootSpout(root)
-	// The ack encodes into a stack array, outside the batch lock.
+	// The ack encodes into a stack array.
 	var scratch [tuple.AckSize]byte
 	enc := tuple.EncodeAck(scratch[:0], &tuple.AckTuple{Kind: kind, SpoutTask: spout, Root: root})
 	s.done.add(spout, enc)

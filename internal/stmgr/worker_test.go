@@ -181,13 +181,14 @@ func TestOneCompletionFramePerAckFramePerSpout(t *testing.T) {
 
 // TestExpiredTreeReachesSpout: a tree that is anchored and never acked
 // reaches its spout as exactly one AckExpired once acker.DefaultBuckets
-// rotations have passed, and not before.
+// rotations have passed, and not before. No worker runs: the test's
+// goroutine owns the acker and rotates it.
 func TestExpiredTreeReachesSpout(t *testing.T) {
 	oneWorker(t, func(t *testing.T) {
-		s := newWorkerSM(t)
+		s := newBenchSM(t)
 		conn := installRecorder(t, s, 0)
 		root := core.MakeRoot(0, 42)
-		ingestOwned(s, network.MsgAck, ackFrameOf([]tuple.AckTuple{
+		process(s, network.MsgAck, ackFrameOf([]tuple.AckTuple{
 			{Kind: tuple.AckAnchor, SpoutTask: 0, Root: root, Delta: 0x5a5a}}))
 		for i := 1; i < acker.DefaultBuckets; i++ {
 			s.rotateAckers()
@@ -209,20 +210,40 @@ func TestExpiredTreeReachesSpout(t *testing.T) {
 	})
 }
 
+// TestWorkerRotatesAckers: with acking on, the worker rotates the acker
+// itself. A tree anchored and never acked reaches its spout as exactly
+// one AckExpired within a few message timeouts, and the test never
+// rotates.
+func TestWorkerRotatesAckers(t *testing.T) {
+	s := newWorkerSM(t, func(cfg *core.Config) {
+		cfg.AckingEnabled = true
+		cfg.MessageTimeout = 40 * time.Millisecond
+	})
+	conn := installRecorder(t, s, 0)
+	root := core.MakeRoot(0, 42)
+	ingestOwned(s, network.MsgAck, ackFrameOf([]tuple.AckTuple{
+		{Kind: tuple.AckAnchor, SpoutTask: 0, Root: root, Delta: 0x5a5a}}))
+	got := decodeAckFrame(t, expectOnlyFrame(t, conn))
+	if len(got) != 1 || got[0].Kind != tuple.AckExpired || got[0].SpoutTask != 0 || got[0].Root != root {
+		t.Fatalf("expiry notifications = %+v, want one AckExpired for root %x at task 0", got, root)
+	}
+}
+
 // TestExpiryBacklogSplitsIntoCappedFrames: a rotation that expires more
 // of one spout's trees than one completion frame holds sends them in
 // frames of at most maxAckEntries entries, and every root reaches the
-// spout as exactly one AckExpired.
+// spout as exactly one AckExpired. No worker runs: the test's goroutine
+// owns the acker and rotates it.
 func TestExpiryBacklogSplitsIntoCappedFrames(t *testing.T) {
 	oneWorker(t, func(t *testing.T) {
 		const trees = 2*maxAckEntries + 5
-		s := newWorkerSM(t)
+		s := newBenchSM(t)
 		conn := installRecorder(t, s, 0)
 		anchors := make([]tuple.AckTuple, trees)
 		for i := range anchors {
 			anchors[i] = tuple.AckTuple{Kind: tuple.AckAnchor, SpoutTask: 0, Root: core.MakeRoot(0, uint64(i+1)), Delta: 1}
 		}
-		ingestOwned(s, network.MsgAck, ackFrameOf(anchors))
+		process(s, network.MsgAck, ackFrameOf(anchors))
 		for i := 0; i < acker.DefaultBuckets; i++ {
 			s.rotateAckers()
 		}
@@ -256,11 +277,12 @@ func TestExpiryBacklogSplitsIntoCappedFrames(t *testing.T) {
 // TestCompletionForUnregisteredSpoutDropped: a finished tree whose spout
 // task has no local instance is dropped without a panic, and its frame
 // goes back to the batcher's pool — dropping it again allocates nothing.
+// No worker runs: the test's goroutine owns the completion batches.
 func TestCompletionForUnregisteredSpoutDropped(t *testing.T) {
 	oneWorker(t, func(t *testing.T) {
-		s := newWorkerSM(t)
+		s := newBenchSM(t)
 		root := core.MakeRoot(0, 7) // task 0 is local in the plan, but never registers
-		ingestOwned(s, network.MsgAck, ackFrameOf([]tuple.AckTuple{
+		process(s, network.MsgAck, ackFrameOf([]tuple.AckTuple{
 			{Kind: tuple.AckAnchor, SpoutTask: 0, Root: root, Delta: 9},
 			{Kind: tuple.AckAck, SpoutTask: 0, Root: root, Delta: 9}}))
 		drop := func() {
@@ -355,19 +377,12 @@ func threeContainerPlan() (*core.Topology, *core.PackingPlan) {
 
 // TestRemoteAcksLeaveWithTheirFrame: the acks one inbound frame carries
 // for spouts on two peer containers leave as exactly one frame per peer,
-// every entry in it once, enqueued before routeAck returns — with the
-// drain period at an hour, no timer can have sent them.
+// every entry in it once, enqueued before the worker's frame function
+// returns — no worker runs, so nothing else can have sent them.
 func TestRemoteAcksLeaveWithTheirFrame(t *testing.T) {
 	oneWorker(t, func(t *testing.T) {
-		s := newWorkerSM(t, func(cfg *core.Config) { cfg.CacheDrainFrequency = time.Hour })
-		pp, err := core.NewPhysicalPlan(threeContainerPlan())
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.mu.Lock()
-		s.plan = pp
-		s.publishRoutesLocked()
-		s.mu.Unlock()
+		topo, packing := threeContainerPlan()
+		s := newBenchSMPlan(t, topo, packing)
 		peers := map[int32]*outbox{2: stallPeer(s, 2), 3: stallPeer(s, 3)}
 		want := map[int32]map[tuple.AckTuple]bool{2: {}, 3: {}}
 		var acks []tuple.AckTuple
@@ -378,12 +393,12 @@ func TestRemoteAcksLeaveWithTheirFrame(t *testing.T) {
 				acks = append(acks, a)
 			}
 		}
-		ingestOwned(s, network.MsgAck, ackFrameOf(acks))
+		process(s, network.MsgAck, ackFrameOf(acks))
 
 		for c, o := range peers {
 			frames := queued(o)
 			if len(frames) != 1 || frames[0].kind != network.MsgAck {
-				t.Fatalf("peer %d: %d frames queued when routeAck returned, want 1 MsgAck", c, len(frames))
+				t.Fatalf("peer %d: %d frames queued when the ack frame was routed, want 1 MsgAck", c, len(frames))
 			}
 			got := decodeAckFrame(t, frames[0].buf.B)
 			wire.PutBuffer(frames[0].buf)
@@ -519,6 +534,38 @@ func TestFramesBeforeFirstPlanWaitAndDeliverInOrder(t *testing.T) {
 			t.Fatalf("delivered %d of %d data frames, last kind %v", next, frames, kinds[len(kinds)-1])
 		}
 	})
+}
+
+// TestAcksBeforeFirstPlanComplete: acks take the ring data takes, so an
+// ack frame from a peer that got its plan sooner waits for the first plan
+// instead of being dropped. Once applyPlan publishes it, the tree the
+// frame anchored and acked completes, and its spout (local task 2 stands
+// in for one) gets one completion frame.
+func TestAcksBeforeFirstPlanComplete(t *testing.T) {
+	s, conn := newPlanlessSM(t)
+	root := core.MakeRoot(2, 1)
+	ingestOwned(s, network.MsgAck, ackFrameOf([]tuple.AckTuple{
+		{Kind: tuple.AckAnchor, SpoutTask: 2, Root: root, Delta: 0x77},
+		{Kind: tuple.AckAck, SpoutTask: 2, Root: root, Delta: 0x77}}))
+	topo, packing := twoContainerPlan()
+	s.applyPlan(&ctrl.PlanPayload{Epoch: 1, Topology: topo, Packing: packing,
+		Stmgrs: map[int32]string{1: "self"}})
+	waitFrames(t, conn, 2) // the plan for the instance, the completion
+	select {
+	case <-conn.sent:
+		t.Fatalf("%d frames delivered, want the plan and one completion", len(recordedKinds(conn)))
+	case <-time.After(50 * time.Millisecond):
+	}
+	got, _ := conn.snapshot()
+	var completions []tuple.AckTuple
+	for i, kind := range recordedKinds(conn) {
+		if kind == network.MsgAck {
+			completions = append(completions, decodeAckFrame(t, got[i])...)
+		}
+	}
+	if len(completions) != 1 || completions[0].Kind != tuple.AckAck || completions[0].SpoutTask != 2 || completions[0].Root != root {
+		t.Fatalf("completions = %+v, want one AckAck for root %x at task 2", completions, root)
+	}
 }
 
 // TestStopBeforeFirstPlan: Stop releases the worker still waiting for a

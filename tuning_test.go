@@ -4,12 +4,15 @@ import (
 	"testing"
 	"time"
 
+	"heron/internal/metrics"
 	"heron/internal/tuning"
 )
 
 // TestDynamicMaxSpoutPending verifies the live-retune control path: a
-// spout gated at a tiny window speeds up when the window is raised
-// through the TMaster broadcast.
+// spout gated at a tiny window keeps at most that many tuples in flight,
+// and holds more once the window is raised through the TMaster broadcast.
+// It reads each spout task's spout.pending gauge, which the window bounds
+// whatever the machine's load, not an acked rate, which the load moves too.
 func TestDynamicMaxSpoutPending(t *testing.T) {
 	var f fixture
 	spec := f.buildWordCount(t, 2, 2, -1, true)
@@ -17,6 +20,7 @@ func TestDynamicMaxSpoutPending(t *testing.T) {
 	cfg.AckingEnabled = true
 	cfg.MaxSpoutPending = 2 // nearly stalled
 	cfg.MessageTimeout = 10 * time.Second
+	cfg.MetricsExportInterval = 20 * time.Millisecond
 
 	h, err := Submit(spec, cfg)
 	if err != nil {
@@ -26,22 +30,34 @@ func TestDynamicMaxSpoutPending(t *testing.T) {
 	if err := h.WaitRunning(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(500 * time.Millisecond)
-	slowStart := f.acked.Load()
-	time.Sleep(time.Second)
-	slowRate := f.acked.Load() - slowStart
+	// maxPending is the largest spout.pending any spout task reports.
+	maxPending := func() int64 {
+		var most int64
+		for id, p := range h.Metrics().Gauges {
+			if id.Name == metrics.MSpoutPending && id.Component == "word" {
+				most = max(most, p)
+			}
+		}
+		return most
+	}
+	var slow int64
+	for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+		slow = max(slow, maxPending())
+	}
+	if slow > 2 {
+		t.Fatalf("spout.pending reached %d at window 2", slow)
+	}
 
 	if err := h.SetMaxSpoutPending(500); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(500 * time.Millisecond) // let the broadcast land
-	fastStart := f.acked.Load()
-	time.Sleep(time.Second)
-	fastRate := f.acked.Load() - fastStart
-
-	t.Logf("acked/sec: window=2 → %d, window=500 → %d", slowRate, fastRate)
-	if fastRate < slowRate*3 {
-		t.Errorf("retune had no effect: %d → %d", slowRate, fastRate)
+	fast := maxPending()
+	for deadline := time.Now().Add(2 * time.Second); fast <= 2 && time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+		fast = maxPending()
+	}
+	t.Logf("max spout.pending: window=2 → %d, window=500 → %d", slow, fast)
+	if fast <= 2 {
+		t.Errorf("retune had no effect: spout.pending still %d after raising the window to 500", fast)
 	}
 }
 
