@@ -23,9 +23,10 @@ vet:
 # from many goroutines to the one goroutine that owns an acker (the Stream
 # Manager's worker, the Storm baseline's acker executors), then a
 # 10 s fuzz smoke of each decoder that reads tuple bytes off the wire, one
-# run of every codec, hash and Stream Manager route benchmark (so the route
-# benchmarks keep compiling and running), then vet and tests of the
-# benchmark's own module, which `./...` from the root does not reach.
+# run of every codec, hash, Stream Manager route and spout emit/ack
+# benchmark (so those benchmarks keep compiling and running), then vet and
+# tests of the benchmark's own module, which `./...` from the root does not
+# reach.
 verify:
 	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
@@ -34,7 +35,7 @@ verify:
 	$(GO) test -race -count=10 ./internal/tmaster ./internal/runtime ./internal/instance ./internal/statemgr ./internal/replication ./internal/scheduler ./internal/multitenant ./internal/metrics ./internal/observability ./internal/stmgr ./internal/acker ./internal/storm
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeAck -fuzztime=10s ./internal/tuple
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeHeader -fuzztime=10s ./internal/tuple
-	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/tuple ./internal/encoding/wire ./internal/core ./internal/stmgr
+	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/tuple ./internal/encoding/wire ./internal/core ./internal/stmgr ./internal/instance
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # bench runs the end-to-end benchmark BENCHMARK.json declares; see

@@ -50,14 +50,17 @@ func HashFields(values []any, idx []int) uint64 {
 }
 
 // Tuple-tree root ids encode their owning spout task: the top 16 bits
-// carry the task id, the low 48 bits are random. Acks recover the spout
-// from the root alone, so the wire format needs no extra field.
-const rootRandomBits = 48
+// carry the task id, the low 48 bits are the caller's — not necessarily
+// random (the Heron spout puts a generation and a pending-table slot
+// there; the Storm baseline, random bits). Acks recover the spout from
+// the root alone, so the wire format needs no extra field.
+const rootLowBits = 48
 
-// MakeRoot builds a tuple-tree root id for a spout task.
-func MakeRoot(spoutTask int32, random uint64) uint64 {
-	return uint64(uint16(spoutTask))<<rootRandomBits | (random & (1<<rootRandomBits - 1))
+// MakeRoot builds a tuple-tree root id for a spout task from the low 48
+// bits of low.
+func MakeRoot(spoutTask int32, low uint64) uint64 {
+	return uint64(uint16(spoutTask))<<rootLowBits | (low & (1<<rootLowBits - 1))
 }
 
 // RootSpout recovers the spout task id from a root id.
-func RootSpout(root uint64) int32 { return int32(root >> rootRandomBits) }
+func RootSpout(root uint64) int32 { return int32(root >> rootLowBits) }

@@ -13,9 +13,9 @@ import (
 )
 
 // boltTuple implements api.Tuple for one received data tuple. It carries
-// the anchoring state the collector needs to compute ack deltas: the
-// tuple's own key, its roots, and the XOR of the keys of every tuple
-// emitted anchored to it.
+// the anchoring state the collector needs to compute ack deltas: its
+// roots, and delta, the tuple's own key XOR the keys of every tuple
+// emitted anchored to it — what Ack sends.
 //
 // raw is the tuple's own immutable copy of its roots (8 little-endian
 // bytes each) followed by its encoded values, checked at receive. The
@@ -26,20 +26,19 @@ import (
 // stream table instead of copying its names. Nothing is pooled: user code
 // may keep a tuple after Execute returns.
 type boltTuple struct {
-	raw        string
-	info       *core.StreamInfo           // nil for a stream the plan does not know
-	values     atomic.Pointer[api.Values] // nil until Bytes or Values is called
-	key        uint64
-	emittedXor uint64
-	nroots     int32
-	done       bool
+	raw    string
+	info   *core.StreamInfo           // nil for a stream the plan does not know
+	values atomic.Pointer[api.Values] // nil until Bytes or Values is called
+	delta  uint64
+	nroots int32
+	done   bool
 }
 
 // newBoltTuple builds a tuple from a decoded header and the body
 // DecodeHeader returned (roots, then checked values), which may alias a
 // frame: raw copies it.
 func newBoltTuple(dt *tuple.DataTuple, body []byte) *boltTuple {
-	return &boltTuple{raw: string(body), key: dt.Key, nroots: int32(len(dt.Roots))}
+	return &boltTuple{raw: string(body), delta: dt.Key, nroots: int32(len(dt.Roots))}
 }
 
 // root returns the tuple's i-th root.
@@ -98,7 +97,10 @@ func (t *boltTuple) Bytes(i int) []byte { return t.Values()[i].([]byte) }
 
 // boltCollector implements api.BoltCollector; executor goroutine only.
 type boltCollector struct {
-	in      *Instance
+	in *Instance
+	// t is the tuple every emit encodes from; it is reset after each emit
+	// so it keeps no user value alive.
+	t       tuple.DataTuple
 	destBuf []int32
 	encBuf  []byte
 	roots   []uint64
@@ -156,22 +158,20 @@ func (c *boltCollector) Emit(stream string, anchors []api.Tuple, values ...any) 
 		reliable = len(c.roots) > 0
 	}
 
-	t := tuple.Get()
-	defer tuple.Put(t)
+	t := &c.t
 	t.SrcTask = in.opts.ID.TaskID
 	t.StreamID = sid
-	t.Values = append(t.Values, values...)
+	t.Values = append(t.Values[:0], values...)
 	if reliable {
-		t.Roots = append(t.Roots, c.roots...)
+		t.Roots = append(t.Roots[:0], c.roots...)
 	}
 	for _, dest := range dests {
 		t.DestTask = dest
 		if reliable {
 			t.Key = in.rng.Uint64() | 1
-			// The new key joins every anchor's pending XOR: it is folded
-			// into the anchors' ack deltas.
+			// The new key is folded into every anchor's ack delta.
 			for _, bt := range c.anchors {
-				bt.emittedXor ^= t.Key
+				bt.delta ^= t.Key
 			}
 		}
 		if in.codec.Pooled() {
@@ -182,10 +182,11 @@ func (c *boltCollector) Emit(stream string, anchors []api.Tuple, values ...any) 
 		}
 		in.mEmitted.Inc(1)
 	}
+	t.Reset()
 }
 
 // Ack implements api.BoltCollector: the tuple's tree absorbs
-// key ⊕ emittedChildren for every root.
+// key ⊕ emittedChildren, the tuple's delta, for every root.
 func (c *boltCollector) Ack(t api.Tuple) {
 	bt, ok := t.(*boltTuple)
 	if !ok || bt.done {
@@ -196,11 +197,10 @@ func (c *boltCollector) Ack(t api.Tuple) {
 	if !in.opts.Cfg.AckingEnabled || bt.nroots == 0 {
 		return
 	}
-	delta := bt.key ^ bt.emittedXor
 	for i := 0; i < int(bt.nroots); i++ {
 		root := bt.root(i)
 		in.sendAck(&tuple.AckTuple{
-			Kind: tuple.AckAck, SpoutTask: RootSpout(root), Root: root, Delta: delta,
+			Kind: tuple.AckAck, SpoutTask: RootSpout(root), Root: root, Delta: bt.delta,
 		})
 	}
 	in.mAcked.Inc(1)
@@ -319,10 +319,10 @@ func (in *Instance) execDecoded(dt *tuple.DataTuple, body []byte, col *boltColle
 	}
 	in.mExecuted.Inc(1)
 	// Clocking every execution costs two time reads per tuple on the
-	// hottest path in the engine; 1-in-execLatSampleEvery is plenty
+	// hottest path in the engine; 1-in-latencySampleEvery is plenty
 	// for the latency quantiles while mExecuted stays exact.
-	sampled := in.execSeq&(execLatSampleEvery-1) == 0
-	in.execSeq++
+	sampled := in.latSeq&(latencySampleEvery-1) == 0
+	in.latSeq++
 	var start time.Time
 	if sampled {
 		start = time.Now()

@@ -86,9 +86,11 @@ type Instance struct {
 
 	rng *rand.Rand
 
-	// Spout state (executor goroutine only).
+	// Spout state (executor goroutine only): the pending table, indexed
+	// by the slot in each root id, and its free slots (spout.go).
 	inflight int
-	pending  map[uint64]pendingEmit
+	pending  []pendingEmit
+	free     []uint32
 
 	// Checkpoint state (executor goroutine only). lastCkptID is the
 	// newest checkpoint this instance completed (or restored from); older
@@ -129,23 +131,19 @@ type Instance struct {
 	mExecuted *metrics.Counter
 	mAcked    *metrics.Counter
 	mFailed   *metrics.Counter
-	mLatency  *metrics.Histogram // spout: emit → tree completion
+	mLatency  *metrics.Histogram // spout: emit → tree completion, sampled
 	mExecLat  *metrics.Histogram // bolt: time inside Execute, sampled
 	mPending  *metrics.Gauge     // spout: un-acked tuples in flight
-	execSeq   uint64             // executor goroutine only; drives sampling
+	latSeq    uint64             // executor goroutine only; drives latency sampling
 	mCkptDur  *metrics.Histogram // ns per snapshot (checkpointing only)
 	mCkptSize *metrics.Histogram // encoded snapshot bytes
 	mRestores *metrics.Counter   // restores performed after recovery
 }
 
-// execLatSampleEvery is the execute-latency sampling interval: one in
-// this many executions is clocked. Must be a power of two.
-const execLatSampleEvery = 8
-
-type pendingEmit struct {
-	msgID  any
-	emitNs int64
-}
+// latencySampleEvery is the sampling interval of both latency
+// histograms: one in this many bolt executions, and one in this many
+// reliable spout emits, is clocked. Must be a power of two.
+const latencySampleEvery = 8
 
 // New creates an instance, connects it to the Stream Manager and starts
 // its executor.
@@ -191,7 +189,6 @@ func New(opts Options) (*Instance, error) {
 		stop:      make(chan struct{}),
 		pauses:    map[int32]bool{},
 		rng:       rand.New(rand.NewSource(int64(opts.ID.TaskID)*2654435761 + time.Now().UnixNano())),
-		pending:   map[uint64]pendingEmit{},
 
 		batchOut: opts.Cfg.StreamManagerOptimized && codec.Pooled(),
 
@@ -460,7 +457,7 @@ func (in *Instance) flushOut() {
 
 // MakeRoot and RootSpout re-export the core helpers used throughout this
 // package.
-func MakeRoot(spoutTask int32, random uint64) uint64 { return core.MakeRoot(spoutTask, random) }
+func MakeRoot(spoutTask int32, low uint64) uint64 { return core.MakeRoot(spoutTask, low) }
 
 // RootSpout recovers the spout task id from a root id.
 func RootSpout(root uint64) int32 { return core.RootSpout(root) }

@@ -16,7 +16,7 @@ const (
 	MEmitCount       = "instance.emit-count"       // tuples emitted
 	MAckCount        = "instance.ack-count"        // tuples acked
 	MFailCount       = "instance.fail-count"       // tuples failed
-	MCompleteLatency = "instance.complete-latency" // ns from spout emit to tree completion
+	MCompleteLatency = "instance.complete-latency" // ns from spout emit to tree completion (sampled 1-in-8 trees)
 	MSpoutPending    = "spout.pending"             // un-acked tuples in flight (gauge)
 
 	// Per-Stream-Manager (tags: StmgrComponent, container id as task).

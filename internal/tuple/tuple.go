@@ -25,10 +25,7 @@
 // exhaustively, so switching them changes cost, never semantics.
 package tuple
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Kind enumerates the value types a tuple field may carry. The set matches
 // what the WordCount and ETL workloads need and is easily extended.
@@ -143,21 +140,4 @@ type AckTuple struct {
 	// Delta is XOR of the acked tuple's own key and the keys of all tuples
 	// emitted while processing it (the anchors it created).
 	Delta uint64
-}
-
-var tuplePool = sync.Pool{New: func() any { return new(DataTuple) }}
-
-// Get returns a pooled, zeroed DataTuple.
-func Get() *DataTuple {
-	t := tuplePool.Get().(*DataTuple)
-	t.Reset()
-	return t
-}
-
-// Put returns a DataTuple to the pool.
-func Put(t *DataTuple) {
-	if t == nil {
-		return
-	}
-	tuplePool.Put(t)
 }

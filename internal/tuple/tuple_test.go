@@ -295,18 +295,24 @@ func TestDecodeCorrupt(t *testing.T) {
 	}
 }
 
+// TestTuplePoolReuse: the collectors reuse one DataTuple for every emit,
+// so Reset must leave it empty, keep its slices' capacity, and drop every
+// value it referenced.
 func TestTuplePoolReuse(t *testing.T) {
-	a := Get()
+	var a DataTuple
+	a.DestTask, a.SrcTask, a.StreamID, a.Key = 1, 2, 3, 7
 	a.Roots = append(a.Roots, 1, 2, 3)
-	a.Values = append(a.Values, "x")
-	a.Key = 7
-	Put(a)
-	b := Get()
-	if b.Key != 0 || len(b.Roots) != 0 || len(b.Values) != 0 {
-		t.Errorf("pooled tuple not reset: %+v", b)
+	a.Values = append(a.Values, "x", int64(4))
+	a.Reset()
+	if a.DestTask != 0 || a.SrcTask != 0 || a.StreamID != 0 || a.Key != 0 || len(a.Roots) != 0 || len(a.Values) != 0 {
+		t.Errorf("reset tuple not empty: %+v", a)
 	}
-	Put(b)
-	Put(nil) // safe
+	if cap(a.Roots) < 3 || cap(a.Values) < 2 {
+		t.Errorf("reset dropped capacity: roots %d, values %d", cap(a.Roots), cap(a.Values))
+	}
+	if vs := a.Values[:2]; vs[0] != nil || vs[1] != nil {
+		t.Errorf("reset kept values alive: %v", vs)
+	}
 }
 
 func TestValuesAccessors(t *testing.T) {

@@ -108,7 +108,7 @@ func TestHandleMetricsEndToEnd(t *testing.T) {
 		v := h.Metrics()
 		return v.Counter(metrics.MExecuteCount, "count") == processed &&
 			v.Counter(metrics.MAckCount, "word") >= total &&
-			v.Histogram(metrics.MCompleteLatency, "word").Count >= total
+			v.Histogram(metrics.MCompleteLatency, "word").Count >= total/8
 	})
 
 	v := h.Metrics()
@@ -137,8 +137,13 @@ func TestHandleMetricsEndToEnd(t *testing.T) {
 	if got := v.Counter(metrics.MAckCount, "word"); got < total {
 		t.Errorf("view ack-count = %d, want >= %d", got, total)
 	}
-	if cl := v.Histogram(metrics.MCompleteLatency, "word"); cl.Count < total || cl.Quantile(0.99) <= 0 {
-		t.Errorf("complete-latency = %+v", cl)
+	// Complete latency: sampled 1-in-8 reliable emits per spout task.
+	cl := v.Histogram(metrics.MCompleteLatency, "word")
+	if acks := v.Counter(metrics.MAckCount, "word"); cl.Count < total/8 || cl.Count > acks {
+		t.Errorf("complete-latency count = %d, want within [%d, %d]", cl.Count, total/8, acks)
+	}
+	if p99 := cl.Quantile(0.99); p99 <= 0 {
+		t.Errorf("complete-latency p99 = %d, want > 0", p99)
 	}
 	// User metrics registered via TopologyContext.Metrics() appear in the
 	// same aggregated view, namespaced under "user.".

@@ -282,12 +282,13 @@ func TestTxnExactlyOncePrepareWindow(t *testing.T) {
 }
 
 // TestTxnExactlyOncePrepareWindowSharded is the acceptance matrix's other
-// half: the same prepare-window kill, the memory variant crossing the
+// half: the same prepare-window kill on the memory backend, crossing the
 // shared-memory ring transport, so MsgCommitted frames arrive over a
-// transport ring and then take the Stream Manager's dispatch ring.
+// transport ring and then take the Stream Manager's dispatch ring. The
+// other backends over inproc are TestTxnExactlyOncePrepareWindow's arms.
 func TestTxnExactlyOncePrepareWindowSharded(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, backend string) {
-		runTxnExactlyOnce(t, backend, "prep-ring-"+backend, backend == "memory", windowPrepare)
+	t.Run("memory", func(t *testing.T) {
+		runTxnExactlyOnce(t, "memory", "prep-ring-memory", true, windowPrepare)
 	})
 }
 
@@ -471,12 +472,13 @@ func TestTxnFailoverMidEpoch(t *testing.T) {
 	})
 }
 
-// TestTxnFailoverMidEpochSharded repeats the leader kill, the memory
-// variant crossing the shared-memory ring transport: the successor's
-// re-broadcast commit must reach the sinks over it.
+// TestTxnFailoverMidEpochSharded repeats the leader kill on the memory
+// backend over the shared-memory ring transport: the successor's
+// re-broadcast commit must reach the sinks over it. The other backends
+// over inproc are TestTxnFailoverMidEpoch's arms.
 func TestTxnFailoverMidEpochSharded(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, backend string) {
-		runTxnLeaderKill(t, backend, "ha-mid-ring-"+backend, backend == "memory", false)
+	t.Run("memory", func(t *testing.T) {
+		runTxnLeaderKill(t, "memory", "ha-mid-ring-memory", true, false)
 	})
 }
 
