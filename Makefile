@@ -21,7 +21,8 @@ vet:
 # scheduler core's monitor and lock across five schedulers, race the
 # lock-free histogram's Observe against Snapshot and serve it, or hand acks
 # from many goroutines to the one goroutine that owns an acker (the Stream
-# Manager's worker, the Storm baseline's acker executors), then a
+# Manager's worker, the Storm baseline's acker executors), or run receive
+# handlers on their senders' goroutines (the inproc transport), then a
 # 10 s fuzz smoke of each decoder that reads tuple bytes off the wire, one
 # run of every codec, hash, Stream Manager route and spout emit/ack
 # benchmark (so those benchmarks keep compiling and running), then vet and
@@ -32,7 +33,7 @@ verify:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 ./internal/tmaster ./internal/runtime ./internal/instance ./internal/statemgr ./internal/replication ./internal/scheduler ./internal/multitenant ./internal/metrics ./internal/observability ./internal/stmgr ./internal/acker ./internal/storm
+	$(GO) test -race -count=10 ./internal/tmaster ./internal/runtime ./internal/instance ./internal/statemgr ./internal/replication ./internal/scheduler ./internal/multitenant ./internal/metrics ./internal/observability ./internal/stmgr ./internal/acker ./internal/storm ./internal/network
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeAck -fuzztime=10s ./internal/tuple
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeHeader -fuzztime=10s ./internal/tuple
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/tuple ./internal/encoding/wire ./internal/core ./internal/stmgr ./internal/instance

@@ -15,7 +15,7 @@ type Config struct {
 	PackingAlgorithm string // registry name: "roundrobin" (default), "binpacking"
 	SchedulerName    string // "local" (default), "yarn", "mesos", "slurm", "aurora", "multitenant"
 	StateManagerName string // "memory" (default), "localfs"
-	Transport        string // "inproc" (default), "tcp", "ring"
+	Transport        string // "inproc" (default), "tcp"; "ring" is an alias of "inproc"
 	Codec            string // "fast" (default), "naive"
 
 	// StreamManagerOptimized gates the Section V-A fast paths: memory

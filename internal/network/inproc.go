@@ -7,45 +7,39 @@ import (
 	"heron/internal/encoding/wire"
 )
 
-// InprocTransport connects components inside one process through buffered
-// channels. Send copies its payload so the cost model of a process
-// boundary (serialize, copy, deserialize) is preserved; benchmarks that
-// compare codecs and batching remain honest under this transport.
-// SendOwned, by contrast, hands the pooled frame buffer itself to the
-// receiver — the zero-copy leg the optimized Stream Manager data path
-// relies on: the buffer crosses the "boundary" untouched and is recycled
-// after the receiving handler returns.
+// InprocTransport connects components inside one process: a frame is
+// delivered by calling the receiver's handler on the sender's goroutine.
+// Send copies its payload, so the copy of a process boundary is kept and
+// codec and batching comparisons stay honest; SendOwned hands the pooled
+// buffer itself over. A handler that blocks blocks its sender, which is
+// how backpressure propagates in-process.
 type InprocTransport struct{}
 
 // Name implements Transport.
 func (InprocTransport) Name() string { return "inproc" }
 
-// inprocBufferedFrames is the per-connection inbox depth. A full inbox
-// blocks the sender, which is how backpressure propagates in-process.
-const inprocBufferedFrames = 1024
-
-type inprocFrame struct {
-	kind MsgKind
-	buf  *wire.Buffer // pooled; recycled after the handler runs
-}
-
 type inprocConn struct {
 	peer      *inprocConn
-	inbox     chan inprocFrame
-	closed    chan struct{}
-	closeOnce sync.Once
-	started   bool
+	closed    chan struct{} // shared by both ends
+	closeOnce *sync.Once
+
+	// mu is held while a frame is delivered to this end's handler, so
+	// frames reach it one at a time, in send order.
+	mu      sync.Mutex
+	h       OwnedHandler  // set by StartOwned before started closes
+	started chan struct{} // closed by StartOwned
 }
 
 func newInprocPair() (*inprocConn, *inprocConn) {
-	a := &inprocConn{inbox: make(chan inprocFrame, inprocBufferedFrames), closed: make(chan struct{})}
-	b := &inprocConn{inbox: make(chan inprocFrame, inprocBufferedFrames), closed: make(chan struct{})}
+	closed, once := make(chan struct{}), new(sync.Once)
+	a := &inprocConn{closed: closed, closeOnce: once, started: make(chan struct{})}
+	b := &inprocConn{closed: closed, closeOnce: once, started: make(chan struct{})}
 	a.peer, b.peer = b, a
 	return a, b
 }
 
 // Send implements Conn. The payload is copied into a pooled buffer and
-// handed to the peer's inbox.
+// delivered to the peer's handler.
 func (c *inprocConn) Send(kind MsgKind, payload []byte) error {
 	if len(payload) > MaxFrameSize {
 		return ErrFrameTooBig
@@ -55,8 +49,8 @@ func (c *inprocConn) Send(kind MsgKind, payload []byte) error {
 	return c.deliver(kind, buf)
 }
 
-// SendOwned implements Conn: the pooled buffer crosses to the peer
-// without a copy and is recycled once the receiving handler returns.
+// SendOwned implements Conn: the pooled buffer crosses to the peer's
+// handler without a copy.
 func (c *inprocConn) SendOwned(kind MsgKind, buf *wire.Buffer) error {
 	if len(buf.B) > MaxFrameSize {
 		wire.PutBuffer(buf)
@@ -68,50 +62,49 @@ func (c *inprocConn) SendOwned(kind MsgKind, buf *wire.Buffer) error {
 // Flush implements Conn: inproc delivery is immediate, nothing to flush.
 func (c *inprocConn) Flush() error { return nil }
 
+// deliver runs the peer's handler on the calling goroutine, once the peer
+// has started, under its order mutex. After Close it recycles buf.
 func (c *inprocConn) deliver(kind MsgKind, buf *wire.Buffer) error {
+	p := c.peer
 	select {
-	case c.peer.inbox <- inprocFrame{kind: kind, buf: buf}:
-		return nil
+	case <-p.started:
+	default:
+		select { // the peer has not started: wait for it, or for Close
+		case <-p.started:
+		case <-c.closed:
+		}
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	select {
 	case <-c.closed:
 		wire.PutBuffer(buf)
 		return ErrClosed
-	case <-c.peer.closed:
-		wire.PutBuffer(buf)
-		return ErrClosed
+	default:
 	}
+	p.h(kind, buf)
+	return nil
 }
 
 // Start implements Conn.
-func (c *inprocConn) Start(h Handler) {
-	c.StartOwned(func(kind MsgKind, buf *wire.Buffer) {
-		h(kind, buf.B)
-		wire.PutBuffer(buf)
-	})
-}
+func (c *inprocConn) Start(h Handler) { c.StartOwned(recycling(h)) }
 
-// StartOwned implements Conn: received frames keep their pooled
-// buffers, which pass to the handler without a copy.
+// StartOwned implements Conn: frames keep their pooled buffers, which
+// pass to the handler without a copy. It starts no goroutine.
 func (c *inprocConn) StartOwned(h OwnedHandler) {
-	if c.started {
+	select {
+	case <-c.started:
 		panic("network: Start called twice")
+	default:
 	}
-	c.started = true
-	go func() {
-		for {
-			select {
-			case f := <-c.inbox:
-				h(f.kind, f.buf)
-			case <-c.closed:
-				return
-			}
-		}
-	}()
+	c.h = h
+	close(c.started)
 }
 
-// Close implements Conn. Closing either end unblocks both.
+// Close implements Conn. Closing either end closes both: pending Sends
+// return ErrClosed and no handler starts afterwards.
 func (c *inprocConn) Close() error {
 	c.closeOnce.Do(func() { close(c.closed) })
-	c.peer.closeOnce.Do(func() { close(c.peer.closed) })
 	return nil
 }
 
@@ -135,7 +128,9 @@ func (l *inprocListener) Accept() (Conn, error) {
 // Addr implements Listener.
 func (l *inprocListener) Addr() string { return l.addr }
 
-// Close implements Listener and unregisters the address.
+// Close implements Listener and unregisters the address. Connections
+// dialed but not yet accepted are closed, so their dialers' Sends, which
+// wait for a Start that will never come, return ErrClosed.
 func (l *inprocListener) Close() error {
 	l.closeOnce.Do(func() {
 		close(l.closed)
@@ -144,8 +139,20 @@ func (l *inprocListener) Close() error {
 			delete(inprocListeners, l.addr)
 		}
 		inprocMu.Unlock()
+		l.closeBacklog()
 	})
 	return nil
+}
+
+func (l *inprocListener) closeBacklog() {
+	for {
+		select {
+		case c := <-l.backlog:
+			c.Close()
+		default:
+			return
+		}
+	}
 }
 
 var (
@@ -182,8 +189,13 @@ func (InprocTransport) Dial(addr string) (Conn, error) {
 	local, remote := newInprocPair()
 	select {
 	case l.backlog <- remote:
-		return local, nil
 	case <-l.closed:
 		return nil, ErrClosed
 	}
+	select {
+	case <-l.closed: // Close may have swept the backlog before remote landed
+		l.closeBacklog()
+	default:
+	}
+	return local, nil
 }

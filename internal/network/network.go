@@ -3,35 +3,27 @@
 // mechanisms" that every other module plugs into).
 //
 // It exposes a minimal connection abstraction — framed, kind-tagged byte
-// messages — behind a Transport interface with three implementations:
+// messages — behind a Transport interface with two implementations:
 //
 //   - "tcp": real sockets with length-prefixed framing, used when
-//     containers are separate processes or for realism in tests.
-//   - "inproc": channel-backed connections for single-process deployments
-//     and benchmarks. Payloads are still copied on Send, so every message
-//     pays the serialize-copy-deserialize cost of a process boundary; only
-//     the syscall is elided.
-//   - "ring": a lock-free shared-memory ring of owned wire.Buffers for
-//     same-host container pairs. SendOwned moves the pooled frame buffer
-//     itself through a bounded Vyukov queue — no channel, no syscall, no
-//     copy — so co-located containers bypass the TCP loopback entirely.
+//     containers are separate processes or for realism in tests. Each
+//     connection end runs one reader goroutine that calls the handler.
+//   - "inproc" (alias "ring"): for single-process deployments and
+//     benchmarks. A frame is delivered by calling the receiver's handler
+//     on the sender's goroutine — no queue, no reader goroutine.
 //
-// Start handlers receive payload slices that are valid only for the
-// duration of the call; receivers must copy anything they retain. This
-// allows the transports to recycle receive buffers through the wire
-// package's pools. StartOwned receivers instead own each received
-// wire.Buffer: they may keep it past the call without copying and must
-// recycle it with wire.PutBuffer when done. The Stream Manager and the
+// Start handlers receive payload slices valid only for the duration of
+// the call, so transports can recycle receive buffers through the wire
+// package's pools. StartOwned handlers own each received wire.Buffer and
+// recycle it with wire.PutBuffer when done; the Stream Manager and the
 // instances receive this way.
 //
 // Conn carries two send disciplines. Send copies and flushes: the frame
-// departs before the call returns, which is right for control traffic and
-// for callers that reuse their scratch buffer. SendOwned transfers
-// ownership of a pooled wire.Buffer to the connection and may coalesce
-// the frame with neighbours until Flush — the Stream Manager's outbox
-// drains N frames through SendOwned and ends the drain with a single
-// Flush, so a batch crosses TCP as one buffered write + one flush instead
-// of N per-frame flushes, and crosses inproc with no copy at all.
+// departs before the call returns, which suits control traffic and
+// callers that reuse their scratch buffer. SendOwned transfers a pooled
+// wire.Buffer and may coalesce the frame with neighbours until Flush, so
+// the Stream Manager's outbox drains a batch across TCP as buffered
+// writes and one flush, and across inproc with no copy at all.
 package network
 
 import (
@@ -74,37 +66,47 @@ var (
 type Handler func(kind MsgKind, payload []byte)
 
 // OwnedHandler consumes one received frame and takes ownership of its
-// pooled buffer: the handler (or whatever it hands the buffer to) must
-// eventually recycle it with wire.PutBuffer. This is the receive-side
-// mirror of SendOwned — the Stream Manager uses it to move an inbound
-// frame from the transport straight into its dispatch ring without a
-// copy.
+// pooled buffer, which it (or whatever it hands the buffer to) must
+// recycle with wire.PutBuffer: the receive-side mirror of SendOwned.
 type OwnedHandler func(kind MsgKind, buf *wire.Buffer)
 
 // Conn is a bidirectional, framed message connection.
+//
+// Frames of one direction reach the receiving handler one at a time and
+// in send order. TCP runs the handler on the connection's reader
+// goroutine; inproc runs it on the goroutine that called Send or
+// SendOwned, so an inproc handler's own sends run further handlers on
+// that same goroutine. A handler may reply on its own connection, but no
+// handler reached that way may send back into the end being delivered
+// to: that end's order lock is still held, and the send would wait for
+// it forever.
 type Conn interface {
-	// Send enqueues one frame. It copies payload before returning and
+	// Send transmits one frame. It copies payload before returning and
 	// blocks when the peer is slower than the sender — this blocking is
-	// the engine's backpressure primitive. Returns ErrClosed after Close.
+	// the engine's backpressure primitive. On inproc it returns when the
+	// peer's handler does, and waits for the peer's Start if it has not
+	// happened yet. Returns ErrClosed after Close.
 	Send(kind MsgKind, payload []byte) error
 	// SendOwned transfers ownership of buf (a pooled frame buffer) to the
-	// connection: the buffer is recycled via wire.PutBuffer once the frame
-	// has been handed off — after the buffered write on TCP, after the
-	// receiving handler returns on inproc. The caller must not touch buf
-	// after the call, even on error. Unlike Send, the frame may sit in a
-	// write buffer until Flush; callers streaming a batch end it with one
-	// Flush. This is the zero-copy leg of the data path.
+	// connection: TCP recycles it after the buffered write, inproc passes
+	// it to the receiving handler. The caller must not touch buf after the
+	// call, even on error. Unlike Send, the frame may sit in a write
+	// buffer until Flush; callers streaming a batch end it with one Flush.
+	// This is the zero-copy leg of the data path.
 	SendOwned(kind MsgKind, buf *wire.Buffer) error
 	// Flush pushes any frames coalesced by SendOwned onto the wire. It is
 	// a no-op on transports that deliver immediately (inproc).
 	Flush() error
-	// Start begins delivering received frames to h from a dedicated
-	// goroutine. Exactly one of Start and StartOwned must be called, once.
+	// Start begins delivering received frames to h: from the
+	// connection's reader goroutine on TCP, on the sender's goroutine on
+	// inproc. Exactly one of Start and StartOwned must be called, once; a
+	// second call panics.
 	Start(h Handler)
 	// StartOwned is Start with ownership transfer: each received frame's
 	// pooled buffer passes to h.
 	StartOwned(h OwnedHandler)
-	// Close tears the connection down and unblocks pending Sends.
+	// Close tears the connection down and unblocks pending Sends. On
+	// inproc it closes both ends, and no handler starts after it returns.
 	Close() error
 }
 
@@ -125,17 +127,25 @@ type Transport interface {
 	Dial(addr string) (Conn, error)
 }
 
-// ByName returns the transport registered under name.
+// ByName returns the transport registered under name. "ring" is an alias
+// of "inproc".
 func ByName(name string) (Transport, error) {
 	switch name {
-	case "", "inproc":
+	case "", "inproc", "ring":
 		return InprocTransport{}, nil
 	case "tcp":
 		return TCPTransport{}, nil
-	case "ring":
-		return RingTransport{}, nil
 	default:
 		return nil, fmt.Errorf("network: unknown transport %q", name)
+	}
+}
+
+// recycling adapts h to an OwnedHandler that recycles each buffer once h
+// returns: every transport's Start.
+func recycling(h Handler) OwnedHandler {
+	return func(kind MsgKind, buf *wire.Buffer) {
+		h(kind, buf.B)
+		wire.PutBuffer(buf)
 	}
 }
 

@@ -3,15 +3,25 @@ package network
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"heron/internal/encoding/wire"
 )
 
+// transports is the conformance matrix. "ring" is reached through
+// ByName, as configurations reach it, so the alias is held to the same
+// contract as the transport it names.
 func transports(t *testing.T) map[string]Transport {
 	t.Helper()
-	return map[string]Transport{"inproc": InprocTransport{}, "tcp": TCPTransport{}, "ring": RingTransport{}}
+	ring, err := ByName("ring")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]Transport{"inproc": InprocTransport{}, "tcp": TCPTransport{}, "ring": ring}
 }
 
 // echoPair returns a connected (client, server) pair over tr.
@@ -236,10 +246,14 @@ func TestInprocDialUnknown(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	for _, n := range []string{"", "inproc", "tcp", "ring"} {
+	for n, want := range map[string]string{"": "inproc", "inproc": "inproc", "tcp": "tcp", "ring": "inproc"} {
 		tr, err := ByName(n)
 		if err != nil || tr == nil {
 			t.Errorf("ByName(%q): %v", n, err)
+			continue
+		}
+		if tr.Name() != want {
+			t.Errorf("ByName(%q).Name() = %q, want %q", n, tr.Name(), want)
 		}
 	}
 	if _, err := ByName("rdma"); err == nil {
@@ -281,6 +295,214 @@ func TestConcurrentSenders(t *testing.T) {
 				t.Fatalf("got %d of %d frames", count.Load(), senders*per)
 			}
 		})
+	}
+}
+
+func TestStartTwicePanics(t *testing.T) {
+	for name, tr := range transports(t) {
+		t.Run(name, func(t *testing.T) {
+			_, server, cleanup := connPair(t, tr)
+			defer cleanup()
+			server.Start(func(MsgKind, []byte) {})
+			defer func() {
+				if recover() == nil {
+					t.Fatal("second Start did not panic")
+				}
+			}()
+			server.StartOwned(func(_ MsgKind, buf *wire.Buffer) { wire.PutBuffer(buf) })
+		})
+	}
+}
+
+func TestSendOwnedDelivers(t *testing.T) {
+	for name, tr := range transports(t) {
+		t.Run(name, func(t *testing.T) {
+			client, server, cleanup := connPair(t, tr)
+			defer cleanup()
+			got := make(chan string, 1)
+			server.StartOwned(func(kind MsgKind, buf *wire.Buffer) {
+				got <- string(buf.B)
+				wire.PutBuffer(buf)
+			})
+			buf := wire.GetBuffer()
+			buf.B = append(buf.B, "owned-frame"...)
+			if err := client.SendOwned(MsgData, buf); err != nil {
+				t.Fatal(err)
+			}
+			if err := client.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case s := <-got:
+				if s != "owned-frame" {
+					t.Fatalf("got %q", s)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("owned frame not delivered")
+			}
+		})
+	}
+}
+
+// TestHandlerMayReplyOnItsConn echoes every frame from inside the
+// server's handler: on inproc the reply runs the client's handler on the
+// client's own sending goroutine, which must neither deadlock nor reorder.
+func TestHandlerMayReplyOnItsConn(t *testing.T) {
+	const n = 200
+	for name, tr := range transports(t) {
+		t.Run(name, func(t *testing.T) {
+			client, server, cleanup := connPair(t, tr)
+			defer cleanup()
+			server.Start(func(kind MsgKind, p []byte) {
+				if err := server.Send(kind, p); err != nil {
+					t.Error(err)
+				}
+			})
+			echoes := make(chan byte, n)
+			client.Start(func(_ MsgKind, p []byte) { echoes <- p[0] })
+			for i := 0; i < n; i++ {
+				if err := client.Send(MsgControl, []byte{byte(i)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < n; i++ {
+				select {
+				case b := <-echoes:
+					if b != byte(i) {
+						t.Fatalf("echo %d carried %d", i, b)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatalf("echo %d missing", i)
+				}
+			}
+		})
+	}
+}
+
+// TestSendBeforeStartIsDelivered sends from another goroutine before the
+// receiver starts: the frame arrives once it does. On inproc that Send
+// waits for Start, and closing either end meanwhile fails it.
+func TestSendBeforeStartIsDelivered(t *testing.T) {
+	for name, tr := range transports(t) {
+		t.Run(name, func(t *testing.T) {
+			client, server, cleanup := connPair(t, tr)
+			defer cleanup()
+			sent := make(chan error, 1)
+			go func() { sent <- client.Send(MsgData, []byte("early")) }()
+			inproc := tr.Name() == "inproc"
+			if inproc {
+				// A head start for the Send; the checks hold however far it got.
+				time.Sleep(10 * time.Millisecond)
+				select {
+				case err := <-sent:
+					t.Fatalf("inproc Send returned %v before the receiver started", err)
+				default:
+				}
+			}
+			got := make(chan string, 1)
+			server.Start(func(_ MsgKind, p []byte) { got <- string(p) })
+			select {
+			case s := <-got:
+				if s != "early" {
+					t.Fatalf("got %q", s)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("frame sent before Start not delivered")
+			}
+			if err := <-sent; err != nil {
+				t.Fatal(err)
+			}
+			if !inproc {
+				return
+			}
+			for _, closer := range []string{"sender", "receiver"} {
+				client, server, cleanup := connPair(t, tr)
+				go func() { sent <- client.Send(MsgData, []byte("never")) }()
+				time.Sleep(10 * time.Millisecond)
+				if closer == "sender" {
+					client.Close()
+				} else {
+					server.Close()
+				}
+				select {
+				case err := <-sent:
+					if err != ErrClosed {
+						t.Errorf("closing the %s: waiting Send returned %v, want ErrClosed", closer, err)
+					}
+				case <-time.After(2 * time.Second):
+					t.Errorf("closing the %s did not release the waiting Send", closer)
+				}
+				cleanup()
+			}
+		})
+	}
+}
+
+// TestInprocStartsNoGoroutine: an inproc connection delivers on its
+// senders' goroutines, so dialing, starting both ends and exchanging
+// frames leaves the goroutine count where it was.
+func TestInprocStartsNoGoroutine(t *testing.T) {
+	const frames = 1000
+	tr := InprocTransport{}
+	l, err := tr.Listen("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	before := runtime.NumGoroutine()
+	client, err := tr.Dial(l.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	server, err := l.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var toServer, toClient int
+	server.Start(func(MsgKind, []byte) { toServer++ })
+	client.Start(func(MsgKind, []byte) { toClient++ })
+	payload := []byte("frame")
+	for i := 0; i < frames; i++ {
+		if err := client.Send(MsgData, payload); err != nil {
+			t.Fatal(err)
+		}
+		if err := server.Send(MsgData, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if toServer != frames || toClient != frames {
+		t.Fatalf("delivered %d and %d frames, want %d each", toServer, toClient, frames)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%d goroutines after exchanging frames, %d before Dial", n, before)
+	}
+}
+
+// TestInprocListenerCloseFailsUnaccepted: a connection dialed but never
+// accepted is closed with its listener, so a Send waiting for the
+// acceptor's Start returns instead of waiting forever.
+func TestInprocListenerCloseFailsUnaccepted(t *testing.T) {
+	tr := InprocTransport{}
+	l, err := tr.Listen("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := tr.Dial(l.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	sent := make(chan error, 1)
+	go func() { sent <- client.Send(MsgControl, []byte("register")) }()
+	l.Close()
+	select {
+	case err := <-sent:
+		if err != ErrClosed {
+			t.Fatalf("Send on an unaccepted connection returned %v, want ErrClosed", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("closing the listener did not release the Send")
 	}
 }
 

@@ -1,10 +1,8 @@
 package network
 
 import (
-	"fmt"
 	"math/bits"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -12,22 +10,16 @@ import (
 )
 
 // FrameRing is a bounded lock-free ring of owned frames (kind + pooled
-// wire.Buffer), the shared-memory primitive behind both the "ring"
-// transport and the Stream Manager's dispatch ring.
+// wire.Buffer): the Stream Manager's dispatch ring, fed by every receive
+// handler and drained by its one worker. It is Vyukov's bounded MPMC
+// queue, used single-consumer. Enqueue moves buffer ownership in and
+// TryDequeue moves it out; a full ring blocks the producer (spin, then
+// sleep), which is the backpressure primitive — over inproc that
+// producer is the sending instance or peer itself.
 //
-// The implementation is Vyukov's bounded MPMC queue, so any number of
-// producers may Enqueue concurrently; the consumer side is used
-// single-consumer (SPSC in steady state). Enqueue transfers buffer
-// ownership into the ring; TryDequeue transfers it out to the caller. A
-// full ring blocks the producer (spin, then sleep) — that blocking is the
-// backpressure primitive, exactly like a full inproc inbox or a slow TCP
-// peer.
-//
-// Each ring can stamp a deterministic 1-in-sampleEvery subset of frames
-// with a monotonic enqueue time (NowNanos); the consumer reads the stamp
-// from TryDequeue and observes NowNanos()-stamp as the queue-inclusive
-// route latency. Sampling keeps the clock call off seven of every eight
-// frames.
+// A ring can stamp one frame in sampleEvery with its enqueue time
+// (NowNanos); the consumer observes NowNanos()-stamp as the
+// queue-inclusive route latency.
 type FrameRing struct {
 	mask  uint64
 	cells []frameCell
@@ -214,175 +206,5 @@ func (r *FrameRing) Drain() int {
 		}
 		wire.PutBuffer(buf)
 		n++
-	}
-}
-
-// RingTransport connects same-host container pairs through a pair of
-// FrameRings — one per direction — so co-located containers exchange
-// owned pooled buffers with no channel, no syscall and no copy. Like
-// inproc it resolves addresses through an in-process registry; unlike
-// inproc, SendOwned is a lock-free ring slot claim and the receive path
-// hands the pooled buffer itself to OwnedHandler consumers.
-type RingTransport struct{}
-
-// Name implements Transport.
-func (RingTransport) Name() string { return "ring" }
-
-// ringFrames is the per-direction ring depth; a full ring blocks the
-// sender, which is how backpressure propagates between co-located
-// containers.
-const ringFrames = 1024
-
-type ringConn struct {
-	send      *FrameRing
-	recv      *FrameRing
-	started   bool
-	closeOnce sync.Once
-}
-
-func newRingPair() (*ringConn, *ringConn) {
-	ab := NewFrameRing(ringFrames, 0)
-	ba := NewFrameRing(ringFrames, 0)
-	return &ringConn{send: ab, recv: ba}, &ringConn{send: ba, recv: ab}
-}
-
-// Send implements Conn: the payload is copied into a pooled buffer which
-// then crosses the ring owned.
-func (c *ringConn) Send(kind MsgKind, payload []byte) error {
-	if len(payload) > MaxFrameSize {
-		return ErrFrameTooBig
-	}
-	buf := wire.GetBuffer()
-	buf.B = append(buf.B, payload...)
-	return c.send.Enqueue(kind, buf)
-}
-
-// SendOwned implements Conn: the pooled buffer crosses to the peer with
-// no copy — the zero-copy leg for same-host pairs.
-func (c *ringConn) SendOwned(kind MsgKind, buf *wire.Buffer) error {
-	if len(buf.B) > MaxFrameSize {
-		wire.PutBuffer(buf)
-		return ErrFrameTooBig
-	}
-	return c.send.Enqueue(kind, buf)
-}
-
-// Flush implements Conn: ring delivery is immediate.
-func (c *ringConn) Flush() error { return nil }
-
-// Start implements Conn.
-func (c *ringConn) Start(h Handler) {
-	c.StartOwned(func(kind MsgKind, buf *wire.Buffer) {
-		h(kind, buf.B)
-		wire.PutBuffer(buf)
-	})
-}
-
-// ringPark is how long the consumer sleeps waiting for frames before
-// rechecking the closed flag.
-const ringPark = time.Millisecond
-
-// StartOwned implements Conn.
-func (c *ringConn) StartOwned(h OwnedHandler) {
-	if c.started {
-		panic("network: Start called twice")
-	}
-	c.started = true
-	go func() {
-		for {
-			kind, _, buf, ok := c.recv.TryDequeue()
-			if ok {
-				h(kind, buf)
-				continue
-			}
-			if c.recv.Closed() {
-				c.recv.Drain()
-				return
-			}
-			c.recv.Await(ringPark)
-		}
-	}()
-}
-
-// Close implements Conn: closing either end closes both directions,
-// unblocking pending sends on each side.
-func (c *ringConn) Close() error {
-	c.closeOnce.Do(func() {
-		c.send.Close()
-		c.recv.Close()
-	})
-	return nil
-}
-
-type ringListener struct {
-	addr      string
-	backlog   chan *ringConn
-	closed    chan struct{}
-	closeOnce sync.Once
-}
-
-// Accept implements Listener.
-func (l *ringListener) Accept() (Conn, error) {
-	select {
-	case c := <-l.backlog:
-		return c, nil
-	case <-l.closed:
-		return nil, ErrClosed
-	}
-}
-
-// Addr implements Listener.
-func (l *ringListener) Addr() string { return l.addr }
-
-// Close implements Listener and unregisters the address.
-func (l *ringListener) Close() error {
-	l.closeOnce.Do(func() {
-		close(l.closed)
-		ringMu.Lock()
-		if ringListeners[l.addr] == l {
-			delete(ringListeners, l.addr)
-		}
-		ringMu.Unlock()
-	})
-	return nil
-}
-
-var (
-	ringMu        sync.Mutex
-	ringListeners = map[string]*ringListener{}
-	ringSeq       int
-)
-
-// Listen implements Transport. The empty address or "auto" auto-assigns a
-// unique address, mirroring TCP's ephemeral ports.
-func (RingTransport) Listen(addr string) (Listener, error) {
-	ringMu.Lock()
-	defer ringMu.Unlock()
-	if addr == "" || addr == "auto" {
-		ringSeq++
-		addr = fmt.Sprintf("ring-%d", ringSeq)
-	}
-	if _, ok := ringListeners[addr]; ok {
-		return nil, fmt.Errorf("network: ring address %q already bound", addr)
-	}
-	l := &ringListener{addr: addr, backlog: make(chan *ringConn, 128), closed: make(chan struct{})}
-	ringListeners[addr] = l
-	return l, nil
-}
-
-// Dial implements Transport.
-func (RingTransport) Dial(addr string) (Conn, error) {
-	ringMu.Lock()
-	l, ok := ringListeners[addr]
-	ringMu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("network: no ring listener at %q", addr)
-	}
-	local, remote := newRingPair()
-	select {
-	case l.backlog <- remote:
-		return local, nil
-	case <-l.closed:
-		return nil, ErrClosed
 	}
 }

@@ -198,47 +198,3 @@ func TestFrameRingConcurrentProducers(t *testing.T) {
 	}
 	wg.Wait()
 }
-
-func TestRingConnSendOwned(t *testing.T) {
-	tr := RingTransport{}
-	l, err := tr.Listen("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	accepted := make(chan Conn, 1)
-	go func() {
-		c, err := l.Accept()
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		accepted <- c
-	}()
-	client, err := tr.Dial(l.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	server := <-accepted
-	defer server.Close()
-
-	got := make(chan string, 1)
-	server.StartOwned(func(kind MsgKind, buf *wire.Buffer) {
-		got <- string(buf.B)
-		wire.PutBuffer(buf)
-	})
-	buf := wire.GetBuffer()
-	buf.B = append(buf.B, []byte("owned-frame")...)
-	if err := client.(*ringConn).SendOwned(MsgData, buf); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case s := <-got:
-		if s != "owned-frame" {
-			t.Fatalf("got %q", s)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("owned frame not delivered")
-	}
-}

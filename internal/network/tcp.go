@@ -27,6 +27,7 @@ type tcpConn struct {
 	mu sync.Mutex // serializes writers
 	w  *bufio.Writer
 
+	started   bool
 	closeOnce sync.Once
 	closeErr  error
 	hdr       [headerSize]byte
@@ -103,16 +104,16 @@ func (t *tcpConn) mapErr(err error) error {
 }
 
 // Start implements Conn.
-func (t *tcpConn) Start(h Handler) {
-	t.StartOwned(func(kind MsgKind, buf *wire.Buffer) {
-		h(kind, buf.B)
-		wire.PutBuffer(buf)
-	})
-}
+func (t *tcpConn) Start(h Handler) { t.StartOwned(recycling(h)) }
 
 // StartOwned implements Conn: each frame is read into a fresh
-// pooled buffer whose ownership passes to the handler.
+// pooled buffer whose ownership passes to the handler. A second reader
+// on one socket would split frames between them, so a second call panics.
 func (t *tcpConn) StartOwned(h OwnedHandler) {
+	if t.started {
+		panic("network: Start called twice")
+	}
+	t.started = true
 	go func() {
 		r := bufio.NewReaderSize(t.c, 64<<10)
 		var hdr [headerSize]byte

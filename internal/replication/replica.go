@@ -182,6 +182,15 @@ func (r *Replica) run() {
 		return
 	}
 	defer cancelLeader()
+	// Lease renewals rewrite nothing, so the watch does not fire for a
+	// leader already holding the lease; read it once, or a standby whose
+	// deferred first campaign outlasts that leader never counts the
+	// failover that follows.
+	if _, live, _ := r.el.Leader(); live {
+		r.mu.Lock()
+		r.sawLive = true
+		r.mu.Unlock()
+	}
 	cancelHead, err := r.opts.Store.WatchNode(headPath(r.opts.Topology), func(_ []byte, _ bool) { nudge() })
 	if err != nil {
 		return

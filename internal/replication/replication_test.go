@@ -390,6 +390,26 @@ func TestReplicaFailoverOnCrash(t *testing.T) {
 	}
 }
 
+// TestDeferredStandbyCountsFailover: a standby that starts while the
+// leader holds its lease, and whose deferred first campaign outlasts that
+// leader, still accounts the takeover as a failover. Lease renewals
+// rewrite nothing, so no watch event tells it a leader was live.
+func TestDeferredStandbyCountsFailover(t *testing.T) {
+	root := testRoot(t)
+	const ttl = 80 * time.Millisecond
+
+	a, _ := startTestReplica(t, root, "a", ttl, 0, nil)
+	waitUntil(t, 5*time.Second, "first leader", a.IsLeader)
+	b, vsB := startTestReplica(t, root, "b", ttl, 4*ttl, nil)
+	defer func() { b.Stop(); vsB.Close() }()
+
+	a.Crash() // inside b's deferral: b never polls a live leader
+	waitUntil(t, 5*time.Second, "standby takeover", b.IsLeader)
+	if st := b.Status(); st.Failovers != 1 || st.LastFailoverNs <= 0 {
+		t.Fatalf("failover accounting = %+v", st)
+	}
+}
+
 // TestReplicaCleanStopHandsOverImmediately: a resigning leader frees the
 // lease, so the standby takes over without waiting out the TTL.
 func TestReplicaCleanStopHandsOver(t *testing.T) {

@@ -8,17 +8,14 @@ import (
 	"heron/internal/metrics"
 )
 
-// TestWordCountShardedOverRing runs the full engine with every container
-// hop crossing the shared-memory ring transport, so frames travel
-// receive-ring → dispatch ring → outbox entirely as owned pooled
-// buffers. Correctness bar: reliable WordCount with acking, every word
-// owned by exactly one task, and the route-latency histogram published
-// through the metrics pipeline with live percentiles.
-func TestWordCountShardedOverRing(t *testing.T) {
+// TestRouteLatencyReachesView runs reliable WordCount with acking on the
+// default transport and checks that every word is owned by exactly one
+// task and that the Stream Managers' route-latency histogram reaches the
+// aggregated TopologyView with ordered percentiles.
+func TestRouteLatencyReachesView(t *testing.T) {
 	var f fixture
 	spec := f.buildWordCount(t, 2, 2, 300, true)
 	cfg := testConfig(t)
-	cfg.Transport = "ring"
 	cfg.AckingEnabled = true
 	cfg.MaxSpoutPending = 50
 	cfg.MessageTimeout = 10 * time.Second
@@ -32,7 +29,7 @@ func TestWordCountShardedOverRing(t *testing.T) {
 	if err := h.WaitRunning(15 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 120*time.Second, "all tuples acked over the ring", func() bool {
+	waitFor(t, 120*time.Second, "all tuples acked", func() bool {
 		return f.acked.Load() >= 2*300
 	})
 	f.table.mu.Lock()

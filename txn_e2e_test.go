@@ -53,7 +53,7 @@ const (
 	trapRecover
 )
 
-func runTxnExactlyOnce(t *testing.T, backendName, label string, ring bool, window txnWindow) {
+func runTxnExactlyOnce(t *testing.T, backendName, label string, window txnWindow) {
 	nPer := 256
 	if audit.RaceEnabled() {
 		nPer = 96 // small-N variant: same windows, less data under -race
@@ -120,9 +120,6 @@ func runTxnExactlyOnce(t *testing.T, backendName, label string, ring bool, windo
 	cfg.SchedulerName = "yarn"
 	cfg.CheckpointInterval = 200 * time.Millisecond
 	cfg.StateBackend = backendName
-	if ring {
-		cfg.Transport = "ring"
-	}
 	if backendName == "localfs" {
 		cfg.Extra = map[string]string{"checkpoint.root": t.TempDir()}
 	}
@@ -267,7 +264,7 @@ func forEachBackend(t *testing.T, f func(t *testing.T, backend string)) {
 // barriers, on every checkpoint backend.
 func TestTxnExactlyOnceMidEpoch(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, backend string) {
-		runTxnExactlyOnce(t, backend, "mid-"+backend, false, windowMidEpoch)
+		runTxnExactlyOnce(t, backend, "mid-"+backend, windowMidEpoch)
 	})
 }
 
@@ -277,18 +274,7 @@ func TestTxnExactlyOnceMidEpoch(t *testing.T) {
 // records under a later epoch, on every checkpoint backend.
 func TestTxnExactlyOncePrepareWindow(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, backend string) {
-		runTxnExactlyOnce(t, backend, "prep-"+backend, false, windowPrepare)
-	})
-}
-
-// TestTxnExactlyOncePrepareWindowSharded is the acceptance matrix's other
-// half: the same prepare-window kill on the memory backend, crossing the
-// shared-memory ring transport, so MsgCommitted frames arrive over a
-// transport ring and then take the Stream Manager's dispatch ring. The
-// other backends over inproc are TestTxnExactlyOncePrepareWindow's arms.
-func TestTxnExactlyOncePrepareWindowSharded(t *testing.T) {
-	t.Run("memory", func(t *testing.T) {
-		runTxnExactlyOnce(t, "memory", "prep-ring-memory", true, windowPrepare)
+		runTxnExactlyOnce(t, backend, "prep-"+backend, windowPrepare)
 	})
 }
 
@@ -296,14 +282,14 @@ func TestTxnExactlyOncePrepareWindowSharded(t *testing.T) {
 // commits in the backend but before the sink hears about it: recovery
 // must COMMIT the pending transaction (the epoch won), not abort it.
 func TestTxnExactlyOnceCommitWindow(t *testing.T) {
-	runTxnExactlyOnce(t, "memory", "commit-memory", false, windowCommit)
+	runTxnExactlyOnce(t, "memory", "commit-memory", windowCommit)
 }
 
 // TestTxnExactlyOnceKillDuringRestore kills the cluster a second time
 // while the first recovery is still resolving pending transactions —
 // recovery itself must be idempotent.
 func TestTxnExactlyOnceKillDuringRestore(t *testing.T) {
-	runTxnExactlyOnce(t, "memory", "restore-memory", false, windowRestore)
+	runTxnExactlyOnce(t, "memory", "restore-memory", windowRestore)
 }
 
 // ---------------------------------------------------------------------------
@@ -315,7 +301,7 @@ func TestTxnExactlyOnceKillDuringRestore(t *testing.T) {
 // finish with zero loss and zero duplicates — the sink never hears a
 // commit decision twice and never misses one.
 
-func runTxnLeaderKill(t *testing.T, backendName, label string, ring bool, midRescale bool) {
+func runTxnLeaderKill(t *testing.T, backendName, label string, midRescale bool) {
 	nPer := 256
 	if audit.RaceEnabled() {
 		nPer = 96
@@ -349,9 +335,6 @@ func runTxnLeaderKill(t *testing.T, backendName, label string, ring bool, midRes
 	cfg.CheckpointInterval = 200 * time.Millisecond
 	cfg.StateBackend = backendName
 	cfg.ControlReplicas = 2
-	if ring {
-		cfg.Transport = "ring"
-	}
 	if backendName == "localfs" {
 		cfg.Extra = map[string]string{"checkpoint.root": t.TempDir()}
 	}
@@ -468,17 +451,7 @@ func runTxnLeaderKill(t *testing.T, backendName, label string, ring bool, midRes
 // between barriers, on every checkpoint backend.
 func TestTxnFailoverMidEpoch(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, backend string) {
-		runTxnLeaderKill(t, backend, "ha-mid-"+backend, false, false)
-	})
-}
-
-// TestTxnFailoverMidEpochSharded repeats the leader kill on the memory
-// backend over the shared-memory ring transport: the successor's
-// re-broadcast commit must reach the sinks over it. The other backends
-// over inproc are TestTxnFailoverMidEpoch's arms.
-func TestTxnFailoverMidEpochSharded(t *testing.T) {
-	t.Run("memory", func(t *testing.T) {
-		runTxnLeaderKill(t, "memory", "ha-mid-ring-memory", true, false)
+		runTxnLeaderKill(t, backend, "ha-mid-"+backend, false)
 	})
 }
 
@@ -488,6 +461,6 @@ func TestTxnFailoverMidEpochSharded(t *testing.T) {
 // still holds.
 func TestTxnFailoverMidRescale(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, backend string) {
-		runTxnLeaderKill(t, backend, "ha-resc-"+backend, false, true)
+		runTxnLeaderKill(t, backend, "ha-resc-"+backend, true)
 	})
 }
