@@ -1,11 +1,13 @@
 // Autotune: the paper's Section V-B future work, implemented — the
-// max-spout-pending window of a live topology is driven by an AIMD
-// controller from real-time throughput and latency observations, instead
-// of being hand-picked from a Figure-10-style sweep.
+// max-spout-pending window of a live topology is driven from real-time
+// observations instead of being hand-picked from a Figure-10-style sweep.
 //
-// The topology starts with a deliberately tiny window (throughput-bound);
-// the tuner grows it until the latency budget binds, and the printout
-// shows the controller walking up the Figure 10 curve.
+// The topology starts with a deliberately tiny window (throughput-bound)
+// under the health manager's "tune-only" policy. While the spouts hold a
+// full window and nothing backpressures, it grows the window ×1.5 for as
+// long as each growth raises the acked rate, and halves it once a growth
+// stops paying: the printout shows it walking up the Figure 10 curve to
+// the knee.
 //
 //	go run ./examples/autotune
 package main
@@ -16,7 +18,6 @@ import (
 	"time"
 
 	heron "heron"
-	"heron/internal/tuning"
 	"heron/internal/workloads"
 )
 
@@ -30,6 +31,9 @@ func main() {
 	cfg := heron.NewConfig()
 	cfg.AckingEnabled = true
 	cfg.MaxSpoutPending = 2 // start almost stalled
+	cfg.MetricsExportInterval = 50 * time.Millisecond
+	cfg.HealthInterval = 100 * time.Millisecond
+	cfg.HealthPolicy = "tune-only"
 
 	h, err := heron.Submit(spec, cfg)
 	if err != nil {
@@ -40,35 +44,24 @@ func main() {
 		log.Fatal(err)
 	}
 
-	tuner, err := tuning.New(tuning.NewHandleTarget(h), tuning.Options{
-		LatencyTarget: 40 * time.Millisecond,
-		Period:        500 * time.Millisecond,
-		Initial:       4,
-		Step:          16,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := tuner.Start(); err != nil {
-		log.Fatal(err)
-	}
-	defer tuner.Stop()
-
-	fmt.Println("autotuning max-spout-pending (latency target 40ms, 10s)...")
+	fmt.Println("autotuning max-spout-pending (tune-only health policy, 10s)...")
 	var last int64
 	for i := 0; i < 10; i++ {
 		time.Sleep(time.Second)
 		acked := stats.Acked.Load()
-		fmt.Printf("t+%2ds  window=%-5d  acked/sec=%d\n", i+1, tuner.Window(), acked-last)
+		window, err := h.MaxSpoutPending()
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("t+%2ds  window=%-5d  acked/sec=%d\n", i+1, window, acked-last)
 		last = acked
 	}
 	fmt.Println("\ncontroller decisions (last 5):")
-	hist := tuner.History()
-	if len(hist) > 5 {
-		hist = hist[len(hist)-5:]
+	actions := h.HealthStatus().Actions
+	if len(actions) > 5 {
+		actions = actions[len(actions)-5:]
 	}
-	for _, d := range hist {
-		fmt.Printf("  %-8s window=%-5d rate=%.0f/s lat=%s\n",
-			d.Action, d.Window, d.Observation.AckedPerSec, d.Observation.MeanLatency.Round(time.Millisecond))
+	for _, a := range actions {
+		fmt.Printf("  %-14s %s%s\n", a.Diagnosis.Kind, a.Detail, a.Err)
 	}
 }

@@ -194,12 +194,11 @@ func submit(spec *api.Spec, cfg *Config, hooks submitHooks) (*Handle, error) {
 	}
 	if cfg.HealthInterval > 0 {
 		hm, err := healthmgr.New(healthmgr.Options{
-			Topology:        h,
-			Policy:          cfg.HealthPolicy,
-			Interval:        cfg.HealthInterval,
-			AckingEnabled:   cfg.AckingEnabled,
-			MaxSpoutPending: cfg.MaxSpoutPending,
-			ActionLog:       h.healthActionLog(),
+			Topology:      h,
+			Policy:        cfg.HealthPolicy,
+			Interval:      cfg.HealthInterval,
+			AckingEnabled: cfg.AckingEnabled,
+			ActionLog:     h.healthActionLog(),
 		})
 		if err != nil {
 			_ = h.Kill()
@@ -384,9 +383,8 @@ func (h *Handle) PackingPlan() (*core.PackingPlan, error) {
 }
 
 // SetMaxSpoutPending retunes the live max-spout-pending window of every
-// spout in the running topology (0 = unbounded). This implements the
-// paper's Section V-B future work: the parameter can now be driven by
-// real-time observations (see the tuning package).
+// spout in the running topology (0 = unbounded). The control log records
+// it, so spouts relaunched later, and a successor TMaster, keep it.
 func (h *Handle) SetMaxSpoutPending(n int) error {
 	if h.killed {
 		return errors.New("heron: topology killed")
@@ -398,8 +396,19 @@ func (h *Handle) SetMaxSpoutPending(n int) error {
 	if err != nil {
 		return err
 	}
-	tm.Tune(n)
-	return nil
+	return tm.Tune(n)
+}
+
+// MaxSpoutPending returns the live max-spout-pending window: the last
+// value the control log recorded, or Config.MaxSpoutPending when it
+// recorded none. It fails with ErrNotLeader while the control plane
+// fails over.
+func (h *Handle) MaxSpoutPending() (int, error) {
+	tm, err := h.leaderTM()
+	if err != nil {
+		return 0, err
+	}
+	return tm.MaxSpoutPending(), nil
 }
 
 // Metrics returns the topology-wide metrics view: the Topology Master's

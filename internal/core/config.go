@@ -72,8 +72,12 @@ type Config struct {
 	// 0 (the default) disables the health manager.
 	HealthInterval time.Duration
 	// HealthPolicy names the health-manager policy: "autoscale" (the
-	// default when HealthInterval is set), "tune-only" (never rescales),
-	// or "observe" (diagnoses only, never acts). Requires HealthInterval.
+	// default when HealthInterval is set), "tune-only", or "observe"
+	// (diagnoses only, never acts). "tune-only" never rescales: it drives
+	// the max-spout-pending window alone, halving it under sustained
+	// backpressure and, while the spouts hold a full window with no
+	// backpressure, growing it ×1.5 for as long as each growth raises the
+	// acked rate. Requires HealthInterval.
 	HealthPolicy string
 
 	// ControlReplicas sizes the control plane's replica set; 0 and 1 (the

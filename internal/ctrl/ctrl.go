@@ -35,7 +35,9 @@ const (
 	OpMetrics Op = "metrics"
 	// OpTune: TMaster → stream managers → spout instances; adjusts the
 	// max-spout-pending window of a running topology (the paper's §V-B
-	// future work: automated, observation-driven parameter tuning).
+	// future work: automated, observation-driven parameter tuning). The
+	// TMaster re-sends the last one with every complete plan broadcast,
+	// and a stream manager replays it to every spout that registers.
 	OpTune Op = "tune"
 	// OpCheckpointTrigger: TMaster → stream managers; start checkpoint
 	// CheckpointID by injecting markers at the local spouts.

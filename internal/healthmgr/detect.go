@@ -14,6 +14,7 @@ const (
 	SymptomBackpressure  SymptomKind = "backpressure"
 	SymptomSkew          SymptomKind = "processing-skew"
 	SymptomUnderutilized SymptomKind = "underutilization"
+	SymptomWindowLimited SymptomKind = "window-limited"
 )
 
 // Symptom is one detected anomaly attributed to a component.
@@ -109,6 +110,32 @@ func slowestBolt(s *Sample, containers map[int32]bool) string {
 	return best
 }
 
+// sustained returns one symptom of kind for every component hit holds
+// for in every sample of win (nil when win is).
+func sustained(win []*Sample, kind SymptomKind, detail string, hit func(s *Sample, name string, comp *ComponentStats) bool) []Symptom {
+	hits := map[string]int{}
+	for _, s := range win {
+		for name, comp := range s.Components {
+			if hit(s, name, comp) {
+				hits[name]++
+			}
+		}
+	}
+	var out []Symptom
+	for name, n := range hits {
+		if n == len(win) {
+			out = append(out, Symptom{Kind: kind, Component: name, Detail: detail})
+		}
+	}
+	return out
+}
+
+// multiTaskBolt reports whether a component is a bolt with at least two
+// tasks, the only components skew and underutilization apply to.
+func multiTaskBolt(name string, comp *ComponentStats) bool {
+	return !comp.Spout && name != metrics.StmgrComponent && comp.Parallelism >= 2
+}
+
 // SkewDetector raises SymptomSkew for a component whose busiest task
 // processes at least Ratio times the per-task mean in every one of the
 // last Sustain samples — uneven load that extra parallelism alone will
@@ -127,43 +154,19 @@ func (d *SkewDetector) Detect(history []*Sample) []Symptom {
 	if ratio <= 1 {
 		ratio = 3
 	}
-	win := window(history, n)
-	if win == nil {
-		return nil
-	}
-	skewed := map[string]int{}
-	for _, s := range win {
-		for name, comp := range s.Components {
-			if comp.Spout || name == metrics.StmgrComponent || comp.Parallelism < 2 {
-				continue
+	return sustained(window(history, n), SymptomSkew,
+		fmt.Sprintf("task load max/mean ≥ %.1f over %d samples", ratio, n),
+		func(_ *Sample, name string, comp *ComponentStats) bool {
+			if !multiTaskBolt(name, comp) {
+				return false
 			}
-			var max, total int64
+			var most, total int64
 			for _, delta := range comp.TaskDeltas {
 				total += delta
-				if delta > max {
-					max = delta
-				}
+				most = max(most, delta)
 			}
-			if total == 0 {
-				continue
-			}
-			mean := float64(total) / float64(comp.Parallelism)
-			if mean > 0 && float64(max) >= ratio*mean {
-				skewed[name]++
-			}
-		}
-	}
-	var out []Symptom
-	for name, hits := range skewed {
-		if hits == n {
-			out = append(out, Symptom{
-				Kind:      SymptomSkew,
-				Component: name,
-				Detail:    fmt.Sprintf("task load max/mean ≥ %.1f over %d samples", ratio, n),
-			})
-		}
-	}
-	return out
+			return total > 0 && float64(most) >= ratio*float64(total)/float64(comp.Parallelism)
+		})
 }
 
 // UnderutilizationDetector raises SymptomUnderutilized for a bolt whose
@@ -186,36 +189,41 @@ func (d *UnderutilizationDetector) Detect(history []*Sample) []Symptom {
 		maxBusy = 0.2
 	}
 	win := window(history, n)
-	if win == nil {
-		return nil
-	}
-	idle := map[string]int{}
 	for _, s := range win {
 		if s.BackpressureAsserted() {
 			return nil
 		}
-		for name, comp := range s.Components {
-			if comp.Spout || name == metrics.StmgrComponent || comp.Parallelism < 2 {
-				continue
-			}
-			if comp.Rate <= 0 || comp.MeanLatencyNs <= 0 {
-				continue
-			}
-			busy := comp.Rate * comp.MeanLatencyNs / 1e9 / float64(comp.Parallelism)
-			if busy < maxBusy {
-				idle[name]++
-			}
+	}
+	return sustained(win, SymptomUnderutilized,
+		fmt.Sprintf("busy fraction < %.2f over %d samples", maxBusy, n),
+		func(_ *Sample, name string, comp *ComponentStats) bool {
+			return multiTaskBolt(name, comp) && comp.Rate > 0 && comp.MeanLatencyNs > 0 &&
+				comp.Rate*comp.MeanLatencyNs/1e9/float64(comp.Parallelism) < maxBusy
+		})
+}
+
+// WindowLimitDetector raises SymptomWindowLimited for a spout whose
+// fullest task holds a whole max-spout-pending window in flight in every
+// one of the last windowLimitSustain samples while no container asserts
+// backpressure: the spout waits on acks, not on the pipeline, so a wider
+// window would carry more tuples.
+type WindowLimitDetector struct{}
+
+// windowLimitSustain is the number of consecutive samples a spout must
+// hold a full window for.
+const windowLimitSustain = 3
+
+// Detect implements Detector.
+func (WindowLimitDetector) Detect(history []*Sample) []Symptom {
+	win := window(history, windowLimitSustain)
+	for _, s := range win {
+		if s.Window <= 0 || s.BackpressureAsserted() {
+			return nil
 		}
 	}
-	var out []Symptom
-	for name, hits := range idle {
-		if hits == n {
-			out = append(out, Symptom{
-				Kind:      SymptomUnderutilized,
-				Component: name,
-				Detail:    fmt.Sprintf("busy fraction < %.2f over %d samples", maxBusy, n),
-			})
-		}
-	}
-	return out
+	return sustained(win, SymptomWindowLimited,
+		fmt.Sprintf("spout.pending at the max-spout-pending window over %d samples", windowLimitSustain),
+		func(s *Sample, _ string, comp *ComponentStats) bool {
+			return comp.Spout && comp.Pending >= int64(s.Window)
+		})
 }

@@ -8,6 +8,7 @@ const (
 	DiagUnderprovisioned DiagnosisKind = "underprovisioned"
 	DiagSlowInstance     DiagnosisKind = "slow-instance"
 	DiagOverprovisioned  DiagnosisKind = "overprovisioned"
+	DiagWindowLimited    DiagnosisKind = "window-limited"
 )
 
 // Diagnosis attributes a set of symptoms to a root cause on a component.
@@ -32,10 +33,13 @@ type Diagnoser interface {
 //     lags its siblings, so adding parallelism would not relieve it;
 //   - backpressure alone → underprovisioned: the whole component is the
 //     bottleneck;
-//   - underutilization (never concurrent with backpressure by detector
-//     construction) → overprovisioned.
+//   - a spout holding a full max-spout-pending window (never concurrent
+//     with backpressure by detector construction) → window-limited;
+//   - underutilization (never concurrent with backpressure either) →
+//     overprovisioned.
 //
-// Output order is urgency order: pressure relief before capacity return.
+// Output order is urgency order: pressure relief, then throughput, then
+// capacity return.
 type ResourceDiagnoser struct{}
 
 // Diagnose implements Diagnoser.
@@ -56,6 +60,9 @@ func (ResourceDiagnoser) Diagnose(symptoms []Symptom) []Diagnosis {
 		} else {
 			out = append(out, Diagnosis{Kind: DiagUnderprovisioned, Component: comp, Detail: s.Detail})
 		}
+	}
+	for comp, s := range byKind[SymptomWindowLimited] {
+		out = append(out, Diagnosis{Kind: DiagWindowLimited, Component: comp, Detail: s.Detail})
 	}
 	for comp, s := range byKind[SymptomUnderutilized] {
 		if _, bp := byKind[SymptomBackpressure][comp]; bp {

@@ -5,10 +5,11 @@
 // Each tick the loop runs sensors → detectors → diagnosers → resolvers:
 // the sensor turns two successive TopologyViews into a windowed Sample;
 // detectors raise sustained symptoms (backpressure, processing skew,
-// underutilization); diagnosers map symptoms to root causes
-// (underprovisioned, slow instance, overprovisioned); resolvers act —
-// from a cheap max-spout-pending retune up to a checkpoint-preserving
-// runtime rescale through Handle.ScaleComponent. A cooldown after every
+// underutilization, a full max-spout-pending window); diagnosers map
+// symptoms to root causes (underprovisioned, slow instance,
+// overprovisioned, window-limited); resolvers act — from a cheap
+// max-spout-pending retune up to a checkpoint-preserving runtime rescale
+// through Handle.ScaleComponent. A cooldown after every
 // action and sustain windows in every detector keep the loop from
 // flapping.
 package healthmgr
@@ -44,9 +45,6 @@ type Options struct {
 	Cooldown time.Duration
 	// AckingEnabled gates the max-spout-pending resolver.
 	AckingEnabled bool
-	// MaxSpoutPending seeds the tuning resolver with the configured
-	// window.
-	MaxSpoutPending int
 	// MinParallelism / MaxParallelism bound the rescale resolvers.
 	MinParallelism int
 	MaxParallelism int
@@ -111,7 +109,7 @@ func init() {
 			Diagnosers: []Diagnoser{ResourceDiagnoser{}},
 		}
 		if o.AckingEnabled {
-			p.Resolvers = append(p.Resolvers, &SpoutPendingResolver{Initial: o.MaxSpoutPending})
+			p.Resolvers = append(p.Resolvers, &SpoutPendingResolver{})
 		}
 		p.Resolvers = append(p.Resolvers,
 			&ScaleUpResolver{Max: o.MaxParallelism},
@@ -120,11 +118,14 @@ func init() {
 		)
 		return p
 	})
+	// tune-only drives the max-spout-pending window alone: it shrinks it
+	// under backpressure and grows it while the spouts are window-limited
+	// and growing pays (see SpoutPendingResolver).
 	RegisterPolicy("tune-only", func(o Options) *Policy {
 		return &Policy{
-			Detectors:  []Detector{&BackpressureDetector{}},
+			Detectors:  []Detector{&BackpressureDetector{}, WindowLimitDetector{}},
 			Diagnosers: []Diagnoser{ResourceDiagnoser{}},
-			Resolvers:  []Resolver{&SpoutPendingResolver{Initial: o.MaxSpoutPending}},
+			Resolvers:  []Resolver{&SpoutPendingResolver{}},
 		}
 	})
 	RegisterPolicy("observe", func(o Options) *Policy {
@@ -300,6 +301,9 @@ func (m *Manager) tick(now time.Time) {
 	if err != nil {
 		return
 	}
+	// While the control plane fails over the window is unknown: read it
+	// as unbounded, which no window-limited symptom fires on.
+	window, _ := m.opts.Topology.MaxSpoutPending()
 	m.mu.Lock()
 	sample := m.sensor.Sample(view, plan, now)
 	m.status.Ticks++
@@ -307,10 +311,12 @@ func (m *Manager) tick(now time.Time) {
 		m.mu.Unlock()
 		return
 	}
+	sample.Window = window
 	m.history = append(m.history, sample)
 	if len(m.history) > historyCap {
 		m.history = m.history[len(m.history)-historyCap:]
 	}
+	sample.WindowAckRate = windowAckRate(m.history)
 	history := m.history
 	m.mu.Unlock()
 

@@ -294,6 +294,41 @@ func TestUnderutilizationDetectorTable(t *testing.T) {
 	}
 }
 
+func TestWindowLimitDetectorTable(t *testing.T) {
+	// sample: the spout holds pending tuples at window w; bp marks a
+	// container asserting backpressure.
+	sample := func(w int, pending int64, bp bool) *Sample {
+		return &Sample{
+			Window:       w,
+			Components:   map[string]*ComponentStats{"word": {Spout: true, Pending: pending}, "count": {Pending: 0}},
+			Backpressure: map[int32]ContainerBP{1: {Active: bp}},
+		}
+	}
+	full := sample(8, 8, false)
+	cases := []struct {
+		name    string
+		history []*Sample
+		want    int
+	}{
+		{"sustained-full", []*Sample{full, full, full}, 1},
+		{"bp-in-window", []*Sample{full, sample(8, 8, true), full}, 0},
+		{"not-full", []*Sample{full, sample(8, 7, false), full}, 0},
+		{"unbounded", []*Sample{sample(0, 8, false), sample(0, 8, false), sample(0, 8, false)}, 0},
+		{"too-short", []*Sample{full, full}, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got := WindowLimitDetector{}.Detect(tc.history)
+			if len(got) != tc.want {
+				t.Fatalf("symptoms = %v, want %d", got, tc.want)
+			}
+			if tc.want == 1 && (got[0].Kind != SymptomWindowLimited || got[0].Component != "word") {
+				t.Errorf("symptom = %+v", got[0])
+			}
+		})
+	}
+}
+
 // --- diagnoser --------------------------------------------------------------
 
 func TestResourceDiagnoser(t *testing.T) {
@@ -331,9 +366,10 @@ func TestResourceDiagnoser(t *testing.T) {
 // --- manager: cooldown and escalation ---------------------------------------
 
 type fakeTopo struct {
-	views []*metrics.TopologyView
-	idx   int
-	plan  *core.PackingPlan
+	views  []*metrics.TopologyView
+	idx    int
+	plan   *core.PackingPlan
+	window int // the live max-spout-pending window
 
 	scaleCalls   []int
 	pendingCalls []int
@@ -354,8 +390,10 @@ func (f *fakeTopo) ScaleComponent(component string, parallelism int) error {
 	f.scaleCalls = append(f.scaleCalls, parallelism)
 	return nil
 }
+func (f *fakeTopo) MaxSpoutPending() (int, error) { return f.window, nil }
 func (f *fakeTopo) SetMaxSpoutPending(n int) error {
 	f.pendingCalls = append(f.pendingCalls, n)
+	f.window = n
 	return nil
 }
 func (f *fakeTopo) Restart(containerID int32) error {
@@ -384,14 +422,13 @@ func bpViews(n int, plan *core.PackingPlan) []*metrics.TopologyView {
 
 func TestManagerCooldownAndEscalation(t *testing.T) {
 	plan := synthPlan(1, 2, 0)
-	ft := &fakeTopo{views: bpViews(40, plan), plan: plan}
+	ft := &fakeTopo{views: bpViews(40, plan), plan: plan, window: 1024}
 	m, err := New(Options{
-		Topology:        ft,
-		Policy:          "autoscale",
-		Interval:        time.Second,
-		Cooldown:        5 * time.Second,
-		AckingEnabled:   true,
-		MaxSpoutPending: 1024,
+		Topology:      ft,
+		Policy:        "autoscale",
+		Interval:      time.Second,
+		Cooldown:      5 * time.Second,
+		AckingEnabled: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -432,6 +469,102 @@ func TestManagerCooldownAndEscalation(t *testing.T) {
 	}
 	if m.MetricsSnapshot().Counters == nil {
 		t.Error("no health metrics exported")
+	}
+}
+
+// TestSpoutPendingResolverHalvesLiveWindow: under sustained backpressure
+// the resolver halves the window the topology runs at, not a configured
+// or remembered one.
+func TestSpoutPendingResolverHalvesLiveWindow(t *testing.T) {
+	plan := synthPlan(1, 2, 0)
+	ft := &fakeTopo{views: bpViews(10, plan), plan: plan, window: 100}
+	m, err := New(Options{Topology: ft, Policy: "tune-only", Interval: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := time.Unix(5000, 0)
+	for i := 1; i <= 5; i++ {
+		m.tick(base.Add(time.Duration(i) * time.Second))
+	}
+	if len(ft.pendingCalls) != 1 || ft.pendingCalls[0] != 50 {
+		t.Fatalf("pending calls = %v, want [50] (half the live window 100)", ft.pendingCalls)
+	}
+}
+
+// TestSpoutPendingResolverBounds: backpressure halves no window below
+// backpressureFloor and bounds an unbounded one at half of defaultWindow;
+// a growth that did not pay halves the window past the floor.
+func TestSpoutPendingResolverBounds(t *testing.T) {
+	bp := Diagnosis{Kind: DiagUnderprovisioned, Component: "count"}
+	ft := &fakeTopo{window: 2*backpressureFloor - 1}
+	if _, err := (&SpoutPendingResolver{}).Resolve(bp, ft, &Sample{}); err == nil || len(ft.pendingCalls) != 0 {
+		t.Errorf("window %d: err = %v, calls = %v; want an error and no retune", 2*backpressureFloor-1, err, ft.pendingCalls)
+	}
+	ft = &fakeTopo{window: 0}
+	if _, err := (&SpoutPendingResolver{}).Resolve(bp, ft, &Sample{}); err != nil || ft.window != defaultWindow/2 {
+		t.Errorf("unbounded: err = %v, window = %d; want %d", err, ft.window, defaultWindow/2)
+	}
+	wl := Diagnosis{Kind: DiagWindowLimited, Component: "word"}
+	ft = &fakeTopo{window: 4}
+	r := &SpoutPendingResolver{}
+	for _, rate := range []float64{1000, 1000} {
+		if _, err := r.Resolve(wl, ft, &Sample{WindowAckRate: rate}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want := []int{6, 3}; fmt.Sprint(ft.pendingCalls) != fmt.Sprint(want) {
+		t.Errorf("window-limited at 4, no gain: calls = %v, want %v", ft.pendingCalls, want)
+	}
+}
+
+// kneeTopo is a synthetic pipeline with a throughput knee at window 100:
+// its spout always holds a full window, nothing backpressures, and the
+// spout's acked rate is min(100 × window, 10 000) per second.
+type kneeTopo struct {
+	fakeTopo
+	at    time.Time
+	acked int64
+}
+
+func (k *kneeTopo) Metrics() *metrics.TopologyView {
+	k.at = k.at.Add(time.Second)
+	k.acked += min(100*int64(k.window), 10_000)
+	return newView(k.at).
+		counter(metrics.MEmitCount, "word", 0, k.acked).
+		counter(metrics.MAckCount, "word", 0, k.acked).
+		gauge(metrics.MSpoutPending, "word", 0, int64(k.window)).
+		gauge(metrics.MStmgrBPActive, metrics.StmgrComponent, 2, 0).v
+}
+
+// TestSpoutPendingResolverConvergesNearKnee: starting far below the knee,
+// the tune-only policy grows the window while growth raises the acked
+// rate and backs off once it does not, so the window ends near the knee
+// and the action log shows both directions.
+func TestSpoutPendingResolverConvergesNearKnee(t *testing.T) {
+	k := &kneeTopo{fakeTopo: fakeTopo{plan: synthPlan(1, 2, 0), window: 10}, at: time.Unix(7000, 0)}
+	m, err := New(Options{Topology: k, Policy: "tune-only", Interval: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := time.Unix(7000, 0)
+	for i := 1; i <= 200; i++ {
+		m.tick(base.Add(time.Duration(i) * time.Second))
+	}
+	t.Logf("windows set: %v", k.pendingCalls)
+	if k.window < 50 || k.window > 200 {
+		t.Errorf("window = %d, want within [50, 200] around the knee at 100", k.window)
+	}
+	var grew, backedOff bool
+	for _, a := range m.Status().Actions {
+		var from, to int
+		if _, err := fmt.Sscanf(a.Detail, "max-spout-pending %d → %d", &from, &to); err != nil {
+			t.Fatalf("action %+v: %v", a, err)
+		}
+		grew = grew || to > from
+		backedOff = backedOff || to < from
+	}
+	if !grew || !backedOff {
+		t.Errorf("actions grew=%v backed off=%v, want both: %+v", grew, backedOff, m.Status().Actions)
 	}
 }
 

@@ -15,6 +15,9 @@ type Topology interface {
 	Metrics() *metrics.TopologyView
 	PackingPlan() (*core.PackingPlan, error)
 	ScaleComponent(component string, parallelism int) error
+	// MaxSpoutPending reads the live max-spout-pending window, the one
+	// SetMaxSpoutPending last set (0 = unbounded).
+	MaxSpoutPending() (int, error)
 	SetMaxSpoutPending(n int) error
 	Restart(containerID int32) error
 }
@@ -30,47 +33,79 @@ type Resolver interface {
 	Resolve(d Diagnosis, t Topology, latest *Sample) (string, error)
 }
 
-// SpoutPendingResolver relieves backpressure by tightening the
-// max-spout-pending window — the cheapest intervention: a control-plane
-// retune, no restarts. Requires acking (the window is meaningless
-// without it).
+// SpoutPendingResolver is the one controller of the max-spout-pending
+// window, the knob the paper's §V-B leaves to be tuned from real-time
+// observations, and the cheapest intervention: a control-plane retune,
+// no restarts. It reads the live window through the Topology and keeps
+// none of its own. Requires acking (the window is meaningless without
+// it).
+//
+//   - Underprovisioned (sustained backpressure): halve the window, down
+//     to backpressureFloor; an unbounded window becomes half of
+//     defaultWindow.
+//   - Window-limited (a spout holds a full window in flight and nothing
+//     backpressures): grow it ×1.5 (rounded up), ScaleUpResolver's step,
+//     and keep growing while each growth raises the spouts' acked rate at
+//     the window (Sample.WindowAckRate) by more than the growthGain
+//     margin. A growth that did not is followed by a halving.
+//
+// Growing while it pays and halving past it finds the knee of the
+// throughput/latency curve (Figs 10–11) by measurement, with no latency
+// target to pick.
 type SpoutPendingResolver struct {
-	// Initial is the configured MaxSpoutPending; used as the starting
-	// point for the first tightening (default 1024 when unset).
-	Initial int
-
-	current int
-	floor   int
+	// grownFrom is the spouts' acked rate at the window the last growth
+	// left, the baseline that growth is judged against; 0 after a halving.
+	grownFrom float64
 }
+
+const (
+	// growthGain is the factor by which a growth must raise the spouts'
+	// acked rate for the window to grow again.
+	growthGain = 1.05
+	// backpressureFloor is the smallest window backpressure halves to.
+	backpressureFloor = 32
+	// defaultWindow stands in for an unbounded window when backpressure
+	// halves it.
+	defaultWindow = 1024
+)
 
 // Name implements Resolver.
 func (*SpoutPendingResolver) Name() string { return "spout-pending-retune" }
 
 // CanResolve implements Resolver.
 func (*SpoutPendingResolver) CanResolve(d Diagnosis) bool {
-	return d.Kind == DiagUnderprovisioned
+	return d.Kind == DiagUnderprovisioned || d.Kind == DiagWindowLimited
 }
 
-// Resolve implements Resolver: halve the in-flight window (floor 64).
-func (r *SpoutPendingResolver) Resolve(d Diagnosis, t Topology, _ *Sample) (string, error) {
-	if r.floor == 0 {
-		r.floor = 64
+// Resolve implements Resolver.
+func (r *SpoutPendingResolver) Resolve(d Diagnosis, t Topology, latest *Sample) (string, error) {
+	cur, err := t.MaxSpoutPending()
+	if err != nil {
+		return "", err
 	}
-	if r.current == 0 {
-		r.current = r.Initial
-		if r.current <= 0 {
-			r.current = 1024
+	var next int
+	switch {
+	case d.Kind != DiagWindowLimited:
+		next = cur / 2
+		if cur == 0 {
+			next = defaultWindow / 2
 		}
-	}
-	next := r.current / 2
-	if next < r.floor {
-		return "", fmt.Errorf("healthmgr: max-spout-pending already at floor %d", r.floor)
+		if next < backpressureFloor {
+			return "", fmt.Errorf("healthmgr: max-spout-pending %d already at floor %d", cur, backpressureFloor)
+		}
+	case r.grownFrom == 0 || latest.WindowAckRate > r.grownFrom*growthGain:
+		next = cur + (cur+1)/2
+	default:
+		next = max(cur/2, 1)
 	}
 	if err := t.SetMaxSpoutPending(next); err != nil {
 		return "", err
 	}
-	r.current = next
-	return fmt.Sprintf("max-spout-pending → %d", next), nil
+	r.grownFrom = 0
+	if next > cur {
+		r.grownFrom = latest.WindowAckRate
+	}
+	return fmt.Sprintf("max-spout-pending %d → %d", cur, next), nil
 }
 
 // ScaleUpResolver resolves an underprovisioned component by growing its

@@ -26,6 +26,10 @@ type ComponentStats struct {
 	Rate float64
 	// MeanLatencyNs is the component-wide mean execute latency.
 	MeanLatencyNs float64
+	// Pending is the largest spout.pending gauge of the component's tasks
+	// (spouts only): tuples in flight against the max-spout-pending
+	// window.
+	Pending int64
 }
 
 // Delta returns the summed task deltas.
@@ -58,6 +62,15 @@ type Sample struct {
 	Elapsed      time.Duration
 	Components   map[string]*ComponentStats
 	Backpressure map[int32]ContainerBP
+	// Window is the live max-spout-pending window when the sample was
+	// taken (0 = unbounded).
+	Window int
+	// Acked counts the tuple trees the spouts acked over this sample.
+	Acked int64
+	// WindowAckRate is the spouts' acked trees per second over every
+	// trailing sample taken at this Window: the rate the window achieved,
+	// measured over as long as it has held. The Manager fills it in.
+	WindowAckRate float64
 }
 
 // BackpressureAsserted reports whether any container asserted
@@ -69,6 +82,23 @@ func (s *Sample) BackpressureAsserted() bool {
 		}
 	}
 	return false
+}
+
+// windowAckRate is the spouts' acked rate over the trailing samples of
+// history taken at the newest sample's window. The acked counts telescope,
+// so the error is one metrics export, not one per sample.
+func windowAckRate(history []*Sample) float64 {
+	var acked int64
+	var elapsed time.Duration
+	w := history[len(history)-1].Window
+	for i := len(history) - 1; i >= 0 && history[i].Window == w; i-- {
+		acked += history[i].Acked
+		elapsed += history[i].Elapsed
+	}
+	if elapsed <= 0 {
+		return 0
+	}
+	return float64(acked) / elapsed.Seconds()
 }
 
 // BuildSample derives one Sample from two successive topology views and
@@ -115,12 +145,18 @@ func BuildSample(cur, prev *metrics.TopologyView, plan *core.PackingPlan, at tim
 		}
 		comp.Spout = true
 		comp.TaskDeltas[id.Task] = counterDelta(prev, id, val)
+		ackID := metrics.ID{Name: metrics.MAckCount, Tags: id.Tags}
+		s.Acked += counterDelta(prev, ackID, cur.Counters[ackID])
 	}
 	for id, val := range cur.Gauges {
-		if id.Name == metrics.MStmgrBPActive {
+		switch id.Name {
+		case metrics.MStmgrBPActive:
 			bp := s.Backpressure[id.Task]
 			bp.Active = val != 0
 			s.Backpressure[id.Task] = bp
+		case metrics.MSpoutPending:
+			comp := s.component(id.Component)
+			comp.Pending = max(comp.Pending, val)
 		}
 	}
 	// Execute-latency windows per task and per component.

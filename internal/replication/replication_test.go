@@ -171,7 +171,8 @@ func TestDanglingRecordOverwritten(t *testing.T) {
 
 // TestViewReplayPrefixes is the checkpoint-ledger replay table: a standby
 // started from an arbitrary log prefix must reconstruct the ledger floor,
-// the pending epoch, the last global commit, and any open rescale.
+// the pending epoch, the last global commit, any open rescale, and the
+// last tuned max-spout-pending window.
 func TestViewReplayPrefixes(t *testing.T) {
 	records := []*Record{
 		{Kind: KindLedger, Ledger: &core.CheckpointLedger{Next: 2, Pending: 1}},
@@ -189,7 +190,8 @@ func TestViewReplayPrefixes(t *testing.T) {
 		next       int64 // epoch-id floor a successor may hand out from
 		pending    int64 // prepared-but-uncommitted epoch (0 = none)
 		lastCommit int64
-		rescale    bool // open rescale a successor must roll back
+		rescale    bool  // open rescale a successor must roll back
+		tune       int64 // last tuned window (0 = none recorded)
 	}{
 		{prefix: 0, next: 0, pending: 0, lastCommit: 0, rescale: false},
 		{prefix: 1, next: 2, pending: 1, lastCommit: 0, rescale: false},
@@ -200,7 +202,7 @@ func TestViewReplayPrefixes(t *testing.T) {
 		{prefix: 6, next: 3, pending: 0, lastCommit: 2, rescale: true},
 		{prefix: 7, next: 3, pending: 0, lastCommit: 2, rescale: false},
 		{prefix: 8, next: 4, pending: 3, lastCommit: 2, rescale: false},
-		{prefix: 9, next: 4, pending: 3, lastCommit: 2, rescale: false},
+		{prefix: 9, next: 4, pending: 3, lastCommit: 2, rescale: false, tune: 500},
 	}
 	for _, tc := range cases {
 		t.Run(fmt.Sprintf("prefix=%d", tc.prefix), func(t *testing.T) {
@@ -221,6 +223,9 @@ func TestViewReplayPrefixes(t *testing.T) {
 			}
 			if got := v.Rescale != nil; got != tc.rescale {
 				t.Errorf("open rescale = %v, want %v", got, tc.rescale)
+			}
+			if v.MaxSpoutPending != tc.tune || (v.Tunes > 0) != (tc.tune > 0) {
+				t.Errorf("tune = %d (%d records), want %d", v.MaxSpoutPending, v.Tunes, tc.tune)
 			}
 			if v.AppliedSeq != int64(tc.prefix) {
 				t.Errorf("AppliedSeq = %d, want %d", v.AppliedSeq, tc.prefix)

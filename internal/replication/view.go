@@ -24,6 +24,10 @@ type View struct {
 	// otherwise. A successor must abort it via the existing rollback
 	// path before trusting the statemgr's topology records.
 	Rescale *RescaleRecord
+	// MaxSpoutPending is the window the last tune record set; it is
+	// meaningful only when Tunes > 0. A successor re-sends it with every
+	// plan broadcast, so a relaunched spout starts at the tuned window.
+	MaxSpoutPending int64
 	// Plans, HealthActions, Tunes count applied records (observability).
 	Plans, HealthActions, Tunes int
 }
@@ -58,6 +62,7 @@ func (v *View) Apply(r *Record) {
 		v.HealthActions++
 	case KindTune:
 		v.Tunes++
+		v.MaxSpoutPending = r.Value
 	case KindRescaleBegin:
 		v.Rescale = r.Rescale
 	case KindRescaleCommit, KindRescaleRollback:

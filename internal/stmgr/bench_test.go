@@ -340,6 +340,7 @@ func (h *healthStubTopo) Name() string                            { return "benc
 func (h *healthStubTopo) Metrics() *metrics.TopologyView          { return h.view }
 func (h *healthStubTopo) PackingPlan() (*core.PackingPlan, error) { return h.plan, nil }
 func (h *healthStubTopo) ScaleComponent(string, int) error        { return nil }
+func (h *healthStubTopo) MaxSpoutPending() (int, error)           { return 0, nil }
 func (h *healthStubTopo) SetMaxSpoutPending(int) error            { return nil }
 func (h *healthStubTopo) Restart(int32) error                     { return nil }
 

@@ -16,7 +16,6 @@ func detachPeer(s *StreamManager) {
 	old := []*outbox{s.peers[2], s.peerData[2]}
 	delete(s.peers, 2)
 	delete(s.peerData, 2)
-	delete(s.peerConns, 2)
 	delete(s.peerAddrs, 2)
 	s.publishRoutesLocked()
 	s.mu.Unlock()

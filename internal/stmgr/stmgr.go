@@ -98,9 +98,8 @@ type StreamManager struct {
 	// park slow paths.
 	mu        sync.Mutex
 	plan      *core.PhysicalPlan
-	epoch     int64                  // epoch of the applied plan
-	instances map[int32]*outbox      // local task id → delivery queue
-	instConns map[int32]network.Conn // local task id → conn (for close)
+	epoch     int64             // epoch of the applied plan
+	instances map[int32]*outbox // local task id → delivery queue
 	// pending holds data frames for local tasks whose instance has not
 	// registered yet (instances and their upstream spouts start
 	// concurrently); flushed on registration, capped per task. Buffers are
@@ -116,9 +115,7 @@ type StreamManager struct {
 	peerPending map[int32][]*wire.Buffer
 	peers       map[int32]*outbox // control outbox per peer container
 	peerData    map[int32]*outbox // data outbox per peer container
-	peerConns   map[int32]network.Conn
 	peerAddrs   map[int32]string
-	spoutsUp    map[int32]bool // local spout tasks currently registered
 
 	// inbox is the dispatch ring receive goroutines feed; the worker
 	// (worker.go) is its only consumer and the only user of cache, ack,
@@ -148,6 +145,13 @@ type StreamManager struct {
 	tmaster     network.Conn
 	tmasterLoc  core.TMasterLocation // where tmaster was dialed
 	cancelWatch func()
+
+	// tuneMu serializes tune delivery: the relay of an OpTune to the
+	// registered spouts and its replay to a spout that registers later, so
+	// a spout's last OpTune is the TMaster's last. tune is that message,
+	// encoded (nil until the first).
+	tuneMu sync.Mutex
+	tune   []byte
 
 	mCacheDrains *metrics.Counter
 	mCacheDepth  *metrics.Gauge
@@ -184,14 +188,11 @@ func newCore(opts Options) (*StreamManager, error) {
 		transport:   tr,
 		optimized:   opts.Cfg.StreamManagerOptimized,
 		instances:   map[int32]*outbox{},
-		instConns:   map[int32]network.Conn{},
 		pending:     map[int32][]*wire.Buffer{},
 		peerPending: map[int32][]*wire.Buffer{},
 		peers:       map[int32]*outbox{},
 		peerData:    map[int32]*outbox{},
-		peerConns:   map[int32]network.Conn{},
 		peerAddrs:   map[int32]string{},
-		spoutsUp:    map[int32]bool{},
 		inbox:       network.NewFrameRing(ringFrames, routeSampleEvery),
 		planReady:   make(chan struct{}),
 		stopCh:      make(chan struct{}),
@@ -340,7 +341,7 @@ func (s *StreamManager) connectTMaster(loc core.TMasterLocation) {
 		case ctrl.OpPlan:
 			s.applyPlan(m.Plan)
 		case ctrl.OpTune:
-			s.forwardToSpouts(m)
+			s.relayTune(m)
 		case ctrl.OpCheckpointTrigger:
 			s.triggerCheckpoint(m.CheckpointID)
 		case ctrl.OpCheckpointCommitted:
@@ -457,7 +458,6 @@ func (s *StreamManager) attachPeer(container int32, addr string, conn network.Co
 	data := newOutbox(conn, nil, s.onBytesSent)
 	s.peers[container] = newOutbox(conn, nil, s.onBytesSent)
 	s.peerData[container] = data
-	s.peerConns[container] = conn
 	s.peerAddrs[container] = addr
 	for _, buf := range s.peerPending[container] {
 		data.enqueueOwned(network.MsgData, buf)
@@ -467,15 +467,14 @@ func (s *StreamManager) attachPeer(container int32, addr string, conn network.Co
 	s.mu.Unlock()
 }
 
-// closePeerLocked closes container's outboxes and connection and forgets
-// them; the caller holds s.mu.
+// closePeerLocked closes container's outboxes and their shared
+// connection and forgets them; the caller holds s.mu.
 func (s *StreamManager) closePeerLocked(container int32) {
 	s.peers[container].close()
 	s.peerData[container].close()
-	s.peerConns[container].Close()
+	s.peers[container].conn.Close()
 	delete(s.peers, container)
 	delete(s.peerData, container)
-	delete(s.peerConns, container)
 }
 
 // acceptLoop admits connections from local instances and peer stream
@@ -521,8 +520,6 @@ func (s *StreamManager) handleControl(conn network.Conn, payload []byte) {
 	case ctrl.OpBackpressure:
 		// A peer asks us to pause/resume our local spouts.
 		s.setSpoutPause(m.On, m.Container)
-	case ctrl.OpTune:
-		s.forwardToSpouts(m)
 	case ctrl.OpCheckpointSaved:
 		// A local instance persisted its snapshot; relay the ack to the
 		// checkpoint coordinator on the TMaster.
@@ -580,12 +577,16 @@ func (s *StreamManager) relayToTMaster(payload []byte) {
 	}
 }
 
-// forwardToSpouts relays a control message to every local spout instance.
-func (s *StreamManager) forwardToSpouts(m *ctrl.Message) {
+// relayTune forwards the TMaster's OpTune to every registered local spout
+// and keeps it for the spouts that register later.
+func (s *StreamManager) relayTune(m *ctrl.Message) {
 	raw, err := ctrl.Encode(m)
 	if err != nil {
 		return
 	}
+	s.tuneMu.Lock()
+	defer s.tuneMu.Unlock()
+	s.tune = raw
 	for _, o := range s.spoutOutboxes() {
 		o.enqueue(network.MsgControl, raw)
 	}
@@ -618,22 +619,29 @@ func (s *StreamManager) registerInstance(conn network.Conn, task int32) {
 		old.close()
 	}
 	s.instances[task] = o
-	s.instConns[task] = conn
 	parked := s.pending[task]
 	delete(s.pending, task)
 	var planMsg []byte
+	spout := false
 	if s.plan != nil {
 		if raw, err := ctrl.Encode(&ctrl.Message{Op: ctrl.OpPlan, Topology: s.opts.Topology, Plan: s.payloadLocked()}); err == nil {
 			planMsg = raw
 		}
-		if int(task) < len(s.plan.Tasks) && s.plan.Tasks[task].Kind == core.KindSpout {
-			s.spoutsUp[task] = true
-		}
+		spout = int(task) < len(s.plan.Tasks) && s.plan.Tasks[task].Kind == core.KindSpout
 	}
 	s.publishRoutesLocked()
 	s.mu.Unlock()
 	if planMsg != nil {
 		o.enqueue(network.MsgControl, planMsg)
+	}
+	if spout {
+		// The routing snapshot already holds o, so a tune relayed after
+		// this replay reaches o behind it.
+		s.tuneMu.Lock()
+		if s.tune != nil {
+			o.enqueue(network.MsgControl, s.tune)
+		}
+		s.tuneMu.Unlock()
 	}
 	// Release any data that arrived before this instance came up. Done
 	// outside s.mu: enqueue triggers the depth callback.
@@ -795,15 +803,11 @@ func (s *StreamManager) Stop() {
 		s.tmasterMu.Unlock()
 		s.mu.Lock()
 		insts := s.instances
-		instConns := s.instConns
 		peers := s.peers
 		peerData := s.peerData
-		peerConns := s.peerConns
 		s.instances = map[int32]*outbox{}
-		s.instConns = map[int32]network.Conn{}
 		s.peers = map[int32]*outbox{}
 		s.peerData = map[int32]*outbox{}
-		s.peerConns = map[int32]network.Conn{}
 		for _, parked := range s.peerPending {
 			for _, buf := range parked {
 				wire.PutBuffer(buf)
@@ -814,12 +818,13 @@ func (s *StreamManager) Stop() {
 		s.mu.Unlock()
 		// Order matters: close connections first (stops the dispatch
 		// producers), then the ring (the worker drains leftovers and
-		// exits), then the outboxes, then wait for every goroutine.
-		for _, c := range instConns {
-			c.Close()
+		// exits), then the outboxes, then wait for every goroutine. A
+		// peer's control and data outboxes share one connection.
+		for _, o := range insts {
+			o.conn.Close()
 		}
-		for _, c := range peerConns {
-			c.Close()
+		for _, o := range peers {
+			o.conn.Close()
 		}
 		s.inbox.Close()
 		s.planOnce.Do(func() { close(s.planReady) })

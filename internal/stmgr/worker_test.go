@@ -331,12 +331,16 @@ func remoteAcks(spout int32, n int) []tuple.AckTuple {
 
 // stallPeer makes container's control outbox, the one remote acks take,
 // an outbox without a sender: every frame enqueued on it stays in its
-// queue, where queued reads it.
+// queue, where queued reads it. It keeps the peer's connection, if any,
+// for Stop to close through it.
 func stallPeer(s *StreamManager, container int32) *outbox {
-	o := &outbox{}
-	o.cond = sync.NewCond(&o.mu)
 	s.mu.Lock()
 	old := s.peers[container]
+	o := &outbox{conn: &nullConn{}}
+	if old != nil {
+		o.conn = old.conn
+	}
+	o.cond = sync.NewCond(&o.mu)
 	s.peers[container] = o
 	s.publishRoutesLocked()
 	s.mu.Unlock()

@@ -59,6 +59,13 @@ type TMaster struct {
 	ckptSuspended atomic.Bool
 	commitWaiters []chan int64 // notified (non-blocking) on every commit
 
+	// tuneMu orders the OpTune sends, Tune's and the re-send after every
+	// complete plan broadcast, so the last window a Stream Manager hears
+	// is the last one logged. tune is that window, -1 when the log
+	// recorded none; it is stored under tuneMu and loaded without it.
+	tuneMu sync.Mutex
+	tune   atomic.Int64
+
 	// Leadership (leadership.go): a fenced log append proves a newer
 	// generation exists and deposes this one.
 	deposed    atomic.Bool
@@ -96,6 +103,10 @@ func New(opts Options) (*TMaster, error) {
 		metrics:  map[int32]*metrics.Snapshot{},
 		ready:    make(chan struct{}),
 		stopCh:   make(chan struct{}),
+	}
+	tm.tune.Store(-1)
+	if v := opts.Lead.Recovered; v != nil && v.Tunes > 0 {
+		tm.tune.Store(v.MaxSpoutPending)
 	}
 	if opts.Cfg.CheckpointInterval > 0 {
 		backend, err := checkpoint.New(opts.Cfg.StateBackend)
@@ -279,6 +290,13 @@ func (tm *TMaster) broadcastIfComplete() {
 			})
 		}
 	}
+	// Re-send the tuned window too: a relaunched container's spouts would
+	// otherwise start at Config.MaxSpoutPending.
+	tm.tuneMu.Lock()
+	if w := tm.tune.Load(); w >= 0 {
+		tm.broadcastCtrl(&ctrl.Message{Op: ctrl.OpTune, Topology: tm.opts.Topology, MaxSpoutPending: int(w)})
+	}
+	tm.tuneMu.Unlock()
 	tm.readyOK.Do(func() { close(tm.ready) })
 }
 
@@ -328,30 +346,31 @@ func (tm *TMaster) MetricsView() *metrics.TopologyView {
 	return metrics.MergeSnapshots(snaps...)
 }
 
-// Tune broadcasts a max-spout-pending adjustment to every registered
-// stream manager, which relays it to its local spout instances — the
-// runtime path behind observation-driven parameter tuning.
-func (tm *TMaster) Tune(maxSpoutPending int) {
+// Tune logs a max-spout-pending window and broadcasts it to every
+// registered stream manager, which relays it to its local spouts and
+// replays it to any spout that registers later.
+func (tm *TMaster) Tune(maxSpoutPending int) error {
+	tm.tuneMu.Lock()
+	defer tm.tuneMu.Unlock()
 	if err := tm.AppendControl(&replication.Record{
 		Kind: replication.KindTune, Value: int64(maxSpoutPending),
 	}); err != nil {
-		return
+		return err
 	}
-	raw, err := ctrl.Encode(&ctrl.Message{
+	tm.tune.Store(int64(maxSpoutPending))
+	tm.broadcastCtrl(&ctrl.Message{
 		Op: ctrl.OpTune, Topology: tm.opts.Topology, MaxSpoutPending: maxSpoutPending,
 	})
-	if err != nil {
-		return
+	return nil
+}
+
+// MaxSpoutPending returns the window the control log last recorded, or
+// Config.MaxSpoutPending when it recorded none.
+func (tm *TMaster) MaxSpoutPending() int {
+	if w := tm.tune.Load(); w >= 0 {
+		return int(w)
 	}
-	tm.mu.Lock()
-	conns := make([]network.Conn, 0, len(tm.stmgrs))
-	for _, e := range tm.stmgrs {
-		conns = append(conns, e.conn)
-	}
-	tm.mu.Unlock()
-	for _, c := range conns {
-		_ = c.Send(network.MsgControl, raw)
-	}
+	return tm.opts.Cfg.MaxSpoutPending
 }
 
 // broadcastCtrl sends one control message to every registered stream
