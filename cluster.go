@@ -144,8 +144,8 @@ func (c *Cluster) Submit(tenantName string, spec *api.Spec, cfg *Config) (*Handl
 	cfg.HTTPAddr = "" // the cluster endpoint serves all tenants
 	cfg.Framework = &multitenant.Binding{Sub: c.sub, Tenant: tenantName, Topology: name}
 	h, err := submit(spec, cfg, submitHooks{
-		admitPlan: func(plan *core.PackingPlan, tmAsk core.Resource) error {
-			return c.sub.AdmitTopology(tenantName, name, plan, tmAsk)
+		admitPlan: func(plan *core.PackingPlan) error {
+			return c.sub.AdmitTopology(tenantName, name, plan, core.DefaultTMasterResources)
 		},
 		admitUpdate: func(current, proposed *core.PackingPlan) error {
 			return c.sub.AdmitUpdate(name, current, proposed)

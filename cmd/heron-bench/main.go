@@ -4,7 +4,8 @@
 // Usage:
 //
 //	heron-bench                 # all figures, quick windows
-//	heron-bench -fig 5          # one figure (ranges like 5-9 run together)
+//	heron-bench -fig 5          # one figure's group: 2–3, 5–6, 7–9, 10–11 and
+//	                            # 12–13 each run together (4 and 14 alone)
 //	heron-bench -measure 5s     # longer steady-state windows
 //	heron-bench -full           # the paper's full parallelism sweep
 //

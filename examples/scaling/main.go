@@ -165,7 +165,7 @@ func main() {
 	fmt.Println("\n→ the count bolt stalls 200µs per tuple; waiting for the health manager to act...")
 
 	// Watch the control loop: throughput each second, plus every new
-	// diagnosis as the detectors and diagnosers produce it.
+	// diagnosis as the detectors and the diagnosis step produce it.
 	seen := map[string]bool{}
 	start := time.Now()
 	var slowRate float64

@@ -76,7 +76,7 @@ type Handle struct {
 type submitHooks struct {
 	// admitPlan runs after packing and before any container is scheduled;
 	// an error aborts the submission (quota admission control).
-	admitPlan func(plan *core.PackingPlan, tmAsk core.Resource) error
+	admitPlan func(plan *core.PackingPlan) error
 	// admitUpdate and onKill are installed on the returned Handle.
 	admitUpdate func(current, proposed *core.PackingPlan) error
 	onKill      func()
@@ -156,7 +156,7 @@ func submit(spec *api.Spec, cfg *Config, hooks submitHooks) (*Handle, error) {
 		}
 	}
 	if hooks.admitPlan != nil {
-		if err := hooks.admitPlan(plan, cfg.TMasterResources); err != nil {
+		if err := hooks.admitPlan(plan); err != nil {
 			abort()
 			return nil, err
 		}

@@ -28,8 +28,6 @@ type Config struct {
 	NumContainers     int      // round-robin container count hint (default 4)
 	ContainerCapacity Resource // bin-packing per-container capacity
 	ContainerOverhead Resource // per-container stream/metrics manager cost
-	InstanceResources Resource // default per-instance request
-	TMasterResources  Resource // container-0 request
 
 	// Data plane tuning (paper Section V-B).
 	AckingEnabled bool
@@ -65,10 +63,11 @@ type Config struct {
 	StateBackend string
 
 	// HealthInterval enables the self-regulating health manager: every
-	// interval the configured policy's sensors sample the Topology
+	// interval the configured policy's sensor samples the Topology
 	// Master's merged metrics view, detectors turn samples into symptoms,
-	// diagnosers into a diagnosis, and resolvers act on it — retuning max
-	// spout pending or rescaling a component's parallelism at runtime.
+	// symptoms are diagnosed, and resolvers act on the diagnosis —
+	// retuning max spout pending or rescaling a component's parallelism at
+	// runtime.
 	// 0 (the default) disables the health manager.
 	HealthInterval time.Duration
 	// HealthPolicy names the health-manager policy: "autoscale" (the
@@ -136,6 +135,10 @@ const (
 // does not set one (1 core, 1 GB RAM, 1 GB disk — Heron's defaults).
 var DefaultInstanceResources = Resource{CPU: 1, RAMMB: 1024, DiskMB: 1024}
 
+// DefaultTMasterResources is the ask of container 0, the container that
+// runs the TMaster.
+var DefaultTMasterResources = Resource{CPU: 1, RAMMB: 1024, DiskMB: 1024}
+
 // DefaultContainerOverhead covers the Stream Manager and Metrics Manager
 // processes of each container.
 var DefaultContainerOverhead = Resource{CPU: 1, RAMMB: 512, DiskMB: 512}
@@ -152,9 +155,7 @@ func NewConfig() *Config {
 		Codec:                  "fast",
 		StreamManagerOptimized: true,
 		NumContainers:          DefaultNumContainers,
-		InstanceResources:      DefaultInstanceResources,
 		ContainerOverhead:      DefaultContainerOverhead,
-		TMasterResources:       Resource{CPU: 1, RAMMB: 1024, DiskMB: 1024},
 		MessageTimeout:         DefaultMessageTimeout,
 		CacheDrainFrequency:    DefaultCacheDrainFrequency,
 		CacheMaxBatchTuples:    DefaultCacheMaxBatchTuples,

@@ -187,7 +187,7 @@ func RunHeronWordCount(o WCOptions) (Result, error) {
 		for i := range plan.Containers {
 			res.Cores += plan.Containers[i].Required.CPU
 		}
-		res.Cores += cfg.TMasterResources.CPU
+		res.Cores += core.DefaultTMasterResources.CPU
 	}
 	if res.Cores > 0 {
 		res.PerCoreMTPM = res.ThroughputMTPM / res.Cores

@@ -24,36 +24,39 @@ type Symptom struct {
 	Detail    string      `json:"detail,omitempty"`
 }
 
-// Detector inspects the recent sample history (oldest first, newest
+// detector inspects the recent sample history (oldest first, newest
 // last) and raises symptoms. Detectors require the condition to be
 // *sustained* across their window: a single noisy sample never raises.
-type Detector interface {
-	Detect(history []*Sample) []Symptom
-}
+type detector func(history []*Sample) []Symptom
+
+// The detectors' sustain windows, in consecutive samples, and thresholds.
+const (
+	backpressureSustain  = 3
+	skewSustain          = 5
+	underutilizedSustain = 12
+	windowLimitSustain   = 3
+	// skewRatio is the busiest task's load, as a multiple of the per-task
+	// mean, from which a component counts as skewed.
+	skewRatio = 3.0
+	// maxBusy is the per-task busy fraction under which a bolt counts as
+	// underutilized.
+	maxBusy = 0.2
+)
 
 // window returns the last n samples if at least n exist, else nil.
 func window(history []*Sample, n int) []*Sample {
-	if n <= 0 || len(history) < n {
+	if len(history) < n {
 		return nil
 	}
 	return history[len(history)-n:]
 }
 
-// BackpressureDetector raises SymptomBackpressure when every one of the
-// last Sustain samples shows an asserting container, attributed to the
-// slowest bolt hosted in an asserting container (falling back to the
-// slowest bolt anywhere).
-type BackpressureDetector struct {
-	Sustain int // consecutive samples required (default 3)
-}
-
-// Detect implements Detector.
-func (d *BackpressureDetector) Detect(history []*Sample) []Symptom {
-	n := d.Sustain
-	if n <= 0 {
-		n = 3
-	}
-	win := window(history, n)
+// detectBackpressure raises SymptomBackpressure when every one of the
+// last backpressureSustain samples shows an asserting container,
+// attributed to the slowest bolt hosted in an asserting container
+// (falling back to the slowest bolt anywhere).
+func detectBackpressure(history []*Sample) []Symptom {
+	win := window(history, backpressureSustain)
 	if win == nil {
 		return nil
 	}
@@ -79,7 +82,7 @@ func (d *BackpressureDetector) Detect(history []*Sample) []Symptom {
 	return []Symptom{{
 		Kind:      SymptomBackpressure,
 		Component: comp,
-		Detail:    fmt.Sprintf("backpressure sustained over %d samples; slowest bolt %q", n, comp),
+		Detail:    fmt.Sprintf("backpressure sustained over %d samples; slowest bolt %q", backpressureSustain, comp),
 	}}
 }
 
@@ -136,26 +139,13 @@ func multiTaskBolt(name string, comp *ComponentStats) bool {
 	return !comp.Spout && name != metrics.StmgrComponent && comp.Parallelism >= 2
 }
 
-// SkewDetector raises SymptomSkew for a component whose busiest task
-// processes at least Ratio times the per-task mean in every one of the
-// last Sustain samples — uneven load that extra parallelism alone will
-// not fix.
-type SkewDetector struct {
-	Sustain int     // consecutive samples required (default 5)
-	Ratio   float64 // max/mean threshold (default 3)
-}
-
-// Detect implements Detector.
-func (d *SkewDetector) Detect(history []*Sample) []Symptom {
-	n, ratio := d.Sustain, d.Ratio
-	if n <= 0 {
-		n = 5
-	}
-	if ratio <= 1 {
-		ratio = 3
-	}
-	return sustained(window(history, n), SymptomSkew,
-		fmt.Sprintf("task load max/mean ≥ %.1f over %d samples", ratio, n),
+// detectSkew raises SymptomSkew for a component whose busiest task
+// processes at least skewRatio times the per-task mean in every one of
+// the last skewSustain samples — uneven load that extra parallelism alone
+// will not fix.
+func detectSkew(history []*Sample) []Symptom {
+	return sustained(window(history, skewSustain), SymptomSkew,
+		fmt.Sprintf("task load max/mean ≥ %.1f over %d samples", skewRatio, skewSustain),
 		func(_ *Sample, name string, comp *ComponentStats) bool {
 			if !multiTaskBolt(name, comp) {
 				return false
@@ -165,56 +155,36 @@ func (d *SkewDetector) Detect(history []*Sample) []Symptom {
 				total += delta
 				most = max(most, delta)
 			}
-			return total > 0 && float64(most) >= ratio*float64(total)/float64(comp.Parallelism)
+			return total > 0 && float64(most) >= skewRatio*float64(total)/float64(comp.Parallelism)
 		})
 }
 
-// UnderutilizationDetector raises SymptomUnderutilized for a bolt whose
+// detectUnderutilization raises SymptomUnderutilized for a bolt whose
 // estimated per-task busy fraction (rate × mean latency / parallelism)
-// stays under MaxBusy across the last Sustain samples while tuples keep
-// flowing and no backpressure appears anywhere in the window. The long
-// default window makes scale-down deliberately conservative.
-type UnderutilizationDetector struct {
-	Sustain int     // consecutive samples required (default 12)
-	MaxBusy float64 // busy-fraction ceiling (default 0.2)
-}
-
-// Detect implements Detector.
-func (d *UnderutilizationDetector) Detect(history []*Sample) []Symptom {
-	n, maxBusy := d.Sustain, d.MaxBusy
-	if n <= 0 {
-		n = 12
-	}
-	if maxBusy <= 0 {
-		maxBusy = 0.2
-	}
-	win := window(history, n)
+// stays under maxBusy across the last underutilizedSustain samples while
+// tuples keep flowing and no backpressure appears anywhere in the window.
+// The long window makes scale-down deliberately conservative.
+func detectUnderutilization(history []*Sample) []Symptom {
+	win := window(history, underutilizedSustain)
 	for _, s := range win {
 		if s.BackpressureAsserted() {
 			return nil
 		}
 	}
 	return sustained(win, SymptomUnderutilized,
-		fmt.Sprintf("busy fraction < %.2f over %d samples", maxBusy, n),
+		fmt.Sprintf("busy fraction < %.2f over %d samples", maxBusy, underutilizedSustain),
 		func(_ *Sample, name string, comp *ComponentStats) bool {
 			return multiTaskBolt(name, comp) && comp.Rate > 0 && comp.MeanLatencyNs > 0 &&
 				comp.Rate*comp.MeanLatencyNs/1e9/float64(comp.Parallelism) < maxBusy
 		})
 }
 
-// WindowLimitDetector raises SymptomWindowLimited for a spout whose
-// fullest task holds a whole max-spout-pending window in flight in every
-// one of the last windowLimitSustain samples while no container asserts
+// detectWindowLimit raises SymptomWindowLimited for a spout whose fullest
+// task holds a whole max-spout-pending window in flight in every one of
+// the last windowLimitSustain samples while no container asserts
 // backpressure: the spout waits on acks, not on the pipeline, so a wider
 // window would carry more tuples.
-type WindowLimitDetector struct{}
-
-// windowLimitSustain is the number of consecutive samples a spout must
-// hold a full window for.
-const windowLimitSustain = 3
-
-// Detect implements Detector.
-func (WindowLimitDetector) Detect(history []*Sample) []Symptom {
+func detectWindowLimit(history []*Sample) []Symptom {
 	win := window(history, windowLimitSustain)
 	for _, s := range win {
 		if s.Window <= 0 || s.BackpressureAsserted() {

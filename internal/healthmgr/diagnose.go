@@ -22,12 +22,7 @@ type Diagnosis struct {
 // bookkeeping.
 func (d Diagnosis) Key() string { return string(d.Kind) + "/" + d.Component }
 
-// Diagnoser maps this tick's symptoms to diagnoses, most urgent first.
-type Diagnoser interface {
-	Diagnose(symptoms []Symptom) []Diagnosis
-}
-
-// ResourceDiagnoser is the default provisioning diagnoser:
+// diagnose maps this tick's symptoms to diagnoses, most urgent first:
 //
 //   - backpressure + skew on the same component → slow-instance: one task
 //     lags its siblings, so adding parallelism would not relieve it;
@@ -40,10 +35,7 @@ type Diagnoser interface {
 //
 // Output order is urgency order: pressure relief, then throughput, then
 // capacity return.
-type ResourceDiagnoser struct{}
-
-// Diagnose implements Diagnoser.
-func (ResourceDiagnoser) Diagnose(symptoms []Symptom) []Diagnosis {
+func diagnose(symptoms []Symptom) []Diagnosis {
 	byKind := map[SymptomKind]map[string]Symptom{}
 	for _, s := range symptoms {
 		m, ok := byKind[s.Kind]

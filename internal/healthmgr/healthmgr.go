@@ -2,16 +2,17 @@
 // policy-driven control loop in the spirit of Dhalion, layered on top of
 // the TMaster's merged metrics view.
 //
-// Each tick the loop runs sensors → detectors → diagnosers → resolvers:
+// Each tick the loop runs sensor → detectors → diagnose → resolvers:
 // the sensor turns two successive TopologyViews into a windowed Sample;
 // detectors raise sustained symptoms (backpressure, processing skew,
-// underutilization, a full max-spout-pending window); diagnosers map
+// underutilization, a full max-spout-pending window); diagnose maps
 // symptoms to root causes (underprovisioned, slow instance,
 // overprovisioned, window-limited); resolvers act — from a cheap
 // max-spout-pending retune up to a checkpoint-preserving runtime rescale
 // through Handle.ScaleComponent. A cooldown after every
 // action and sustain windows in every detector keep the loop from
-// flapping.
+// flapping. Policies, thresholds and the cooldown are fixed: a
+// configuration picks a policy by name and nothing else.
 package healthmgr
 
 import (
@@ -23,34 +24,15 @@ import (
 	"heron/internal/metrics"
 )
 
-// Policy bundles the detector/diagnoser/resolver sets of one control
-// strategy. Resolvers are ordered cheapest first; the manager escalates
-// along that order when a diagnosis survives an action.
-type Policy struct {
-	Detectors  []Detector
-	Diagnosers []Diagnoser
-	Resolvers  []Resolver
-}
-
 // Options configures a Manager.
 type Options struct {
 	Topology Topology
-	// Policy names a registered policy ("autoscale", "tune-only",
+	// Policy names one of the policies ("autoscale", "tune-only",
 	// "observe"); empty means "autoscale".
 	Policy   string
 	Interval time.Duration
-	// Cooldown is the minimum pause after any resolver action (default
-	// 8×Interval): actions must be given time to show up in the metrics
-	// before the loop may act again.
-	Cooldown time.Duration
 	// AckingEnabled gates the max-spout-pending resolver.
 	AckingEnabled bool
-	// MinParallelism / MaxParallelism bound the rescale resolvers.
-	MinParallelism int
-	MaxParallelism int
-	// Registry receives the healthmgr.* metric series; a private one is
-	// created when nil.
-	Registry *metrics.Registry
 	// ActionLog, when set, write-ahead-logs every resolver action before
 	// it runs (the replicated control plane appends it to the control
 	// log). An error skips this tick's action without escalation —
@@ -59,85 +41,58 @@ type Options struct {
 	ActionLog func(action, component, detail string) error
 }
 
-// PolicyFactory builds a policy for one topology's options.
-type PolicyFactory func(Options) *Policy
+// cooldownTicks is the pause after any resolver action, in ticks: an
+// action must be given time to show up in the metrics before the loop may
+// act again.
+const cooldownTicks = 8
 
-var (
-	policyMu sync.RWMutex
-	policies = map[string]PolicyFactory{}
-)
+// policy is the detector and resolver sets of one control strategy.
+// Resolvers are ordered cheapest first; the manager escalates along that
+// order when a diagnosis survives an action.
+type policy struct {
+	detectors []detector
+	resolvers []Resolver
+}
 
-// RegisterPolicy adds a named policy to the registry (same pattern as
-// the core module registries).
-func RegisterPolicy(name string, f PolicyFactory) {
-	policyMu.Lock()
-	defer policyMu.Unlock()
-	policies[name] = f
+// policies builds each named policy for one manager; resolvers keep state
+// (SpoutPendingResolver), so no two managers share one.
+var policies = map[string]func(acking bool) policy{
+	"autoscale": func(acking bool) policy {
+		p := policy{detectors: []detector{detectBackpressure, detectSkew, detectUnderutilization}}
+		if acking {
+			p.resolvers = append(p.resolvers, &SpoutPendingResolver{})
+		}
+		p.resolvers = append(p.resolvers, &ScaleUpResolver{}, &RestartResolver{}, &ScaleDownResolver{})
+		return p
+	},
+	// tune-only drives the max-spout-pending window alone: it shrinks it
+	// under backpressure and grows it while the spouts are window-limited
+	// and growing pays (see SpoutPendingResolver).
+	"tune-only": func(bool) policy {
+		return policy{
+			detectors: []detector{detectBackpressure, detectWindowLimit},
+			resolvers: []Resolver{&SpoutPendingResolver{}},
+		}
+	},
+	"observe": func(bool) policy {
+		return policy{detectors: []detector{detectBackpressure, detectSkew, detectUnderutilization}}
+	},
 }
 
 // KnownPolicy reports whether a policy name resolves.
 func KnownPolicy(name string) bool {
-	if name == "" {
-		return true
-	}
-	policyMu.RLock()
-	defer policyMu.RUnlock()
 	_, ok := policies[name]
-	return ok
+	return ok || name == ""
 }
 
-// Policies returns the sorted registered policy names.
+// Policies returns the sorted policy names.
 func Policies() []string {
-	policyMu.RLock()
-	defer policyMu.RUnlock()
 	out := make([]string, 0, len(policies))
 	for n := range policies {
 		out = append(out, n)
 	}
 	sort.Strings(out)
 	return out
-}
-
-func init() {
-	RegisterPolicy("autoscale", func(o Options) *Policy {
-		p := &Policy{
-			Detectors: []Detector{
-				&BackpressureDetector{},
-				&SkewDetector{},
-				&UnderutilizationDetector{},
-			},
-			Diagnosers: []Diagnoser{ResourceDiagnoser{}},
-		}
-		if o.AckingEnabled {
-			p.Resolvers = append(p.Resolvers, &SpoutPendingResolver{})
-		}
-		p.Resolvers = append(p.Resolvers,
-			&ScaleUpResolver{Max: o.MaxParallelism},
-			&RestartResolver{},
-			&ScaleDownResolver{Min: o.MinParallelism},
-		)
-		return p
-	})
-	// tune-only drives the max-spout-pending window alone: it shrinks it
-	// under backpressure and grows it while the spouts are window-limited
-	// and growing pays (see SpoutPendingResolver).
-	RegisterPolicy("tune-only", func(o Options) *Policy {
-		return &Policy{
-			Detectors:  []Detector{&BackpressureDetector{}, WindowLimitDetector{}},
-			Diagnosers: []Diagnoser{ResourceDiagnoser{}},
-			Resolvers:  []Resolver{&SpoutPendingResolver{}},
-		}
-	})
-	RegisterPolicy("observe", func(o Options) *Policy {
-		return &Policy{
-			Detectors: []Detector{
-				&BackpressureDetector{},
-				&SkewDetector{},
-				&UnderutilizationDetector{},
-			},
-			Diagnosers: []Diagnoser{ResourceDiagnoser{}},
-		}
-	})
 }
 
 // Action records one resolver intervention for the status endpoint.
@@ -171,7 +126,7 @@ const (
 // Manager runs the control loop for one topology.
 type Manager struct {
 	opts   Options
-	policy *Policy
+	policy policy
 	reg    *metrics.Registry
 	sensor ViewSensor
 
@@ -187,7 +142,7 @@ type Manager struct {
 	started bool
 }
 
-// New builds a Manager; the policy name must be registered.
+// New builds a Manager; the policy name must be one of Policies.
 func New(o Options) (*Manager, error) {
 	if o.Topology == nil {
 		return nil, fmt.Errorf("healthmgr: nil topology")
@@ -196,26 +151,17 @@ func New(o Options) (*Manager, error) {
 	if name == "" {
 		name = "autoscale"
 	}
-	policyMu.RLock()
-	factory, ok := policies[name]
-	policyMu.RUnlock()
+	build, ok := policies[name]
 	if !ok {
 		return nil, fmt.Errorf("healthmgr: unknown policy %q (have %v)", name, Policies())
 	}
 	if o.Interval <= 0 {
 		return nil, fmt.Errorf("healthmgr: non-positive interval")
 	}
-	if o.Cooldown <= 0 {
-		o.Cooldown = 8 * o.Interval
-	}
-	reg := o.Registry
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
 	return &Manager{
 		opts:        o,
-		policy:      factory(o),
-		reg:         reg,
+		policy:      build(o.AckingEnabled),
+		reg:         metrics.NewRegistry(),
 		status:      Status{Policy: name},
 		escalation:  map[string]int{},
 		absentTicks: map[string]int{},
@@ -321,13 +267,10 @@ func (m *Manager) tick(now time.Time) {
 	m.mu.Unlock()
 
 	var symptoms []Symptom
-	for _, d := range m.policy.Detectors {
-		symptoms = append(symptoms, d.Detect(history)...)
+	for _, detect := range m.policy.detectors {
+		symptoms = append(symptoms, detect(history)...)
 	}
-	var diagnoses []Diagnosis
-	for _, dg := range m.policy.Diagnosers {
-		diagnoses = append(diagnoses, dg.Diagnose(symptoms)...)
-	}
+	diagnoses := diagnose(symptoms)
 	for _, s := range symptoms {
 		m.reg.Counter(metrics.MHealthSymptoms, metrics.Tags{Component: s.Component}).Inc(1)
 	}
@@ -343,7 +286,7 @@ func (m *Manager) tick(now time.Time) {
 	inCooldown := now.Before(m.cooldownUntil)
 	m.mu.Unlock()
 
-	if len(m.policy.Resolvers) == 0 || len(diagnoses) == 0 || inCooldown {
+	if len(m.policy.resolvers) == 0 || len(diagnoses) == 0 || inCooldown {
 		return
 	}
 	m.resolve(now, diagnoses[0], sample)
@@ -373,7 +316,7 @@ func (m *Manager) trackEscalation(diagnoses []Diagnosis) {
 // resolver for the most urgent diagnosis.
 func (m *Manager) resolve(now time.Time, d Diagnosis, latest *Sample) {
 	var eligible []Resolver
-	for _, r := range m.policy.Resolvers {
+	for _, r := range m.policy.resolvers {
 		if r.CanResolve(d) {
 			eligible = append(eligible, r)
 		}
@@ -402,7 +345,7 @@ func (m *Manager) resolve(now time.Time, d Diagnosis, latest *Sample) {
 		m.pushAction(Action{At: now, Resolver: r.Name(), Diagnosis: d, Err: err.Error()})
 		// Brief pause even on failure so a persistently failing resolver
 		// cannot hot-loop.
-		if cd := now.Add(m.opts.Cooldown / 4); cd.After(m.cooldownUntil) {
+		if cd := now.Add(cooldownTicks * m.opts.Interval / 4); cd.After(m.cooldownUntil) {
 			m.cooldownUntil = cd
 		}
 		m.mu.Unlock()
@@ -412,7 +355,7 @@ func (m *Manager) resolve(now time.Time, d Diagnosis, latest *Sample) {
 	m.mu.Lock()
 	m.escalation[d.Key()] = level + 1
 	m.pushAction(Action{At: now, Resolver: r.Name(), Diagnosis: d, Detail: detail})
-	m.cooldownUntil = now.Add(m.opts.Cooldown)
+	m.cooldownUntil = now.Add(cooldownTicks * m.opts.Interval)
 	m.mu.Unlock()
 }
 

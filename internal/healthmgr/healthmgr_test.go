@@ -127,8 +127,7 @@ func synthSamples(t *testing.T, plan *core.PackingPlan, ticks []tickSpec) []*Sam
 	}
 	var samples []*Sample
 	for i := 1; i < len(views); i++ {
-		samples = append(samples, BuildSample(views[i], views[i-1], plan,
-			views[i].TakenAt, time.Second))
+		samples = append(samples, BuildSample(views[i], views[i-1], plan, views[i].TakenAt))
 	}
 	return samples
 }
@@ -190,12 +189,31 @@ func TestSensorWarmupAndStaleView(t *testing.T) {
 	}
 }
 
+// TestSensorRateUsesSnapshotClock: the counters moved between the two
+// views' snapshots, so a rate divides by the time between those, not by
+// the time between the ticks that read them.
+func TestSensorRateUsesSnapshotClock(t *testing.T) {
+	plan := synthPlan(1, 1, 0)
+	var sensor ViewSensor
+	taken, tick := time.Unix(4000, 0), time.Unix(4000, 0)
+	v1 := newView(taken).counter(metrics.MExecuteCount, "count", 1, 100).v
+	v2 := newView(taken.Add(40*time.Millisecond)).counter(metrics.MExecuteCount, "count", 1, 500).v
+	sensor.Sample(v1, plan, tick)
+	s := sensor.Sample(v2, plan, tick.Add(50*time.Millisecond))
+	if s == nil {
+		t.Fatal("no sample")
+	}
+	if got, want := s.Components["count"].Rate, 400/0.040; got < want*0.999 || got > want*1.001 {
+		t.Errorf("rate = %.0f/s, want %.0f/s (400 tuples over the 40 ms between snapshots)", got, want)
+	}
+}
+
 func TestSensorClampsCounterReset(t *testing.T) {
 	plan := synthPlan(1, 1, 0)
 	at := time.Unix(3000, 0)
 	prev := newView(at).counter(metrics.MExecuteCount, "count", 1, 5000).v
 	cur := newView(at.Add(time.Second)).counter(metrics.MExecuteCount, "count", 1, 40).v // relaunched
-	s := BuildSample(cur, prev, plan, at.Add(time.Second), time.Second)
+	s := BuildSample(cur, prev, plan, at.Add(time.Second))
 	if d := s.Components["count"].TaskDeltas[1]; d != 0 {
 		t.Errorf("delta after reset = %d, want 0 (clamped)", d)
 	}
@@ -218,11 +236,9 @@ func TestBackpressureDetectorTable(t *testing.T) {
 		{"calm", repeat(4, calm), 0},
 		{"too-short", repeat(2, busy), 0},
 	}
-	det := &BackpressureDetector{Sustain: 3}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			history := synthSamples(t, plan, tc.ticks)
-			got := det.Detect(history)
+			got := detectBackpressure(synthSamples(t, plan, tc.ticks))
 			if len(got) != tc.want {
 				t.Fatalf("symptoms = %v, want %d", got, tc.want)
 			}
@@ -248,10 +264,9 @@ func TestSkewDetectorTable(t *testing.T) {
 		{"flapping-skew", []tickSpec{skewed, even, skewed, even, skewed}, 0},
 		{"balanced", repeat(5, even), 0},
 	}
-	det := &SkewDetector{Sustain: 5, Ratio: 3}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := det.Detect(synthSamples(t, plan, tc.ticks))
+			got := detectSkew(synthSamples(t, plan, tc.ticks))
 			if len(got) != tc.want {
 				t.Fatalf("symptoms = %v, want %d", got, tc.want)
 			}
@@ -280,10 +295,9 @@ func TestUnderutilizationDetectorTable(t *testing.T) {
 		{"busy", repeat(12, busy), 0},
 		{"too-short", repeat(6, idle), 0},
 	}
-	det := &UnderutilizationDetector{Sustain: 12, MaxBusy: 0.2}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := det.Detect(synthSamples(t, plan, tc.ticks))
+			got := detectUnderutilization(synthSamples(t, plan, tc.ticks))
 			if len(got) != tc.want {
 				t.Fatalf("symptoms = %v, want %d", got, tc.want)
 			}
@@ -318,7 +332,7 @@ func TestWindowLimitDetectorTable(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := WindowLimitDetector{}.Detect(tc.history)
+			got := detectWindowLimit(tc.history)
 			if len(got) != tc.want {
 				t.Fatalf("symptoms = %v, want %d", got, tc.want)
 			}
@@ -350,7 +364,7 @@ func TestResourceDiagnoser(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := ResourceDiagnoser{}.Diagnose(tc.symptoms)
+			got := diagnose(tc.symptoms)
 			if len(got) != len(tc.want) {
 				t.Fatalf("diagnoses = %v, want kinds %v", got, tc.want)
 			}
@@ -427,7 +441,6 @@ func TestManagerCooldownAndEscalation(t *testing.T) {
 		Topology:      ft,
 		Policy:        "autoscale",
 		Interval:      time.Second,
-		Cooldown:      5 * time.Second,
 		AckingEnabled: true,
 	})
 	if err != nil {
@@ -439,21 +452,24 @@ func TestManagerCooldownAndEscalation(t *testing.T) {
 	for i := 1; i <= 5; i++ {
 		m.tick(base.Add(time.Duration(i) * time.Second))
 	}
-	// Tick 1 = warmup; ticks 2-3 fill the Sustain=3 window; tick 4 fires.
+	// Tick 1 = warmup; ticks 2-3 fill the 3-sample sustain window; tick 4
+	// fires.
 	if len(ft.pendingCalls) != 1 || ft.pendingCalls[0] != 512 {
 		t.Fatalf("pending calls = %v, want [512] (cheapest resolver first)", ft.pendingCalls)
 	}
 	if len(ft.scaleCalls) != 0 {
 		t.Fatalf("scale calls = %v before cooldown expiry", ft.scaleCalls)
 	}
-	// Within the 5s cooldown: more bp ticks, no further actions.
+	// Within the 8 s cooldown (8 ticks of 1 s): more bp ticks, no further
+	// actions.
 	for i := 6; i <= 8; i++ {
 		m.tick(base.Add(time.Duration(i) * time.Second))
 	}
 	if got := len(ft.pendingCalls) + len(ft.scaleCalls); got != 1 {
 		t.Fatalf("actions during cooldown: pending=%v scale=%v", ft.pendingCalls, ft.scaleCalls)
 	}
-	// After cooldown: the diagnosis persists → escalate to scale-up.
+	// The cooldown ends at tick 12: the diagnosis persists → escalate to
+	// scale-up.
 	for i := 9; i <= 12; i++ {
 		m.tick(base.Add(time.Duration(i) * time.Second))
 	}

@@ -108,11 +108,16 @@ func (r *SpoutPendingResolver) Resolve(d Diagnosis, t Topology, latest *Sample) 
 	return fmt.Sprintf("max-spout-pending %d → %d", cur, next), nil
 }
 
+// The rescale resolvers' parallelism bounds.
+const (
+	minParallelism = 1
+	maxParallelism = 16
+)
+
 // ScaleUpResolver resolves an underprovisioned component by growing its
-// parallelism ~1.5× through the runtime rescale path.
-type ScaleUpResolver struct {
-	Max int // parallelism ceiling (default 16)
-}
+// parallelism ~1.5× through the runtime rescale path, up to
+// maxParallelism.
+type ScaleUpResolver struct{}
 
 // Name implements Resolver.
 func (*ScaleUpResolver) Name() string { return "scale-up" }
@@ -123,26 +128,15 @@ func (*ScaleUpResolver) CanResolve(d Diagnosis) bool {
 }
 
 // Resolve implements Resolver.
-func (r *ScaleUpResolver) Resolve(d Diagnosis, t Topology, latest *Sample) (string, error) {
-	max := r.Max
-	if max <= 0 {
-		max = 16
-	}
+func (*ScaleUpResolver) Resolve(d Diagnosis, t Topology, latest *Sample) (string, error) {
 	comp, ok := latest.Components[d.Component]
 	if !ok || comp.Parallelism <= 0 {
 		return "", fmt.Errorf("healthmgr: no stats for component %q", d.Component)
 	}
 	cur := comp.Parallelism
-	grow := cur / 2
-	if grow < 1 {
-		grow = 1
-	}
-	next := cur + grow
-	if next > max {
-		next = max
-	}
+	next := min(cur+max(cur/2, 1), maxParallelism)
 	if next <= cur {
-		return "", fmt.Errorf("healthmgr: %q already at max parallelism %d", d.Component, max)
+		return "", fmt.Errorf("healthmgr: %q already at max parallelism %d", d.Component, maxParallelism)
 	}
 	if err := t.ScaleComponent(d.Component, next); err != nil {
 		return "", err
@@ -151,10 +145,8 @@ func (r *ScaleUpResolver) Resolve(d Diagnosis, t Topology, latest *Sample) (stri
 }
 
 // ScaleDownResolver returns capacity from an overprovisioned component
-// by halving its parallelism (never below Min).
-type ScaleDownResolver struct {
-	Min int // parallelism floor (default 1)
-}
+// by halving its parallelism (never below minParallelism).
+type ScaleDownResolver struct{}
 
 // Name implements Resolver.
 func (*ScaleDownResolver) Name() string { return "scale-down" }
@@ -165,22 +157,15 @@ func (*ScaleDownResolver) CanResolve(d Diagnosis) bool {
 }
 
 // Resolve implements Resolver.
-func (r *ScaleDownResolver) Resolve(d Diagnosis, t Topology, latest *Sample) (string, error) {
-	min := r.Min
-	if min <= 0 {
-		min = 1
-	}
+func (*ScaleDownResolver) Resolve(d Diagnosis, t Topology, latest *Sample) (string, error) {
 	comp, ok := latest.Components[d.Component]
 	if !ok || comp.Parallelism <= 0 {
 		return "", fmt.Errorf("healthmgr: no stats for component %q", d.Component)
 	}
 	cur := comp.Parallelism
-	next := cur / 2
-	if next < min {
-		next = min
-	}
+	next := max(cur/2, minParallelism)
 	if next >= cur {
-		return "", fmt.Errorf("healthmgr: %q already at min parallelism %d", d.Component, min)
+		return "", fmt.Errorf("healthmgr: %q already at min parallelism %d", d.Component, minParallelism)
 	}
 	if err := t.ScaleComponent(d.Component, next); err != nil {
 		return "", err

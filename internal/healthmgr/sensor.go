@@ -19,9 +19,6 @@ type ComponentStats struct {
 	TaskDeltas map[int32]int64
 	// TaskContainer maps each task to the container hosting it.
 	TaskContainer map[int32]int32
-	// TaskLatencyNs is each bolt task's mean execute latency over the
-	// window (cumulative mean when the window added no latency samples).
-	TaskLatencyNs map[int32]float64
 	// Rate is tuples/second summed across tasks over the window.
 	Rate float64
 	// MeanLatencyNs is the component-wide mean execute latency.
@@ -104,8 +101,14 @@ func windowAckRate(history []*Sample) float64 {
 // BuildSample derives one Sample from two successive topology views and
 // the active packing plan. It is a pure function so detector tests can
 // feed synthetic view sequences. prev may be nil (warmup): deltas then
-// read as cumulative counts.
-func BuildSample(cur, prev *metrics.TopologyView, plan *core.PackingPlan, at time.Time, elapsed time.Duration) *Sample {
+// read as cumulative counts and rates as zero. The window is the time
+// between the two views' snapshots, not between the ticks that read
+// them: the counters moved over the former.
+func BuildSample(cur, prev *metrics.TopologyView, plan *core.PackingPlan, at time.Time) *Sample {
+	var elapsed time.Duration
+	if prev != nil {
+		elapsed = cur.TakenAt.Sub(prev.TakenAt)
+	}
 	s := &Sample{
 		At:           at,
 		Elapsed:      elapsed,
@@ -159,14 +162,6 @@ func BuildSample(cur, prev *metrics.TopologyView, plan *core.PackingPlan, at tim
 			comp.Pending = max(comp.Pending, val)
 		}
 	}
-	// Execute-latency windows per task and per component.
-	for id, hs := range cur.Histograms {
-		if id.Name != metrics.MExecuteLatency {
-			continue
-		}
-		comp := s.component(id.Component)
-		comp.TaskLatencyNs[id.Task] = windowMean(prev, id, hs)
-	}
 	for name, comp := range s.Components {
 		if elapsed > 0 {
 			comp.Rate = float64(comp.Delta()) / elapsed.Seconds()
@@ -185,7 +180,6 @@ func (s *Sample) component(name string) *ComponentStats {
 		comp = &ComponentStats{
 			TaskDeltas:    map[int32]int64{},
 			TaskContainer: map[int32]int32{},
-			TaskLatencyNs: map[int32]float64{},
 		}
 		s.Components[name] = comp
 	}
@@ -203,22 +197,6 @@ func counterDelta(prev *metrics.TopologyView, id metrics.ID, cur int64) int64 {
 		return 0
 	}
 	return d
-}
-
-// windowMean is one histogram identity's mean over the window, falling
-// back to the cumulative mean when the window added no samples (execute
-// latency is sampled, so short windows can be empty).
-func windowMean(prev *metrics.TopologyView, id metrics.ID, cur metrics.HistogramSnapshot) float64 {
-	if prev != nil {
-		p := prev.Histograms[id]
-		if dc := cur.Count - p.Count; dc > 0 && cur.Sum >= p.Sum {
-			return float64(cur.Sum-p.Sum) / float64(dc)
-		}
-	}
-	if cur.Count > 0 {
-		return float64(cur.Sum) / float64(cur.Count)
-	}
-	return 0
 }
 
 // histWindowMean is the component-wide windowed mean of a histogram.
@@ -241,8 +219,7 @@ func histWindowMean(cur, prev *metrics.TopologyView, name, component string) flo
 // produces no sample; so does a tick during which no fresh container
 // snapshot arrived (the view's TakenAt did not advance).
 type ViewSensor struct {
-	prev   *metrics.TopologyView
-	prevAt time.Time
+	prev *metrics.TopologyView
 }
 
 // Sample evaluates the current view; nil when there is nothing fresh.
@@ -251,18 +228,17 @@ func (v *ViewSensor) Sample(cur *metrics.TopologyView, plan *core.PackingPlan, a
 		return nil
 	}
 	if v.prev == nil {
-		v.prev, v.prevAt = cur, at
+		v.prev = cur
 		return nil
 	}
 	if !cur.TakenAt.After(v.prev.TakenAt) {
 		return nil // no new snapshots merged since last tick
 	}
-	elapsed := at.Sub(v.prevAt)
-	s := BuildSample(cur, v.prev, plan, at, elapsed)
-	v.prev, v.prevAt = cur, at
+	s := BuildSample(cur, v.prev, plan, at)
+	v.prev = cur
 	return s
 }
 
 // Reset drops sensor history (after a rescale, counters restart and the
 // old window is meaningless).
-func (v *ViewSensor) Reset() { v.prev, v.prevAt = nil, time.Time{} }
+func (v *ViewSensor) Reset() { v.prev = nil }

@@ -34,13 +34,10 @@ func init() {
 var ErrNotInitialized = errors.New("packing: resource manager not initialized")
 
 // instanceRequest resolves a component's per-instance ask, falling back to
-// the configured default.
-func instanceRequest(cfg *core.Config, spec *core.ComponentSpec) core.Resource {
+// core.DefaultInstanceResources.
+func instanceRequest(spec *core.ComponentSpec) core.Resource {
 	if !spec.Resources.IsZero() {
 		return spec.Resources
-	}
-	if !cfg.InstanceResources.IsZero() {
-		return cfg.InstanceResources
 	}
 	return core.DefaultInstanceResources
 }
@@ -53,12 +50,12 @@ type pendingInstance struct {
 
 // enumerate lists every instance of the topology in declaration order with
 // dense task ids, the canonical ordering both algorithms share.
-func enumerate(cfg *core.Config, t *core.Topology) []pendingInstance {
+func enumerate(t *core.Topology) []pendingInstance {
 	var out []pendingInstance
 	var task int32
 	for i := range t.Components {
 		spec := &t.Components[i]
-		res := instanceRequest(cfg, spec)
+		res := instanceRequest(spec)
 		for idx := 0; idx < spec.Parallelism; idx++ {
 			out = append(out, pendingInstance{
 				id:  core.InstanceID{Component: spec.Name, ComponentIndex: int32(idx), TaskID: task},
@@ -122,7 +119,7 @@ func (r *RoundRobin) Pack() (*core.PackingPlan, error) {
 	for i := range containers {
 		containers[i].ID = int32(i + 1)
 	}
-	for i, inst := range enumerate(r.cfg, r.topo) {
+	for i, inst := range enumerate(r.topo) {
 		c := &containers[i%n]
 		c.Instances = append(c.Instances, core.InstancePlacement{ID: inst.id, Resources: inst.res})
 	}
@@ -176,7 +173,7 @@ func (b *BinPacking) Initialize(cfg *core.Config, topo *core.Topology) error {
 	}
 	usable := b.cap.Sub(overhead)
 	for i := range topo.Components {
-		if req := instanceRequest(cfg, &topo.Components[i]); !req.Fits(usable) {
+		if req := instanceRequest(&topo.Components[i]); !req.Fits(usable) {
 			return fmt.Errorf("packing: instance of %q needs %v, exceeds usable container capacity %v",
 				topo.Components[i].Name, req, usable)
 		}
@@ -199,7 +196,7 @@ func (b *BinPacking) Pack() (*core.PackingPlan, error) {
 	if b.cfg == nil {
 		return nil, ErrNotInitialized
 	}
-	instances := enumerate(b.cfg, b.topo)
+	instances := enumerate(b.topo)
 	// First-Fit-Decreasing: big rocks first.
 	sort.SliceStable(instances, func(i, j int) bool {
 		if instances[i].res.RAMMB != instances[j].res.RAMMB {
@@ -309,7 +306,7 @@ func repack(cfg *core.Config, topo *core.Topology, current *core.PackingPlan, ch
 				}
 			}
 		}
-		res := instanceRequest(cfg, spec)
+		res := instanceRequest(spec)
 		for idx := 0; idx < newPar; idx++ {
 			if !have[int32(idx)] {
 				additions = append(additions, pendingInstance{

@@ -41,7 +41,7 @@ func (r *ResourceCompliantRR) Initialize(cfg *core.Config, topo *core.Topology) 
 	}
 	usable := r.cap.Sub(overhead)
 	for i := range topo.Components {
-		if req := instanceRequest(cfg, &topo.Components[i]); !req.Fits(usable) {
+		if req := instanceRequest(&topo.Components[i]); !req.Fits(usable) {
 			return fmt.Errorf("packing: instance of %q needs %v, exceeds usable container capacity %v",
 				topo.Components[i].Name, req, usable)
 		}
@@ -96,7 +96,7 @@ func (r *ResourceCompliantRR) Pack() (*core.PackingPlan, error) {
 		loads = append(loads, inst.res)
 		cursor = 0
 	}
-	for _, inst := range enumerate(r.cfg, r.topo) {
+	for _, inst := range enumerate(r.topo) {
 		place(inst)
 	}
 	plan := finalize(r.cfg, r.topo.Name, containers)

@@ -45,11 +45,7 @@ func (a *Aurora) Initialize(cfg *core.Config) error {
 
 // homogeneousAsk sizes every container of a plan identically.
 func (a *Aurora) homogeneousAsk(p *core.PackingPlan) core.Resource {
-	ask := p.MaxRequired()
-	if !a.cfg.TMasterResources.IsZero() {
-		ask = ask.Max(a.cfg.TMasterResources)
-	}
-	return ask
+	return p.MaxRequired().Max(core.DefaultTMasterResources)
 }
 
 // allocate hands one container to the framework with auto-restart on.

@@ -107,7 +107,7 @@ func eachScheduler(t *testing.T, ckpt bool, fn func(t *testing.T, f *fixture)) {
 				if err := sub.AddTenant("acme", multitenant.Quota{}, 0); err != nil {
 					t.Fatal(err)
 				}
-				if err := sub.AdmitTopology("acme", "t", testPlan(), cfg.TMasterResources); err != nil {
+				if err := sub.AdmitTopology("acme", "t", testPlan(), core.DefaultTMasterResources); err != nil {
 					t.Fatal(err)
 				}
 				f.cl = sub.Cluster()

@@ -181,11 +181,7 @@ func (c *Core) place(topology string, id int32) error {
 // asksOf is a plan's requests: each container's requirement, plus
 // container 0's.
 func (c *Core) asksOf(p *core.PackingPlan) map[int32]core.Resource {
-	tm := c.cfg.TMasterResources
-	if tm.IsZero() {
-		tm = core.Resource{CPU: 1, RAMMB: 1024, DiskMB: 1024}
-	}
-	asks := map[int32]core.Resource{core.TMasterContainerID: tm}
+	asks := map[int32]core.Resource{core.TMasterContainerID: core.DefaultTMasterResources}
 	for i := range p.Containers {
 		asks[p.Containers[i].ID] = p.Containers[i].Required
 	}

@@ -60,10 +60,26 @@ func (o *outbox) enqueue(kind network.MsgKind, payload []byte) {
 	o.enqueueOwned(kind, buf)
 }
 
+// control schedules a control frame without reporting the queue's depth
+// to onDepth: the Stream Manager sends control frames under the locks its
+// depth observer takes, and the next data frame or drained batch reports
+// the depth anyway.
+func (o *outbox) control(payload []byte) {
+	buf := wire.GetBuffer()
+	buf.B = append(buf.B, payload...)
+	o.push(network.MsgControl, buf, nil)
+}
+
 // enqueueOwned schedules a frame whose buffer ownership transfers to the
 // outbox — the zero-copy path for freshly built batch frames. The buffer
 // is recycled after delivery (or immediately if the outbox is closed).
 func (o *outbox) enqueueOwned(kind network.MsgKind, buf *wire.Buffer) {
+	o.push(kind, buf, o.onDepth)
+}
+
+// push queues a frame and reports the queue's new depth to onDepth, when
+// set; a closed outbox recycles buf and reports nothing.
+func (o *outbox) push(kind network.MsgKind, buf *wire.Buffer, onDepth func(int)) {
 	o.mu.Lock()
 	if o.closed {
 		o.mu.Unlock()
@@ -77,8 +93,8 @@ func (o *outbox) enqueueOwned(kind network.MsgKind, buf *wire.Buffer) {
 	depth := len(o.queue)
 	o.mu.Unlock()
 	o.cond.Signal()
-	if o.onDepth != nil {
-		o.onDepth(depth)
+	if onDepth != nil {
+		onDepth(depth)
 	}
 }
 

@@ -28,7 +28,9 @@
 // The Stream Manager also hosts the acker state for local spouts and
 // implements spout-based backpressure: when a local delivery queue grows
 // past the high-water mark, local spouts are paused and peers are told to
-// pause theirs.
+// pause theirs. It remembers which containers assert, so a spout that
+// registers and a peer that attaches later hear what is in force, and it
+// releases a peer's assertion when it closes that peer's connection.
 package stmgr
 
 import (
@@ -131,12 +133,25 @@ type StreamManager struct {
 	done *ackBatcher // finished trees, batched per local spout task
 	acks *ackBatcher // remote acks, batched per peer container
 
-	// Backpressure state machine. bpActive is read on every outbox depth
-	// observation (the data path), so it is an atomic; bpMu serializes the
-	// rare transitions and guards bpSince.
+	// bpActive is this container's own backpressure assertion. It is read
+	// on every outbox depth observation (the data path), so it is an
+	// atomic; its rare transitions happen under spoutMu.
 	bpActive atomic.Bool
-	bpMu     sync.Mutex
-	bpSince  time.Time // when the current assertion began
+
+	// spoutMu serializes what local spouts hear besides their plan: the
+	// backpressure transitions of this container, the assertions and
+	// releases of its peers, and the TMaster's OpTune, with their replay
+	// to a spout that registers later, so a spout's last word on each is
+	// the current one. It guards the three fields below. Every frame sent
+	// under it goes out through outbox.control, which does not call back
+	// into observeDepth.
+	spoutMu sync.Mutex
+	bpSince time.Time // when this container's assertion began
+	// asserting holds the containers, this one included, whose
+	// backpressure assertion is in force.
+	asserting map[int32]bool
+	// tune is the TMaster's last OpTune, encoded (nil until the first).
+	tune []byte
 
 	stopCh      chan struct{}
 	stopOnce    sync.Once
@@ -145,13 +160,6 @@ type StreamManager struct {
 	tmaster     network.Conn
 	tmasterLoc  core.TMasterLocation // where tmaster was dialed
 	cancelWatch func()
-
-	// tuneMu serializes tune delivery: the relay of an OpTune to the
-	// registered spouts and its replay to a spout that registers later, so
-	// a spout's last OpTune is the TMaster's last. tune is that message,
-	// encoded (nil until the first).
-	tuneMu sync.Mutex
-	tune   []byte
 
 	mCacheDrains *metrics.Counter
 	mCacheDepth  *metrics.Gauge
@@ -193,6 +201,7 @@ func newCore(opts Options) (*StreamManager, error) {
 		peers:       map[int32]*outbox{},
 		peerData:    map[int32]*outbox{},
 		peerAddrs:   map[int32]string{},
+		asserting:   map[int32]bool{},
 		inbox:       network.NewFrameRing(ringFrames, routeSampleEvery),
 		planReady:   make(chan struct{}),
 		stopCh:      make(chan struct{}),
@@ -361,9 +370,10 @@ func (s *StreamManager) connectTMaster(loc core.TMasterLocation) {
 }
 
 // applyPlan installs a broadcast physical plan: peer connections are
-// reconciled against the new stream-manager directory, the routing
-// snapshot is republished, and the plan is pushed to every registered
-// local instance.
+// reconciled against the new stream-manager directory, the plan is
+// queued to every registered local instance, and the routing snapshot is
+// republished. The plan is queued first, so no data or marker the worker
+// routes under the new snapshot reaches an instance ahead of it.
 func (s *StreamManager) applyPlan(p *ctrl.PlanPayload) {
 	if p == nil {
 		return
@@ -395,6 +405,7 @@ func (s *StreamManager) applyPlan(p *ctrl.PlanPayload) {
 		addr      string
 	}
 	var dials []dial
+	var closed []int32
 	for c, addr := range p.Stmgrs {
 		if c == s.opts.Container {
 			continue
@@ -402,6 +413,7 @@ func (s *StreamManager) applyPlan(p *ctrl.PlanPayload) {
 		if s.peerAddrs[c] != addr {
 			if s.peers[c] != nil {
 				s.closePeerLocked(c)
+				closed = append(closed, c)
 			}
 			dials = append(dials, dial{c, addr})
 		}
@@ -410,6 +422,7 @@ func (s *StreamManager) applyPlan(p *ctrl.PlanPayload) {
 		if _, ok := p.Stmgrs[c]; !ok {
 			s.closePeerLocked(c)
 			delete(s.peerAddrs, c)
+			closed = append(closed, c)
 		}
 	}
 	// Frames parked for a container the new plan no longer has were bound
@@ -422,12 +435,22 @@ func (s *StreamManager) applyPlan(p *ctrl.PlanPayload) {
 			delete(s.peerPending, c)
 		}
 	}
-	outs := make([]*outbox, 0, len(s.instances))
 	for _, o := range s.instances {
-		outs = append(outs, o)
+		o.control(raw)
 	}
 	s.publishRoutesLocked()
 	s.mu.Unlock()
+
+	// A closed peer's assertion dies with its connection: the Stream
+	// Manager that replaces it starts unasserted and would never release
+	// it.
+	s.spoutMu.Lock()
+	for _, c := range closed {
+		if s.asserting[c] {
+			s.pauseLocked(false, c)
+		}
+	}
+	s.spoutMu.Unlock()
 
 	for _, d := range dials {
 		conn, err := s.transport.Dial(d.addr)
@@ -441,10 +464,6 @@ func (s *StreamManager) applyPlan(p *ctrl.PlanPayload) {
 		s.startConn(conn, nil)
 		s.attachPeer(d.container, d.addr, conn)
 	}
-	// Forward the plan to local instances.
-	for _, o := range outs {
-		o.enqueue(network.MsgControl, raw)
-	}
 }
 
 // attachPeer installs an established peer connection as container's
@@ -452,11 +471,13 @@ func (s *StreamManager) applyPlan(p *ctrl.PlanPayload) {
 // while the container had no connection are replayed into the data outbox
 // before the routing snapshot lets new traffic reach it directly: the
 // parked queue and the outbox are FIFO, so tuple order per destination is
-// preserved.
+// preserved. If this container asserts backpressure, the peer is told
+// once the routing snapshot holds it, so a release cannot slip past it.
 func (s *StreamManager) attachPeer(container int32, addr string, conn network.Conn) {
 	s.mu.Lock()
+	ctl := newOutbox(conn, nil, s.onBytesSent)
 	data := newOutbox(conn, nil, s.onBytesSent)
-	s.peers[container] = newOutbox(conn, nil, s.onBytesSent)
+	s.peers[container] = ctl
 	s.peerData[container] = data
 	s.peerAddrs[container] = addr
 	for _, buf := range s.peerPending[container] {
@@ -465,6 +486,12 @@ func (s *StreamManager) attachPeer(container int32, addr string, conn network.Co
 	delete(s.peerPending, container)
 	s.publishRoutesLocked()
 	s.mu.Unlock()
+
+	s.spoutMu.Lock()
+	if s.asserting[s.opts.Container] {
+		ctl.control(s.pauseMsg(true, s.opts.Container))
+	}
+	s.spoutMu.Unlock()
 }
 
 // closePeerLocked closes container's outboxes and their shared
@@ -518,8 +545,10 @@ func (s *StreamManager) handleControl(conn network.Conn, payload []byte) {
 	case ctrl.OpRegisterInstance:
 		s.registerInstance(conn, m.TaskID)
 	case ctrl.OpBackpressure:
-		// A peer asks us to pause/resume our local spouts.
-		s.setSpoutPause(m.On, m.Container)
+		// A peer asserts or releases: pause/resume our local spouts.
+		s.spoutMu.Lock()
+		s.pauseLocked(m.On, m.Container)
+		s.spoutMu.Unlock()
 	case ctrl.OpCheckpointSaved:
 		// A local instance persisted its snapshot; relay the ack to the
 		// checkpoint coordinator on the TMaster.
@@ -584,11 +613,11 @@ func (s *StreamManager) relayTune(m *ctrl.Message) {
 	if err != nil {
 		return
 	}
-	s.tuneMu.Lock()
-	defer s.tuneMu.Unlock()
+	s.spoutMu.Lock()
+	defer s.spoutMu.Unlock()
 	s.tune = raw
 	for _, o := range s.spoutOutboxes() {
-		o.enqueue(network.MsgControl, raw)
+		o.control(raw)
 	}
 }
 
@@ -608,8 +637,9 @@ func (s *StreamManager) spoutOutboxes() []*outbox {
 	return outs
 }
 
-// registerInstance binds a local task to its connection, republishes the
-// routing snapshot, and hands the instance the current plan.
+// registerInstance binds a local task to its connection, hands the
+// instance the current plan, and republishes the routing snapshot; a
+// spout then hears the last tune and every assertion in force.
 func (s *StreamManager) registerInstance(conn network.Conn, task int32) {
 	onDepth := func(depth int) { s.observeDepth(depth) }
 	o := newOutbox(conn, onDepth, s.onBytesSent)
@@ -621,27 +651,28 @@ func (s *StreamManager) registerInstance(conn network.Conn, task int32) {
 	s.instances[task] = o
 	parked := s.pending[task]
 	delete(s.pending, task)
-	var planMsg []byte
 	spout := false
 	if s.plan != nil {
+		// The plan goes first: once the snapshot holds o, the worker may
+		// route data and markers to it.
 		if raw, err := ctrl.Encode(&ctrl.Message{Op: ctrl.OpPlan, Topology: s.opts.Topology, Plan: s.payloadLocked()}); err == nil {
-			planMsg = raw
+			o.control(raw)
 		}
 		spout = int(task) < len(s.plan.Tasks) && s.plan.Tasks[task].Kind == core.KindSpout
 	}
 	s.publishRoutesLocked()
 	s.mu.Unlock()
-	if planMsg != nil {
-		o.enqueue(network.MsgControl, planMsg)
-	}
 	if spout {
-		// The routing snapshot already holds o, so a tune relayed after
-		// this replay reaches o behind it.
-		s.tuneMu.Lock()
+		// The routing snapshot already holds o, so a tune, assertion or
+		// release relayed after this replay reaches o behind it.
+		s.spoutMu.Lock()
 		if s.tune != nil {
-			o.enqueue(network.MsgControl, s.tune)
+			o.control(s.tune)
 		}
-		s.tuneMu.Unlock()
+		for origin := range s.asserting {
+			o.control(s.pauseMsg(true, origin))
+		}
+		s.spoutMu.Unlock()
 	}
 	// Release any data that arrived before this instance came up. Done
 	// outside s.mu: enqueue triggers the depth callback.
@@ -672,88 +703,88 @@ func (s *StreamManager) onBytesSent(n int) { s.mBytesSent.Inc(int64(n)) }
 // depths. It runs on every outbox enqueue, so the steady-state path is a
 // single atomic load — s.mu is never taken here.
 func (s *StreamManager) observeDepth(depth int) {
-	if depth > backpressureHWM {
-		if s.bpActive.Load() {
-			return // already asserted
-		}
-		s.bpMu.Lock()
-		trigger := !s.bpActive.Load()
-		if trigger {
-			s.bpActive.Store(true)
-			s.bpSince = time.Now()
-		}
-		s.bpMu.Unlock()
-		if trigger {
-			s.mBPTransit.Inc(1)
-			// The asserted-time counter only accrues on release, so a
-			// sustained assertion would otherwise be invisible between
-			// transitions; the gauge lets observers (the health manager's
-			// backpressure sensor) see an assertion in progress.
-			s.mBPActive.Set(1)
-			s.broadcastBackpressure(true)
-		}
+	if depth > backpressureHWM && !s.bpActive.Load() {
+		s.assertBackpressure()
+	} else if depth <= backpressureLWM && s.bpActive.Load() {
+		s.releaseBackpressure()
+	}
+}
+
+// assertBackpressure starts this container's assertion unless another
+// caller just did.
+func (s *StreamManager) assertBackpressure() {
+	s.spoutMu.Lock()
+	defer s.spoutMu.Unlock()
+	if s.bpActive.Load() {
 		return
 	}
-	if depth > backpressureLWM || !s.bpActive.Load() {
+	s.bpActive.Store(true)
+	s.bpSince = time.Now()
+	s.mBPTransit.Inc(1)
+	// The asserted-time counter only accrues on release, so a sustained
+	// assertion would otherwise be invisible between transitions; the
+	// gauge lets observers (the health manager's backpressure sensor) see
+	// an assertion in progress.
+	s.mBPActive.Set(1)
+	s.broadcastBackpressureLocked(true)
+}
+
+// releaseBackpressure ends this container's assertion once every local
+// queue is below the low-water mark.
+func (s *StreamManager) releaseBackpressure() {
+	s.spoutMu.Lock()
+	defer s.spoutMu.Unlock()
+	if !s.bpActive.Load() {
 		return
 	}
-	s.bpMu.Lock()
-	release := s.bpActive.Load()
-	if release {
-		// Only release when every local queue is below the low-water mark.
-		if rt := s.routes.Load(); rt != nil {
-			for _, o := range rt.instances {
-				if o.depth() > backpressureLWM {
-					release = false
-					break
-				}
+	if rt := s.routes.Load(); rt != nil {
+		for _, o := range rt.instances {
+			if o.depth() > backpressureLWM {
+				return
 			}
 		}
-		if release {
-			s.bpActive.Store(false)
-			s.mBPTime.Inc(time.Since(s.bpSince).Nanoseconds())
-		}
 	}
-	s.bpMu.Unlock()
-	if release {
-		s.mBPTransit.Inc(1)
-		s.mBPActive.Set(0)
-		s.broadcastBackpressure(false)
+	s.bpActive.Store(false)
+	s.mBPTime.Inc(time.Since(s.bpSince).Nanoseconds())
+	s.mBPTransit.Inc(1)
+	s.mBPActive.Set(0)
+	s.broadcastBackpressureLocked(false)
+}
+
+// broadcastBackpressureLocked pauses/resumes local spouts and tells every
+// peer to do the same (Heron's spout-based backpressure); the caller
+// holds spoutMu.
+func (s *StreamManager) broadcastBackpressureLocked(on bool) {
+	raw := s.pauseLocked(on, s.opts.Container)
+	for _, p := range s.routes.Load().peers {
+		p.control(raw)
 	}
 }
 
-// broadcastBackpressure pauses/resumes local spouts and tells every peer
-// to do the same (Heron's spout-based backpressure).
-func (s *StreamManager) broadcastBackpressure(on bool) {
-	s.setSpoutPause(on, s.opts.Container)
-	raw, err := ctrl.Encode(&ctrl.Message{
-		Op: ctrl.OpBackpressure, Topology: s.opts.Topology,
-		Container: s.opts.Container, On: on,
-	})
-	if err != nil {
-		return
+// pauseLocked records origin's assertion or release and forwards it to
+// the registered local spouts, returning the encoded message; the caller
+// holds spoutMu.
+func (s *StreamManager) pauseLocked(on bool, origin int32) []byte {
+	if on {
+		s.asserting[origin] = true
+	} else {
+		delete(s.asserting, origin)
 	}
-	rt := s.routes.Load()
-	if rt == nil {
-		return
+	raw := s.pauseMsg(on, origin)
+	for _, o := range s.spoutOutboxes() {
+		o.control(raw)
 	}
-	for _, p := range rt.peers {
-		p.enqueue(network.MsgControl, raw)
-	}
+	return raw
 }
 
-// setSpoutPause forwards a pause/resume to the local spout instances.
-func (s *StreamManager) setSpoutPause(on bool, origin int32) {
-	raw, err := ctrl.Encode(&ctrl.Message{
+// pauseMsg encodes origin's assertion (on) or release.
+func (s *StreamManager) pauseMsg(on bool, origin int32) []byte {
+	// A message of plain fields always marshals.
+	raw, _ := ctrl.Encode(&ctrl.Message{
 		Op: ctrl.OpBackpressure, Topology: s.opts.Topology,
 		Container: origin, On: on,
 	})
-	if err != nil {
-		return
-	}
-	for _, o := range s.spoutOutboxes() {
-		o.enqueue(network.MsgControl, raw)
-	}
+	return raw
 }
 
 // drainLoop counts cache_drain_frequency ticks on
