@@ -24,7 +24,7 @@ const (
 	MStmgrTuplesFwd      = "stmgr.tuples-forwarded"
 	MStmgrAcksRouted     = "stmgr.acks-routed"
 	MStmgrAcksDropped    = "stmgr.acks-dropped"             // remote acks with no peer outbox, and undecodable ack entries
-	MStmgrCacheDrains    = "stmgr.cache-drain-count"        // drain-timer flushes
+	MStmgrCacheDrains    = "stmgr.cache-drain-count"        // idle and period cache drains that sealed a batch
 	MStmgrCacheDepth     = "stmgr.cache-depth"              // tuples buffered in the cache (gauge)
 	MStmgrBytesSent      = "stmgr.bytes-sent"               // bytes written to instances and peers
 	MStmgrBytesReceived  = "stmgr.bytes-received"           // bytes arriving at the router
@@ -32,7 +32,7 @@ const (
 	MStmgrBPAssertedTime = "stmgr.backpressure-time-ns"     // total ns spent asserted
 	MStmgrBPActive       = "stmgr.backpressure-active"      // 1 while this container asserts backpressure (gauge)
 	// MStmgrRouteLatency is the Stream Manager's per-frame route latency
-	// — dispatch-ring enqueue to delivery handoff, sampled 1-in-8 — so
+	// — inbox send to delivery handoff, sampled 1-in-8 — so
 	// /metrics and the TopologyView report p50/p99/p999 tails, not just
 	// averages.
 	MStmgrRouteLatency = "stmgr.route-latency-ns"

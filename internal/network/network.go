@@ -30,6 +30,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"time"
 
 	"heron/internal/encoding/wire"
 )
@@ -148,6 +149,15 @@ func recycling(h Handler) OwnedHandler {
 		wire.PutBuffer(buf)
 	}
 }
+
+// clockEpoch anchors NowNanos; time.Since reads the monotonic clock.
+var clockEpoch = time.Now()
+
+// NowNanos is a monotonic nanosecond clock for latency stamps carried
+// across goroutines: the Stream Manager stamps dispatched frames with it
+// and the spout stamps emits. Subtract a stamp from NowNanos() to get the
+// time in flight.
+func NowNanos() int64 { return int64(time.Since(clockEpoch)) }
 
 // frame header: 4-byte big-endian payload length + 1-byte kind.
 const headerSize = 5

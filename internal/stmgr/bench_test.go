@@ -85,7 +85,7 @@ func newBenchSMPlan(tb testing.TB, topo *core.Topology, packing *core.PackingPla
 }
 
 // newWorkerSM is newBenchSM with its worker running: frames ingested with
-// routeFrameOwned travel the ring, as they do from a transport.
+// routeFrameOwned travel the inbox, as they do from a transport.
 func newWorkerSM(tb testing.TB, tune ...func(*core.Config)) *StreamManager {
 	tb.Helper()
 	topo, packing := twoContainerPlan()
@@ -102,22 +102,23 @@ func owned(frame []byte) *wire.Buffer {
 }
 
 // process runs one frame through processFrame — the worker's per-frame
-// function — from the calling goroutine: the route cost without the ring
+// function — from the calling goroutine: the route cost without the inbox
 // hop. The Stream Manager's worker must not be running.
 func process(s *StreamManager, kind network.MsgKind, frame []byte) {
 	s.processFrame(kind, owned(frame))
 }
 
-// runQueued processes every frame waiting in the ring on the calling
+// runQueued processes every frame waiting in the inbox on the calling
 // goroutine, standing in for the worker of a Stream Manager built without
 // one.
 func runQueued(s *StreamManager) {
 	for {
-		kind, _, buf, ok := s.inbox.TryDequeue()
-		if !ok {
+		select {
+		case f := <-s.inbox:
+			s.processFrame(f.kind, f.buf)
+		default:
 			return
 		}
-		s.processFrame(kind, buf)
 	}
 }
 
@@ -451,7 +452,7 @@ func newParallelSM(tb testing.TB) (*StreamManager, func() int64) {
 // BenchmarkRouteParallel measures aggregate route throughput of the
 // owned-frame ingest path with concurrent producers (RunParallel) feeding
 // pre-batched local frames round-robin across the 8 bolt tasks into the
-// one ring and worker: the receive goroutines' contention on the ring
+// one inbox and worker: the receive goroutines' contention on the inbox
 // plus the worker's routing. Every frame pays the ingest copy into a
 // pooled buffer; ns/op includes delivery (the loop waits until every
 // frame reached a conn). It also reports p50/p99/p999 route latency from

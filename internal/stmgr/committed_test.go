@@ -11,7 +11,7 @@ import (
 // destination must deliver BEFORE the MsgCommitted frame for the same
 // destination, or a transactional sink could commit an epoch without
 // having staged all of that epoch's tuples. The notification rides the
-// ring behind the cached data, and processCommitted flushes the cache
+// inbox behind the cached data, and processCommitted flushes the cache
 // before handing the frame to the instance outbox.
 func TestCommittedNeverOvertakesCachedData(t *testing.T) {
 	oneWorker(t, func(t *testing.T) {

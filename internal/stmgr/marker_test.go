@@ -7,14 +7,18 @@ import (
 	"heron/internal/tuple"
 )
 
-// installRecorder registers a counting conn as local task's instance so a
-// test can observe the exact frame order the instance would receive.
-// Returns the conn; the outbox is closed on test cleanup.
+// installRecorder registers a counting conn as local task's instance,
+// closing the outbox it replaces, so a test can observe the exact frame
+// order the instance would receive. Returns the conn; the outbox is
+// closed on test cleanup.
 func installRecorder(t *testing.T, s *StreamManager, task int32) *countingConn {
 	t.Helper()
 	conn := newCountingConn()
 	o := newOutbox(conn, nil, s.onBytesSent)
 	s.mu.Lock()
+	if old := s.instances[task]; old != nil {
+		old.close()
+	}
 	s.instances[task] = o
 	s.publishRoutesLocked()
 	s.mu.Unlock()
@@ -52,14 +56,14 @@ func assertDataThenControl(t *testing.T, conn *countingConn, kind network.MsgKin
 // TestMarkerNeverOvertakesCachedData is the barrier-alignment contract: a
 // tuple parked in the batching cache for a destination must be flushed
 // and delivered BEFORE a checkpoint marker for the same destination —
-// both ride the ring in arrival order — or the snapshot would miss
+// both ride the inbox in arrival order — or the snapshot would miss
 // pre-barrier tuples.
 func TestMarkerNeverOvertakesCachedData(t *testing.T) {
 	oneWorker(t, func(t *testing.T) {
 		s := newWorkerSM(t)
 		conn := installRecorder(t, s, 2)
 		// The single-tuple frame enters the tuple cache; the marker chases
-		// it through the same ring.
+		// it through the same inbox.
 		ingestOwned(s, network.MsgData, benchFrame(2, 1))
 		ingestOwned(s, network.MsgMarker, tuple.AppendMarker(nil, 7, 0, 2))
 		assertDataThenControl(t, conn, network.MsgMarker, 7, 0, 2)
@@ -85,6 +89,7 @@ func TestMarkerForwardedToPeerAfterFlush(t *testing.T) {
 func TestMarkerForUnregisteredInstanceDropped(t *testing.T) {
 	s := newBenchSM(t)
 	s.mu.Lock()
+	s.instances[2].close()
 	delete(s.instances, 2)
 	s.publishRoutesLocked()
 	s.mu.Unlock()

@@ -15,8 +15,8 @@
 //   - unoptimized: allocation per message, no batching (every tuple is
 //     its own frame), and a full decode + re-encode at every hop.
 //
-// There is one data path (worker.go): a receive goroutine moves each
-// frame, with its buffer, into the dispatch ring, and one worker routes
+// There is one data path (worker.go): a receive handler moves each
+// frame, with its buffer, into the inbox channel, and one worker routes
 // it, optimized or not. The path is lock-free with respect to the Stream
 // Manager's own state: routing decisions read an immutable routeTable
 // snapshot through one atomic pointer load, and control-plane changes
@@ -119,11 +119,14 @@ type StreamManager struct {
 	peerData    map[int32]*outbox // data outbox per peer container
 	peerAddrs   map[int32]string
 
-	// inbox is the dispatch ring receive goroutines feed; the worker
-	// (worker.go) is its only consumer and the only user of cache, ack,
+	// inbox is the queue receive handlers feed (dispatch); the worker
+	// (worker.go) is its only receiver and the only user of cache, ack,
 	// done and acks.
-	inbox *network.FrameRing
-	cache *tupleCache
+	inbox chan inFrame
+	// dispatched counts frames into the inbox, to stamp one in
+	// routeSampleEvery.
+	dispatched atomic.Uint64
+	cache      *tupleCache
 	// planReady holds the worker until the first plan is published (or
 	// Stop); see run.
 	planReady chan struct{}
@@ -176,7 +179,7 @@ type StreamManager struct {
 	mRouteLat    *metrics.Histogram
 }
 
-// newCore builds a Stream Manager with its routing state, metrics, ring,
+// newCore builds a Stream Manager with its routing state, metrics, inbox,
 // cache and acker wired, but no listener, no worker and no control loops
 // — the shared substrate of New and the in-package test/bench
 // constructors, so the two can never drift.
@@ -202,7 +205,7 @@ func newCore(opts Options) (*StreamManager, error) {
 		peerData:    map[int32]*outbox{},
 		peerAddrs:   map[int32]string{},
 		asserting:   map[int32]bool{},
-		inbox:       network.NewFrameRing(ringFrames, routeSampleEvery),
+		inbox:       make(chan inFrame, inboxFrames),
 		planReady:   make(chan struct{}),
 		stopCh:      make(chan struct{}),
 	}
@@ -248,9 +251,8 @@ func New(opts Options) (*StreamManager, error) {
 	s.listener = l
 
 	s.startWorker()
-	s.wg.Add(2)
+	s.wg.Add(1)
 	go s.acceptLoop()
-	go s.drainLoop()
 	if err := s.watchTMaster(); err != nil {
 		s.Stop()
 		return nil, err
@@ -521,7 +523,7 @@ func (s *StreamManager) acceptLoop() {
 // startConn begins receiving on conn. Control frames go to onControl
 // (nil for dialed peer connections, which never originate control);
 // every other frame moves, with its buffer, from the transport into the
-// router — no copy between the receive buffer and the dispatch ring.
+// router — no copy between the receive buffer and the inbox.
 func (s *StreamManager) startConn(conn network.Conn, onControl func(network.Conn, []byte)) {
 	conn.StartOwned(func(kind network.MsgKind, buf *wire.Buffer) {
 		if kind == network.MsgControl {
@@ -577,7 +579,7 @@ func (s *StreamManager) triggerCheckpoint(id int64) {
 // second phase of the transactional source/sink protocol. The frame must
 // not overtake data already batched for the same instance (a sink must
 // see every pre-commit tuple before it learns the epoch committed), so it
-// takes the same route its data takes: through the dispatch ring
+// takes the same route its data takes: through the inbox
 // (processCommitted flushes the cache for the destination first).
 // Committed frames are local-only — every container's Stream Manager
 // hears the broadcast itself, so nothing is forwarded to peers. Before
@@ -591,7 +593,7 @@ func (s *StreamManager) notifyCommitted(id int64) {
 	for task := range rt.instances {
 		buf := wire.GetBuffer()
 		buf.B = tuple.AppendMarker(buf.B, id, -1, task)
-		_ = s.inbox.Enqueue(network.MsgCommitted, buf)
+		s.dispatch(network.MsgCommitted, buf)
 	}
 }
 
@@ -787,28 +789,6 @@ func (s *StreamManager) pauseMsg(on bool, origin int32) []byte {
 	return raw
 }
 
-// drainLoop counts cache_drain_frequency ticks on
-// stmgr.cache-drain-count. The worker drains the tuple cache itself and
-// publishes its depth; acks never wait for a tick either: routeAck sends
-// the batches it fills.
-func (s *StreamManager) drainLoop() {
-	defer s.wg.Done()
-	period := s.opts.Cfg.CacheDrainFrequency
-	if period <= 0 {
-		period = core.DefaultCacheDrainFrequency
-	}
-	t := time.NewTicker(period)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stopCh:
-			return
-		case <-t.C:
-			s.mCacheDrains.Inc(1)
-		}
-	}
-}
-
 // rotateAckers rotates the acker once; the worker calls it every
 // messageTimeout / (acker.DefaultBuckets-1). Each rotation answers a
 // spout with at most one frame of expirations.
@@ -848,16 +828,16 @@ func (s *StreamManager) Stop() {
 		s.publishRoutesLocked()
 		s.mu.Unlock()
 		// Order matters: close connections first (stops the dispatch
-		// producers), then the ring (the worker drains leftovers and
-		// exits), then the outboxes, then wait for every goroutine. A
-		// peer's control and data outboxes share one connection.
+		// producers; stopCh already released the worker and any sender
+		// blocked on a full inbox), then the outboxes, then wait for every
+		// goroutine. A peer's control and data outboxes share one
+		// connection.
 		for _, o := range insts {
 			o.conn.Close()
 		}
 		for _, o := range peers {
 			o.conn.Close()
 		}
-		s.inbox.Close()
 		s.planOnce.Do(func() { close(s.planReady) })
 		for _, o := range insts {
 			o.close()

@@ -1,6 +1,9 @@
 package stmgr
 
 import (
+	"maps"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -346,7 +349,7 @@ func TestMixedFrameSplitsByDestination(t *testing.T) {
 		}
 
 		// One tuple for each of 8 local bolt tasks. Each tuple seals as
-		// its own single-destination batch once the ring idles; exactly 8
+		// its own single-destination batch once the inbox idles; exactly 8
 		// must come out the other side.
 		s, delivered := newParallelSM(t)
 		ingestOwned(s, network.MsgData, mixed(8, 9, 10, 11, 12, 13, 14, 15))
@@ -540,4 +543,86 @@ func TestPlansOrderedByEpochAlone(t *testing.T) {
 	if got, plan := apply(9); got != 9 || plan == first {
 		t.Fatalf("a higher epoch was dropped: epoch %d, plan replaced %v", got, plan != first)
 	}
+}
+
+// stmgrGoroutines counts the live goroutines whose entry function is in
+// this package, by that function.
+func stmgrGoroutines() map[string]int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	const pkg = "heron/internal/stmgr."
+	census := map[string]int{}
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		lines := strings.Split(g, "\n")
+		for i, line := range lines {
+			// A frame is a function line then a file line; the entry is
+			// the frame above "created by".
+			if !strings.HasPrefix(line, "created by ") || i < 2 {
+				continue
+			}
+			entry := lines[i-2]
+			if strings.HasPrefix(entry, pkg) {
+				entry = strings.TrimPrefix(entry[:strings.LastIndex(entry, "(")], pkg)
+				census[entry]++
+			}
+		}
+	}
+	return census
+}
+
+// TestGoroutineCensus: a Stream Manager with k registered instances and p
+// peers runs one worker, one accept loop and one sender per outbox — one
+// per instance, a control and a data outbox per peer — and no other
+// goroutine, and Stop ends them all.
+func TestGoroutineCensus(t *testing.T) {
+	const k, p = 3, 2
+	cfg := core.NewConfig()
+	cfg.StateRoot = "/stmgr-" + t.Name()
+	statemgr.ResetSharedStore(cfg.StateRoot)
+	state, err := statemgr.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { state.Close() })
+	s, err := New(Options{Topology: "t", Container: 1, Cfg: cfg, State: state, Registry: metrics.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Stop)
+	for task := int32(0); task < k; task++ {
+		attachInstance(t, s, task)
+	}
+	for c := int32(2); c < 2+p; c++ {
+		s.attachPeer(c, "peer", &nullConn{})
+	}
+	want := map[string]int{
+		"(*StreamManager).run":        1,
+		"(*StreamManager).acceptLoop": 1,
+		"(*outbox).run":               k + 2*p,
+	}
+	// Goroutines of earlier tests' Stream Managers may still be exiting.
+	expect := func(want map[string]int) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			got := stmgrGoroutines()
+			if maps.Equal(got, want) {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("goroutines by entry = %v, want %v", got, want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	expect(want)
+	s.Stop()
+	expect(map[string]int{})
 }

@@ -10,35 +10,46 @@ import (
 	"heron/internal/tuple"
 )
 
-// The data path has one lane: receive goroutines move every data, marker,
-// ack and committed frame, with its buffer, into the dispatch ring
-// (inbox), and one worker goroutine routes them. The worker is the ring's
-// only consumer and the only user of the tuple cache, the acker and both
-// ack batchers, and it rotates the acker itself, so none of them takes a
-// lock. A container's data path scales by adding containers, each with
-// its own Stream Manager, as in the paper.
+// The data path has one lane: receive handlers move every data, marker,
+// ack and committed frame, with its buffer, into the inbox, a buffered
+// channel, and one worker goroutine routes them. The worker is the
+// inbox's only receiver and the only user of the tuple cache, the acker
+// and both ack batchers, and it drains the cache and rotates the acker
+// itself, so none of them takes a lock. A container's data path scales
+// by adding containers, each with its own Stream Manager, as in the
+// paper.
 //
 // Ordering contract: every data, marker and committed frame for a
-// destination task flows through the one ring in arrival order, and
+// destination task flows through the one inbox in arrival order, and
 // mixed instance batches go into it whole, so per-channel
-// data-before-marker FIFO holds from the receive goroutine to the
-// outbox. Each peer container has a control outbox (backpressure, acks)
-// and a data outbox (tuples, markers), both writing to the one peer
-// connection (its internal mutex serializes the writes and each drain
-// ends with one Flush), so a remote container sees one ordered
-// connection carrying coalesced, vectored writes.
+// data-before-marker FIFO holds from the receive handler to the outbox.
+// Each peer container has a control outbox (backpressure, acks) and a
+// data outbox (tuples, markers), both writing to the one peer connection
+// (its internal mutex serializes the writes and each drain ends with one
+// Flush), so a remote container sees one ordered connection carrying
+// coalesced, vectored writes.
 const (
-	// ringFrames is the dispatch-ring depth; a full ring blocks the
-	// receive goroutine, propagating backpressure to senders.
-	ringFrames = 1024
+	// inboxFrames is the inbox depth, the same as an instance's: enough
+	// frames to ride out a scheduling hiccup of the worker, few enough
+	// that a full inbox soon blocks the senders, propagating backpressure
+	// to them.
+	inboxFrames = 1024
 	// routeSampleEvery stamps one in this many dispatched frames for the
 	// route-latency histogram.
 	routeSampleEvery = 8
 	// drainCheck is how many processed frames pass between clock checks
-	// for the cache drain and the acker rotation while the ring stays
+	// for the cache drain and the acker rotation while the inbox stays
 	// busy.
 	drainCheck = 512
 )
+
+// inFrame is one frame queued for the worker. stamp is its NowNanos at
+// dispatch, 0 when unsampled.
+type inFrame struct {
+	kind  network.MsgKind
+	stamp int64
+	buf   *wire.Buffer
+}
 
 // startWorker launches the data-path worker.
 func (s *StreamManager) startWorker() {
@@ -46,42 +57,64 @@ func (s *StreamManager) startWorker() {
 	go s.run()
 }
 
-// routeFrameOwned is the Stream Manager's data path: receive goroutines
+// routeFrameOwned is the Stream Manager's data path: receive handlers
 // hand every data, ack and marker frame from instances and peers here,
-// with its buffer, and each moves to the ring without a copy.
+// with its buffer, and each moves to the inbox without a copy.
 func (s *StreamManager) routeFrameOwned(kind network.MsgKind, buf *wire.Buffer) {
 	s.mBytesRecv.Inc(int64(len(buf.B)))
 	switch kind {
 	case network.MsgData, network.MsgMarker, network.MsgAck:
 		// Uniform frames, mixed instance batches, markers and acks alike go
-		// whole — the zero-copy leg: transport receive buffer → ring →
-		// outbox → pool. A marker takes the ring its data takes, which is
+		// whole — the zero-copy leg: transport receive buffer → inbox →
+		// outbox → pool. A marker takes the inbox its data takes, which is
 		// what keeps the barrier aligned per channel. The worker drops what
 		// it cannot parse.
-		_ = s.inbox.Enqueue(kind, buf)
+		s.dispatch(kind, buf)
 	default:
 		wire.PutBuffer(buf)
 	}
 }
 
-// run is the worker: drain the ring, flush the tuple cache when the ring
-// idles or the drain period elapses, rotate the acker every rotation
-// period when acking is on, park when empty, exit when the ring closes.
+// dispatch moves one owned frame into the inbox, stamping one frame in
+// routeSampleEvery. A full inbox blocks the caller until the worker takes
+// a frame — the backpressure primitive: over inproc the caller is the
+// sending instance or peer itself. After Stop the frame is recycled.
+func (s *StreamManager) dispatch(kind network.MsgKind, buf *wire.Buffer) {
+	f := inFrame{kind: kind, buf: buf}
+	if s.dispatched.Add(1)%routeSampleEvery == 0 {
+		f.stamp = network.NowNanos()
+	}
+	// The non-blocking send comes first: a select that also watches stopCh
+	// costs every send, and the inbox is rarely full.
+	select {
+	case s.inbox <- f:
+		return
+	default:
+	}
+	select {
+	case s.inbox <- f:
+	case <-s.stopCh:
+		wire.PutBuffer(buf)
+	}
+}
+
+// run is the worker: take frames while the inbox has them, drain the
+// tuple cache and rotate the acker when it empties or their periods
+// elapse, park when it is empty, exit on Stop.
 //
-// It dequeues nothing until the first plan is published: frames from
-// peers that got their plan sooner wait in the bounded ring (a full ring
-// blocks their receive goroutine — backpressure, as at any other time)
-// instead of meeting a Stream Manager that cannot route them yet. The
-// wait cannot cycle: the plan arrives on the TMaster connection, whose
-// handler never enqueues on the ring before a plan exists
-// (notifyCommitted returns early without one).
+// It takes nothing until the first plan is published: frames from peers
+// that got their plan sooner wait in the bounded inbox (a full inbox
+// blocks their sender — backpressure, as at any other time) instead of
+// meeting a Stream Manager that cannot route them yet. The wait cannot
+// cycle: the plan arrives on the TMaster connection, whose handler never
+// dispatches before a plan exists (notifyCommitted returns early without
+// one).
 func (s *StreamManager) run() {
 	defer s.wg.Done()
+	defer s.recycleInbox()
 	<-s.planReady
 	if s.routes.Load().plan == nil {
-		// Stop released the gate, after closing the ring; no plan ever came.
-		s.inbox.Drain()
-		return
+		return // Stop released the gate; no plan ever came
 	}
 	period := s.opts.Cfg.CacheDrainFrequency
 	if period <= 0 {
@@ -99,6 +132,10 @@ func (s *StreamManager) run() {
 		// whose acks were lost still expire.
 		park = min(park, rotation)
 	}
+	// One timer, reused: a worker on a paced stream parks thousands of
+	// times a second.
+	timer := time.NewTimer(park)
+	defer timer.Stop()
 	lastDrain := time.Now()
 	lastRotate := lastDrain
 	rotate := func(now time.Time) {
@@ -109,24 +146,35 @@ func (s *StreamManager) run() {
 	}
 	frames := 0
 	for {
-		kind, stamp, buf, ok := s.inbox.TryDequeue()
-		if !ok {
+		var f inFrame
+		select {
+		case f = <-s.inbox:
+		default:
 			// Idle: flush partial batches now so a lull never strands
 			// tuples past one park interval.
 			s.drainCache()
 			lastDrain = time.Now()
 			rotate(lastDrain)
-			if s.inbox.Closed() {
-				s.inbox.Drain()
+			if !timer.Stop() {
+				// It fired while the inbox was busy; drop the stale tick.
+				select {
+				case <-timer.C:
+				default:
+				}
+			}
+			timer.Reset(park)
+			select {
+			case f = <-s.inbox:
+			case <-timer.C:
+				continue
+			case <-s.stopCh:
 				return
 			}
-			s.inbox.Await(park)
-			continue
 		}
-		s.processFrame(kind, buf)
-		if stamp != 0 {
+		s.processFrame(f.kind, f.buf)
+		if f.stamp != 0 {
 			// Queue wait plus processing: the latency a tuple actually saw.
-			s.mRouteLat.Observe(network.NowNanos() - stamp)
+			s.mRouteLat.Observe(network.NowNanos() - f.stamp)
 		}
 		if frames++; frames&(drainCheck-1) == 0 {
 			now := time.Now()
@@ -139,7 +187,21 @@ func (s *StreamManager) run() {
 	}
 }
 
-// processFrame routes one frame taken from the ring and publishes the
+// recycleInbox returns the buffers of the frames left in the inbox to the
+// pool once the worker is done. A sender racing Stop can still leave a
+// frame behind it, for the collector: a pool miss, not a leak.
+func (s *StreamManager) recycleInbox() {
+	for {
+		select {
+		case f := <-s.inbox:
+			wire.PutBuffer(f.buf)
+		default:
+			return
+		}
+	}
+}
+
+// processFrame routes one frame taken from the inbox and publishes the
 // cache depth it leaves behind.
 func (s *StreamManager) processFrame(kind network.MsgKind, buf *wire.Buffer) {
 	switch kind {
@@ -162,8 +224,14 @@ func (s *StreamManager) processFrame(kind network.MsgKind, buf *wire.Buffer) {
 	s.publishCacheDepth()
 }
 
-// drainCache flushes every partial batch (the timer and idle path).
+// drainCache seals every partial batch, the idle and the period drain,
+// and counts a drain that seals any on stmgr.cache-drain-count. The count
+// moves first, so it already holds when a drained batch is delivered.
 func (s *StreamManager) drainCache() {
+	if s.cache.buffered == 0 {
+		return
+	}
+	s.mCacheDrains.Inc(1)
 	s.cache.drainAll()
 	s.publishCacheDepth()
 }

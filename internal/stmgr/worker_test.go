@@ -468,11 +468,15 @@ func frameSeq(t *testing.T, frame []byte) int {
 }
 
 // newPlanlessSM builds a Stream Manager that has heard no plan yet, its
-// worker started and local task 2 registered behind a recorder.
-func newPlanlessSM(t *testing.T) (*StreamManager, *countingConn) {
+// worker started and local task 2 registered behind a recorder. Each tune
+// edits the configuration first.
+func newPlanlessSM(t *testing.T, tune ...func(*core.Config)) (*StreamManager, *countingConn) {
 	t.Helper()
 	cfg := core.NewConfig()
 	cfg.StreamManagerOptimized = true
+	for _, f := range tune {
+		f(cfg)
+	}
 	s, err := newCore(Options{Topology: "t", Container: 1, Cfg: cfg, Registry: metrics.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
@@ -484,14 +488,14 @@ func newPlanlessSM(t *testing.T) (*StreamManager, *countingConn) {
 
 // TestFramesBeforeFirstPlanWaitAndDeliverInOrder is the plan-before-data
 // contract: frames from a peer that got its plan sooner are neither
-// dropped nor reordered. They wait in the bounded ring — more of them
-// than the ring holds block the sender — and once applyPlan has
+// dropped nor reordered. They wait in the bounded inbox — more of them
+// than the inbox holds block the sender — and once applyPlan has
 // published the first plan every one is delivered, in order, the marker
 // behind the data.
 func TestFramesBeforeFirstPlanWaitAndDeliverInOrder(t *testing.T) {
 	oneWorker(t, func(t *testing.T) {
 		s, conn := newPlanlessSM(t)
-		const frames = ringFrames + 100
+		const frames = inboxFrames + 100
 		sent := make(chan struct{})
 		go func() {
 			defer close(sent)
@@ -502,16 +506,14 @@ func TestFramesBeforeFirstPlanWaitAndDeliverInOrder(t *testing.T) {
 		}()
 		select {
 		case <-sent:
-			t.Fatalf("%d frames fit a %d-frame ring: the sender was not held back", frames, ringFrames)
+			t.Fatalf("%d frames fit a %d-frame inbox: the sender was not held back", frames, inboxFrames)
 		case <-time.After(50 * time.Millisecond):
 		}
 		if got, _ := conn.snapshot(); len(got) != 0 {
 			t.Fatalf("%d frames delivered before any plan", len(got))
 		}
 
-		topo, packing := twoContainerPlan()
-		s.applyPlan(&ctrl.PlanPayload{Epoch: 1, Topology: topo, Packing: packing,
-			Stmgrs: map[int32]string{1: "self"}})
+		applyFirstPlan(s)
 		<-sent
 		waitFrames(t, conn, frames+2) // the plan for the instance, the data, the marker
 
@@ -540,7 +542,7 @@ func TestFramesBeforeFirstPlanWaitAndDeliverInOrder(t *testing.T) {
 	})
 }
 
-// TestAcksBeforeFirstPlanComplete: acks take the ring data takes, so an
+// TestAcksBeforeFirstPlanComplete: acks take the inbox data takes, so an
 // ack frame from a peer that got its plan sooner waits for the first plan
 // instead of being dropped. Once applyPlan publishes it, the tree the
 // frame anchored and acked completes, and its spout (local task 2 stands
@@ -551,9 +553,7 @@ func TestAcksBeforeFirstPlanComplete(t *testing.T) {
 	ingestOwned(s, network.MsgAck, ackFrameOf([]tuple.AckTuple{
 		{Kind: tuple.AckAnchor, SpoutTask: 2, Root: root, Delta: 0x77},
 		{Kind: tuple.AckAck, SpoutTask: 2, Root: root, Delta: 0x77}}))
-	topo, packing := twoContainerPlan()
-	s.applyPlan(&ctrl.PlanPayload{Epoch: 1, Topology: topo, Packing: packing,
-		Stmgrs: map[int32]string{1: "self"}})
+	applyFirstPlan(s)
 	waitFrames(t, conn, 2) // the plan for the instance, the completion
 	select {
 	case <-conn.sent:
@@ -573,17 +573,17 @@ func TestAcksBeforeFirstPlanComplete(t *testing.T) {
 }
 
 // TestStopBeforeFirstPlan: Stop releases the worker still waiting for a
-// plan and senders blocked on the full ring; nothing is routed.
+// plan and senders blocked on the full inbox; nothing is routed.
 func TestStopBeforeFirstPlan(t *testing.T) {
 	s, conn := newPlanlessSM(t)
 	sent := make(chan struct{})
 	go func() {
 		defer close(sent)
-		for i := 0; i < ringFrames+1; i++ {
+		for i := 0; i < inboxFrames+1; i++ {
 			ingestOwned(s, network.MsgData, seqFrame(2, i))
 		}
 	}()
-	time.Sleep(10 * time.Millisecond) // let the ring fill; the test holds either way
+	time.Sleep(10 * time.Millisecond) // let the inbox fill; the test holds either way
 	stopped := make(chan struct{})
 	go func() { s.Stop(); close(stopped) }()
 	for _, ch := range []chan struct{}{stopped, sent} {
@@ -595,5 +595,95 @@ func TestStopBeforeFirstPlan(t *testing.T) {
 	}
 	if got, _ := conn.snapshot(); len(got) != 0 {
 		t.Fatalf("%d frames routed without a plan", len(got))
+	}
+}
+
+// applyFirstPlan hands a planless Stream Manager its first plan, as the
+// TMaster's broadcast would.
+func applyFirstPlan(s *StreamManager) {
+	topo, packing := twoContainerPlan()
+	s.applyPlan(&ctrl.PlanPayload{Epoch: 1, Topology: topo, Packing: packing,
+		Stmgrs: map[int32]string{1: "self"}})
+}
+
+// waitTuples waits until the data frames conn has seen carry n tuples.
+func waitTuples(t *testing.T, conn *countingConn, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		got := 0
+		conn.mu.Lock()
+		for i, kind := range conn.kinds {
+			if kind == network.MsgData {
+				_, count, _, _ := tuple.FrameHeader(conn.frames[i])
+				got += count
+			}
+		}
+		conn.mu.Unlock()
+		if got == n {
+			return
+		}
+		if got > n || time.Now().After(deadline) {
+			t.Fatalf("%d tuples delivered, want %d", got, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestCacheDrainCountFollowsPeriod: stmgr.cache-drain-count counts the
+// worker's idle and period drains that sealed a batch, nothing else.
+// inboxFrames single-tuple frames wait in the inbox for the first plan, so
+// the worker takes them back to back, checking the clock every drainCheck
+// (512) frames. At a 1 µs period both checks drain 512 tuples. At 1 h
+// neither does, and the size trigger (CacheMaxBatchTuples, 1,024) seals
+// the batch uncounted. Either way the idle drain finds nothing left, until
+// one more frame leaves it one tuple.
+func TestCacheDrainCountFollowsPeriod(t *testing.T) {
+	for _, tc := range []struct {
+		period       time.Duration
+		backlog, all int64 // drains after the backlog, and after one more frame
+	}{
+		{time.Microsecond, 2, 3},
+		{time.Hour, 0, 1},
+	} {
+		t.Run(tc.period.String(), func(t *testing.T) {
+			s, conn := newPlanlessSM(t, func(cfg *core.Config) {
+				cfg.CacheDrainFrequency = tc.period
+				cfg.CacheMaxBatchTuples = inboxFrames
+			})
+			for i := 0; i < inboxFrames; i++ {
+				ingestOwned(s, network.MsgData, benchFrame(2, 1))
+			}
+			applyFirstPlan(s)
+			waitTuples(t, conn, inboxFrames)
+			if got := s.mCacheDrains.Value(); got != tc.backlog {
+				t.Errorf("after the backlog: %d drains, want %d", got, tc.backlog)
+			}
+			ingestOwned(s, network.MsgData, benchFrame(2, 1))
+			waitTuples(t, conn, inboxFrames+1)
+			if got := s.mCacheDrains.Value(); got != tc.all {
+				t.Errorf("after one more frame: %d drains, want %d", got, tc.all)
+			}
+		})
+	}
+}
+
+// TestRouteLatencySampled: the route-latency histogram observes one
+// dispatched frame in routeSampleEvery.
+func TestRouteLatencySampled(t *testing.T) {
+	s := newWorkerSM(t)
+	conn := installRecorder(t, s, 2)
+	const n = 8 * routeSampleEvery
+	for i := 0; i < n; i++ {
+		ingestOwned(s, network.MsgData, benchFrame(2, 8))
+	}
+	waitFrames(t, conn, n)
+	// The last frame is a sampled one, observed after its delivery.
+	deadline := time.Now().Add(5 * time.Second)
+	for s.mRouteLat.Snapshot().Count < n/routeSampleEvery && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if got := s.mRouteLat.Snapshot().Count; got != n/routeSampleEvery {
+		t.Fatalf("route latency observed %d of %d frames, want %d", got, n, n/routeSampleEvery)
 	}
 }

@@ -290,33 +290,12 @@ func TestObservabilityHTTP(t *testing.T) {
 	}
 }
 
-// TestKnobsAreObservable verifies the ISSUE's tuning-observability loop:
-// turning engine knobs moves the matching metrics. Cache drain frequency
-// drives stmgr.cache-drain-count; max spout pending bounds the
-// spout.pending gauge.
+// TestKnobsAreObservable verifies the tuning-observability loop: turning
+// an engine knob moves the matching metric. Max spout pending bounds the
+// spout.pending gauge. (Cache drain frequency drives
+// stmgr.cache-drain-count; internal/stmgr's TestCacheDrainCountFollowsPeriod
+// pins that against the worker itself, where the count is exact.)
 func TestKnobsAreObservable(t *testing.T) {
-	drains := func(freq time.Duration) int64 {
-		var f fixture
-		spec := f.buildObsTopology(t, 1, 1, -1, false, 0)
-		cfg := testConfig(t)
-		cfg.CacheDrainFrequency = freq
-		h, err := Submit(spec, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer h.Kill()
-		if err := h.WaitRunning(10 * time.Second); err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(600 * time.Millisecond)
-		return h.SumCounter(metrics.MStmgrCacheDrains)
-	}
-	fast := drains(2 * time.Millisecond)
-	slow := drains(40 * time.Millisecond)
-	if fast <= slow || slow == 0 {
-		t.Errorf("cache-drain-count: fast freq %d <= slow freq %d", fast, slow)
-	}
-
 	maxPending := func(cap int) int64 {
 		var f fixture
 		// Slow bolt so spouts build real backlog against the pending cap.
