@@ -24,7 +24,9 @@ vet:
 # Manager's worker, the Storm baseline's acker executors), or run receive
 # handlers on their senders' goroutines (the inproc transport), or read a
 # max-spout-pending window from the health-manager loop that user
-# goroutines retune (the health manager), then a
+# goroutines retune (the health manager), or meet other sessions of one
+# deployment's snapshot store through its World (the checkpoint backends
+# and ledger), then a
 # 10 s fuzz smoke of each decoder that reads tuple bytes off the wire, one
 # run of every codec, hash, Stream Manager route and spout emit/ack
 # benchmark (so those benchmarks keep compiling and running), then vet and
@@ -35,7 +37,7 @@ verify:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 ./internal/tmaster ./internal/runtime ./internal/instance ./internal/statemgr ./internal/replication ./internal/scheduler ./internal/multitenant ./internal/metrics ./internal/observability ./internal/stmgr ./internal/acker ./internal/storm ./internal/network ./internal/healthmgr
+	$(GO) test -race -count=10 ./internal/tmaster ./internal/runtime ./internal/instance ./internal/statemgr ./internal/replication ./internal/scheduler ./internal/multitenant ./internal/metrics ./internal/observability ./internal/stmgr ./internal/acker ./internal/storm ./internal/network ./internal/healthmgr ./internal/checkpoint
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeAck -fuzztime=10s ./internal/tuple
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeHeader -fuzztime=10s ./internal/tuple
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/tuple ./internal/encoding/wire ./internal/core ./internal/stmgr ./internal/instance

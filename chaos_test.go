@@ -130,6 +130,7 @@ func (s *uniqueSpout) Close() error { return nil }
 // XOR tuple-tree machinery, failure notification, and spout replay, end
 // to end.
 func TestAtLeastOnceUnderChaos(t *testing.T) {
+	t.Parallel()
 	const n = 1500
 	processed := &processedSet{m: map[string]int{}}
 	var acked, replays atomic.Int64
@@ -174,6 +175,7 @@ func TestAtLeastOnceUnderChaos(t *testing.T) {
 // TestScaleDownEndToEnd shrinks the bolt parallelism mid-run and verifies
 // the survivors keep all the traffic and the removed tasks go quiet.
 func TestScaleDownEndToEnd(t *testing.T) {
+	t.Parallel()
 	var f fixture
 	spec := f.buildWordCount(t, 2, 6, -1, false)
 	cfg := testConfig(t)
@@ -272,12 +274,13 @@ func waitControlLeader(t *testing.T, h *Handle, prev replication.Status) replica
 // control operations again, and the stateful pipeline must keep exact
 // counts throughout — workers never restart for a control-plane death.
 func TestControlPlaneFailoverMidEpoch(t *testing.T) {
+	t.Parallel()
 	dict := healthDict()
 	h := &ckptHarness{spouts: map[int32]*seqSpout{}, bolts: map[int32]*ckptCountBolt{}}
 	var slow atomic.Bool
 	spec := buildHealthTopology(t, "ctrl-midepoch", h, &slow, dict, 2)
 
-	cfg := healthTestConfig(t, "ctrl-midepoch")
+	cfg := healthTestConfig(t)
 	cfg.CheckpointInterval = 150 * time.Millisecond
 	cfg.ControlReplicas = 3
 	cl := cluster.New("ctrl-midepoch-sim", 4, core.Resource{CPU: 32, RAMMB: 32768, DiskMB: 65536})
@@ -370,12 +373,13 @@ func TestControlPlaneFailoverMidEpoch(t *testing.T) {
 // fails with ErrNotLeader and re-resolves the leader) and the exact-count
 // audit must still hold across the repartitioned relaunch.
 func TestControlPlaneFailoverMidRescale(t *testing.T) {
+	t.Parallel()
 	dict := healthDict()
 	h := &ckptHarness{spouts: map[int32]*seqSpout{}, bolts: map[int32]*ckptCountBolt{}}
 	var slow atomic.Bool
 	spec := buildHealthTopology(t, "ctrl-midrescale", h, &slow, dict, 2)
 
-	cfg := healthTestConfig(t, "ctrl-midrescale")
+	cfg := healthTestConfig(t)
 	cfg.ControlReplicas = 3
 	cl := cluster.New("ctrl-midrescale-sim", 4, core.Resource{CPU: 32, RAMMB: 32768, DiskMB: 65536})
 	cfg.Framework = cl
@@ -438,16 +442,18 @@ func TestControlPlaneFailoverMidRescale(t *testing.T) {
 // relaunched candidate, takes over at a higher term. Crucially the
 // WORKERS never quiesce: zero restores, commits continue, exact counts.
 func TestControlPlaneSurvivesTMasterContainerKill(t *testing.T) {
+	t.Parallel()
 	for _, sched := range []string{"yarn", "mesos"} {
 		for _, replicas := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%s/replicas=%d", sched, replicas), func(t *testing.T) {
+				t.Parallel()
 				name := fmt.Sprintf("ctrl-c0kill-%s-%d", sched, replicas)
 				dict := healthDict()
 				h := &ckptHarness{spouts: map[int32]*seqSpout{}, bolts: map[int32]*ckptCountBolt{}}
 				var slow atomic.Bool
 				spec := buildHealthTopology(t, name, h, &slow, dict, 2)
 
-				cfg := healthTestConfig(t, name)
+				cfg := healthTestConfig(t)
 				cfg.SchedulerName = sched
 				cfg.ControlReplicas = replicas
 				cl := cluster.New(name+"-sim", 4, core.Resource{CPU: 32, RAMMB: 32768, DiskMB: 65536})

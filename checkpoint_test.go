@@ -15,7 +15,6 @@ import (
 	"heron/internal/core"
 	"heron/internal/metrics"
 	"heron/internal/scheduler"
-	"heron/internal/statemgr"
 )
 
 // ckptHarness tracks the LIVE spout and bolt instances (relaunches
@@ -182,12 +181,7 @@ func runCheckpointRecoveryWith(t *testing.T, run ckptRun) {
 		t.Fatal(err)
 	}
 
-	cfg := NewConfig()
-	cfg.StateRoot = "/ckpt-" + label
-	statemgr.ResetSharedStore(cfg.StateRoot)
-	checkpoint.ResetSharedMemory(cfg.StateRoot)
-	checkpoint.ResetSharedRedis(cfg.StateRoot)
-	cfg.NumContainers = 3
+	cfg := testConfig(t)
 	cfg.SchedulerName = run.scheduler
 	cfg.CheckpointInterval = 200 * time.Millisecond
 	cfg.StateBackend = backendName
@@ -314,12 +308,16 @@ func runCheckpointRecoveryWith(t *testing.T, run ckptRun) {
 	}
 }
 
-func TestCheckpointRecoveryMemory(t *testing.T) { runCheckpointRecovery(t, "memory") }
+func TestCheckpointRecoveryMemory(t *testing.T) {
+	t.Parallel()
+	runCheckpointRecovery(t, "memory")
+}
 
 // TestCheckpointRecoverySlurmFailure kills a worker under slurm, whose
 // relaunches stay inside the job's node allocation: every worker must
 // still roll back to the same checkpoint.
 func TestCheckpointRecoverySlurmFailure(t *testing.T) {
+	t.Parallel()
 	runCheckpointRecoveryWith(t, ckptRun{backend: "memory", label: "slurm-fail", scheduler: "slurm"})
 }
 
@@ -327,8 +325,10 @@ func TestCheckpointRecoverySlurmFailure(t *testing.T) {
 // Handle: a restart is a relaunch like a failure, so it must roll every
 // worker back too, on every scheduler that accepts checkpointing.
 func TestCheckpointRecoveryWorkerRestart(t *testing.T) {
+	t.Parallel()
 	for _, sched := range []string{"local", "yarn", "mesos"} {
 		t.Run(sched, func(t *testing.T) {
+			t.Parallel()
 			runCheckpointRecoveryWith(t, ckptRun{backend: "memory", label: sched + "-restart", scheduler: sched, restart: true})
 		})
 	}
@@ -338,6 +338,7 @@ func TestCheckpointRecoveryWorkerRestart(t *testing.T) {
 // failed container on its own, from whatever checkpoint it finds, while
 // the others keep running — so it refuses checkpointed topologies.
 func TestCheckpointedSubmitRejectsStatelessScheduler(t *testing.T) {
+	t.Parallel()
 	var f fixture
 	spec := f.buildWordCount(t, 1, 1, -1, false)
 	cfg := testConfig(t)
@@ -352,5 +353,12 @@ func TestCheckpointedSubmitRejectsStatelessScheduler(t *testing.T) {
 		t.Fatalf("Submit = %v, want ErrStateless", err)
 	}
 }
-func TestCheckpointRecoveryLocalFS(t *testing.T) { runCheckpointRecovery(t, "localfs") }
-func TestCheckpointRecoveryRedis(t *testing.T)   { runCheckpointRecovery(t, "redis") }
+func TestCheckpointRecoveryLocalFS(t *testing.T) {
+	t.Parallel()
+	runCheckpointRecovery(t, "localfs")
+}
+
+func TestCheckpointRecoveryRedis(t *testing.T) {
+	t.Parallel()
+	runCheckpointRecovery(t, "redis")
+}

@@ -30,8 +30,8 @@ var (
 
 // ClusterConfig sizes a shared multi-tenant cluster.
 type ClusterConfig struct {
-	// Name identifies the cluster; it namespaces the shared state tree, so
-	// two live clusters in one process need distinct names.
+	// Name identifies the cluster and names the StateRoot its tenants
+	// share in the cluster's own World.
 	Name string
 	// Nodes is the simulated node count (default 4).
 	Nodes int
@@ -57,10 +57,10 @@ type ClusterConfig struct {
 //	cl.AddTenant("ads", heron.Quota{Resources: heron.Resource{CPU: 32}}, 0)
 //	h, err := cl.Submit("ads", spec, cfg)
 type Cluster struct {
-	name      string
-	sub       *multitenant.Substrate
-	obs       *observability.Server
-	stateRoot string
+	name  string
+	sub   *multitenant.Substrate
+	obs   *observability.Server
+	world *core.World
 
 	mu      sync.Mutex
 	handles map[string]*Handle
@@ -80,10 +80,10 @@ func NewCluster(cc ClusterConfig) (*Cluster, error) {
 		cc.NodeResources = Resource{CPU: 64, RAMMB: 64 * 1024, DiskMB: 64 * 1024}
 	}
 	c := &Cluster{
-		name:      cc.Name,
-		sub:       multitenant.NewSubstrate(cc.Name, cc.Nodes, cc.NodeResources),
-		stateRoot: "multitenant/" + cc.Name,
-		handles:   map[string]*Handle{},
+		name:    cc.Name,
+		sub:     multitenant.NewSubstrate(cc.Name, cc.Nodes, cc.NodeResources),
+		world:   core.NewWorld(),
+		handles: map[string]*Handle{},
 	}
 	if cc.HTTPAddr != "" {
 		obs, err := observability.Start(observability.Options{
@@ -116,7 +116,7 @@ func (c *Cluster) AddTenant(name string, q Quota, priority int) error {
 
 // Submit admits a topology for a tenant and launches it on the shared
 // substrate. The config keeps its data-plane settings but the scheduler,
-// framework, and state root are the cluster's: every member runs the
+// framework, World and state root are the cluster's: every member runs the
 // "multitenant" scheduler against the shared node pool and state tree,
 // and the per-Handle observability server is replaced by the cluster
 // endpoint. Admission rejects unknown tenants, duplicate topology names
@@ -140,7 +140,7 @@ func (c *Cluster) Submit(tenantName string, spec *api.Spec, cfg *Config) (*Handl
 	}
 	name := spec.Topology.Name
 	cfg.SchedulerName = "multitenant"
-	cfg.StateRoot = c.stateRoot
+	cfg.World, cfg.StateRoot = c.world, "multitenant/"+c.name
 	cfg.HTTPAddr = "" // the cluster endpoint serves all tenants
 	cfg.Framework = &multitenant.Binding{Sub: c.sub, Tenant: tenantName, Topology: name}
 	h, err := submit(spec, cfg, submitHooks{
@@ -200,7 +200,8 @@ func (c *Cluster) ObservabilityAddr() string {
 	return c.obs.Addr()
 }
 
-// Close kills every running topology and stops the shared endpoint.
+// Close kills every running topology, stops the shared endpoint and
+// reports any state tree of the cluster's World left with an open session.
 func (c *Cluster) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -220,11 +221,9 @@ func (c *Cluster) Close() error {
 		}
 	}
 	if c.obs != nil {
-		if err := c.obs.Close(); err != nil {
-			errs = append(errs, err)
-		}
+		errs = append(errs, c.obs.Close())
 	}
-	return errors.Join(errs...)
+	return errors.Join(append(errs, c.world.Close())...)
 }
 
 // views snapshots every running topology's merged metrics view for the

@@ -26,7 +26,6 @@ import (
 	"heron/internal/core"
 	"heron/internal/extsvc/kafkasim"
 	"heron/internal/extsvc/redissim"
-	"heron/internal/statemgr"
 	"heron/internal/workloads"
 )
 
@@ -85,8 +84,6 @@ func run(args []string) error {
 	if *acks {
 		cfg.MaxSpoutPending = *msp
 	}
-	cfg.StateRoot = "/heron-cli"
-	statemgr.ResetSharedStore(cfg.StateRoot)
 	if *schedName != "local" {
 		cfg.Framework = cluster.New(*schedName+"-sim", 8,
 			core.Resource{CPU: 64, RAMMB: 64 << 10, DiskMB: 128 << 10})

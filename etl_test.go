@@ -16,6 +16,7 @@ import (
 // (consume, decompress, parse, filter, hash-partition, aggregate, write)
 // with no tolerance.
 func TestETLEndToEndExactAggregates(t *testing.T) {
+	t.Parallel()
 	const (
 		partitions = 4
 		perPart    = 2000

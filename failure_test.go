@@ -63,18 +63,22 @@ func runFailureRecovery(t *testing.T, schedName string) {
 }
 
 func TestFailureRecoveryYARNStateful(t *testing.T) {
+	t.Parallel()
 	runFailureRecovery(t, "yarn")
 }
 
 func TestFailureRecoveryAuroraStateless(t *testing.T) {
+	t.Parallel()
 	runFailureRecovery(t, "aurora")
 }
 
 func TestFailureRecoveryMesosOfferBased(t *testing.T) {
+	t.Parallel()
 	runFailureRecovery(t, "mesos")
 }
 
 func TestTMasterDeathObservedByStreamManagers(t *testing.T) {
+	t.Parallel()
 	// Restarting container 0 kills the TMaster; its ephemeral location
 	// vanishes, a new TMaster comes up, stream managers reconnect and the
 	// topology keeps processing.
@@ -110,8 +114,10 @@ func TestTMasterDeathObservedByStreamManagers(t *testing.T) {
 // tuple fails. Both arms run the same replica-set control plane, one of
 // them with a standby.
 func TestWorkerRestartsAroundTMasterRestartKeepAcking(t *testing.T) {
+	t.Parallel()
 	for _, replicas := range []int{1, 2} {
 		t.Run(fmt.Sprintf("replicas=%d", replicas), func(t *testing.T) {
+			t.Parallel()
 			var f fixture
 			spec := f.buildWordCount(t, 2, 2, -1, true)
 			cfg := testConfig(t)

@@ -8,11 +8,9 @@ import (
 	"time"
 
 	"heron/api"
-	"heron/internal/checkpoint"
 	"heron/internal/cluster"
 	"heron/internal/core"
 	"heron/internal/metrics"
-	"heron/internal/statemgr"
 )
 
 // slowCountBolt is the chaos lever of the health-manager tests: the
@@ -161,13 +159,9 @@ func drainAndAudit(t *testing.T, handle *Handle, h *ckptHarness, dict []string) 
 
 // healthTestConfig is the shared stateful-topology configuration: yarn
 // scheduler on a simulated cluster, memory checkpoint backend.
-func healthTestConfig(t *testing.T, root string) *Config {
+func healthTestConfig(t *testing.T) *Config {
 	t.Helper()
-	cfg := NewConfig()
-	cfg.StateRoot = "/" + root
-	statemgr.ResetSharedStore(cfg.StateRoot)
-	checkpoint.ResetSharedMemory(cfg.StateRoot)
-	cfg.NumContainers = 3
+	cfg := testConfig(t)
 	cfg.SchedulerName = "yarn"
 	cfg.CheckpointInterval = 300 * time.Millisecond
 	return cfg
@@ -185,7 +179,7 @@ func TestHealthManagerAutoscaleConvergence(t *testing.T) {
 	slow.Store(true)
 	spec := buildHealthTopology(t, "health-autoscale", h, &slow, dict, 2)
 
-	cfg := healthTestConfig(t, "health-autoscale")
+	cfg := healthTestConfig(t)
 	cfg.MetricsExportInterval = 100 * time.Millisecond
 	cfg.HealthInterval = 200 * time.Millisecond
 	// Unbatched frames make the outbox high-water mark a bound on queued
@@ -262,12 +256,13 @@ func TestHealthManagerAutoscaleConvergence(t *testing.T) {
 // TestScaleComponentManual drives the exact same stateful rescale the
 // resolver uses, through the public Handle.ScaleComponent API.
 func TestScaleComponentManual(t *testing.T) {
+	t.Parallel()
 	dict := healthDict()
 	h := &ckptHarness{spouts: map[int32]*seqSpout{}, bolts: map[int32]*ckptCountBolt{}}
 	var slow atomic.Bool // never set: this test rescales a healthy topology
 	spec := buildHealthTopology(t, "health-manual", h, &slow, dict, 2)
 
-	cfg := healthTestConfig(t, "health-manual")
+	cfg := healthTestConfig(t)
 	cl := cluster.New("health-manual-sim", 4, core.Resource{CPU: 32, RAMMB: 32768, DiskMB: 65536})
 	cfg.Framework = cl
 
@@ -316,12 +311,13 @@ func TestScaleComponentManual(t *testing.T) {
 // — and verifies the topology rolls back to the pre-rescale plan and
 // checkpoint, still losing nothing.
 func TestScaleComponentRollback(t *testing.T) {
+	t.Parallel()
 	dict := healthDict()
 	h := &ckptHarness{spouts: map[int32]*seqSpout{}, bolts: map[int32]*ckptCountBolt{}}
 	var slow atomic.Bool
 	spec := buildHealthTopology(t, "health-rollback", h, &slow, dict, 2)
 
-	cfg := healthTestConfig(t, "health-rollback")
+	cfg := healthTestConfig(t)
 	// Bin-packed containers hold exactly 2 instances (capacity minus
 	// overhead), so growing "count" past the packed plan must open a new
 	// container — and the 2-node cluster below has nowhere to put it.

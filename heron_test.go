@@ -1,6 +1,7 @@
 package heron
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -9,7 +10,6 @@ import (
 
 	"heron/api"
 	"heron/internal/metrics"
-	"heron/internal/statemgr"
 )
 
 // boundedWordSpout emits each word of a fixed list exactly once (plus
@@ -147,12 +147,17 @@ func (f *fixture) buildWordCount(t *testing.T, spouts, bolts, wordsPerSpout int,
 	return spec
 }
 
+// testConfig is a three-container config on a deployment of its own. The
+// test fails if a session on its World is still open when it ends.
 func testConfig(t *testing.T) *Config {
 	t.Helper()
 	cfg := NewConfig()
-	cfg.StateRoot = "/it-" + t.Name()
-	statemgr.ResetSharedStore(cfg.StateRoot)
 	cfg.NumContainers = 3
+	t.Cleanup(func() {
+		if err := cfg.World.Close(); err != nil {
+			t.Error(err)
+		}
+	})
 	return cfg
 }
 
@@ -168,6 +173,7 @@ func waitFor(t *testing.T, timeout time.Duration, what string, cond func() bool)
 }
 
 func TestWordCountEndToEndWithAcks(t *testing.T) {
+	t.Parallel()
 	var f fixture
 	const spouts, bolts, perSpout = 3, 4, 500
 	spec := f.buildWordCount(t, spouts, bolts, perSpout, true)
@@ -206,6 +212,7 @@ func TestWordCountEndToEndWithAcks(t *testing.T) {
 }
 
 func TestWordCountEndToEndWithoutAcks(t *testing.T) {
+	t.Parallel()
 	var f fixture
 	const spouts, bolts, perSpout = 2, 2, 1000
 	spec := f.buildWordCount(t, spouts, bolts, perSpout, false)
@@ -231,6 +238,7 @@ func TestWordCountEndToEndWithoutAcks(t *testing.T) {
 }
 
 func TestWordCountNaiveCodecStillCorrect(t *testing.T) {
+	t.Parallel()
 	// The unoptimized data plane must change cost, not semantics.
 	var f fixture
 	spec := f.buildWordCount(t, 2, 2, 300, true)
@@ -255,6 +263,7 @@ func TestWordCountNaiveCodecStillCorrect(t *testing.T) {
 }
 
 func TestSubmitErrors(t *testing.T) {
+	t.Parallel()
 	if _, err := Submit(nil, nil); err == nil {
 		t.Error("nil spec accepted")
 	}
@@ -273,6 +282,7 @@ func TestSubmitErrors(t *testing.T) {
 }
 
 func TestDuplicateSubmitRejected(t *testing.T) {
+	t.Parallel()
 	var f fixture
 	spec := f.buildWordCount(t, 1, 1, 10, false)
 	cfg := testConfig(t)
@@ -288,7 +298,32 @@ func TestDuplicateSubmitRejected(t *testing.T) {
 	}
 }
 
+// TestConfigsAreSeparateDeployments pins what a Config's World means: two
+// NewConfigs with the same StateRoot are two deployments, so each runs a
+// topology of the same name, while a Clone is the same deployment and is
+// refused the name.
+func TestConfigsAreSeparateDeployments(t *testing.T) {
+	t.Parallel()
+	first, second := testConfig(t), testConfig(t)
+	if first.StateRoot != second.StateRoot {
+		t.Fatalf("StateRoots differ: %q, %q", first.StateRoot, second.StateRoot)
+	}
+	for _, cfg := range []*Config{first, second} {
+		var f fixture
+		h, err := Submit(f.buildWordCount(t, 1, 1, 10, false), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer h.Kill()
+	}
+	var f fixture
+	if _, err := Submit(f.buildWordCount(t, 1, 1, 10, false), first.Clone()); !errors.Is(err, ErrDuplicateTopology) {
+		t.Fatalf("Submit on a Clone = %v, want ErrDuplicateTopology", err)
+	}
+}
+
 func TestTopologyScalingEndToEnd(t *testing.T) {
+	t.Parallel()
 	// Scale the count bolt up mid-run and verify the new tasks receive
 	// tuples (fields grouping re-partitions over 6 tasks).
 	var f fixture

@@ -36,7 +36,7 @@ import (
 // backend session against the shared store.
 type Backend interface {
 	// Initialize connects the backend; cfg carries the store location
-	// (StateRoot, Extra keys).
+	// (World, StateRoot, Extra keys).
 	Initialize(cfg *core.Config) error
 	// Save persists one task's snapshot for a checkpoint.
 	Save(topology string, checkpointID int64, task int32, data []byte) error

@@ -115,15 +115,7 @@ func TestDecodeStateEmpty(t *testing.T) {
 func newTestBackend(t *testing.T, name string) Backend {
 	t.Helper()
 	cfg := core.NewConfig()
-	cfg.StateRoot = "/test-" + name + "-" + t.Name()
-	switch name {
-	case "memory":
-		root := cfg.StateRoot
-		t.Cleanup(func() { ResetSharedMemory(root) })
-	case "redis":
-		root := cfg.StateRoot
-		t.Cleanup(func() { ResetSharedRedis(root) })
-	case "localfs":
+	if name == "localfs" {
 		cfg.Extra = map[string]string{"checkpoint.root": t.TempDir()}
 	}
 	b, err := New(name)
@@ -238,14 +230,9 @@ func TestBackendSessionsShareStore(t *testing.T) {
 	for _, name := range backendNames {
 		t.Run(name, func(t *testing.T) {
 			cfg := core.NewConfig()
-			cfg.StateRoot = "/shared-" + name + "-" + t.Name()
 			if name == "localfs" {
 				cfg.Extra = map[string]string{"checkpoint.root": t.TempDir()}
 			}
-			t.Cleanup(func() {
-				ResetSharedMemory(cfg.StateRoot)
-				ResetSharedRedis(cfg.StateRoot)
-			})
 			a, _ := New(name)
 			b, _ := New(name)
 			if err := a.Initialize(cfg); err != nil {
@@ -267,6 +254,22 @@ func TestBackendSessionsShareStore(t *testing.T) {
 			}
 			if latest, _ := b.LatestCommitted("topo"); latest != 1 {
 				t.Fatalf("second session LatestCommitted = %d", latest)
+			}
+			if name == "localfs" {
+				return // a directory, not a World, is what localfs sessions share
+			}
+			// Another NewConfig is another deployment: the same StateRoot
+			// in a fresh World holds no snapshot.
+			other, _ := New(name)
+			if err := other.Initialize(core.NewConfig()); err != nil {
+				t.Fatal(err)
+			}
+			defer other.Close()
+			if _, err := other.Load("topo", 1, 0); !errors.Is(err, core.ErrNotFound) {
+				t.Fatalf("fresh World Load err = %v, want ErrNotFound", err)
+			}
+			if latest, _ := other.LatestCommitted("topo"); latest != 0 {
+				t.Fatalf("fresh World LatestCommitted = %d", latest)
 			}
 		})
 	}

@@ -15,10 +15,7 @@ func eachStateManager(t *testing.T, fn func(t *testing.T, open func() *statemgr.
 		t.Run(name, func(t *testing.T) {
 			cfg := core.NewConfig()
 			cfg.StateManagerName = name
-			cfg.StateRoot = "/ledger-" + t.Name()
 			cfg.Extra["localfs.root"] = t.TempDir()
-			statemgr.ResetSharedStore(cfg.StateRoot)
-			t.Cleanup(func() { statemgr.ResetSharedStore(cfg.StateRoot) })
 			fn(t, func() *statemgr.Manager {
 				sm, err := statemgr.Open(cfg)
 				if err != nil {

@@ -11,15 +11,6 @@ func init() {
 	Register("memory", func() Backend { return &memoryBackend{} })
 }
 
-// Process-global snapshot stores keyed by Config.StateRoot, mirroring
-// statemgr's shared in-memory trees: every container session with the
-// same root sees the same snapshots, the way separate processes would
-// share one checkpoint service.
-var (
-	memMu     sync.Mutex
-	memStores = map[string]*memStore{}
-)
-
 type memStore struct {
 	mu sync.Mutex
 	// snaps: topology → checkpoint id → task → snapshot.
@@ -28,40 +19,31 @@ type memStore struct {
 	committed map[string]int64
 }
 
-func sharedMemStore(root string) *memStore {
-	memMu.Lock()
-	defer memMu.Unlock()
-	s, ok := memStores[root]
-	if !ok {
-		s = &memStore{
-			snaps:     map[string]map[int64]map[int32][]byte{},
-			committed: map[string]int64{},
-		}
-		memStores[root] = s
+func newMemStore() *memStore {
+	return &memStore{
+		snaps:     map[string]map[int64]map[int32][]byte{},
+		committed: map[string]int64{},
 	}
-	return s
 }
 
-// ResetSharedMemory drops the snapshot store for a root; tests use it for
-// isolation, paired with statemgr.ResetSharedStore.
-func ResetSharedMemory(root string) {
-	memMu.Lock()
-	defer memMu.Unlock()
-	delete(memStores, root)
-}
+// ResetSharedMemory does nothing: a snapshot store belongs to its
+// core.World and goes with it.
+//
+// Deprecated: give each deployment its own core.NewConfig instead.
+func ResetSharedMemory(root string) {}
 
-// memoryBackend is a session on the shared in-process store.
+// memoryBackend is a session on the snapshot store of its core.World and
+// StateRoot: every container session on the same World and StateRoot sees
+// the same snapshots, the way separate processes would share one
+// checkpoint service.
 type memoryBackend struct {
 	store *memStore
 }
 
 func (m *memoryBackend) Initialize(cfg *core.Config) error {
-	root := cfg.StateRoot
-	if root == "" {
-		root = "/heron"
-	}
-	m.store = sharedMemStore(root)
-	return nil
+	s, err := core.Shared(cfg.World, "memory snapshots", cfg.StateRoot, newMemStore)
+	m.store = s
+	return err
 }
 
 func (m *memoryBackend) checkInit() error {

@@ -14,34 +14,10 @@ func init() {
 	Register("redis", func() Backend { return &redisBackend{} })
 }
 
-// Process-global simulated Redis servers keyed by Config.StateRoot: one
-// "deployment" per topology namespace, shared by every container session,
-// like the shared memory/localfs stores.
-var (
-	redisMu      sync.Mutex
-	redisServers = map[string]*redissim.Server{}
-)
-
-func sharedRedisServer(root string) *redissim.Server {
-	redisMu.Lock()
-	defer redisMu.Unlock()
-	s, ok := redisServers[root]
-	if !ok {
-		s = redissim.NewServer(8)
-		redisServers[root] = s
-	}
-	return s
-}
-
-// ResetSharedRedis drops the simulated server for a root (test isolation).
-func ResetSharedRedis(root string) {
-	redisMu.Lock()
-	defer redisMu.Unlock()
-	delete(redisServers, root)
-}
-
-// redisBackend stores snapshots as blobs in the simulated Redis, paying
-// the RESP encode/parse cost per operation like the ETL workload does.
+// redisBackend stores snapshots as blobs in the simulated Redis server of
+// its core.World and StateRoot, shared by every container session on the
+// same World and StateRoot, paying the RESP encode/parse cost per
+// operation like the ETL workload does.
 //
 // Keys: ckpt/<topology>/<id>/<task> for snapshots, ckpt/<topology>/latest
 // for the commit record.
@@ -51,11 +27,11 @@ type redisBackend struct {
 }
 
 func (r *redisBackend) Initialize(cfg *core.Config) error {
-	root := cfg.StateRoot
-	if root == "" {
-		root = "/heron"
+	srv, err := core.Shared(cfg.World, "redis", cfg.StateRoot, func() *redissim.Server { return redissim.NewServer(8) })
+	if err != nil {
+		return err
 	}
-	r.cl = redissim.NewClient(sharedRedisServer(root))
+	r.cl = redissim.NewClient(srv)
 	return nil
 }
 

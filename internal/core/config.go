@@ -107,12 +107,16 @@ type Config struct {
 	// Extra carries module-specific settings (e.g. "yarn.queue").
 	Extra map[string]string
 
-	// Launcher and Framework are live runtime dependencies injected by the
-	// engine, never serialized: Launcher boots a container's processes;
-	// Framework is the underlying scheduling-framework handle (for the
-	// simulated YARN/Aurora cluster, a *cluster.Cluster).
+	// Launcher, Framework and World are live runtime dependencies, never
+	// serialized: Launcher boots a container's processes; Framework is the
+	// underlying scheduling-framework handle (for the simulated YARN/Aurora
+	// cluster, a *cluster.Cluster); World is the deployment whose simulated
+	// ZooKeeper trees, snapshot stores and Redis servers the config's
+	// sessions share. NewConfig makes a fresh World and Clone shares it, so
+	// a config and its clones are one deployment.
 	Launcher  ContainerLauncher
 	Framework any
+	World     *World
 }
 
 // Defaults for unset fields.
@@ -162,10 +166,12 @@ func NewConfig() *Config {
 		StateBackend:           "memory",
 		StateRoot:              "/heron",
 		Extra:                  map[string]string{},
+		World:                  NewWorld(),
 	}
 }
 
-// Clone returns a deep copy so per-topology tweaks don't alias.
+// Clone returns a deep copy so per-topology tweaks don't alias; the copy
+// shares the World, so it is the same deployment.
 func (c *Config) Clone() *Config {
 	out := *c
 	out.Extra = make(map[string]string, len(c.Extra))
@@ -177,6 +183,9 @@ func (c *Config) Clone() *Config {
 
 // Validate rejects configurations the engine cannot run.
 func (c *Config) Validate() error {
+	if c.World == nil {
+		return fmt.Errorf("core: nil World (build the Config with NewConfig)")
+	}
 	if c.NumContainers < 1 {
 		return fmt.Errorf("core: NumContainers %d < 1", c.NumContainers)
 	}

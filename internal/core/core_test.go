@@ -343,15 +343,22 @@ func TestConfigDefaultsAndValidate(t *testing.T) {
 	if _, ok := c.Extra["k"]; ok {
 		t.Error("Clone aliases Extra")
 	}
-	bad := NewConfig()
-	bad.MaxSpoutPending = 10 // without acking
-	if err := bad.Validate(); err == nil {
-		t.Error("want error: msp without acking")
+	if c2.World != c.World || NewConfig().World == c.World {
+		t.Error("Clone must share the World and NewConfig must make its own")
 	}
-	bad2 := NewConfig()
-	bad2.NumContainers = 0
-	if err := bad2.Validate(); err == nil {
-		t.Error("want error: zero containers")
+	for _, bad := range []struct {
+		name  string
+		apply func(*Config)
+	}{
+		{"msp without acking", func(c *Config) { c.MaxSpoutPending = 10 }},
+		{"zero containers", func(c *Config) { c.NumContainers = 0 }},
+		{"nil World", func(c *Config) { c.World = nil }},
+	} {
+		c := NewConfig()
+		bad.apply(c)
+		if err := c.Validate(); err == nil {
+			t.Errorf("want error: %s", bad.name)
+		}
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	heron "heron"
-	"heron/internal/statemgr"
 	"heron/internal/workloads"
 )
 
@@ -114,8 +113,7 @@ func ClusterDemandSweep(o ClusterSweepOptions) ([]DemandPoint, error) {
 // runDemandTrial measures one (tenants, load, parallelism) configuration
 // on a fresh substrate.
 func runDemandTrial(tenants, load, par int, o ClusterSweepOptions) (DemandPoint, error) {
-	name := fmt.Sprintf("bench-%d", nextRun())
-	statemgr.ResetSharedStore("multitenant/" + name)
+	name := "bench"
 	cl, err := heron.NewCluster(heron.ClusterConfig{Name: name, Nodes: o.Nodes})
 	if err != nil {
 		return DemandPoint{}, err

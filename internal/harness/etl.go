@@ -10,7 +10,6 @@ import (
 	heron "heron"
 	"heron/internal/extsvc/kafkasim"
 	"heron/internal/extsvc/redissim"
-	"heron/internal/statemgr"
 	"heron/internal/workloads"
 )
 
@@ -136,7 +135,7 @@ func runETLOnce(o ETLOptions, ratePerSpout float64) (ETLResult, error) {
 	redis := redissim.NewServer(8)
 
 	spec, timers, err := workloads.BuildETL(workloads.ETLOptions{
-		Name:   fmt.Sprintf("etl-bench-%d", nextRun()),
+		Name:   "etl-bench",
 		Broker: broker, Redis: redis,
 		Spouts: o.Spouts, Filters: o.Filters, Aggregators: o.Aggregators,
 		RatePerSpout: ratePerSpout,
@@ -145,8 +144,6 @@ func runETLOnce(o ETLOptions, ratePerSpout float64) (ETLResult, error) {
 		return ETLResult{}, err
 	}
 	cfg := heron.NewConfig()
-	cfg.StateRoot = "/" + spec.Topology.Name
-	statemgr.ResetSharedStore(cfg.StateRoot)
 	cfg.NumContainers = o.Containers
 
 	h, err := heron.Submit(spec, cfg)

@@ -14,11 +14,9 @@ import (
 	"time"
 
 	heron "heron"
-	"heron/internal/checkpoint"
 	"heron/internal/cluster"
 	"heron/internal/core"
 	"heron/internal/replication"
-	"heron/internal/statemgr"
 	"heron/internal/workloads"
 )
 
@@ -106,7 +104,7 @@ func FailoverSweep(o FailoverOptions) ([]FailoverPoint, error) {
 // runFailoverTrial absorbs o.Kills leader kills on a fresh topology with
 // the given replica count and reports the aggregate profile.
 func runFailoverTrial(replicas int, o FailoverOptions) (FailoverPoint, error) {
-	name := fmt.Sprintf("failover-bench-%d", nextRun())
+	name := "failover-bench"
 	spec, _, err := workloads.BuildWordCount(workloads.WordCountOptions{
 		Name:     name,
 		Spouts:   2,
@@ -122,9 +120,6 @@ func runFailoverTrial(replicas int, o FailoverOptions) (FailoverPoint, error) {
 	}
 
 	cfg := heron.NewConfig()
-	cfg.StateRoot = "/" + name
-	statemgr.ResetSharedStore(cfg.StateRoot)
-	checkpoint.ResetSharedMemory(cfg.StateRoot)
 	cfg.NumContainers = 3
 	cfg.SchedulerName = "yarn"
 	cfg.CheckpointInterval = o.CheckpointInterval

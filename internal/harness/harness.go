@@ -15,7 +15,6 @@ import (
 	heron "heron"
 	"heron/internal/core"
 	"heron/internal/metrics"
-	"heron/internal/statemgr"
 	"heron/internal/storm"
 	"heron/internal/workloads"
 )
@@ -120,13 +119,11 @@ func latencyMs(snaps []metrics.HistogramSnapshot) (mean, p50, p99 float64) {
 	return all.Mean() / 1e6, float64(all.Quantile(0.5)) / 1e6, float64(all.Quantile(0.99)) / 1e6
 }
 
-var runSeq int
-
 // RunHeronWordCount measures WordCount on the Heron engine.
 func RunHeronWordCount(o WCOptions) (Result, error) {
 	o.defaults()
 	spec, stats, err := workloads.BuildWordCount(workloads.WordCountOptions{
-		Name:     fmt.Sprintf("wc-bench-%d", nextRun()),
+		Name:     "wc-bench",
 		Spouts:   o.Parallelism,
 		Bolts:    o.Parallelism,
 		DictSize: o.DictSize,
@@ -136,8 +133,6 @@ func RunHeronWordCount(o WCOptions) (Result, error) {
 		return Result{}, err
 	}
 	cfg := heron.NewConfig()
-	cfg.StateRoot = "/" + spec.Topology.Name
-	statemgr.ResetSharedStore(cfg.StateRoot)
 	cfg.NumContainers = o.Containers
 	cfg.AckingEnabled = o.Acks
 	cfg.MaxSpoutPending = o.MaxSpoutPending
@@ -203,7 +198,7 @@ func RunHeronWordCount(o WCOptions) (Result, error) {
 func RunStormWordCount(o WCOptions) (Result, error) {
 	o.defaults()
 	spec, stats, err := workloads.BuildWordCount(workloads.WordCountOptions{
-		Name:     fmt.Sprintf("wc-storm-%d", nextRun()),
+		Name:     "wc-storm",
 		Spouts:   o.Parallelism,
 		Bolts:    o.Parallelism,
 		DictSize: o.DictSize,
@@ -247,11 +242,6 @@ func RunStormWordCount(o WCOptions) (Result, error) {
 			[]metrics.HistogramSnapshot{c.Latency()})
 	}
 	return res, nil
-}
-
-func nextRun() int {
-	runSeq++
-	return runSeq
 }
 
 // Table is a printable figure reproduction.

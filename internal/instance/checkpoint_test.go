@@ -59,8 +59,6 @@ func (s *stmgrSim) sendPayload(t *testing.T, p *ctrl.PlanPayload) {
 func newTestBackend(t *testing.T) checkpoint.Backend {
 	t.Helper()
 	cfg := core.NewConfig()
-	cfg.StateRoot = "/inst-" + t.Name()
-	t.Cleanup(func() { checkpoint.ResetSharedMemory(cfg.StateRoot) })
 	b, err := checkpoint.New("memory")
 	if err != nil {
 		t.Fatal(err)

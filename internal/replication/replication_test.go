@@ -11,26 +11,16 @@ import (
 	"heron/internal/statemgr"
 )
 
-// testStore opens one statemgr session on a private shared tree. Multiple
-// calls with the same root model separate processes on one ZooKeeper
-// ensemble — exactly how control replicas share coordination state.
-func testStore(t *testing.T, root string) *statemgr.Manager {
+// testStore opens one statemgr session on cfg's tree. Several calls with
+// one Config model separate processes on one ZooKeeper ensemble — exactly
+// how control replicas share coordination state.
+func testStore(t *testing.T, cfg *core.Config) *statemgr.Manager {
 	t.Helper()
-	cfg := core.NewConfig()
-	cfg.StateRoot = root
 	m, err := statemgr.Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return m
-}
-
-func testRoot(t *testing.T) string {
-	t.Helper()
-	root := "/rep-" + t.Name()
-	statemgr.ResetSharedStore(root)
-	t.Cleanup(func() { statemgr.ResetSharedStore(root) })
-	return root
 }
 
 func waitUntil(t *testing.T, timeout time.Duration, what string, cond func() bool) {
@@ -45,8 +35,8 @@ func waitUntil(t *testing.T, timeout time.Duration, what string, cond func() boo
 }
 
 func TestLogAppendAssignsOrderedSequence(t *testing.T) {
-	root := testRoot(t)
-	vs := testStore(t, root)
+	cfg := core.NewConfig()
+	vs := testStore(t, cfg)
 	defer vs.Close()
 
 	l := NewLog(vs, "topo")
@@ -94,8 +84,8 @@ func TestLogAppendAssignsOrderedSequence(t *testing.T) {
 // term fences the log, and the old leader's late writes are rejected with
 // core.ErrNotLeader — before and after the new leader has appended.
 func TestFencingRejectsDeposedLeader(t *testing.T) {
-	root := testRoot(t)
-	vsOld, vsNew := testStore(t, root), testStore(t, root)
+	cfg := core.NewConfig()
+	vsOld, vsNew := testStore(t, cfg), testStore(t, cfg)
 	defer vsOld.Close()
 	defer vsNew.Close()
 
@@ -140,8 +130,8 @@ func TestFencingRejectsDeposedLeader(t *testing.T) {
 // before advancing the head never made it take effect — the next leader's
 // first append overwrites it.
 func TestDanglingRecordOverwritten(t *testing.T) {
-	root := testRoot(t)
-	vs := testStore(t, root)
+	cfg := core.NewConfig()
+	vs := testStore(t, cfg)
 	defer vs.Close()
 
 	dead := NewLog(vs, "topo")
@@ -243,8 +233,8 @@ func TestViewReplayPrefixes(t *testing.T) {
 // standby tailing records 1..n sees the same state as one replaying the
 // whole prefix at promotion.
 func TestViewReplayFromLog(t *testing.T) {
-	root := testRoot(t)
-	vs := testStore(t, root)
+	cfg := core.NewConfig()
+	vs := testStore(t, cfg)
 	defer vs.Close()
 
 	l := NewLog(vs, "topo")
@@ -273,8 +263,8 @@ func TestViewReplayFromLog(t *testing.T) {
 }
 
 func TestElectorTermsMonotonic(t *testing.T) {
-	root := testRoot(t)
-	vsA, vsB := testStore(t, root), testStore(t, root)
+	cfg := core.NewConfig()
+	vsA, vsB := testStore(t, cfg), testStore(t, cfg)
 	defer vsA.Close()
 	defer vsB.Close()
 
@@ -317,9 +307,9 @@ func (f *fakeActive) Stop() { close(f.stopped) }
 
 // startTestReplica wires a Replica whose Promote installs a fakeActive,
 // recording the promotion term and recovered view.
-func startTestReplica(t *testing.T, root, node string, ttl, deferFirst time.Duration, promoted chan *View) (*Replica, *statemgr.Manager) {
+func startTestReplica(t *testing.T, cfg *core.Config, node string, ttl, deferFirst time.Duration, promoted chan *View) (*Replica, *statemgr.Manager) {
 	t.Helper()
-	vs := testStore(t, root)
+	vs := testStore(t, cfg)
 	r, err := NewReplica(Options{
 		Topology: "topo",
 		NodeID:   node,
@@ -348,10 +338,10 @@ func startTestReplica(t *testing.T, root, node string, ttl, deferFirst time.Dura
 // TTL), a standby wins, fences a higher term, and the old generation's
 // log handle is rejected.
 func TestReplicaFailoverOnCrash(t *testing.T) {
-	root := testRoot(t)
+	cfg := core.NewConfig()
 	const ttl = 80 * time.Millisecond
 
-	a, _ := startTestReplica(t, root, "a", ttl, 0, nil)
+	a, _ := startTestReplica(t, cfg, "a", ttl, 0, nil)
 	waitUntil(t, 5*time.Second, "first leader", a.IsLeader)
 	termA := a.Status().Term
 
@@ -359,7 +349,7 @@ func TestReplicaFailoverOnCrash(t *testing.T) {
 	// that survives in memory past its lease. It gets its own session:
 	// the crash only abandons the replica's, and fencing — not session
 	// death — must be what rejects the late writes.
-	vsOld := testStore(t, root)
+	vsOld := testStore(t, cfg)
 	defer vsOld.Close()
 	oldLog := NewLog(vsOld, "topo")
 	if err := oldLog.Fence(termA); err != nil {
@@ -370,7 +360,7 @@ func TestReplicaFailoverOnCrash(t *testing.T) {
 	}
 
 	promoted := make(chan *View, 1)
-	b, vsB := startTestReplica(t, root, "b", ttl, 0, promoted)
+	b, vsB := startTestReplica(t, cfg, "b", ttl, 0, promoted)
 	defer func() { b.Stop(); vsB.Close() }()
 
 	// Hard-crash the leader: no resign, the lease must lapse by TTL.
@@ -400,12 +390,12 @@ func TestReplicaFailoverOnCrash(t *testing.T) {
 // leader, still accounts the takeover as a failover. Lease renewals
 // rewrite nothing, so no watch event tells it a leader was live.
 func TestDeferredStandbyCountsFailover(t *testing.T) {
-	root := testRoot(t)
+	cfg := core.NewConfig()
 	const ttl = 80 * time.Millisecond
 
-	a, _ := startTestReplica(t, root, "a", ttl, 0, nil)
+	a, _ := startTestReplica(t, cfg, "a", ttl, 0, nil)
 	waitUntil(t, 5*time.Second, "first leader", a.IsLeader)
-	b, vsB := startTestReplica(t, root, "b", ttl, 4*ttl, nil)
+	b, vsB := startTestReplica(t, cfg, "b", ttl, 4*ttl, nil)
 	defer func() { b.Stop(); vsB.Close() }()
 
 	a.Crash() // inside b's deferral: b never polls a live leader
@@ -418,13 +408,13 @@ func TestDeferredStandbyCountsFailover(t *testing.T) {
 // TestReplicaCleanStopHandsOverImmediately: a resigning leader frees the
 // lease, so the standby takes over without waiting out the TTL.
 func TestReplicaCleanStopHandsOver(t *testing.T) {
-	root := testRoot(t)
+	cfg := core.NewConfig()
 	const ttl = 250 * time.Millisecond
 
-	a, vsA := startTestReplica(t, root, "a", ttl, 0, nil)
+	a, vsA := startTestReplica(t, cfg, "a", ttl, 0, nil)
 	waitUntil(t, 5*time.Second, "first leader", a.IsLeader)
 
-	b, vsB := startTestReplica(t, root, "b", ttl, 0, nil)
+	b, vsB := startTestReplica(t, cfg, "b", ttl, 0, nil)
 	defer func() { b.Stop(); vsB.Close() }()
 
 	a.Stop()
@@ -438,8 +428,8 @@ func TestReplicaCleanStopHandsOver(t *testing.T) {
 // TestStandbyTailsWarmView: a standby's view follows the leader's log
 // without ever being promoted.
 func TestStandbyTailsWarmView(t *testing.T) {
-	root := testRoot(t)
-	vs := testStore(t, root)
+	cfg := core.NewConfig()
+	vs := testStore(t, cfg)
 	defer vs.Close()
 
 	// An external leader holds the lease (long TTL, no contest), so the
@@ -453,7 +443,7 @@ func TestStandbyTailsWarmView(t *testing.T) {
 	if err := l.Fence(term); err != nil {
 		t.Fatal(err)
 	}
-	b, vsB := startTestReplica(t, root, "standby", 100*time.Millisecond, 0, nil)
+	b, vsB := startTestReplica(t, cfg, "standby", 100*time.Millisecond, 0, nil)
 	defer func() { b.Stop(); vsB.Close() }()
 
 	for epoch := int64(1); epoch <= 3; epoch++ {
@@ -480,10 +470,7 @@ func eachBackend(t *testing.T, fn func(t *testing.T, open func() *statemgr.Manag
 		t.Run(name, func(t *testing.T) {
 			cfg := core.NewConfig()
 			cfg.StateManagerName = name
-			cfg.StateRoot = "/rep-" + t.Name()
 			cfg.Extra["localfs.root"] = t.TempDir()
-			statemgr.ResetSharedStore(cfg.StateRoot)
-			t.Cleanup(func() { statemgr.ResetSharedStore(cfg.StateRoot) })
 			fn(t, func() *statemgr.Manager {
 				m, err := statemgr.Open(cfg)
 				if err != nil {

@@ -51,8 +51,6 @@ func (b *countingBolt) Cleanup() error { return nil }
 func setup(t *testing.T) (*Engine, *core.Config, *atomic.Int64, *atomic.Int64) {
 	t.Helper()
 	cfg := core.NewConfig()
-	cfg.StateRoot = "/rt-" + t.Name()
-	statemgr.ResetSharedStore(cfg.StateRoot)
 
 	var emitted, executed atomic.Int64
 	b := api.NewTopologyBuilder("rt")

@@ -7,7 +7,8 @@
 // with the core registry:
 //
 //   - "memory" (zkstore.go): a ZooKeeper-like in-process tree shared by
-//     every session opened on the same Config.StateRoot, the coordination
+//     every session opened on the same World and StateRoot (Config.World,
+//     Config.StateRoot), the coordination
 //     semantics Heron uses in cluster mode (the TMaster location is an
 //     ephemeral node, so its death is observed immediately by every Stream
 //     Manager).

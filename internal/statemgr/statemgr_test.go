@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -29,10 +30,7 @@ func eachBackend(t *testing.T, run func(t *testing.T, open func() *Manager)) {
 func sessions(t *testing.T, name string) func() *Manager {
 	cfg := core.NewConfig()
 	cfg.StateManagerName = name
-	cfg.StateRoot = "/test-" + t.Name()
 	cfg.Extra["localfs.root"] = t.TempDir()
-	ResetSharedStore(cfg.StateRoot)
-	t.Cleanup(func() { ResetSharedStore(cfg.StateRoot) })
 	return func() *Manager {
 		m, err := Open(cfg)
 		if err != nil {
@@ -185,6 +183,38 @@ func TestPersistentSurvivesSession(t *testing.T) {
 			t.Error("persistent node died with session")
 		}
 	})
+	// Another World is another ensemble: its memory tree of the same
+	// StateRoot has no /persist.
+	t.Run("memory-fresh-world", func(t *testing.T) {
+		s1 := sessions(t, "memory")()
+		if err := s1.Set("/persist", []byte("x"), false); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, ok, _ := sessions(t, "memory")().GetVersioned("/persist"); ok {
+			t.Error("a session on a fresh World sees another World's node")
+		}
+	})
+}
+
+// TestWorldCloseNamesOpenTrees: World.Close names a memory tree while a
+// session on it is open, and reports nothing once every session closed or
+// was abandoned.
+func TestWorldCloseNamesOpenTrees(t *testing.T) {
+	cfg := core.NewConfig()
+	closed, abandoned := &Session{}, &Session{}
+	for _, s := range []*Session{closed, abandoned} {
+		if err := s.Initialize(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cfg.World.Close(); err == nil || !strings.Contains(err.Error(), `"/heron" has 2 open sessions`) {
+		t.Fatalf("World.Close with two open sessions = %v", err)
+	}
+	closed.Close()
+	abandoned.Abandon()
+	if err := cfg.World.Close(); err != nil {
+		t.Fatalf("World.Close after every session ended = %v", err)
+	}
 }
 
 // TestWatchFiresOnSetAndDelete pins the memory store's synchronous,
@@ -192,8 +222,6 @@ func TestPersistentSurvivesSession(t *testing.T) {
 // cancel.
 func TestWatchFiresOnSetAndDelete(t *testing.T) {
 	cfg := core.NewConfig()
-	cfg.StateRoot = "/test-" + t.Name()
-	ResetSharedStore(cfg.StateRoot)
 	s := &Session{}
 	if err := s.Initialize(cfg); err != nil {
 		t.Fatal(err)

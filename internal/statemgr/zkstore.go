@@ -15,45 +15,33 @@ func init() {
 	core.RegisterStateManager("memory", func() core.StateManager { return &Session{} })
 }
 
-// Shared in-process stores, keyed by Config.StateRoot: every session
-// initialized with the same root sees the same tree, the way separate
-// Heron processes share one ZooKeeper ensemble.
-var (
-	sharedMu     sync.Mutex
-	sharedStores = map[string]*Store{}
-)
-
-func sharedStore(root string) *Store {
-	sharedMu.Lock()
-	defer sharedMu.Unlock()
-	s, ok := sharedStores[root]
-	if !ok {
-		s = &Store{
-			nodes:       map[string]*znode{},
-			watches:     map[string]map[int64]*watch{},
-			leases:      map[string]time.Time{},
-			janitorKick: make(chan struct{}, 1),
-		}
-		sharedStores[root] = s
+func newStore() *Store {
+	return &Store{
+		nodes:       map[string]*znode{},
+		watches:     map[string]map[int64]*watch{},
+		leases:      map[string]time.Time{},
+		janitorKick: make(chan struct{}, 1),
 	}
-	return s
 }
 
-// ResetSharedStore drops the store for a root; tests use it for isolation.
-func ResetSharedStore(root string) {
-	sharedMu.Lock()
-	defer sharedMu.Unlock()
-	delete(sharedStores, root)
-}
+// ResetSharedStore does nothing: a memory tree belongs to its core.World
+// and goes with it.
+//
+// Deprecated: give each deployment its own core.NewConfig instead.
+func ResetSharedStore(root string) {}
 
-// Store is a ZooKeeper-like tree of nodes. All access happens through
-// Sessions; ephemeral nodes die with the session that owns them.
+// Store is a ZooKeeper-like tree of nodes, one per core.World and
+// StateRoot, shared by every session opened on both as Heron's processes
+// share one ensemble. All access happens through Sessions; ephemeral nodes
+// die with the session that owns them.
 type Store struct {
 	mu       sync.Mutex
 	nodes    map[string]*znode
 	watches  map[string]map[int64]*watch
 	nextSess int64
 	nextWid  int64
+	// open counts the sessions neither closed nor abandoned.
+	open int
 	// fired queues the watch callbacks owed by the mutations made under
 	// mu; unlock runs them once mu is released.
 	fired []event
@@ -98,16 +86,16 @@ type Session struct {
 	cancels []func()
 }
 
-// Initialize implements core.StateManager: the session joins the
-// process-wide tree for cfg.StateRoot.
+// Initialize implements core.StateManager: the session joins cfg.World's
+// tree for cfg.StateRoot.
 func (se *Session) Initialize(cfg *core.Config) error {
-	root := cfg.StateRoot
-	if root == "" {
-		root = "/heron"
+	st, err := core.Shared(cfg.World, "memory tree", cfg.StateRoot, newStore)
+	if err != nil {
+		return err
 	}
-	st := sharedStore(root)
 	st.mu.Lock()
 	st.nextSess++
+	st.open++
 	id := st.nextSess
 	st.mu.Unlock()
 	se.mu.Lock()
@@ -392,7 +380,18 @@ func (se *Session) end() *Store {
 	for _, c := range cancels {
 		c()
 	}
+	se.store.mu.Lock()
+	se.store.open--
+	se.store.mu.Unlock()
 	return se.store
+}
+
+// OpenSessions counts the sessions on st that were neither closed nor
+// abandoned; core.World.Close reports a tree where it is not zero.
+func (st *Store) OpenSessions() int {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.open
 }
 
 // Close implements core.StateManager: the session expires, deleting the

@@ -58,8 +58,6 @@ func twoContainerPlan() (*core.Topology, *core.PackingPlan) {
 func newFixture(t *testing.T, optimized bool) *fixture {
 	t.Helper()
 	cfg := core.NewConfig()
-	cfg.StateRoot = "/stmgr-" + t.Name()
-	statemgr.ResetSharedStore(cfg.StateRoot)
 	cfg.AckingEnabled = true
 	cfg.MessageTimeout = 5 * time.Second
 	cfg.CacheDrainFrequency = time.Millisecond
@@ -584,8 +582,6 @@ func stmgrGoroutines() map[string]int {
 func TestGoroutineCensus(t *testing.T) {
 	const k, p = 3, 2
 	cfg := core.NewConfig()
-	cfg.StateRoot = "/stmgr-" + t.Name()
-	statemgr.ResetSharedStore(cfg.StateRoot)
 	state, err := statemgr.Open(cfg)
 	if err != nil {
 		t.Fatal(err)

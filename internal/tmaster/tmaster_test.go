@@ -112,8 +112,6 @@ func testLead(t *testing.T, state *statemgr.Manager) *Leadership {
 func newTM(t *testing.T) (*TMaster, *statemgr.Manager, *core.Config) {
 	t.Helper()
 	cfg := core.NewConfig()
-	cfg.StateRoot = "/tm-" + t.Name()
-	statemgr.ResetSharedStore(cfg.StateRoot)
 	seeder := testState(t, cfg)
 	seedState(t, seeder, 1, 2)
 	state := testState(t, cfg)
@@ -255,8 +253,6 @@ func TestNewRejectsMissingDeps(t *testing.T) {
 		t.Error("missing state accepted")
 	}
 	cfg := core.NewConfig()
-	cfg.StateRoot = "/tm-" + t.Name()
-	statemgr.ResetSharedStore(cfg.StateRoot)
 	state := testState(t, cfg)
 	defer state.Close()
 	if _, err := New(Options{Topology: "t", Cfg: cfg, State: state}); err == nil {

@@ -87,6 +87,7 @@ func (b *sinkBolt) Cleanup() error { return nil }
 // named streams: shuffle on the default stream, all-grouping and
 // global-grouping on the milestones stream.
 func TestMultiStreamGroupings(t *testing.T) {
+	t.Parallel()
 	const n = 2000
 	var shuffleCount, allCount, globalCount atomic.Int64
 	allTasks := &taskSet{m: map[int32]int64{}}
@@ -142,6 +143,7 @@ func TestMultiStreamGroupings(t *testing.T) {
 
 // TestHandleEdgeCases covers the facade's error paths.
 func TestHandleEdgeCases(t *testing.T) {
+	t.Parallel()
 	var f fixture
 	spec := f.buildWordCount(t, 1, 1, 10, false)
 	cfg := testConfig(t)
@@ -183,6 +185,7 @@ func TestHandleEdgeCases(t *testing.T) {
 // never completes registration (a plan container is never launched
 // because the framework has no capacity for it).
 func TestWaitRunningTimeout(t *testing.T) {
+	t.Parallel()
 	var f fixture
 	spec := f.buildWordCount(t, 1, 1, 10, false)
 	cfg := testConfig(t)

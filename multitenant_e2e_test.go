@@ -14,18 +14,25 @@ import (
 
 	"heron/api"
 	"heron/internal/metrics"
-	"heron/internal/statemgr"
 	"heron/streamlet"
 	"heron/windows"
 )
 
-// testClusterConfig resets the cluster's shared state root and returns a
-// sized ClusterConfig with the observability endpoint on a free port.
-func testClusterConfig(t *testing.T, nodes int) ClusterConfig {
+// testCluster starts a cluster of nodes with its observability endpoint
+// on a free port. The test fails if closing it reports an error, such as
+// a session left open on the cluster's World.
+func testCluster(t *testing.T, nodes int) *Cluster {
 	t.Helper()
-	name := "mt-" + t.Name()
-	statemgr.ResetSharedStore("multitenant/" + name)
-	return ClusterConfig{Name: name, Nodes: nodes, HTTPAddr: "127.0.0.1:0"}
+	cl, err := NewCluster(ClusterConfig{Name: "mt", Nodes: nodes, HTTPAddr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := cl.Close(); err != nil {
+			t.Error(err)
+		}
+	})
+	return cl
 }
 
 // buildBoundedWordCount assembles a named bounded WordCount: each of the
@@ -56,11 +63,8 @@ func buildBoundedWordCount(t *testing.T, name string, spouts, bolts, wordsPerSpo
 // page-view counter next to a windowed word ranker, observed through the
 // single shared endpoint.
 func TestClusterMultitenantExampleEndToEnd(t *testing.T) {
-	cl, err := NewCluster(testClusterConfig(t, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
+	t.Parallel()
+	cl := testCluster(t, 4)
 	if err := cl.AddTenant("analytics", Quota{Resources: Resource{CPU: 24}, MaxContainers: 8}, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -239,11 +243,7 @@ func TestClusterMultitenantExampleEndToEnd(t *testing.T) {
 // exactly once and never assert backpressure of its own — aggressor
 // pressure stays inside the aggressor's data plane.
 func TestClusterNoisyNeighborIsolation(t *testing.T) {
-	cl, err := NewCluster(testClusterConfig(t, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
+	cl := testCluster(t, 4)
 	if err := cl.AddTenant("aggressor", Quota{Resources: Resource{CPU: 24}}, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -320,11 +320,8 @@ func (b *throttledBolt) Execute(t api.Tuple) error {
 // over the remaining headroom is rejected at submit time, and Kill
 // releases the reservation for a successful resubmit.
 func TestClusterQuotaEnforcementEndToEnd(t *testing.T) {
-	cl, err := NewCluster(testClusterConfig(t, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
+	t.Parallel()
+	cl := testCluster(t, 4)
 	// Exact fit for the plan below: 2 worker containers × (2 instances +
 	// 1 overhead) CPU + 1 TMaster = 7 CPU, 3 containers.
 	if err := cl.AddTenant("small", Quota{Resources: Resource{CPU: 7}, MaxContainers: 3}, 0); err != nil {

@@ -80,6 +80,7 @@ func (f *fixture) buildObsTopology(t *testing.T, spouts, bolts, wordsPerSpout in
 // snapshot pipeline — agrees with what the topology actually processed,
 // including the bolt's custom user metrics.
 func TestHandleMetricsEndToEnd(t *testing.T) {
+	t.Parallel()
 	var f fixture
 	const spouts, bolts, perSpout = 2, 2, 300
 	spec := f.buildObsTopology(t, spouts, bolts, perSpout, true, 0)
@@ -175,6 +176,7 @@ func TestHandleMetricsEndToEnd(t *testing.T) {
 // same counters appear in Prometheus text form with component/task
 // labels, and that /topology serves the structured JSON dump.
 func TestObservabilityHTTP(t *testing.T) {
+	t.Parallel()
 	var f fixture
 	const spouts, bolts, perSpout = 2, 2, 200
 	spec := f.buildObsTopology(t, spouts, bolts, perSpout, false, 0)
@@ -296,6 +298,7 @@ func TestObservabilityHTTP(t *testing.T) {
 // stmgr.cache-drain-count; internal/stmgr's TestCacheDrainCountFollowsPeriod
 // pins that against the worker itself, where the count is exact.)
 func TestKnobsAreObservable(t *testing.T) {
+	t.Parallel()
 	maxPending := func(cap int) int64 {
 		var f fixture
 		// Slow bolt so spouts build real backlog against the pending cap.
@@ -313,9 +316,11 @@ func TestKnobsAreObservable(t *testing.T) {
 		if err := h.WaitRunning(10 * time.Second); err != nil {
 			t.Fatal(err)
 		}
+		// Sample for 2 s, or until the gauge passes 3, the line both arms
+		// are judged by.
 		var max int64
 		deadline := time.Now().Add(2 * time.Second)
-		for time.Now().Before(deadline) {
+		for max <= 3 && time.Now().Before(deadline) {
 			if p := h.Metrics().Gauge(metrics.MSpoutPending, "word"); p > max {
 				max = p
 			}

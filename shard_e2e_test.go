@@ -13,6 +13,7 @@ import (
 // task and that the Stream Managers' route-latency histogram reaches the
 // aggregated TopologyView with ordered percentiles.
 func TestRouteLatencyReachesView(t *testing.T) {
+	t.Parallel()
 	var f fixture
 	spec := f.buildWordCount(t, 2, 2, 300, true)
 	cfg := testConfig(t)
@@ -57,6 +58,7 @@ func TestRouteLatencyReachesView(t *testing.T) {
 // dropped before the first plan, nothing duplicated — over inproc and
 // over tcp, and on the unoptimized arm the same worker runs.
 func TestWordCountExactAtEveryShardCount(t *testing.T) {
+	t.Parallel()
 	type arm struct {
 		name, transport string
 		naive           bool

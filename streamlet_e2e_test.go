@@ -20,6 +20,7 @@ import (
 // CountByKey of page views. Every click must be counted exactly once on
 // both branches.
 func TestStreamletClickstreamEndToEnd(t *testing.T) {
+	t.Parallel()
 	const (
 		users         = 8
 		clicksPerUser = 250
@@ -135,6 +136,7 @@ func TestStreamletClickstreamEndToEnd(t *testing.T) {
 // sums must conserve the exact word total and rank the known top word
 // first.
 func TestStreamletTopWordsEndToEnd(t *testing.T) {
+	t.Parallel()
 	// Each pass over the script contributes 10 words with known
 	// frequencies: heron 3, streams 2, tuples 2, scales 1, acks 1, fast 1.
 	script := []string{

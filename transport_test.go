@@ -9,6 +9,7 @@ import (
 // instance↔stream-manager and stream-manager↔stream-manager hop crosses
 // loopback TCP, proving the transport module is genuinely pluggable.
 func TestWordCountOverTCP(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("tcp end-to-end")
 	}
@@ -44,6 +45,7 @@ func TestWordCountOverTCP(t *testing.T) {
 // the filesystem implementation: TMaster discovery and plan storage run
 // through files and poll-based watches.
 func TestWordCountWithLocalFSStateManager(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("localfs end-to-end")
 	}
@@ -69,6 +71,7 @@ func TestWordCountWithLocalFSStateManager(t *testing.T) {
 // TestBinPackingSchedulerEndToEnd runs the engine under the bin-packing
 // resource manager and checks the cost-optimized plan actually runs.
 func TestBinPackingSchedulerEndToEnd(t *testing.T) {
+	t.Parallel()
 	var f fixture
 	spec := f.buildWordCount(t, 2, 3, 500, false)
 	cfg := testConfig(t)

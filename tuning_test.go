@@ -67,6 +67,7 @@ func TestDynamicMaxSpoutPending(t *testing.T) {
 // relaunched container receives, and that container's Stream Manager
 // replays it to the spout that registers there.
 func TestTunedWindowSurvivesRelaunch(t *testing.T) {
+	t.Parallel()
 	var f fixture
 	spec := f.buildWordCount(t, 2, 2, -1, true)
 	cfg := testConfig(t)

@@ -14,7 +14,6 @@ import (
 	"heron/internal/extsvc/kafkasim"
 	"heron/internal/harness/audit"
 	"heron/internal/metrics"
-	"heron/internal/statemgr"
 	"heron/internal/workloads"
 )
 
@@ -111,12 +110,7 @@ func runTxnExactlyOnce(t *testing.T, backendName, label string, window txnWindow
 		t.Fatal(err)
 	}
 
-	cfg := NewConfig()
-	cfg.StateRoot = "/txn-" + label
-	statemgr.ResetSharedStore(cfg.StateRoot)
-	checkpoint.ResetSharedMemory(cfg.StateRoot)
-	checkpoint.ResetSharedRedis(cfg.StateRoot)
-	cfg.NumContainers = 3
+	cfg := testConfig(t)
 	cfg.SchedulerName = "yarn"
 	cfg.CheckpointInterval = 200 * time.Millisecond
 	cfg.StateBackend = backendName
@@ -255,14 +249,17 @@ func runTxnExactlyOnce(t *testing.T, backendName, label string, window txnWindow
 // forEachBackend runs f under every checkpoint backend as subtests.
 func forEachBackend(t *testing.T, f func(t *testing.T, backend string)) {
 	for _, backend := range []string{"memory", "localfs", "redis"} {
-		backend := backend
-		t.Run(backend, func(t *testing.T) { f(t, backend) })
+		t.Run(backend, func(t *testing.T) {
+			t.Parallel()
+			f(t, backend)
+		})
 	}
 }
 
 // TestTxnExactlyOnceMidEpoch kills a worker with data in flight between
 // barriers, on every checkpoint backend.
 func TestTxnExactlyOnceMidEpoch(t *testing.T) {
+	t.Parallel()
 	forEachBackend(t, func(t *testing.T, backend string) {
 		runTxnExactlyOnce(t, backend, "mid-"+backend, windowMidEpoch)
 	})
@@ -273,6 +270,7 @@ func TestTxnExactlyOnceMidEpoch(t *testing.T) {
 // commits: recovery must abort the undecided transaction and replay its
 // records under a later epoch, on every checkpoint backend.
 func TestTxnExactlyOncePrepareWindow(t *testing.T) {
+	t.Parallel()
 	forEachBackend(t, func(t *testing.T, backend string) {
 		runTxnExactlyOnce(t, backend, "prep-"+backend, windowPrepare)
 	})
@@ -282,6 +280,7 @@ func TestTxnExactlyOncePrepareWindow(t *testing.T) {
 // commits in the backend but before the sink hears about it: recovery
 // must COMMIT the pending transaction (the epoch won), not abort it.
 func TestTxnExactlyOnceCommitWindow(t *testing.T) {
+	t.Parallel()
 	runTxnExactlyOnce(t, "memory", "commit-memory", windowCommit)
 }
 
@@ -289,6 +288,7 @@ func TestTxnExactlyOnceCommitWindow(t *testing.T) {
 // while the first recovery is still resolving pending transactions —
 // recovery itself must be idempotent.
 func TestTxnExactlyOnceKillDuringRestore(t *testing.T) {
+	t.Parallel()
 	runTxnExactlyOnce(t, "memory", "restore-memory", windowRestore)
 }
 
@@ -325,12 +325,7 @@ func runTxnLeaderKill(t *testing.T, backendName, label string, midRescale bool) 
 		t.Fatal(err)
 	}
 
-	cfg := NewConfig()
-	cfg.StateRoot = "/txnha-" + label
-	statemgr.ResetSharedStore(cfg.StateRoot)
-	checkpoint.ResetSharedMemory(cfg.StateRoot)
-	checkpoint.ResetSharedRedis(cfg.StateRoot)
-	cfg.NumContainers = 3
+	cfg := testConfig(t)
 	cfg.SchedulerName = "yarn"
 	cfg.CheckpointInterval = 200 * time.Millisecond
 	cfg.StateBackend = backendName
@@ -450,6 +445,7 @@ func runTxnLeaderKill(t *testing.T, backendName, label string, midRescale bool) 
 // TestTxnFailoverMidEpoch kills the leading TMaster with data in flight
 // between barriers, on every checkpoint backend.
 func TestTxnFailoverMidEpoch(t *testing.T) {
+	t.Parallel()
 	forEachBackend(t, func(t *testing.T, backend string) {
 		runTxnLeaderKill(t, backend, "ha-mid-"+backend, false)
 	})
@@ -460,6 +456,7 @@ func TestTxnFailoverMidEpoch(t *testing.T) {
 // resumes the rescale through the successor and the exactly-once audit
 // still holds.
 func TestTxnFailoverMidRescale(t *testing.T) {
+	t.Parallel()
 	forEachBackend(t, func(t *testing.T, backend string) {
 		runTxnLeaderKill(t, backend, "ha-resc-"+backend, true)
 	})

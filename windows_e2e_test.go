@@ -39,6 +39,7 @@ func (s *numberSpout) Close() error { return nil }
 // engine: 1000 numbers through windows of 100, summed per window by the
 // handler and verified downstream.
 func TestCountWindowEndToEnd(t *testing.T) {
+	t.Parallel()
 	const n, win = 1000, 100
 	var windowsSeen atomic.Int64
 	var grandTotal atomic.Int64
@@ -95,6 +96,7 @@ func TestCountWindowEndToEnd(t *testing.T) {
 
 // TestTimeWindowEndToEnd runs time windows driven by the engine's ticks.
 func TestTimeWindowEndToEnd(t *testing.T) {
+	t.Parallel()
 	var windowsSeen atomic.Int64
 	var tuplesSeen atomic.Int64
 
