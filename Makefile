@@ -27,7 +27,8 @@ vet:
 # goroutines retune (the health manager), or meet other sessions of one
 # deployment's snapshot store through its World (the checkpoint backends
 # and ledger), then a
-# 10 s fuzz smoke of each decoder that reads tuple bytes off the wire, one
+# 10 s fuzz smoke of each decoder that reads tuple bytes off the wire or a
+# snapshot out of a checkpoint store, one
 # run of every codec, hash, Stream Manager route and spout emit/ack
 # benchmark (so those benchmarks keep compiling and running), then vet and
 # tests of the benchmark's own module, which `./...` from the root does not
@@ -40,6 +41,7 @@ verify:
 	$(GO) test -race -count=10 ./internal/tmaster ./internal/runtime ./internal/instance ./internal/statemgr ./internal/replication ./internal/scheduler ./internal/multitenant ./internal/metrics ./internal/observability ./internal/stmgr ./internal/acker ./internal/storm ./internal/network ./internal/healthmgr ./internal/checkpoint
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeAck -fuzztime=10s ./internal/tuple
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeHeader -fuzztime=10s ./internal/tuple
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeState -fuzztime=10s ./internal/checkpoint
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/tuple ./internal/encoding/wire ./internal/core ./internal/stmgr ./internal/instance
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -158,6 +159,12 @@ type ckptRun struct {
 // runCheckpointRecoveryWith is runCheckpointRecovery with the scheduler
 // and the fault chosen by run.
 func runCheckpointRecoveryWith(t *testing.T, run ckptRun) {
+	phase := time.Now()
+	var phases []string
+	lap := func(name string) {
+		phases = append(phases, fmt.Sprintf("%s %v", name, time.Since(phase).Round(time.Millisecond)))
+		phase = time.Now()
+	}
 	const dictSize = 50
 	dict := make([]string, dictSize)
 	for i := range dict {
@@ -202,6 +209,7 @@ func runCheckpointRecoveryWith(t *testing.T, run ckptRun) {
 	if err := handle.WaitRunning(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
+	lap("submit")
 
 	// The test's own backend session polls the globally-committed epoch.
 	poll, err := checkpoint.New(backendName)
@@ -217,12 +225,13 @@ func runCheckpointRecoveryWith(t *testing.T, run ckptRun) {
 		return id
 	}
 
-	waitFor(t, 15*time.Second, "initial progress", func() bool {
-		return h.executed.Load() > 10_000
-	})
+	// The restart needs a restore point, not a tuple count: a count of the
+	// paced source's output takes ten times longer while a saturating test
+	// shares the CPU.
 	waitFor(t, 15*time.Second, "first committed checkpoint", func() bool {
 		return latest() > 0
 	})
+	lap("first commit")
 	committedBefore := latest()
 
 	// Kill or restart worker container 1. Either way the scheduler must
@@ -243,17 +252,18 @@ func runCheckpointRecoveryWith(t *testing.T, run ckptRun) {
 			})
 		}
 	}
+	lap("restart")
 	waitFor(t, 15*time.Second, "state restored", func() bool {
 		return handle.SumCounter(metrics.MRestoreCount) > 0
 	})
+	lap("restore")
+	// Tuples must flow again, and checkpointing itself must have survived
+	// the failure.
 	base := h.executed.Load()
-	waitFor(t, 30*time.Second, "post-failure progress", func() bool {
-		return h.executed.Load() > base+10_000
+	waitFor(t, 15*time.Second, "post-recovery progress and commit", func() bool {
+		return h.executed.Load() > base && latest() > committedBefore
 	})
-	// Checkpointing itself must have survived the failure.
-	waitFor(t, 15*time.Second, "post-recovery commit", func() bool {
-		return latest() > committedBefore
-	})
+	lap("commit")
 
 	// Stop the sources and let the pipeline drain.
 	h.stop.Store(true)
@@ -265,6 +275,8 @@ func runCheckpointRecoveryWith(t *testing.T, run ckptRun) {
 		}
 		return time.Since(quiet) > 500*time.Millisecond
 	})
+	lap("quiescence")
+	t.Logf("recovery phases: %s", strings.Join(phases, ", "))
 
 	// Exact accounting: every word's final count must equal its number of
 	// occurrences in [0, seq) across the live spouts. A lost tuple makes a

@@ -254,56 +254,71 @@ func TestHealthManagerAutoscaleConvergence(t *testing.T) {
 }
 
 // TestScaleComponentManual drives the exact same stateful rescale the
-// resolver uses, through the public Handle.ScaleComponent API.
+// resolver uses through each public entry point: Handle.ScaleComponent,
+// and Handle.Scale, which takes the same protocol on a checkpointed
+// topology.
 func TestScaleComponentManual(t *testing.T) {
 	t.Parallel()
-	dict := healthDict()
-	h := &ckptHarness{spouts: map[int32]*seqSpout{}, bolts: map[int32]*ckptCountBolt{}}
-	var slow atomic.Bool // never set: this test rescales a healthy topology
-	spec := buildHealthTopology(t, "health-manual", h, &slow, dict, 2)
+	for _, entry := range []struct {
+		name  string
+		scale func(h *Handle, component string, parallelism int) error
+	}{
+		{"ScaleComponent", (*Handle).ScaleComponent},
+		{"Scale", func(h *Handle, component string, parallelism int) error {
+			return h.Scale(map[string]int{component: parallelism})
+		}},
+	} {
+		t.Run(entry.name, func(t *testing.T) {
+			t.Parallel()
+			dict := healthDict()
+			h := &ckptHarness{spouts: map[int32]*seqSpout{}, bolts: map[int32]*ckptCountBolt{}}
+			var slow atomic.Bool // never set: this test rescales a healthy topology
+			spec := buildHealthTopology(t, "health-manual-"+entry.name, h, &slow, dict, 2)
 
-	cfg := healthTestConfig(t)
-	cl := cluster.New("health-manual-sim", 4, core.Resource{CPU: 32, RAMMB: 32768, DiskMB: 65536})
-	cfg.Framework = cl
+			cfg := healthTestConfig(t)
+			cl := cluster.New("health-manual-"+entry.name+"-sim", 4, core.Resource{CPU: 32, RAMMB: 32768, DiskMB: 65536})
+			cfg.Framework = cl
 
-	handle, err := Submit(spec, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer handle.Kill()
-	if err := handle.WaitRunning(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 15*time.Second, "initial progress", func() bool {
-		return h.executed.Load() > 10_000
-	})
+			handle, err := Submit(spec, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer handle.Kill()
+			if err := handle.WaitRunning(10 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, 15*time.Second, "initial progress", func() bool {
+				return h.executed.Load() > 10_000
+			})
 
-	if err := handle.ScaleComponent("count", 4); err != nil {
-		t.Fatalf("ScaleComponent: %v", err)
-	}
-	if got := countParallelism(t, handle); got != 4 {
-		t.Fatalf("count parallelism = %d after rescale, want 4", got)
-	}
-	waitFor(t, 15*time.Second, "state restored on relaunch", func() bool {
-		return handle.SumCounter(metrics.MRestoreCount) > 0
-	})
-	base := h.executed.Load()
-	waitFor(t, 30*time.Second, "post-rescale progress", func() bool {
-		return h.executed.Load() > base+10_000
-	})
+			if err := entry.scale(handle, "count", 4); err != nil {
+				t.Fatalf("%s: %v", entry.name, err)
+			}
+			if got := countParallelism(t, handle); got != 4 {
+				t.Fatalf("count parallelism = %d after rescale, want 4", got)
+			}
+			waitFor(t, 15*time.Second, "state restored on relaunch", func() bool {
+				return handle.SumCounter(metrics.MRestoreCount) > 0
+			})
+			base := h.executed.Load()
+			waitFor(t, 30*time.Second, "post-rescale progress", func() bool {
+				return h.executed.Load() > base+10_000
+			})
 
-	// Guard rails of the public API.
-	if err := handle.ScaleComponent("count", 4); err != nil {
-		t.Errorf("no-op rescale errored: %v", err)
-	}
-	if err := handle.ScaleComponent("nope", 2); err == nil {
-		t.Error("rescaling an unknown component succeeded")
-	}
-	if err := handle.ScaleComponent("count", 0); err == nil {
-		t.Error("rescaling to parallelism 0 succeeded")
-	}
+			// Guard rails of the public API.
+			if err := entry.scale(handle, "count", 4); err != nil {
+				t.Errorf("no-op rescale errored: %v", err)
+			}
+			if err := entry.scale(handle, "nope", 2); err == nil {
+				t.Error("rescaling an unknown component succeeded")
+			}
+			if err := entry.scale(handle, "count", 0); err == nil {
+				t.Error("rescaling to parallelism 0 succeeded")
+			}
 
-	drainAndAudit(t, handle, h, dict)
+			drainAndAudit(t, handle, h, dict)
+		})
+	}
 }
 
 // TestScaleComponentRollback forces the relaunch step of the rescale to

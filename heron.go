@@ -19,6 +19,7 @@ package heron
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"time"
 
 	"heron/api"
@@ -273,13 +274,36 @@ func (h *Handle) WaitRunning(timeout time.Duration) error {
 	}
 }
 
-// Scale adjusts component parallelism on the running topology: the
-// Resource Manager repacks with minimal disruption, the Scheduler applies
-// the container diff, and the Topology Master rebroadcasts the plan.
+// Scale adjusts component parallelism on the running topology. Without
+// checkpointing the Resource Manager repacks with minimal disruption, the
+// Scheduler applies the container diff, and the Topology Master
+// rebroadcasts the plan. With checkpointing each changed component goes
+// through ScaleComponent's state-preserving protocol, in name order; the
+// first failure stops the sequence, leaving the components before it
+// rescaled.
 func (h *Handle) Scale(changes map[string]int) error {
 	if h.killed {
 		return errors.New("heron: topology killed")
 	}
+	if h.cfg.CheckpointInterval <= 0 {
+		return h.repack(changes)
+	}
+	names := make([]string, 0, len(changes))
+	for name := range changes {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		if err := h.ScaleComponent(name, changes[name]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// repack is the stateless rescale: a minimal-disruption repack, then the
+// container diff and a plan rebroadcast.
+func (h *Handle) repack(changes map[string]int) error {
 	current, err := h.state.GetPackingPlan(h.name)
 	if err != nil {
 		return err

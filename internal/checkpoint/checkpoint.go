@@ -16,16 +16,16 @@
 //     marker; a bolt aligns a barrier across all upstream tasks, holding
 //     post-marker tuples until the barrier completes, then saves and
 //     releases them.
-//   - Snapshots persist through a pluggable Backend ("memory", "localfs",
-//     "redis") — the same plug-in discipline as the State Manager.
+//   - Snapshots persist through one Backend, which owns the layout, the
+//     commit record and retirement, over a choice of three small stores
+//     ("memory", "localfs", "redis"; store.go) named by
+//     Config.StateBackend.
 //
 // Recovery reads Backend.LatestCommitted once per container launch and
 // calls RestoreState on every stateful instance before it processes input.
 package checkpoint
 
 import (
-	"fmt"
-	"sort"
 	"sync"
 
 	"heron/internal/core"
@@ -34,6 +34,17 @@ import (
 // Backend persists per-task snapshots and the global commit record. All
 // methods must be safe for concurrent use: every container holds its own
 // backend session against the shared store.
+//
+// One implementation serves every store, so these rules hold on each:
+//   - Commit raises the commit record to its id, never lowers it (commits
+//     from every session of the process take turns), and then retires
+//     every checkpoint below the record. A Commit at or below the
+//     record still retires, so a late Save under a passed id goes at the
+//     next Commit.
+//   - Once the record is written, a failed retirement does not fail the
+//     Commit; the next Commit retires what it left.
+//   - A commit record that does not parse is an error from Commit and
+//     LatestCommitted.
 type Backend interface {
 	// Initialize connects the backend; cfg carries the store location
 	// (World, StateRoot, Extra keys).
@@ -51,42 +62,6 @@ type Backend interface {
 	Dispose(topology string) error
 	// Close releases the session.
 	Close() error
-}
-
-// Factory builds an uninitialized backend.
-type Factory func() Backend
-
-var (
-	regMu    sync.Mutex
-	backends = map[string]Factory{}
-)
-
-// Register adds a backend under a name; later registrations replace
-// earlier ones, mirroring the core module registries.
-func Register(name string, f Factory) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	backends[name] = f
-}
-
-// New builds the named backend ("" selects "memory").
-func New(name string) (Backend, error) {
-	if name == "" {
-		name = "memory"
-	}
-	regMu.Lock()
-	f, ok := backends[name]
-	names := make([]string, 0, len(backends))
-	for n := range backends {
-		names = append(names, n)
-	}
-	regMu.Unlock()
-	if !ok {
-		sort.Strings(names)
-		return nil, fmt.Errorf("checkpoint: unknown backend %q (registered: %v): %w",
-			name, names, core.ErrNotFound)
-	}
-	return f(), nil
 }
 
 // Coordinator is the TMaster-side checkpoint state machine. At most one

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"heron/internal/core"
@@ -110,7 +112,57 @@ func TestDecodeStateEmpty(t *testing.T) {
 	}
 }
 
-// newTestBackend builds an initialized session of each registered backend
+// TestDecodeStateBoundsHeaderHint: a header claiming far more pairs than
+// the snapshot can hold must not size the map by the claim.
+func TestDecodeStateBoundsHeaderHint(t *testing.T) {
+	b := wire.AppendUvarint(nil, 1<<20)
+	if len(b) != 3 {
+		t.Fatalf("header is %d bytes, want 3", len(b))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeState(b)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a header with no pairs behind it decoded")
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 64<<10 {
+		t.Fatalf("decoding a %d-byte snapshot allocated %d B, want < 64 KiB", len(b), n)
+	}
+}
+
+// FuzzDecodeState: any input either errors or decodes to a state whose
+// encoding decodes equal to it.
+func FuzzDecodeState(f *testing.F) {
+	small := NewMapState()
+	small.Set("a", []byte{1})
+	small.Set("", nil)
+	f.Add(EncodeState(small))
+	f.Add(EncodeState(NewMapState()))
+	f.Add(wire.AppendUvarint(nil, 1<<20))
+	f.Add([]byte{1, 0})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		s, err := DecodeState(b)
+		if err != nil {
+			return
+		}
+		back, err := DecodeState(EncodeState(s))
+		if err != nil {
+			t.Fatalf("re-encoded state does not decode: %v", err)
+		}
+		if back.Len() != s.Len() {
+			t.Fatalf("re-decoded %d keys, want %d", back.Len(), s.Len())
+		}
+		s.Range(func(k string, v []byte) bool {
+			if got, ok := back.m[k]; !ok || !bytes.Equal(got, v) {
+				t.Fatalf("key %q: re-decoded %q (present %v), want %q", k, got, ok, v)
+			}
+			return true
+		})
+	})
+}
+
+// newTestBackend builds an initialized session of each backend
 // against an isolated store.
 func newTestBackend(t *testing.T, name string) Backend {
 	t.Helper()
@@ -148,6 +200,15 @@ func TestBackendRoundTrip(t *testing.T) {
 			if err != nil || string(got) != "snap-b" {
 				t.Fatalf("Load = %q, %v", got, err)
 			}
+			// The store keeps its own copy: the caller may reuse its buffer.
+			buf := []byte("snap-c")
+			if err := b.Save("topo", 1, 8, buf); err != nil {
+				t.Fatal(err)
+			}
+			copy(buf, "XXXXXX")
+			if got, err := b.Load("topo", 1, 8); err != nil || string(got) != "snap-c" {
+				t.Fatalf("Load after the caller reused its buffer = %q, %v", got, err)
+			}
 			// Snapshots are uncommitted until Commit.
 			if latest, err := b.LatestCommitted("topo"); err != nil || latest != 0 {
 				t.Fatalf("LatestCommitted = %d, %v, want 0", latest, err)
@@ -157,6 +218,16 @@ func TestBackendRoundTrip(t *testing.T) {
 			}
 			if latest, err := b.LatestCommitted("topo"); err != nil || latest != 1 {
 				t.Fatalf("LatestCommitted = %d, %v, want 1", latest, err)
+			}
+			// A closed session fails every call.
+			if err := b.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := b.Load("topo", 1, 7); err == nil || errors.Is(err, core.ErrNotFound) {
+				t.Fatalf("Load after Close: err = %v, want not initialized", err)
+			}
+			if err := b.Commit("topo", 2); err == nil {
+				t.Fatal("Commit after Close succeeded")
 			}
 		})
 	}
@@ -169,12 +240,30 @@ func TestBackendCommitMonotonic(t *testing.T) {
 			if err := b.Commit("topo", 5); err != nil {
 				t.Fatal(err)
 			}
-			// A late commit of an older checkpoint must not roll back.
+			// A straggler saves under an id the record has passed.
+			if err := b.Save("topo", 4, 0, []byte("late")); err != nil {
+				t.Fatal(err)
+			}
+			// A late commit of an older checkpoint must not roll back, and
+			// still retires everything below the record.
 			if err := b.Commit("topo", 3); err != nil {
 				t.Fatal(err)
 			}
 			if latest, _ := b.LatestCommitted("topo"); latest != 5 {
 				t.Fatalf("LatestCommitted = %d, want 5", latest)
+			}
+			if _, err := b.Load("topo", 4, 0); !errors.Is(err, core.ErrNotFound) {
+				t.Fatalf("late snapshot below the record survived a commit: %v", err)
+			}
+			// A commit record that does not parse is an error, not id 0.
+			if err := b.(*backend).s.put(latestKey("topo"), []byte("garbage")); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := b.LatestCommitted("topo"); err == nil {
+				t.Fatal("LatestCommitted read a corrupt record")
+			}
+			if err := b.Commit("topo", 6); err == nil {
+				t.Fatal("Commit over a corrupt record succeeded")
 			}
 		})
 	}
@@ -255,6 +344,23 @@ func TestBackendSessionsShareStore(t *testing.T) {
 			if latest, _ := b.LatestCommitted("topo"); latest != 1 {
 				t.Fatalf("second session LatestCommitted = %d", latest)
 			}
+			// Sessions committing at once never lower the record.
+			var wg sync.WaitGroup
+			for i, s := range []Backend{a, b, a, b} {
+				wg.Add(1)
+				go func(s Backend, first int64) {
+					defer wg.Done()
+					for id := first; id <= 40; id += 4 {
+						if err := s.Commit("topo", id); err != nil {
+							t.Error(err)
+						}
+					}
+				}(s, int64(i)+2)
+			}
+			wg.Wait()
+			if latest, _ := a.LatestCommitted("topo"); latest != 40 {
+				t.Fatalf("after concurrent commits LatestCommitted = %d, want 40", latest)
+			}
 			if name == "localfs" {
 				return // a directory, not a World, is what localfs sessions share
 			}
@@ -281,8 +387,50 @@ func TestNewUnknownBackend(t *testing.T) {
 	}
 	if b, err := New(""); err != nil {
 		t.Fatalf("default backend: %v", err)
-	} else if _, ok := b.(*memoryBackend); !ok {
-		t.Fatalf("default backend = %T, want memory", b)
+	} else if name := b.(*backend).name; name != "memory" {
+		t.Fatalf("default backend = %q, want memory", name)
+	}
+}
+
+// failingRemove is a store whose remove fails while fail is set.
+type failingRemove struct {
+	store
+	fail bool
+}
+
+func (f *failingRemove) remove(dir string) error {
+	if f.fail {
+		return errors.New("remove failed")
+	}
+	return f.store.remove(dir)
+}
+
+// TestCommitSurvivesFailedRetirement: once the record is written, a
+// retirement that fails leaves the Commit successful, and the next Commit
+// retires what it left.
+func TestCommitSurvivesFailedRetirement(t *testing.T) {
+	s := &failingRemove{store: &memStore{blobs: map[string][]byte{}}, fail: true}
+	b := &backend{name: "memory", s: s}
+	for id := int64(1); id <= 2; id++ {
+		if err := b.Save("topo", id, 0, []byte{byte(id)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Commit("topo", id); err != nil {
+			t.Fatalf("Commit(%d) with a failing retirement: %v", id, err)
+		}
+	}
+	if latest, _ := b.LatestCommitted("topo"); latest != 2 {
+		t.Fatalf("LatestCommitted = %d, want 2", latest)
+	}
+	if _, err := b.Load("topo", 1, 0); err != nil {
+		t.Fatalf("checkpoint 1 went although its retirement failed: %v", err)
+	}
+	s.fail = false
+	if err := b.Commit("topo", 2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Load("topo", 1, 0); !errors.Is(err, core.ErrNotFound) {
+		t.Fatalf("the next Commit left checkpoint 1: %v", err)
 	}
 }
 

@@ -76,7 +76,9 @@ func DecodeState(b []byte) (*MapState, error) {
 		return nil, fmt.Errorf("checkpoint: state header: %w", err)
 	}
 	b = b[n:]
-	s := &MapState{m: make(map[string][]byte, pairs)}
+	// The header is unchecked input: size the map by what the bytes left
+	// can hold, at least 2 per pair (two empty lengths).
+	s := &MapState{m: make(map[string][]byte, min(pairs, uint64(len(b))/2))}
 	for i := uint64(0); i < pairs; i++ {
 		kl, n, err := wire.Uvarint(b)
 		if err != nil || uint64(len(b[n:])) < kl {

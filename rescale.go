@@ -19,11 +19,12 @@ import (
 const rescaleCheckpointTimeout = 30 * time.Second
 
 // ScaleComponent changes one component's parallelism on the running
-// topology. It is the single rescale entry point: the health manager's
-// scale-up/scale-down resolvers call exactly this method.
+// topology. It is the one rescale protocol: the health manager's
+// scale-up/scale-down resolvers call exactly this method, and so does
+// Scale, once per changed component, when checkpointing is on.
 //
-// Without checkpointing the change reduces to Scale: a minimal-disruption
-// repack plus a container diff. With checkpointing enabled the rescale is
+// Without checkpointing the change is a minimal-disruption repack plus a
+// container diff, as in Scale. With checkpointing enabled the rescale is
 // state-preserving: interval checkpoints pause, a synchronous checkpoint
 // barrier commits, the rescaled component's state is repartitioned across
 // the new task set under a fresh checkpoint id (key-hash for bolts,
@@ -54,7 +55,7 @@ func (h *Handle) ScaleComponent(component string, parallelism int) error {
 	}
 	changes := map[string]int{component: parallelism}
 	if h.cfg.CheckpointInterval <= 0 {
-		return h.Scale(changes)
+		return h.repack(changes)
 	}
 	start := time.Now()
 	if err := h.rescaleStateful(component, oldCount, changes, current); err != nil {
